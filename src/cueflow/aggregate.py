@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .detector import CueEvent
 from .errors import DataFormatError
@@ -164,6 +163,9 @@ def welch_ttest(a, b) -> WelchResult:
     ``p = I_{nu/(nu+t^2)}(nu/2, 1/2)``, evaluated in double precision.
     Each group needs at least two values and nonzero combined variance.
     """
+    # Imported here so that loading cueflow does not load scipy.
+    from scipy import special
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:

@@ -10,6 +10,7 @@ form ``section.key=value``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,6 +82,19 @@ class ModelConfig:
         if self.te_mode not in TE_MODE_CHOICES:
             raise ConfigError(
                 f"te_mode must be one of {TE_MODE_CHOICES}, got {self.te_mode!r}"
+            )
+        if not self.epochs >= 1:
+            raise ConfigError(f"[model] epochs must be at least 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"[model] learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not self.batch_size >= 1:
+            raise ConfigError(f"[model] batch_size must be at least 1, got {self.batch_size}")
+        if not self.hidden or min(self.hidden) < 1:
+            raise ConfigError(
+                f"[model] hidden needs at least one layer width, each at least 1, "
+                f"got {self.hidden}"
             )
 
     def train_config(self, seed: int) -> TrainConfig:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError, DataFormatError
 from .te import TeSeries
@@ -124,10 +123,17 @@ def highpass(series: TeSeries, cutoff_hz: float, dt: float) -> TeSeries:
     rc = 1.0 / (2.0 * math.pi * cutoff_hz)
     a = rc / (rc + dt)
     x = series.te_raw
-    # Shifting by x_0 pins y_0 = 0 without altering later differences.
-    y = lfilter([a, -a], [1.0, -a], x - x[0])
+    # Shifting by x_0 pins y_0 = 0 without altering later differences.  The
+    # loop is ``lfilter([a, -a], [1, -a], x - x[0])`` in its transposed
+    # direct form, operation for operation, on Python floats.
+    y = []
+    z = 0.0
+    for xn in (x - x[0]).tolist():
+        yn = a * xn + z
+        z = -a * xn - (-a) * yn
+        y.append(yn)
     return TeSeries(direction=series.direction, times=series.times.copy(),
-                    te_raw=y, mode=series.mode)
+                    te_raw=np.array(y), mode=series.mode)
 
 
 def des_threshold(series: TeSeries, cfg: DetectorConfig
@@ -150,25 +156,33 @@ def des_threshold(series: TeSeries, cfg: DetectorConfig
     observations directly; it is unstable for any horizon beyond a few
     time constants and exists for side-by-side comparison only.
     """
-    t_vals = series.te_raw
-    n = t_vals.size
-    mu = np.empty(n)
-    b = np.empty(n)
-    v = np.empty(n)
-    mu[0], b[0], v[0] = t_vals[0], 0.0, 0.0
+    t_vals = series.te_raw.tolist()
     a, be = cfg.alpha, cfg.beta
+    keep_a, keep_b = 1.0 - a, 1.0 - be
+    # Python floats: the same IEEE operations as on numpy scalars, faster.
+    mu_p, b_p, v_p = t_vals[0], 0.0, 0.0
+    mu, v = [mu_p], [v_p]
     if cfg.des_mode == DES_STANDARD:
-        for t in range(1, n):
-            ahead = mu[t - 1] + b[t - 1]
-            mu[t] = a * t_vals[t] + (1.0 - a) * ahead
-            b[t] = be * (mu[t] - mu[t - 1]) + (1.0 - be) * b[t - 1]
-            v[t] = (1.0 - a) * (v[t - 1] + a * (t_vals[t] - ahead) * (t_vals[t] - mu[t - 1]))
+        for x in t_vals[1:]:
+            ahead = mu_p + b_p
+            mu_t = a * x + keep_a * ahead
+            b_p = be * (mu_t - mu_p) + keep_b * b_p
+            v_p = keep_a * (v_p + a * (x - ahead) * (x - mu_p))
+            mu_p = mu_t
+            mu.append(mu_t)
+            v.append(v_p)
     else:
-        for t in range(1, n):
-            ahead = mu[t - 1] + b[t - 1]
-            mu[t] = a * t_vals[t] + (1.0 + a) * ahead
-            b[t] = be * (t_vals[t] - t_vals[t - 1]) + (1.0 - be) * b[t - 1]
-            v[t] = (1.0 - a) * (v[t - 1] + a * (t_vals[t] - ahead) * (t_vals[t] - mu[t - 1]))
+        x_p = t_vals[0]
+        for x in t_vals[1:]:
+            ahead = mu_p + b_p
+            mu_t = a * x + (1.0 + a) * ahead
+            b_p = be * (x - x_p) + keep_b * b_p
+            v_p = keep_a * (v_p + a * (x - ahead) * (x - mu_p))
+            mu_p, x_p = mu_t, x
+            mu.append(mu_t)
+            v.append(v_p)
+    n = len(t_vals)
+    mu, v = np.array(mu), np.array(v)
     sigma = np.sqrt(np.maximum(v, 0.0))
     threshold = np.empty(n)
     threshold[0] = np.nan

@@ -250,7 +250,7 @@ def _nll_and_grads(layers, x, y, output_dim):
     d_mu = -(resid * inv_var) / b
     d_lv = 0.5 * (1.0 - resid**2 * inv_var) / b
     d_out = np.hstack([d_mu, d_lv])
-    grads = [np.zeros_like(p) for p in layers]
+    grads = [None] * len(layers)
     grads[-2] = acts[-1].T @ d_out
     grads[-1] = d_out.sum(axis=0)
     d_a = d_out @ layers[-2].T
@@ -288,9 +288,21 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     y = (y_raw - y_mean) / y_scale
 
     rng = np.random.default_rng(train.seed)
-    layers = _init_layers(p, d, hidden, rng)
-    m = [np.zeros_like(q) for q in layers]
-    v = [np.zeros_like(q) for q in layers]
+    # Layers and gradients are views into flat buffers, so each Adam step is
+    # a few whole-buffer in-place operations.  They keep the elementwise
+    # order of the per-layer update
+    #   w = w - lr * (m / c1) / (sqrt(v / c2) + eps)
+    # so the trained weights are bitwise the same.
+    init = _init_layers(p, d, hidden, rng)
+    flat = np.concatenate([q.ravel() for q in init])
+    grad = np.empty_like(flat)
+    layers, grad_views, at = [], [], 0
+    for q in init:
+        layers.append(flat[at:at + q.size].reshape(q.shape))
+        grad_views.append(grad[at:at + q.size].reshape(q.shape))
+        at += q.size
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    m_hat, v_hat = np.empty_like(flat), np.empty_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     batch = max(1, min(train.batch_size, n))
@@ -304,16 +316,26 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
                     f"non-finite NLL at epoch {epoch}, step {step}"
                 )
             step += 1
-            for j, g in enumerate(grads):
-                m[j] = beta1 * m[j] + (1 - beta1) * g
-                v[j] = beta2 * v[j] + (1 - beta2) * g * g
-                m_hat = m[j] / (1 - beta1**step)
-                v_hat = v[j] / (1 - beta2**step)
-                layers[j] = layers[j] - train.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            for view, g in zip(grad_views, grads):
+                view[...] = g
+            m *= beta1
+            np.multiply(grad, 1 - beta1, out=m_hat)
+            m += m_hat
+            v *= beta2
+            np.multiply(grad, 1 - beta2, out=v_hat)
+            v_hat *= grad
+            v += v_hat
+            np.divide(m, 1 - beta1**step, out=m_hat)
+            np.divide(v, 1 - beta2**step, out=v_hat)
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += eps
+            m_hat *= train.learning_rate
+            m_hat /= v_hat
+            flat -= m_hat
 
     final_nll, _ = _nll_and_grads(layers, x, y, d)
     final_nll = float(final_nll + np.sum(np.log(y_scale)))  # back to original units
-    params = {f"layer_{i}": q for i, q in enumerate(layers)}
+    params = {f"layer_{i}": q.copy() for i, q in enumerate(layers)}
     params.update(x_mean=x_mean, x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)
     return FittedModel(
         kind=MLP_GAUSSIAN,

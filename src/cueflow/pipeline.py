@@ -119,7 +119,8 @@ def _pool(datasets: list[EmbeddedDataset]) -> EmbeddedDataset:
     )
 
 
-def _fit_pair(pooled: EmbeddedDataset, cfg: PipelineConfig, seed: int) -> DirectionModels:
+def _fit_pair(pooled: EmbeddedDataset, cfg: PipelineConfig, seed: int,
+              scenario: str, direction: str) -> DirectionModels:
     if cfg.model.kind == VAR_LINEAR:
         base = fit_var(pooled, BASELINE)
         full = fit_var(pooled, AUGMENTED)
@@ -130,9 +131,9 @@ def _fit_pair(pooled: EmbeddedDataset, cfg: PipelineConfig, seed: int) -> Direct
                        train=cfg.model.train_config(seed + 1))
     else:  # pragma: no cover - kinds validated at config parse
         raise PipelineError(f"unknown model kind {cfg.model.kind!r}")
-    logger.info("fitted %s/%s: baseline NLL %.6g, augmented NLL %.6g",
-                cfg.model.kind, pooled.spec.d, base.train_report.final_nll,
-                full.train_report.final_nll)
+    logger.info("fitted scenario %r, direction %s (%s): baseline NLL %.6g, "
+                "augmented NLL %.6g", scenario, direction, cfg.model.kind,
+                base.train_report.final_nll, full.train_report.final_nll)
     return DirectionModels(baseline=base, augmented=full)
 
 
@@ -164,7 +165,8 @@ def fit_models(trials: TrialSet, cfg: PipelineConfig
                 datasets.append(ds)
             seed = cfg.io.seed + 4 * s_idx + 2 * d_idx
             try:
-                models[(scenario, direction)] = _fit_pair(_pool(datasets), cfg, seed)
+                models[(scenario, direction)] = _fit_pair(_pool(datasets), cfg, seed,
+                                                          scenario, direction)
             except CueflowError as exc:
                 raise PipelineError(
                     f"scenario {scenario!r}, stage fit ({direction}): {exc}"

@@ -65,13 +65,16 @@ def _read_meta(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def write_te_csv(trace: DetectionTrace, path) -> None:
+    # The bytes csv.writer gives for rows of _fmt() strings (no field needs
+    # quoting, rows end in \r\n), formatted a column at a time.
+    t, raw, filt, thr = (map(repr, np.asarray(col, dtype=float).tolist())
+                         for col in (trace.times, trace.te_raw,
+                                     trace.te_filtered, trace.threshold))
+    cue = np.asarray(trace.cue).astype(np.int64).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TE_HEADER)
-        for t, raw, filt, thr, cue in zip(trace.times, trace.te_raw,
-                                          trace.te_filtered, trace.threshold,
-                                          trace.cue):
-            writer.writerow([_fmt(t), _fmt(raw), _fmt(filt), _fmt(thr), int(cue)])
+        fh.write(",".join(TE_HEADER) + "\r\n")
+        fh.write("".join([f"{a},{b},{c},{d},{e}\r\n"
+                          for a, b, c, d, e in zip(t, raw, filt, thr, cue)]))
 
 
 def read_te_csv(path, direction: str = "src2tgt") -> DetectionTrace:

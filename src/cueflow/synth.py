@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import DataFormatError
 from .timeseries import TimeSeries
@@ -87,6 +86,9 @@ def gen_var1(spec: Var1Spec) -> tuple[TimeSeries, TimeSeries]:
 
 def stationary_cov(spec: Var1Spec) -> np.ndarray:
     """Stationary covariance: the solution of Sigma = A Sigma A' + Q."""
+    # Imported here so that loading cueflow does not load scipy.
+    from scipy.linalg import solve_discrete_lyapunov
+
     return solve_discrete_lyapunov(spec.a, spec.q)
 
 

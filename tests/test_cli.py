@@ -1,9 +1,14 @@
 """CLI tests: each subcommand run in-process through ``main``."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cueflow
 from cueflow import storage
 from cueflow.cli import main
 
@@ -216,6 +221,28 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "Nyquist" in out
         assert out.splitlines()[-1] == "INVALID: 1 error(s), 0 warning(s)"
+
+
+class TestStartUp:
+    def test_importing_the_cli_loads_no_scipy(self):
+        """scipy is imported only by the functions that call it, so start-up
+        stays cheap; checked in a fresh interpreter."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cueflow.__file__).resolve().parents[1]))
+        code = ("import sys, cueflow, cueflow.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("override", [
+        "model.epochs=0", "model.learning_rate=-1", "model.batch_size=0",
+        "model.hidden=0",
+    ])
+    def test_bad_model_number_exits_2(self, var1_config, override, capsys):
+        assert main(["validate", "--config", str(var1_config),
+                     "--set", override]) == 2
+        assert override.split(".")[1].split("=")[0] in capsys.readouterr().err
 
 
 class TestUsageErrors:

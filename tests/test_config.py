@@ -328,6 +328,23 @@ class TestDerivedSettings:
         with pytest.raises(ConfigError, match="des_mode"):
             DetectorSettings(alpha=0.01, beta=0.05, des_mode="fast")
 
+    @pytest.mark.parametrize("key, bad", [
+        ("epochs", "0"),
+        ("learning_rate", "-1"),
+        ("learning_rate", "nan"),
+        ("learning_rate", "inf"),
+        ("batch_size", "0"),
+        ("hidden", "0"),
+        ("hidden", "32, 0"),
+    ])
+    def test_model_numbers_are_validated(self, key, bad):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(BASE, overrides=[f"model.{key}={bad}"])
+
+    def test_model_needs_a_hidden_layer(self):
+        with pytest.raises(ConfigError, match="hidden"):
+            ModelConfig(kind="mlp_gaussian", hidden=())
+
     def test_io_requires_positive_rate(self):
         with pytest.raises(ConfigError, match="resample_hz"):
             IoConfig(target_channels=("x",), source_channels=("y",),

@@ -105,8 +105,60 @@ class TestHighpass:
         with pytest.raises(ConfigError):
             highpass(te_series(np.zeros(10)), cutoff_hz=50.0, dt=0.01)
 
+    @pytest.mark.parametrize("cutoff_hz, rate_hz, n", [
+        (0.5, 10.0, 1_200), (1.0, 115.0, 5_000), (1.0, 200.0, 24_000),
+    ])
+    def test_bitwise_equal_to_lfilter(self, cutoff_hz, rate_hz, n):
+        """The Python loop is scipy's first-order filter operation for
+        operation (scipy serves as the oracle here only)."""
+        from scipy.signal import lfilter
+
+        dt = 1.0 / rate_hz
+        x = 0.3 + np.random.default_rng(n).standard_normal(n).cumsum() * 0.05
+        rc = 1.0 / (2.0 * np.pi * cutoff_hz)
+        a = rc / (rc + dt)
+        expected = lfilter([a, -a], [1.0, -a], x - x[0])
+        out = highpass(te_series(x, dt=dt), cutoff_hz=cutoff_hz, dt=dt).te_raw
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+
+def des_threshold_reference(series, cfg):
+    """The recursion indexed over numpy arrays, one numpy scalar at a time."""
+    t_vals = series.te_raw
+    n = t_vals.size
+    mu = np.empty(n)
+    b = np.empty(n)
+    v = np.empty(n)
+    mu[0], b[0], v[0] = t_vals[0], 0.0, 0.0
+    a, be = cfg.alpha, cfg.beta
+    for t in range(1, n):
+        ahead = mu[t - 1] + b[t - 1]
+        if cfg.des_mode == "standard":
+            mu[t] = a * t_vals[t] + (1.0 - a) * ahead
+            b[t] = be * (mu[t] - mu[t - 1]) + (1.0 - be) * b[t - 1]
+        else:
+            mu[t] = a * t_vals[t] + (1.0 + a) * ahead
+            b[t] = be * (t_vals[t] - t_vals[t - 1]) + (1.0 - be) * b[t - 1]
+        v[t] = (1.0 - a) * (v[t - 1] + a * (t_vals[t] - ahead) * (t_vals[t] - mu[t - 1]))
+    sigma = np.sqrt(np.maximum(v, 0.0))
+    threshold = np.empty(n)
+    threshold[0] = np.nan
+    threshold[1:] = mu[:-1] + cfg.gamma * sigma[:-1]
+    return mu, sigma, threshold
+
 
 class TestDesThreshold:
+    @pytest.mark.parametrize("des_mode, n", [("standard", 24_000), ("literal", 60)])
+    def test_bitwise_equal_to_numpy_indexed_loop(self, des_mode, n):
+        rng = np.random.default_rng(7)
+        series = te_series(rng.standard_normal(n) * 0.2 + 0.1, dt=0.005)
+        cfg = DetectorConfig(alpha=0.01, beta=0.05, dt=0.005, gamma=3.0,
+                             des_mode=des_mode)
+        got = des_threshold(series, cfg)
+        for out, ref in zip(got, des_threshold_reference(series, cfg)):
+            assert out.tobytes() == ref.tobytes()
+
     RAMP_MU = np.array([
         0.0, 0.020000000000000004, 0.05760000000000001, 0.11052800000000002,
         0.17665984, 0.2540321152, 0.3408492930560001, 0.4354860494796801,

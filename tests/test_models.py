@@ -135,6 +135,36 @@ class TestFitVar:
         np.testing.assert_allclose(preds.cov, [[4.0]])
 
 
+def per_layer_adam(x_raw, y_raw, hidden, train):
+    """Reference training loop: Adam applied to each layer array in turn."""
+    n, p = x_raw.shape
+    d = y_raw.shape[1]
+    x_scale = np.maximum(x_raw.std(axis=0), 1e-12)
+    y_scale = np.maximum(y_raw.std(axis=0), 1e-12)
+    x = (x_raw - x_raw.mean(axis=0)) / x_scale
+    y = (y_raw - y_raw.mean(axis=0)) / y_scale
+    rng = np.random.default_rng(train.seed)
+    layers = _init_layers(p, d, hidden, rng)
+    m = [np.zeros_like(q) for q in layers]
+    v = [np.zeros_like(q) for q in layers]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    batch = max(1, min(train.batch_size, n))
+    for _ in range(train.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, batch):
+            idx = order[lo:lo + batch]
+            _, grads = _nll_and_grads(layers, x[idx], y[idx], d)
+            step += 1
+            for j, g in enumerate(grads):
+                m[j] = beta1 * m[j] + (1 - beta1) * g
+                v[j] = beta2 * v[j] + (1 - beta2) * g * g
+                m_hat = m[j] / (1 - beta1**step)
+                v_hat = v[j] / (1 - beta2**step)
+                layers[j] = layers[j] - train.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return layers, step
+
+
 class TestFitMlp:
     def test_zero_hidden_matches_linear_fit(self):
         """With no hidden layers the network is linear-Gaussian, so its final
@@ -179,6 +209,24 @@ class TestFitMlp:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
         assert a.train_report == b.train_report
+
+    @pytest.mark.parametrize("hidden, batch_size", [((16, 8), 64), ((), 256)])
+    def test_flat_buffer_adam_matches_per_layer_loop(self, hidden, batch_size):
+        """The whole-buffer Adam update trains the same weights, bit for bit,
+        as the update applied one layer array at a time."""
+        rng = np.random.default_rng(9)
+        ds = EmbeddedDataset(targets=rng.standard_normal((300, 2)),
+                             target_hist=rng.standard_normal((300, 3)),
+                             source_hist=rng.standard_normal((300, 3)),
+                             times=np.arange(300.0),
+                             spec=EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
+        train = TrainConfig(epochs=15, batch_size=batch_size, seed=4)
+        model = fit_mlp(ds, AUGMENTED, hidden=hidden, train=train)
+        layers, n_iter = per_layer_adam(ds.joint_hist, ds.targets, hidden, train)
+        assert model.train_report.n_iter == n_iter
+        for i, ref in enumerate(layers):
+            assert model.params[f"layer_{i}"].tobytes() == ref.tobytes()
+            assert model.params[f"layer_{i}"].base is None
 
     def test_predicted_variance_never_below_floor(self):
         """A constant target would drive log-variance to -inf; the clamp holds."""

@@ -158,6 +158,20 @@ class TestRunOnCoupledVar:
         np.testing.assert_array_equal(full.trials[0].series["src2tgt"].te_raw,
                                       solo.trials[0].series["src2tgt"].te_raw)
 
+    def test_fit_log_names_scenario_and_direction(self, caplog):
+        t0, _ = var1_trial("t000", seed=8, n=600, scenario="baseline")
+        t1, _ = var1_trial("t001", seed=9, n=600, scenario="handover")
+        with caplog.at_level("INFO", logger="cueflow"):
+            fit_models(var1_trial_set(t0, t1), make_config())
+        fitted = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("fitted")]
+        assert len(fitted) == 4
+        for message, (scenario, direction) in zip(fitted, [
+                ("baseline", "src2tgt"), ("baseline", "tgt2src"),
+                ("handover", "src2tgt"), ("handover", "tgt2src")]):
+            assert message.startswith(
+                f"fitted scenario {scenario!r}, direction {direction} (var_linear):")
+
     def test_trim_metadata_drops_the_lead_in(self):
         trial, _ = var1_trial("t000", seed=7, n=2000)
         trials = var1_trial_set(trial, metadata={"trim_start_s.t000": "5.0"})

@@ -40,6 +40,28 @@ class TestTeCsv:
         np.testing.assert_array_equal(back.threshold, trace.threshold)
         np.testing.assert_array_equal(back.cue, trace.cue)
 
+    def test_bytes_match_csv_writer_of_repr(self, tmp_path):
+        """Bulk formatting writes exactly what csv.writer writes for repr()
+        fields, NaN, signed zero, subnormals and large magnitudes included."""
+        import csv
+
+        special = [float("nan"), -0.0, 1e-5, 1e16, 5e-324, 0.1, -2.5, 123456789.125]
+        n = len(special)
+        trace = DetectionTrace(direction="src2tgt", times=0.005 * np.arange(n),
+                               te_raw=np.array(special), te_filtered=-np.array(special),
+                               threshold=np.array(special[::-1]),
+                               cue=np.arange(n) % 3 == 0)
+        path = tmp_path / "te.csv"
+        write_te_csv(trace, path)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "te_raw", "te_filtered", "threshold", "cue"])
+            for row in zip(trace.times, trace.te_raw, trace.te_filtered,
+                           trace.threshold, trace.cue):
+                writer.writerow([repr(float(x)) for x in row[:4]] + [int(row[4])])
+        assert path.read_bytes() == ref.read_bytes()
+
     def test_nan_threshold_survives(self, tmp_path):
         trace = sample_trace()
         assert np.isnan(trace.threshold[0])  # no history at the first sample
