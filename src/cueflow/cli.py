@@ -43,6 +43,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cueflow",
                      description="Directed-information cue detection pipeline")
@@ -60,7 +70,7 @@ def _build_parser() -> _Parser:
     common(p_run)
     p_run.add_argument("--trials", required=True, help="directory of trial CSVs")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    p_run.add_argument("--jobs", type=_job_count, default=os.cpu_count() or 1,
                        help="worker threads for per-trial evaluation")
     p_run.set_defaults(func=_cmd_run)
 
@@ -91,12 +101,10 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg, _ = load_config(args.config, args.set)
     trials = storage.load_trial_dir(args.trials)
-    result = pipeline.run(trials, cfg, jobs=max(1, args.jobs))
+    result = pipeline.run(trials, cfg, jobs=args.jobs)
     out = Path(args.out)
     pipeline.write_run_dir(result, cfg, out)
-    positions = None
-    if cfg.aggregate.cell_size_m is not None and cfg.aggregate.position_channels:
-        positions = pipeline.prepare_position_series(trials, cfg)
+    positions = {r.trial_id: r.prepared for r in result.trials}
     pipeline.build_reports(out, out, cfg, positions)
     n_events = sum(len(tr.events) for r in result.trials for tr in r.traces.values())
     print(f"analyzed {len(result.trials)} trials; {n_events} cue events -> {out}")

@@ -20,7 +20,7 @@ from . import aggregate as agg
 from .config import PipelineConfig
 from .detector import DetectionTrace, detect_trace, time_constants
 from .embedding import EmbeddedDataset, EmbeddingSpec, embed
-from .errors import CueflowError, PipelineError
+from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, MLP_GAUSSIAN, VAR_LINEAR, FittedModel,
                      fit_mlp, fit_var, predict_dataset)
 from .te import SRC2TGT, TGT2SRC, TeSeries, local_te
@@ -43,14 +43,25 @@ class DirectionModels:
 
 @dataclass
 class TrialResult:
-    """Per-trial outputs: TE series and detection trace (with events) per direction."""
+    """Per-trial outputs: TE series and detection trace (with events) per direction.
+
+    ``prepared`` is the trial's series as analysed: resampled, then trimmed
+    at its alignment point.
+    """
 
     trial_id: str
     scenario: str
-    duration_s: float
-    t0: float
+    prepared: TimeSeries
     series: dict[str, TeSeries]
     traces: dict[str, DetectionTrace]
+
+    @property
+    def t0(self) -> float:
+        return self.prepared.t0
+
+    @property
+    def duration_s(self) -> float:
+        return self.prepared.duration
 
 
 @dataclass
@@ -95,9 +106,16 @@ def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
     return out
 
 
-def _prepare_trial(trial, cfg: PipelineConfig) -> TimeSeries:
-    series = trial.series
-    return resample(series, cfg.io.resample_hz)
+def _prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> list[TimeSeries]:
+    """Each trial resampled to the analysis rate and trimmed, in trial order."""
+    out = []
+    for trial in trials:
+        try:
+            series = resample(trial.series, cfg.io.resample_hz)
+            out.append(_apply_trim(series, trial.trial_id, trials.metadata))
+        except CueflowError as exc:
+            raise PipelineError(f"trial {trial.trial_id!r}, stage prepare: {exc}") from exc
+    return out
 
 
 def _direction_roles(cfg: PipelineConfig, direction: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -137,30 +155,33 @@ def _fit_pair(pooled: EmbeddedDataset, cfg: PipelineConfig, seed: int,
     return DirectionModels(baseline=base, augmented=full)
 
 
-def fit_models(trials: TrialSet, cfg: PipelineConfig
+def fit_models(trials: TrialSet, cfg: PipelineConfig, *,
+               prepared: list[TimeSeries] | None = None
                ) -> dict[tuple[str, str], DirectionModels]:
     """Fit pooled per-scenario models for every configured direction.
 
     The returned mapping can be fed back into :func:`run` to freeze models
-    across datasets; its keys are ``(scenario, direction)``.
+    across datasets; its keys are ``(scenario, direction)``.  ``prepared``
+    holds the trials' prepared series, in trial order, when the caller has
+    them already.
     """
+    if prepared is None:
+        prepared = _prepare_trials(trials, cfg)
     spec = EmbeddingSpec(d=cfg.embedding.d, delta_s=cfg.embedding.delta_s, dt=cfg.dt)
     by_scenario: dict[str, list] = {}
-    for trial in trials:
-        by_scenario.setdefault(trial.scenario, []).append(trial)
+    for trial, series in zip(trials, prepared):
+        by_scenario.setdefault(trial.scenario, []).append((trial.trial_id, series))
     models: dict[tuple[str, str], DirectionModels] = {}
     for s_idx, (scenario, group) in enumerate(by_scenario.items()):
         for d_idx, direction in enumerate(cfg.io.direction_list):
             tgt_ch, src_ch = _direction_roles(cfg, direction)
             datasets = []
-            for trial in group:
+            for trial_id, series in group:
                 try:
-                    series = _prepare_trial(trial, cfg)
-                    series = _apply_trim(series, trial.trial_id, trials.metadata)
                     ds = embed(series.select(tgt_ch), series.select(src_ch), spec)
                 except CueflowError as exc:
                     raise PipelineError(
-                        f"trial {trial.trial_id!r}, stage embed ({direction}): {exc}"
+                        f"trial {trial_id!r}, stage embed ({direction}): {exc}"
                     ) from exc
                 datasets.append(ds)
             seed = cfg.io.seed + 4 * s_idx + 2 * d_idx
@@ -178,16 +199,19 @@ def _apply_trim(series: TimeSeries, trial_id: str, metadata: dict[str, str]) -> 
     key = TRIM_KEY_PREFIX + trial_id
     if key not in metadata:
         return series
-    return trim_start(series, float(metadata[key]))
-
-
-def _analyze_trial(trial, cfg: PipelineConfig, spec: EmbeddingSpec,
-                   models, metadata) -> TrialResult:
     try:
-        series = _prepare_trial(trial, cfg)
-        series = _apply_trim(series, trial.trial_id, metadata)
-    except CueflowError as exc:
-        raise PipelineError(f"trial {trial.trial_id!r}, stage prepare: {exc}") from exc
+        start_s = float(metadata[key])
+    except ValueError:
+        start_s = float("nan")
+    if not np.isfinite(start_s):
+        raise DataFormatError(
+            f"metadata {key}={metadata[key]!r} is not a finite number of seconds"
+        )
+    return trim_start(series, start_s)
+
+
+def _analyze_trial(trial, series: TimeSeries, cfg: PipelineConfig,
+                   spec: EmbeddingSpec, models) -> TrialResult:
     traces: dict[str, DetectionTrace] = {}
     te_series_map: dict[str, TeSeries] = {}
     det_cfg = cfg.detector.to_config(cfg.dt)
@@ -212,8 +236,7 @@ def _analyze_trial(trial, cfg: PipelineConfig, spec: EmbeddingSpec,
                 f"trial {trial.trial_id!r}, stage te ({direction}): {exc}"
             ) from exc
     return TrialResult(trial_id=trial.trial_id, scenario=trial.scenario,
-                       duration_s=series.duration, t0=series.t0,
-                       series=te_series_map, traces=traces)
+                       prepared=series, series=te_series_map, traces=traces)
 
 
 def run(trials: TrialSet, cfg: PipelineConfig,
@@ -232,15 +255,17 @@ def run(trials: TrialSet, cfg: PipelineConfig,
     if errors:
         raise PipelineError("invalid configuration: " + "; ".join(d.message for d in errors))
     spec = EmbeddingSpec(d=cfg.embedding.d, delta_s=cfg.embedding.delta_s, dt=cfg.dt)
+    prepared = _prepare_trials(trials, cfg)
     if models is None:
-        models = fit_models(trials, cfg)
+        models = fit_models(trials, cfg, prepared=prepared)
     work = list(trials)
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(
-                lambda t: _analyze_trial(t, cfg, spec, models, trials.metadata), work))
+                lambda t, s: _analyze_trial(t, s, cfg, spec, models), work, prepared))
     else:
-        results = [_analyze_trial(t, cfg, spec, models, trials.metadata) for t in work]
+        results = [_analyze_trial(t, s, cfg, spec, models)
+                   for t, s in zip(work, prepared)]
 
     histograms: dict[str, agg.CueHistogram] = {}
     grids: dict[str, agg.CueGrid] = {}
@@ -251,11 +276,7 @@ def run(trials: TrialSet, cfg: PipelineConfig,
             histograms[direction] = agg.temporal_histogram(
                 hist_in, cfg.aggregate.bin_dt, direction=direction)
         if cfg.aggregate.cell_size_m is not None and cfg.aggregate.position_channels:
-            grid_in = []
-            for trial, r in zip(work, results):
-                series = _apply_trim(_prepare_trial(trial, cfg), trial.trial_id,
-                                     trials.metadata)
-                grid_in.append((r.traces[direction].events, series))
+            grid_in = [(r.traces[direction].events, r.prepared) for r in results]
             grids[direction] = agg.spatial_grid(
                 grid_in, cfg.aggregate.cell_size_m,
                 channels=tuple(cfg.aggregate.position_channels), direction=direction)
@@ -329,11 +350,8 @@ def _read_manifest(events_dir):
 
 def prepare_position_series(trials: TrialSet, cfg: PipelineConfig) -> dict[str, TimeSeries]:
     """Resampled/trimmed series per trial id, for spatial-grid aggregation."""
-    out = {}
-    for trial in trials:
-        series = _apply_trim(_prepare_trial(trial, cfg), trial.trial_id, trials.metadata)
-        out[trial.trial_id] = series
-    return out
+    return {trial.trial_id: series
+            for trial, series in zip(trials, _prepare_trials(trials, cfg))}
 
 
 def build_reports(events_dir, out_dir, cfg: PipelineConfig,

@@ -22,7 +22,7 @@ import numpy as np
 from .aggregate import CueGrid, CueHistogram, PeakTeReport, WelchResult
 from .detector import CueEvent, DetectionTrace
 from .errors import DataFormatError
-from .timeseries import Trial, TrialSet, load_csv, write_trial_csv
+from .timeseries import Trial, TrialSet, load_csv, read_numeric_csv, write_trial_csv
 
 TE_HEADER = ["t", "te_raw", "te_filtered", "threshold", "cue"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
@@ -79,8 +79,7 @@ def write_te_csv(trace: DetectionTrace, path) -> None:
 
 def read_te_csv(path, direction: str = "src2tgt") -> DetectionTrace:
     """Read a TE trace back; smoother internals (mu/sigma) are not stored."""
-    rows = _read_rows(path, TE_HEADER)
-    arr = np.asarray(rows, dtype=float)
+    _, arr = read_numeric_csv(path, lambda header: _check_header(path, header, TE_HEADER))
     if arr.size == 0:
         raise DataFormatError(f"{path}: no samples")
     return DetectionTrace(
@@ -93,6 +92,13 @@ def read_te_csv(path, direction: str = "src2tgt") -> DetectionTrace:
     )
 
 
+def _check_header(path, header: list[str], expected_header: list[str]) -> None:
+    if [h.strip() for h in header] != expected_header:
+        raise DataFormatError(
+            f"{path}: header {header} does not match {expected_header}"
+        )
+
+
 def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -100,10 +106,7 @@ def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
-        if [h.strip() for h in header] != expected_header:
-            raise DataFormatError(
-                f"{path}: header {header} does not match {expected_header}"
-            )
+        _check_header(path, header, expected_header)
         out = []
         for i, row in enumerate(reader, start=1):
             if not row:

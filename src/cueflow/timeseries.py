@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -163,6 +164,63 @@ class TrialSet:
         return tuple(seen)
 
 
+def read_numeric_csv(path, check_header) -> tuple[list[str], np.ndarray]:
+    """Read a CSV of numbers under one header line.
+
+    ``check_header`` receives the header's fields and raises
+    :class:`DataFormatError` if they are wrong.  Returns the header and the
+    body as a float array of shape ``(rows, len(header))``.  Blank lines are
+    skipped, ``#`` is not a comment and quoted numbers are accepted.  Every
+    failure is a :class:`DataFormatError` naming the file; a bad row is named
+    by its number, counting from 1 after the header, blank lines included.
+    """
+    path = Path(path)
+    try:
+        with open(path, newline="") as fh:
+            # Lines come from readline, not iteration, so that tell() works.
+            header = next(csv.reader(iter(fh.readline, "")), None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            check_header(header)
+            body = fh.tell()
+            # loadtxt warns on a body of blank lines only; csv.reader skips them.
+            if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+                return header, np.empty((0, len(header)))
+            fh.seek(body)
+            try:
+                data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2)
+            except ValueError:
+                data = None
+            if data is None or data.shape[1] != len(header):
+                # loadtxt numbers rows its own way, so find the bad row again.
+                fh.seek(body)
+                _raise_bad_row(path, csv.reader(iter(fh.readline, "")), len(header))
+            return header, data
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _raise_bad_row(path: Path, rows, n_fields: int) -> NoReturn:
+    """Raise for the first of ``rows`` that has the wrong width or a non-number."""
+    for i, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise DataFormatError(
+                f"{path}: row {i} has {len(row)} fields, expected {n_fields}"
+            )
+        try:
+            for v in row:
+                float(v)
+        except ValueError:
+            raise DataFormatError(f"{path}: numeric parse error at row {i}") from None
+    # float() takes a few spellings numpy's parser does not, such as "1_0".
+    raise DataFormatError(f"{path}: a number is not in plain decimal notation")
+
+
 def load_csv(path, schema=None) -> TimeSeries:
     """Load one trial CSV (``t,<ch1>,...``) into a :class:`TimeSeries`.
 
@@ -172,36 +230,20 @@ def load_csv(path, schema=None) -> TimeSeries:
     that must be present.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+
+    def check_header(header):
         header = [h.strip() for h in header]
         if not header or header[0] != "t":
             raise DataFormatError(f"{path}: first column must be 't', got {header[:1]}")
-        channels = tuple(header[1:])
-        if not channels:
+        if len(header) < 2:
             raise DataFormatError(f"{path}: no data channels in header")
-        times = []
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {i} has {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise DataFormatError(f"{path}: numeric parse error at row {i}") from None
-            times.append(vals[0])
-            rows.append(vals[1:])
-    if len(times) < 2:
+
+    header, arr = read_numeric_csv(path, check_header)
+    channels = tuple(h.strip() for h in header[1:])
+    if arr.shape[0] < 2:
         raise DataFormatError(f"{path}: need at least two samples")
-    t = np.asarray(times)
+    # Contiguous copies, so that no view keeps the whole parsed block alive.
+    t = arr[:, 0].copy()
     diffs = np.diff(t)
     bad = np.flatnonzero(diffs <= 0)
     if bad.size:
@@ -216,18 +258,20 @@ def load_csv(path, schema=None) -> TimeSeries:
     grid = t[0] + dt * np.arange(len(t))
     jitter = np.max(np.abs(t - grid))
     raw = t if jitter > _UNIFORM_RTOL * max(dt, 1.0) else None
-    return TimeSeries(channels=channels, data=np.asarray(rows), dt=dt, t0=float(t[0]),
-                      raw_times=raw)
+    return TimeSeries(channels=channels, data=np.ascontiguousarray(arr[:, 1:]), dt=dt,
+                      t0=float(t[0]), raw_times=raw)
 
 
 def write_trial_csv(ts: TimeSeries, path) -> None:
     """Write a trial CSV that :func:`load_csv` reads back losslessly."""
+    # The bytes csv.writer gives for rows of repr() strings (no number needs
+    # quoting, rows end in \r\n), formatted a column at a time.
     times = ts.raw_times if ts.raw_times is not None else ts.times
+    cols = [map(repr, np.asarray(times, dtype=float).tolist()),
+            *(map(repr, col) for col in ts.data.T.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *ts.channels])
-        for t, row in zip(times, ts.data):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+        csv.writer(fh).writerow(["t", *ts.channels])
+        fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
 
 
 def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:

@@ -165,6 +165,41 @@ class TestRunFlow:
                     == (tmp_path / "run4" / name).read_bytes())
 
 
+class TestBadInputExits2:
+    """A bad trial file or metadata value is a data error, not a traceback."""
+
+    def run_corrupted(self, corrupt, cue_config, tmp_path, capsys):
+        trials_dir = tmp_path / "trials"
+        assert main(["synth", "--config", str(cue_config),
+                     "--out", str(trials_dir)]) == 0
+        corrupt(trials_dir)
+        capsys.readouterr()
+        code = main(["run", "--config", str(cue_config), "--trials",
+                     str(trials_dir), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    def test_undecodable_byte_in_a_trial(self, cue_config, tmp_path, capsys):
+        def corrupt(trials_dir):
+            bad = trials_dir / "cue_scenario__t001.csv"
+            raw = bytearray(bad.read_bytes())
+            raw[len(raw) // 2] = 0xFF
+            bad.write_bytes(bytes(raw))
+
+        code, err = self.run_corrupted(corrupt, cue_config, tmp_path, capsys)
+        assert code == 2
+        assert "cue_scenario__t001.csv: not utf-8 text" in err
+
+    def test_non_numeric_trim_metadata(self, cue_config, tmp_path, capsys):
+        def corrupt(trials_dir):
+            (trials_dir / "trials.meta").write_text("trim_start_s.t000=abc\n")
+
+        code, err = self.run_corrupted(corrupt, cue_config, tmp_path, capsys)
+        assert code == 2
+        assert "trim_start_s.t000='abc' is not a finite number" in err
+
+
 class TestSynthCommand:
     def test_cue_scenario_writes_truth_and_loadable_trials(self, cue_config,
                                                            tmp_path, capsys):
@@ -252,6 +287,14 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, var1_config):
         assert main(["run", "--config", str(var1_config)]) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_job_count_below_one(self, var1_config, tmp_path, jobs, capsys):
+        assert main(["run", "--config", str(var1_config), "--trials",
+                     str(tmp_path), "--out", str(tmp_path / "out"),
+                     "--jobs", jobs]) == 1
+        assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.ini")]) == 2

@@ -182,6 +182,39 @@ class TestRunOnCoupledVar:
         assert out.series["src2tgt"].te_raw.size == 1499
 
 
+    def test_each_trial_is_prepared_once(self, monkeypatch):
+        """Fitting, analysis and the grid in both directions share one
+        resampled, trimmed series per trial."""
+        import cueflow.pipeline as pipeline_module
+
+        calls = []
+        resample = pipeline_module.resample
+
+        def counting_resample(series, rate_hz):
+            calls.append(rate_hz)
+            return resample(series, rate_hz)
+
+        monkeypatch.setattr(pipeline_module, "resample", counting_resample)
+        trials = var1_trial_set(var1_trial("t000", seed=10, n=600)[0],
+                                var1_trial("t001", seed=11, n=600)[0],
+                                metadata={"trim_start_s.t001": "1.0"})
+        cfg = make_config(aggregate=dict(bin_dt=1.0, cell_size_m=1.0,
+                                         position_channels=("x", "y")))
+        result = run(trials, cfg)
+        assert len(calls) == 2
+        assert set(result.grids) == {"src2tgt", "tgt2src"}
+        assert result.trials[1].t0 == 0.0
+
+    @pytest.mark.parametrize("value", ["abc", "inf", "nan", ""])
+    def test_bad_trim_value_names_the_key(self, value):
+        trial, _ = var1_trial("t000", seed=7, n=500)
+        trials = var1_trial_set(trial, metadata={"trim_start_s.t000": value})
+        with pytest.raises(PipelineError,
+                           match=r"trial 't000', stage prepare: metadata "
+                                 r"trim_start_s\.t000=.* is not a finite number"):
+            run(trials, make_config())
+
+
 class TestRunErrors:
     def test_empty_trial_set_rejected(self):
         from cueflow.timeseries import TrialSet

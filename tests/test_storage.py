@@ -62,6 +62,50 @@ class TestTeCsv:
                 writer.writerow([repr(float(x)) for x in row[:4]] + [int(row[4])])
         assert path.read_bytes() == ref.read_bytes()
 
+    def test_arrays_match_the_float_loop_bit_for_bit(self, tmp_path):
+        """NaN thresholds, signed zero, subnormals, large magnitudes, quoted
+        fields, blank lines and CRLF line ends read back as csv.reader +
+        float() read them."""
+        import csv
+
+        path = tmp_path / "te.csv"
+        path.write_bytes(b"t,te_raw,te_filtered,threshold,cue\r\n"
+                         b"0.0,-0.0,5e-324,nan,0\r\n"
+                         b"\r\n"
+                         b'0.005,"1e16",-1e-05,nan,1\r\n'
+                         b"0.01,0.1,-0.0,1.7976931348623157e308,\"0\"\r\n"
+                         b"\r\n\r\n")
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            ref = np.array([[float(v) for v in row] for row in reader if row])
+        back = read_te_csv(path)
+        for got, col in ((back.times, 0), (back.te_raw, 1), (back.te_filtered, 2),
+                         (back.threshold, 3)):
+            assert got.tobytes() == ref[:, col].tobytes()
+        np.testing.assert_array_equal(back.cue, ref[:, 4] != 0.0)
+
+    def test_header_only_trace_is_an_error_without_warning(self, tmp_path):
+        import warnings
+
+        path = tmp_path / "te.csv"
+        path.write_text("t,te_raw,te_filtered,threshold,cue\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="no samples"):
+                read_te_csv(path)
+
+    @pytest.mark.parametrize("row, match", [
+        ("0.0,1,2,3", "row 2 has 4 fields, expected 5"),
+        ("0.0,1,2,x,0", "numeric parse error at row 2"),
+    ])
+    def test_bad_row_is_named(self, tmp_path, row, match):
+        path = tmp_path / "te.csv"
+        path.write_text("t,te_raw,te_filtered,threshold,cue\n0.0,1,2,nan,0\n"
+                        + row + "\n")
+        with pytest.raises(DataFormatError, match=match):
+            read_te_csv(path)
+
     def test_nan_threshold_survives(self, tmp_path):
         trace = sample_trace()
         assert np.isnan(trace.threshold[0])  # no history at the first sample

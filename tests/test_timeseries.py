@@ -1,13 +1,42 @@
 """Time-series container, CSV trial format, and feature transforms."""
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cueflow.errors import DataFormatError
 from cueflow.timeseries import (TimeSeries, Trial, TrialSet, load_csv,
-                                magnitude, project_normalize_xy, resample,
-                                trim_start, write_trial_csv)
+                                magnitude, project_normalize_xy,
+                                read_numeric_csv, resample, trim_start,
+                                write_trial_csv)
+
+
+def csv_float_rows(path):
+    """The body of a numeric CSV as the csv.reader + float() loop that
+    load_csv used before numpy's parser read it."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        return np.array([[float(v) for v in row] for row in reader if row])
+
+
+def write_trial_csv_reference(ts, path):
+    """write_trial_csv as it was, one csv.writer row of repr() strings at a time."""
+    times = ts.raw_times if ts.raw_times is not None else ts.times
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", *ts.channels])
+        for t, row in zip(times, ts.data):
+            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_series(data, dt=0.1, channels=None, t0=0.0):
@@ -120,6 +149,86 @@ class TestLoadCsv:
         write_trial_csv(ts, path)
         back = load_csv(path)
         np.testing.assert_array_equal(back.raw_times, raw)
+
+    def test_arrays_match_the_float_loop_bit_for_bit(self, tmp_path):
+        """Signed zero, subnormals, large magnitudes, quoted fields, blank
+        lines and CRLF line ends parse as csv.reader + float() parsed them."""
+        p = tmp_path / "special.csv"
+        p.write_bytes(b't,a,b\r\n'
+                      b'-0.0,-0.0,5e-324\r\n'
+                      b'\r\n'
+                      b'0.1,"1e16",1.7976931348623157e308\r\n'
+                      b'0.30000000000000004,0.1,-2.2250738585072014e-308\r\n'
+                      b'\r\n\r\n'
+                      b'"0.7",123456789.125,1e-05\r\n'
+                      b'\r\n')
+        ref = csv_float_rows(p)
+        ts = load_csv(p)
+        assert same_bits(ts.data, ref[:, 1:])
+        assert same_bits(ts.t0, ref[0, 0])
+        assert same_bits(ts.raw_times, ref[:, 0])
+        assert same_bits(read_numeric_csv(p, lambda header: None)[1], ref)
+
+    def test_header_only_file_gives_no_numpy_warning(self, tmp_path):
+        for text in ("t,x\n", "t,x\r\n\r\n\n"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataFormatError, match="two samples"):
+                    load_csv(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("body, match", [
+        ("0.0,1\n0.1,#2\n", "numeric parse error at row 2"),
+        ("#0.0,1\n0.1,2\n", "numeric parse error at row 1"),
+        ("0.0,1\n\n0.1,\n", "numeric parse error at row 3"),
+        ("0.0,1,2\n0.1,2,3\n", "row 1 has 3 fields, expected 2"),
+        ("0.0,1\n  \n0.1,2\n", "row 2 has 1 fields, expected 2"),
+        ("0.0,1_0\n0.1,2\n", "trial.csv: a number is not in plain decimal"),
+    ])
+    def test_bad_body_names_the_file_and_row(self, tmp_path, body, match):
+        with pytest.raises(DataFormatError, match=match):
+            load_csv(self.write(tmp_path, "t,x\n" + body))
+
+    def test_undecodable_byte_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"t,x\n0.0,1\n0.1,\xff2\n")
+        with pytest.raises(DataFormatError, match="bad.csv: not utf-8 text"):
+            load_csv(p)
+
+    def test_writer_bytes_match_csv_writer_of_repr(self, tmp_path):
+        special = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 1.7976931348623157e308]
+        data = np.column_stack([special, special[::-1]])
+        for ts in (TimeSeries(channels=("a,b", 'q"uote'), data=data, dt=0.1),
+                   TimeSeries(channels=("x", "y"), data=data, dt=1.0,
+                              raw_times=np.cumsum(special[::-1]) + np.arange(7.0))):
+            write_trial_csv(ts, tmp_path / "new.csv")
+            write_trial_csv_reference(ts, tmp_path / "ref.csv")
+            assert ((tmp_path / "new.csv").read_bytes()
+                    == (tmp_path / "ref.csv").read_bytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_finite_floats_round_trip_exactly(self, tmp_path_factory, data):
+        n = data.draw(st.integers(2, 25), label="n")
+        n_ch = data.draw(st.integers(1, 3), label="channels")
+        # Sorted distinct values; the bound keeps every spacing finite.
+        times = np.array(data.draw(st.lists(
+            st.floats(-1e300, 1e300), min_size=n, max_size=n, unique=True
+        ).map(sorted), label="times"))
+        values = data.draw(arrays(np.float64, (n, n_ch),
+                                  elements=st.floats(allow_nan=False,
+                                                     allow_infinity=False)),
+                           label="values")
+        ts = TimeSeries(channels=tuple(f"c{i}" for i in range(n_ch)), data=values,
+                        dt=1.0, raw_times=times)
+        path = tmp_path_factory.mktemp("rt") / "trial.csv"
+        write_trial_csv(ts, path)
+        assert same_bits(read_numeric_csv(path, lambda header: None)[1],
+                         np.column_stack([times, values]))
+        back = load_csv(path)
+        assert same_bits(back.data, values)
+        assert same_bits(back.t0, times[0])
+        if back.raw_times is not None:
+            assert same_bits(back.raw_times, times)
 
 
 class TestResample:
