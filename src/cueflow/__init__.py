@@ -19,40 +19,16 @@ from .embedding import EmbeddedDataset, EmbeddingSpec, embed
 from .errors import (ConfigError, CueflowError, DataFormatError, PipelineError,
                      TrainingDivergedError)
 from .models import (AUGMENTED, BASELINE, MLP_GAUSSIAN, VAR_LINEAR, FittedModel,
-                     GaussianPrediction, GaussianPredictions, TrainConfig,
-                     TrainReport, VARIANCE_FLOOR, fit_mlp, fit_var,
-                     gradient_check, load_model, predict, predict_dataset,
-                     save_model)
+                     GaussianPredictions, TrainConfig, TrainReport, VARIANCE_FLOOR,
+                     fit_mlp, fit_var, gradient_check, load_model, predict,
+                     predict_dataset, save_model)
 from .pipeline import (Diagnostic, DirectionModels, PipelineResult, TrialResult,
                        build_reports, fit_models, run, validate_config)
 from .synth import (CueScenario, Var1Spec, X_TO_Y, Y_TO_X, gen_cue_scenario,
                     gen_var1, stationary_cov, te_oracle_var1)
 from .te import (DIRECTIONS, ENTROPY_DIFF, LOGLIK_RATIO, NATS_TO_BITS, SRC2TGT,
                  TGT2SRC, TeSeries, gaussian_entropy, local_te, mean_te, peak_te)
-from .timeseries import (TimeSeries, Trial, TrialSet, load_csv, magnitude,
-                         project_normalize_xy, resample, trim_start,
-                         write_trial_csv)
+from .timeseries import (TimeSeries, Trial, TrialSet, load_csv, resample,
+                         trim_start, write_trial_csv)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateConfig", "AUGMENTED", "BASELINE", "ConfigError", "CueEvent",
-    "CueGrid", "CueHistogram", "CueScenario", "CueflowError", "DataFormatError",
-    "DetectionTrace", "DetectorConfig", "DetectorSettings", "Diagnostic",
-    "DirectionModels", "DIRECTIONS", "EmbeddedDataset", "EmbeddingConfig",
-    "EmbeddingSpec", "ENTROPY_DIFF", "FittedModel", "GaussianPrediction",
-    "GaussianPredictions", "IoConfig", "LOGLIK_RATIO", "MLP_GAUSSIAN",
-    "ModelConfig", "NATS_TO_BITS", "PeakTeReport", "PipelineConfig",
-    "PipelineError", "PipelineResult", "SRC2TGT", "SynthSettings", "TGT2SRC",
-    "TeSeries", "TimeSeries", "TrainConfig", "TrainReport",
-    "TrainingDivergedError", "Trial", "TrialResult", "TrialSet", "VAR_LINEAR",
-    "VARIANCE_FLOOR", "Var1Spec", "WelchResult", "X_TO_Y", "Y_TO_X",
-    "build_reports", "des_threshold", "detect", "detect_trace", "embed",
-    "fit_mlp", "fit_models", "fit_var", "gaussian_entropy", "gen_cue_scenario",
-    "gen_var1", "gradient_check", "highpass", "load_config", "load_csv",
-    "load_model", "local_te", "magnitude", "mean_te", "parse_config_text",
-    "peak_te", "peak_te_study", "predict", "predict_dataset",
-    "project_normalize_xy", "resample", "run", "save_model", "spatial_grid",
-    "stationary_cov", "te_oracle_var1", "temporal_histogram", "time_constants",
-    "trim_start", "validate_config", "welch_ttest", "write_trial_csv",
-]

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -43,16 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _job_count(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cueflow",
                      description="Directed-information cue detection pipeline")
@@ -70,8 +59,6 @@ def _build_parser() -> _Parser:
     common(p_run)
     p_run.add_argument("--trials", required=True, help="directory of trial CSVs")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--jobs", type=_job_count, default=os.cpu_count() or 1,
-                       help="worker threads for per-trial evaluation")
     p_run.set_defaults(func=_cmd_run)
 
     p_synth = sub.add_parser("synth", help="generate synthetic trials")
@@ -101,7 +88,7 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg, _ = load_config(args.config, args.set)
     trials = storage.load_trial_dir(args.trials)
-    result = pipeline.run(trials, cfg, jobs=args.jobs)
+    result = pipeline.run(trials, cfg)
     out = Path(args.out)
     pipeline.write_run_dir(result, cfg, out)
     positions = {r.trial_id: r.prepared for r in result.trials}

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detector import DES_MODES, DES_STANDARD, DetectorConfig
+from .detector import DetectorConfig
 from .errors import ConfigError
 from .models import MLP_GAUSSIAN, VAR_LINEAR, TrainConfig
 from .te import ENTROPY_DIFF, LOGLIK_RATIO, SRC2TGT, TGT2SRC
@@ -28,7 +28,7 @@ _KNOWN_KEYS = {
     "io": {"target_channels", "source_channels", "resample_hz", "directions", "seed"},
     "embedding": {"d", "delta_s"},
     "model": {"kind", "te_mode", "hidden", "epochs", "learning_rate", "batch_size"},
-    "detector": {"alpha", "beta", "gamma", "hp_cutoff_hz", "des_mode", "skip_warmup"},
+    "detector": {"alpha", "beta", "gamma", "hp_cutoff_hz", "skip_warmup"},
     "aggregate": {"bin_dt", "cell_size_m", "position_channels"},
     "synth": {"kind", "n_trials", "seed", "duration_s", "cue_times",
               "response_delay_s", "amplitude", "noise_sigma", "rate_hz",
@@ -110,17 +110,12 @@ class DetectorSettings:
     beta: float = 0.05
     gamma: float = 3.0
     hp_cutoff_hz: float = 1.0
-    des_mode: str = DES_STANDARD
     skip_warmup: bool = True
-
-    def __post_init__(self) -> None:
-        if self.des_mode not in DES_MODES:
-            raise ConfigError(f"des_mode must be one of {DES_MODES}, got {self.des_mode!r}")
 
     def to_config(self, dt: float) -> DetectorConfig:
         return DetectorConfig(alpha=self.alpha, beta=self.beta, dt=dt,
                               gamma=self.gamma, hp_cutoff_hz=self.hp_cutoff_hz,
-                              des_mode=self.des_mode, skip_warmup=self.skip_warmup)
+                              skip_warmup=self.skip_warmup)
 
 
 @dataclass(frozen=True)
@@ -315,7 +310,6 @@ def parse_config_text(text: str, origin: str = "<config>",
         beta=det_s.get_float("beta", required=True),
         gamma=det_s.get_float("gamma", 3.0),
         hp_cutoff_hz=det_s.get_float("hp_cutoff_hz", 1.0),
-        des_mode=det_s.get_str("des_mode", DES_STANDARD),
         skip_warmup=det_s.get_bool("skip_warmup", True),
     )
     pos_raw = agg_s.get_str("position_channels")
@@ -357,6 +351,6 @@ def load_config(path, overrides=None) -> tuple[PipelineConfig, SynthSettings | N
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text, origin=str(path), overrides=overrides)

@@ -21,10 +21,6 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 from .te import TeSeries
 
-DES_STANDARD = "standard"
-DES_LITERAL = "literal"
-DES_MODES = (DES_STANDARD, DES_LITERAL)
-
 # Shortest run of cue-positive samples that counts as an event.  A count of
 # samples rather than seconds, so the rule holds at every sample rate.
 MIN_EVENT_SAMPLES = 2
@@ -34,9 +30,6 @@ MIN_EVENT_SAMPLES = 2
 class DetectorConfig:
     """Smoothing rates, threshold width, high-pass cutoff, and sample step.
 
-    ``des_mode`` selects between the corrected Holt recursions
-    (``"standard"``, the default) and a faithful transcription of the
-    as-published update equations (``"literal"``); see :func:`des_threshold`.
     ``skip_warmup`` drops events that begin inside the first level
     time-constant of the series, where the smoother is still initializing.
     """
@@ -46,7 +39,6 @@ class DetectorConfig:
     dt: float
     gamma: float = 3.0
     hp_cutoff_hz: float = 1.0
-    des_mode: str = DES_STANDARD
     skip_warmup: bool = True
 
     def __post_init__(self) -> None:
@@ -65,8 +57,6 @@ class DetectorConfig:
             raise ConfigError(
                 f"hp_cutoff_hz={self.hp_cutoff_hz} must be below Nyquist {nyquist}"
             )
-        if self.des_mode not in DES_MODES:
-            raise ConfigError(f"des_mode must be one of {DES_MODES}, got {self.des_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -143,18 +133,16 @@ def des_threshold(series: TeSeries, cfg: DetectorConfig
     Returns ``(mu, sigma, threshold)`` with ``threshold[t] =
     mu[t-1] + gamma * sigma[t-1]`` (undefined at t=0, stored as NaN).
     The spread recursion is treated as an exponentially weighted variance
-    and its square root is used as sigma.
-
-    ``standard`` mode (default) runs the corrected recursions::
+    and its square root is used as sigma.  The recursions are standard Holt
+    smoothing::
 
         mu_t = alpha*T_t + (1 - alpha)*(mu_{t-1} + b_{t-1})
         b_t  = beta*(mu_t - mu_{t-1}) + (1 - beta)*b_{t-1}
         v_t  = (1 - alpha)*(v_{t-1} + alpha*(T_t - mu_{t-1} - b_{t-1})*(T_t - mu_{t-1}))
 
-    ``literal`` mode reproduces the as-published update equations, whose
-    level gain reads ``(1 + alpha)`` and whose trend update differences the
-    observations directly; it is unstable for any horizon beyond a few
-    time constants and exists for side-by-side comparison only.
+    The published update reads a level gain ``(1 + alpha)`` and a trend that
+    differences the observations; it is not run, as it diverges past a few
+    time constants.
     """
     t_vals = series.te_raw.tolist()
     a, be = cfg.alpha, cfg.beta
@@ -162,25 +150,14 @@ def des_threshold(series: TeSeries, cfg: DetectorConfig
     # Python floats: the same IEEE operations as on numpy scalars, faster.
     mu_p, b_p, v_p = t_vals[0], 0.0, 0.0
     mu, v = [mu_p], [v_p]
-    if cfg.des_mode == DES_STANDARD:
-        for x in t_vals[1:]:
-            ahead = mu_p + b_p
-            mu_t = a * x + keep_a * ahead
-            b_p = be * (mu_t - mu_p) + keep_b * b_p
-            v_p = keep_a * (v_p + a * (x - ahead) * (x - mu_p))
-            mu_p = mu_t
-            mu.append(mu_t)
-            v.append(v_p)
-    else:
-        x_p = t_vals[0]
-        for x in t_vals[1:]:
-            ahead = mu_p + b_p
-            mu_t = a * x + (1.0 + a) * ahead
-            b_p = be * (x - x_p) + keep_b * b_p
-            v_p = keep_a * (v_p + a * (x - ahead) * (x - mu_p))
-            mu_p, x_p = mu_t, x
-            mu.append(mu_t)
-            v.append(v_p)
+    for x in t_vals[1:]:
+        ahead = mu_p + b_p
+        mu_t = a * x + keep_a * ahead
+        b_p = be * (mu_t - mu_p) + keep_b * b_p
+        v_p = keep_a * (v_p + a * (x - ahead) * (x - mu_p))
+        mu_p = mu_t
+        mu.append(mu_t)
+        v.append(v_p)
     n = len(t_vals)
     mu, v = np.array(mu), np.array(v)
     sigma = np.sqrt(np.maximum(v, 0.0))

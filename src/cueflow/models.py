@@ -36,21 +36,11 @@ VAR_LINEAR = "var_linear"
 MLP_GAUSSIAN = "mlp_gaussian"
 
 
-@dataclass(frozen=True)
-class GaussianPrediction:
-    """A single predictive Gaussian: ``mean`` (D,), ``cov`` (D,) diag or (D, D), time ``t``."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    t: float
-
-
 class GaussianPredictions:
     """Batched predictive Gaussians for a run of timesteps.
 
     Stores either per-dimension variances (``var``, shape (T, D)) or one
-    shared full covariance (``cov``, shape (D, D)).  Behaves as a sequence
-    of :class:`GaussianPrediction` for spot checks while exposing vectorized
+    shared full covariance (``cov``, shape (D, D)), with vectorized
     entropy/log-density for the transfer-entropy layer.
     """
 
@@ -89,10 +79,6 @@ class GaussianPredictions:
 
     def __len__(self) -> int:
         return self.mean.shape[0]
-
-    def __getitem__(self, i: int) -> GaussianPrediction:
-        c = self.var[i] if self.var is not None else self.cov
-        return GaussianPrediction(mean=self.mean[i], cov=c, t=float(self.times[i]))
 
     @property
     def dim(self) -> int:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import aggregate as agg
+from . import storage
 from .config import PipelineConfig
 from .detector import DetectionTrace, detect_trace, time_constants
 from .embedding import EmbeddedDataset, EmbeddingSpec, embed
@@ -31,6 +32,7 @@ logger = logging.getLogger("cueflow")
 Diagnostic = namedtuple("Diagnostic", ["severity", "message"])
 
 TRIM_KEY_PREFIX = "trim_start_s."
+MANIFEST_HEADER = ["trial", "scenario", "t0", "duration_s"]
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,6 @@ class TrialResult:
 class PipelineResult:
     trials: list[TrialResult]
     models: dict[tuple[str, str], DirectionModels]  # (scenario, direction) -> pair
-    histograms: dict[str, agg.CueHistogram]
-    grids: dict[str, agg.CueGrid]
-    report: agg.PeakTeReport | None
 
 
 def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
@@ -108,6 +107,10 @@ def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
 
 def _prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> list[TimeSeries]:
     """Each trial resampled to the analysis rate and trimmed, in trial order."""
+    ids = {trial.trial_id for trial in trials}
+    for key in trials.metadata:
+        if key.startswith(TRIM_KEY_PREFIX) and key[len(TRIM_KEY_PREFIX):] not in ids:
+            raise DataFormatError(f"metadata {key}: no trial with that id")
     out = []
     for trial in trials:
         try:
@@ -240,14 +243,13 @@ def _analyze_trial(trial, series: TimeSeries, cfg: PipelineConfig,
 
 
 def run(trials: TrialSet, cfg: PipelineConfig,
-        models: dict[tuple[str, str], DirectionModels] | None = None,
-        jobs: int = 1) -> PipelineResult:
+        models: dict[tuple[str, str], DirectionModels] | None = None) -> PipelineResult:
     """Analyze a trial set under one configuration.
 
     When ``models`` is None they are fit pooled per scenario first
-    (:func:`fit_models`); passing a mapping freezes them.  ``jobs`` controls
-    the thread pool for the per-trial evaluation stage; results do not
-    depend on it.
+    (:func:`fit_models`); passing a mapping freezes them.  Cross-trial
+    aggregates come from the written run directory, through
+    :func:`build_reports`.
     """
     if len(trials) == 0:
         raise PipelineError("no trials to analyze")
@@ -258,39 +260,8 @@ def run(trials: TrialSet, cfg: PipelineConfig,
     prepared = _prepare_trials(trials, cfg)
     if models is None:
         models = fit_models(trials, cfg, prepared=prepared)
-    work = list(trials)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                lambda t, s: _analyze_trial(t, s, cfg, spec, models), work, prepared))
-    else:
-        results = [_analyze_trial(t, s, cfg, spec, models)
-                   for t, s in zip(work, prepared)]
-
-    histograms: dict[str, agg.CueHistogram] = {}
-    grids: dict[str, agg.CueGrid] = {}
-    for direction in cfg.io.direction_list:
-        if cfg.aggregate.bin_dt is not None:
-            hist_in = [([_rebase(ev, r.t0) for ev in r.traces[direction].events],
-                        r.duration_s) for r in results]
-            histograms[direction] = agg.temporal_histogram(
-                hist_in, cfg.aggregate.bin_dt, direction=direction)
-        if cfg.aggregate.cell_size_m is not None and cfg.aggregate.position_channels:
-            grid_in = [(r.traces[direction].events, r.prepared) for r in results]
-            grids[direction] = agg.spatial_grid(
-                grid_in, cfg.aggregate.cell_size_m,
-                channels=tuple(cfg.aggregate.position_channels), direction=direction)
-
-    report = None
-    scenarios = trials.scenarios
-    if len(scenarios) == 2:
-        group_a = [r.series for r in results if r.scenario == scenarios[0]]
-        group_b = [r.series for r in results if r.scenario == scenarios[1]]
-        if min(len(group_a), len(group_b)) >= 2:
-            report = agg.peak_te_study(group_a, group_b)
-
-    return PipelineResult(trials=results, models=models, histograms=histograms,
-                          grids=grids, report=report)
+    results = [_analyze_trial(t, s, cfg, spec, models) for t, s in zip(trials, prepared)]
+    return PipelineResult(trials=results, models=models)
 
 
 def _rebase(ev, t0: float):
@@ -307,10 +278,6 @@ def te_csv_name(trial_id: str, direction: str) -> str:
 
 def write_run_dir(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
     """Write per-trial TE traces, the event table, and the trial manifest."""
-    from pathlib import Path
-
-    from . import storage
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     all_events = []
@@ -321,30 +288,21 @@ def write_run_dir(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
             all_events.extend((r.trial_id, ev) for ev in trace.events)
     storage.write_events_csv(all_events, out / "events.csv")
     with open(out / "manifest.csv", "w", newline="") as fh:
-        fh.write("trial,scenario,t0,duration_s\n")
+        fh.write(",".join(MANIFEST_HEADER) + "\n")
         for r in result.trials:
             fh.write(f"{r.trial_id},{r.scenario},{r.t0!r},{r.duration_s!r}\n")
 
 
-def _read_manifest(events_dir):
-    import csv as _csv
-    from pathlib import Path
-
-    from .errors import DataFormatError
-
+def _read_manifest(events_dir) -> list[tuple[str, str, float, float]]:
     path = Path(events_dir) / "manifest.csv"
     if not path.exists():
         raise DataFormatError(f"missing manifest {path}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != ["trial", "scenario", "t0", "duration_s"]:
-            raise DataFormatError(f"{path}: unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
+    for row in storage._read_rows(path, MANIFEST_HEADER):
+        try:
             rows.append((row[0], row[1], float(row[2]), float(row[3])))
+        except ValueError:
+            raise DataFormatError(f"{path}: numeric parse error in {row}") from None
     return rows
 
 
@@ -364,11 +322,6 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
     this on a fresh run directory reproduces the aggregates byte for byte.
     Returns the names of the files written.
     """
-    from pathlib import Path
-
-    from . import storage
-    from .te import TeSeries as _TeSeries
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events_dir = Path(events_dir)
@@ -410,15 +363,15 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
         if scenario not in scenarios:
             scenarios.append(scenario)
     if len(scenarios) == 2:
-        groups: dict[str, list[dict[str, _TeSeries]]] = {s: [] for s in scenarios}
+        groups: dict[str, list[dict[str, TeSeries]]] = {s: [] for s in scenarios}
         for trial_id, scenario, _, _ in manifest:
             series_map = {}
             for direction in cfg.io.direction_list:
                 trace = storage.read_te_csv(events_dir / te_csv_name(trial_id, direction),
                                             direction=direction)
-                series_map[direction] = _TeSeries(direction=direction, times=trace.times,
-                                                  te_raw=trace.te_raw,
-                                                  mode=cfg.model.te_mode)
+                series_map[direction] = TeSeries(direction=direction, times=trace.times,
+                                                 te_raw=trace.te_raw,
+                                                 mode=cfg.model.te_mode)
             groups[scenario].append(series_map)
         if min(len(g) for g in groups.values()) >= 2:
             report = agg.peak_te_study(groups[scenarios[0]], groups[scenarios[1]])

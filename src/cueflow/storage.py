@@ -22,7 +22,8 @@ import numpy as np
 from .aggregate import CueGrid, CueHistogram, PeakTeReport, WelchResult
 from .detector import CueEvent, DetectionTrace
 from .errors import DataFormatError
-from .timeseries import Trial, TrialSet, load_csv, read_numeric_csv, write_trial_csv
+from .timeseries import (Trial, TrialSet, load_csv, read_numeric_csv, text_errors,
+                         write_trial_csv)
 
 TE_HEADER = ["t", "te_raw", "te_filtered", "threshold", "cue"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
@@ -38,23 +39,29 @@ def _meta_path(path) -> Path:
     return path.with_name(path.name + ".meta")
 
 
-def _write_meta(path, items: dict[str, str]) -> None:
-    with open(_meta_path(path), "w") as fh:
-        for k, v in items.items():
-            fh.write(f"{k}={v}\n")
+def _write_key_values(path, items: dict[str, str]) -> None:
+    with open(path, "w") as fh:
+        fh.write("".join(f"{k}={v}\n" for k, v in items.items()))
 
 
 def _read_meta(path) -> dict[str, str]:
     meta = _meta_path(path)
     if not meta.exists():
         raise DataFormatError(f"missing sidecar {meta}")
+    return _read_key_values(meta)
+
+
+def _read_key_values(path) -> dict[str, str]:
+    """``key=value`` lines (blank lines skipped) of a sidecar or ``trials.meta``."""
+    with text_errors(path):
+        text = Path(path).read_text()
     out: dict[str, str] = {}
-    for line in meta.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataFormatError(f"{meta}: malformed line {line!r}")
+            raise DataFormatError(f"{path}: malformed line {line!r}")
         k, v = line.split("=", 1)
         out[k.strip()] = v.strip()
     return out
@@ -100,7 +107,7 @@ def _check_header(path, header: list[str], expected_header: list[str]) -> None:
 
 
 def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
-    with open(path, newline="") as fh:
+    with text_errors(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -153,7 +160,7 @@ def write_grid_csv(grid: CueGrid, path) -> None:
         writer.writerow(["ix", "iy", "count"])
         for ix, iy in np.argwhere(grid.counts):
             writer.writerow([int(ix), int(iy), int(grid.counts[ix, iy])])
-    _write_meta(path, {
+    _write_key_values(_meta_path(path), {
         "origin_x": _fmt(grid.origin[0]),
         "origin_y": _fmt(grid.origin[1]),
         "cell_size_m": _fmt(grid.cell_size_m),
@@ -187,7 +194,7 @@ def write_histogram_csv(hist: CueHistogram, path) -> None:
         writer.writerow(["bin", "t_start", "count"])
         for i, c in enumerate(hist.counts):
             writer.writerow([i, _fmt(i * hist.bin_dt), int(c)])
-    _write_meta(path, {
+    _write_key_values(_meta_path(path), {
         "bin_dt": _fmt(hist.bin_dt),
         "n_trials": str(hist.n_trials),
         "direction": hist.direction,
@@ -255,17 +262,8 @@ def load_trial_dir(path, schema=None) -> TrialSet:
                             series=load_csv(f, schema=schema)))
     if not trials:
         raise DataFormatError(f"{path}: no trial CSVs found")
-    metadata: dict[str, str] = {}
     meta_file = path / "trials.meta"
-    if meta_file.exists():
-        for line in meta_file.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataFormatError(f"{meta_file}: malformed line {line!r}")
-            k, v = line.split("=", 1)
-            metadata[k.strip()] = v.strip()
+    metadata = _read_key_values(meta_file) if meta_file.exists() else {}
     return TrialSet(trials=tuple(trials), metadata=metadata)
 
 
@@ -277,6 +275,4 @@ def write_trial_dir(trials: TrialSet, path) -> None:
         stem = f"{trial.scenario}__{trial.trial_id}" if trial.scenario else trial.trial_id
         write_trial_csv(trial.series, path / f"{stem}.csv")
     if trials.metadata:
-        with open(path / "trials.meta", "w") as fh:
-            for k, v in trials.metadata.items():
-                fh.write(f"{k}={v}\n")
+        _write_key_values(path / "trials.meta", trials.metadata)

@@ -1,4 +1,4 @@
-"""Uniformly sampled multichannel time series, trial collections, and feature transforms.
+"""Uniformly sampled multichannel time series, trial collections, and resampling.
 
 The on-disk trial format is a plain CSV with header ``t,<ch1>,<ch2>,...`` and
 strictly increasing timestamps.  Loading tolerates timestamp jitter; analysis
@@ -8,6 +8,7 @@ code assumes a uniform grid, so jittered recordings are resampled before use.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NoReturn
@@ -164,6 +165,18 @@ class TrialSet:
         return tuple(seen)
 
 
+@contextmanager
+def text_errors(path):
+    """Turn an undecodable byte or a CSV syntax error met while reading
+    ``path`` into a :class:`DataFormatError` naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def read_numeric_csv(path, check_header) -> tuple[list[str], np.ndarray]:
     """Read a CSV of numbers under one header line.
 
@@ -175,32 +188,27 @@ def read_numeric_csv(path, check_header) -> tuple[list[str], np.ndarray]:
     by its number, counting from 1 after the header, blank lines included.
     """
     path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            # Lines come from readline, not iteration, so that tell() works.
-            header = next(csv.reader(iter(fh.readline, "")), None)
-            if header is None:
-                raise DataFormatError(f"{path}: empty file")
-            check_header(header)
-            body = fh.tell()
-            # loadtxt warns on a body of blank lines only; csv.reader skips them.
-            if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
-                return header, np.empty((0, len(header)))
+    with text_errors(path), open(path, newline="") as fh:
+        # Lines come from readline, not iteration, so that tell() works.
+        header = next(csv.reader(iter(fh.readline, "")), None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
+        check_header(header)
+        body = fh.tell()
+        # loadtxt warns on a body of blank lines only; csv.reader skips them.
+        if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+            return header, np.empty((0, len(header)))
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                              quotechar='"', ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != len(header):
+            # loadtxt numbers rows its own way, so find the bad row again.
             fh.seek(body)
-            try:
-                data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
-                                  quotechar='"', ndmin=2)
-            except ValueError:
-                data = None
-            if data is None or data.shape[1] != len(header):
-                # loadtxt numbers rows its own way, so find the bad row again.
-                fh.seek(body)
-                _raise_bad_row(path, csv.reader(iter(fh.readline, "")), len(header))
-            return header, data
-    except UnicodeDecodeError as exc:
-        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
-    except csv.Error as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+            _raise_bad_row(path, csv.reader(iter(fh.readline, "")), len(header))
+        return header, data
 
 
 def _raise_bad_row(path: Path, rows, n_fields: int) -> NoReturn:
@@ -293,36 +301,6 @@ def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:
     out = np.column_stack([np.interp(new_t, src_t, ts.data[:, j])
                            for j in range(ts.n_channels)])
     return TimeSeries(channels=ts.channels, data=out, dt=new_dt, t0=ts.t0)
-
-
-def magnitude(ts: TimeSeries, channels) -> TimeSeries:
-    """Per-sample Euclidean norm of the named channels (e.g. a triaxial rate)."""
-    sub = ts.select(channels)
-    mag = np.sqrt(np.sum(sub.data ** 2, axis=1))
-    return TimeSeries(channels=("magnitude",), data=mag[:, None], dt=ts.dt,
-                      t0=ts.t0, raw_times=ts.raw_times)
-
-
-def project_normalize_xy(ts: TimeSeries, channels) -> TimeSeries:
-    """Project a 3-D vector channel triple onto the xy-plane and normalize.
-
-    Rows whose planar norm falls below 1e-9 carry the previous valid
-    direction forward; if the series starts degenerate, (1, 0) is used.
-    """
-    if len(channels) != 3:
-        raise DataFormatError("project_normalize_xy expects exactly 3 channel names")
-    sub = ts.select(channels)
-    xy = sub.data[:, :2].copy()
-    norms = np.hypot(xy[:, 0], xy[:, 1])
-    out = np.empty_like(xy)
-    prev = np.array([1.0, 0.0])
-    for i in range(len(xy)):
-        if norms[i] >= 1e-9:
-            prev = xy[i] / norms[i]
-        out[i] = prev
-    names = (f"{channels[0]}_unit", f"{channels[1]}_unit")
-    return TimeSeries(channels=names, data=out, dt=ts.dt, t0=ts.t0,
-                      raw_times=ts.raw_times)
 
 
 def trim_start(ts: TimeSeries, start_s: float) -> TimeSeries:

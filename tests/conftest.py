@@ -68,7 +68,7 @@ def driven_run(e2e_config):
                                noise_sigma=0.2, seed=seed, rate_hz=E2E_RATE_HZ))
         for seed in E2E_DRIVEN_SEEDS))
     start = time.perf_counter()
-    result = pipeline.run(trials, e2e_config, jobs=4)
+    result = pipeline.run(trials, e2e_config)
     result.elapsed_s = time.perf_counter() - start
     return result
 
@@ -83,7 +83,7 @@ def null_run(e2e_config):
                                noise_sigma=0.2, seed=seed, rate_hz=E2E_RATE_HZ))
         for seed in E2E_NULL_SEEDS))
     start = time.perf_counter()
-    result = pipeline.run(trials, e2e_config, jobs=4)
+    result = pipeline.run(trials, e2e_config)
     result.elapsed_s = time.perf_counter() - start
     return result
 

@@ -127,7 +127,7 @@ class TestRunFlow:
 
         assert main(["run", "--config", str(cue_run_config),
                      "--trials", str(trials_dir),
-                     "--out", str(run_dir), "--jobs", "2"]) == 0
+                     "--out", str(run_dir)]) == 0
         out = capsys.readouterr().out
         m = re.search(r"analyzed 3 trials; (\d+) cue events", out)
         assert m is not None
@@ -149,24 +149,23 @@ class TestRunFlow:
             assert ((run_dir / name).read_bytes()
                     == (rep_dir / name).read_bytes())
 
-    def test_job_count_does_not_change_outputs(self, cue_run_config, tmp_path,
-                                               capsys):
+    def test_reruns_give_identical_outputs(self, cue_run_config, tmp_path, capsys):
         trials_dir = tmp_path / "trials"
         main(["synth", "--config", str(cue_run_config), "--out", str(trials_dir)])
-        for jobs, out_dir in (("1", "run1"), ("4", "run4")):
+        for out_dir in ("run1", "run2"):
             assert main(["run", "--config", str(cue_run_config),
                          "--trials", str(trials_dir),
-                         "--out", str(tmp_path / out_dir), "--jobs", jobs]) == 0
+                         "--out", str(tmp_path / out_dir)]) == 0
         capsys.readouterr()
         event_rows = (tmp_path / "run1" / "events.csv").read_text().splitlines()
         assert len(event_rows) > 1
         for name in ("events.csv", "te_t000_src2tgt.csv", "te_t000_tgt2src.csv"):
             assert ((tmp_path / "run1" / name).read_bytes()
-                    == (tmp_path / "run4" / name).read_bytes())
+                    == (tmp_path / "run2" / name).read_bytes())
 
 
 class TestBadInputExits2:
-    """A bad trial file or metadata value is a data error, not a traceback."""
+    """A bad input file or metadata value is a data error, not a traceback."""
 
     def run_corrupted(self, corrupt, cue_config, tmp_path, capsys):
         trials_dir = tmp_path / "trials"
@@ -198,6 +197,44 @@ class TestBadInputExits2:
         code, err = self.run_corrupted(corrupt, cue_config, tmp_path, capsys)
         assert code == 2
         assert "trim_start_s.t000='abc' is not a finite number" in err
+
+    def test_trim_key_for_an_unknown_trial(self, cue_config, tmp_path, capsys):
+        def corrupt(trials_dir):
+            (trials_dir / "trials.meta").write_text("trim_start_s.t009=1.0\n")
+
+        code, err = self.run_corrupted(corrupt, cue_config, tmp_path, capsys)
+        assert code == 2
+        assert "metadata trim_start_s.t009: no trial with that id" in err
+
+    def test_undecodable_byte_in_trial_metadata(self, cue_config, tmp_path, capsys):
+        def corrupt(trials_dir):
+            (trials_dir / "trials.meta").write_bytes(b"note=\xff\n")
+
+        code, err = self.run_corrupted(corrupt, cue_config, tmp_path, capsys)
+        assert code == 2
+        assert "trials.meta: not utf-8 text" in err
+
+    def test_undecodable_byte_in_the_config(self, var1_config, capsys):
+        var1_config.write_bytes(var1_config.read_bytes().replace(b"beta", b"b\xffta"))
+        assert main(["validate", "--config", str(var1_config)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"cannot read config {var1_config}" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("t000,driven,abc,20.0", "numeric parse error in ['t000', 'driven', 'abc', '20.0']"),
+        ("t000,driven", "row 1 has 2 fields"),
+    ])
+    def test_bad_manifest_row_under_report(self, cue_config, tmp_path, capsys,
+                                           row, message):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.csv").write_text(f"trial,scenario,t0,duration_s\n{row}\n")
+        assert main(["report", "--config", str(cue_config), "--events",
+                     str(run_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{run_dir / 'manifest.csv'}: {message}" in err
 
 
 class TestSynthCommand:
@@ -287,14 +324,6 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, var1_config):
         assert main(["run", "--config", str(var1_config)]) == 1
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_job_count_below_one(self, var1_config, tmp_path, jobs, capsys):
-        assert main(["run", "--config", str(var1_config), "--trials",
-                     str(tmp_path), "--out", str(tmp_path / "out"),
-                     "--jobs", jobs]) == 1
-        assert f"--jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.ini")]) == 2

@@ -47,7 +47,6 @@ class TestParsing:
         assert cfg.detector.alpha == 0.005
         assert cfg.detector.gamma == 3.0
         assert cfg.detector.hp_cutoff_hz == 1.0
-        assert cfg.detector.des_mode == "standard"
         assert cfg.detector.skip_warmup is True
         assert cfg.aggregate.bin_dt == 1.0
         assert cfg.aggregate.cell_size_m is None
@@ -79,7 +78,6 @@ alpha = 0.01
 beta = 0.05
 gamma = 2.5
 hp_cutoff_hz = 0.5
-des_mode = literal
 skip_warmup = no
 
 [aggregate]
@@ -97,7 +95,6 @@ position_channels = px, py
         assert cfg.model.learning_rate == 0.01
         assert cfg.model.batch_size == 64
         assert cfg.detector.gamma == 2.5
-        assert cfg.detector.des_mode == "literal"
         assert cfg.detector.skip_warmup is False
         assert cfg.aggregate.bin_dt == 0.5
         assert cfg.aggregate.cell_size_m == 0.25
@@ -323,10 +320,6 @@ class TestDerivedSettings:
         assert det.dt == 0.005
         assert (det.alpha, det.beta, det.gamma) == (0.01, 0.05, 2.0)
         assert det.skip_warmup is True
-
-    def test_invalid_des_mode_rejected(self):
-        with pytest.raises(ConfigError, match="des_mode"):
-            DetectorSettings(alpha=0.01, beta=0.05, des_mode="fast")
 
     @pytest.mark.parametrize("key, bad", [
         ("epochs", "0"),

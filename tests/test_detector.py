@@ -48,8 +48,6 @@ class TestDetectorConfig:
             cfg_100hz(gamma=0.0)
         with pytest.raises(ConfigError):
             cfg_100hz(dt=-0.01)
-        with pytest.raises(ConfigError):
-            cfg_100hz(des_mode="fancy")
 
 
 class TestTimeConstants:
@@ -134,12 +132,8 @@ def des_threshold_reference(series, cfg):
     a, be = cfg.alpha, cfg.beta
     for t in range(1, n):
         ahead = mu[t - 1] + b[t - 1]
-        if cfg.des_mode == "standard":
-            mu[t] = a * t_vals[t] + (1.0 - a) * ahead
-            b[t] = be * (mu[t] - mu[t - 1]) + (1.0 - be) * b[t - 1]
-        else:
-            mu[t] = a * t_vals[t] + (1.0 + a) * ahead
-            b[t] = be * (t_vals[t] - t_vals[t - 1]) + (1.0 - be) * b[t - 1]
+        mu[t] = a * t_vals[t] + (1.0 - a) * ahead
+        b[t] = be * (mu[t] - mu[t - 1]) + (1.0 - be) * b[t - 1]
         v[t] = (1.0 - a) * (v[t - 1] + a * (t_vals[t] - ahead) * (t_vals[t] - mu[t - 1]))
     sigma = np.sqrt(np.maximum(v, 0.0))
     threshold = np.empty(n)
@@ -149,12 +143,10 @@ def des_threshold_reference(series, cfg):
 
 
 class TestDesThreshold:
-    @pytest.mark.parametrize("des_mode, n", [("standard", 24_000), ("literal", 60)])
-    def test_bitwise_equal_to_numpy_indexed_loop(self, des_mode, n):
+    def test_bitwise_equal_to_numpy_indexed_loop(self):
         rng = np.random.default_rng(7)
-        series = te_series(rng.standard_normal(n) * 0.2 + 0.1, dt=0.005)
-        cfg = DetectorConfig(alpha=0.01, beta=0.05, dt=0.005, gamma=3.0,
-                             des_mode=des_mode)
+        series = te_series(rng.standard_normal(24_000) * 0.2 + 0.1, dt=0.005)
+        cfg = DetectorConfig(alpha=0.01, beta=0.05, dt=0.005, gamma=3.0)
         got = des_threshold(series, cfg)
         for out, ref in zip(got, des_threshold_reference(series, cfg)):
             assert out.tobytes() == ref.tobytes()
@@ -202,18 +194,6 @@ class TestDesThreshold:
             te_series(x, dt=0.1),
             DetectorConfig(alpha=1.0 - 1e-9, beta=0.5, dt=0.1, gamma=3.0))
         np.testing.assert_allclose(mu, x, atol=1e-6)
-
-    def test_literal_mode_differs_and_stays_finite_short_term(self):
-        """The as-published update has gain (1+alpha) on the one-step-ahead
-        term, so it drifts off the corrected recursion almost immediately."""
-        series = te_series(0.1 * np.arange(20.0), dt=0.1)
-        std = DetectorConfig(alpha=0.2, beta=0.1, dt=0.1, gamma=3.0)
-        lit = DetectorConfig(alpha=0.2, beta=0.1, dt=0.1, gamma=3.0,
-                             des_mode="literal")
-        mu_s, _, _ = des_threshold(series, std)
-        mu_l, _, _ = des_threshold(series, lit)
-        assert np.isfinite(mu_l).all()
-        assert np.abs(mu_l - mu_s).max() > 1.0
 
 
 class TestDetect:

@@ -121,7 +121,7 @@ class TestRunOnCoupledVar:
         te = result.trials[0].series["src2tgt"].te_raw
         assert float(np.ptp(te)) == 0.0
 
-    def test_runs_are_deterministic_and_job_count_free(self):
+    def test_reruns_are_deterministic(self):
         """Scripted-cue trials through the acceptance MLP, so the compared
         event lists hold real detections."""
         trials = var1_trial_set(*(
@@ -134,7 +134,7 @@ class TestRunOnCoupledVar:
         cfg = _e2e_config()
         cfg = replace(cfg, io=replace(cfg.io, directions="both"))
         first = run(trials, cfg)
-        second = run(trials, cfg, jobs=3)
+        second = run(trials, cfg)
         compared = []
         for i in range(2):
             for direction in ("src2tgt", "tgt2src"):
@@ -182,7 +182,7 @@ class TestRunOnCoupledVar:
         assert out.series["src2tgt"].te_raw.size == 1499
 
 
-    def test_each_trial_is_prepared_once(self, monkeypatch):
+    def test_each_trial_is_prepared_once(self, monkeypatch, tmp_path):
         """Fitting, analysis and the grid in both directions share one
         resampled, trimmed series per trial."""
         import cueflow.pipeline as pipeline_module
@@ -201,8 +201,11 @@ class TestRunOnCoupledVar:
         cfg = make_config(aggregate=dict(bin_dt=1.0, cell_size_m=1.0,
                                          position_channels=("x", "y")))
         result = run(trials, cfg)
+        write_run_dir(result, cfg, tmp_path)
+        written = build_reports(tmp_path, tmp_path, cfg,
+                                {r.trial_id: r.prepared for r in result.trials})
         assert len(calls) == 2
-        assert set(result.grids) == {"src2tgt", "tgt2src"}
+        assert {"grid_src2tgt.csv", "grid_tgt2src.csv"} <= set(written)
         assert result.trials[1].t0 == 0.0
 
     @pytest.mark.parametrize("value", ["abc", "inf", "nan", ""])
@@ -264,10 +267,12 @@ def study():
 
 
 class TestRunDirProducts:
-    def test_two_scenarios_produce_a_report(self, study):
-        _, _, result = study
-        assert result.report is not None
-        assert [d for d, _ in result.report.rows] == ["src2tgt"]
+    def test_two_scenarios_produce_a_report(self, study, tmp_path):
+        _, cfg, result = study
+        write_run_dir(result, cfg, tmp_path)
+        assert "peak_te_report.csv" in build_reports(tmp_path, tmp_path, cfg)
+        report = storage.read_report_csv(tmp_path / "peak_te_report.csv")
+        assert [d for d, _ in report.rows] == ["src2tgt"]
 
     def test_run_dir_layout(self, study, tmp_path):
         trials, cfg, result = study
@@ -281,23 +286,20 @@ class TestRunDirProducts:
         assert len(manifest) == 5
 
     def test_rebuilt_aggregates_are_byte_identical(self, study, tmp_path):
-        """Aggregates regenerated from the saved run directory match the
-        in-memory ones byte for byte."""
+        """Aggregates built from the run's own prepared series (as ``run``
+        does) match those rebuilt from re-derived positions (as ``report
+        --trials`` does) byte for byte."""
         trials, cfg, result = study
         write_run_dir(result, cfg, tmp_path / "run")
-        written = build_reports(tmp_path / "run", tmp_path / "rep", cfg,
-                                positions=prepare_position_series(trials, cfg))
-        assert written == ["histogram_src2tgt.csv", "grid_src2tgt.csv",
-                           "peak_te_report.csv"]
-        storage.write_histogram_csv(result.histograms["src2tgt"],
-                                    tmp_path / "hist.csv")
-        storage.write_grid_csv(result.grids["src2tgt"], tmp_path / "grid.csv")
-        storage.write_report_csv(result.report, tmp_path / "report.csv")
-        for direct, rebuilt in [("hist.csv", "histogram_src2tgt.csv"),
-                                ("grid.csv", "grid_src2tgt.csv"),
-                                ("report.csv", "peak_te_report.csv")]:
-            assert ((tmp_path / direct).read_bytes()
-                    == (tmp_path / "rep" / rebuilt).read_bytes())
+        names = ["histogram_src2tgt.csv", "grid_src2tgt.csv", "peak_te_report.csv"]
+        assert build_reports(tmp_path / "run", tmp_path / "direct", cfg,
+                             positions={r.trial_id: r.prepared
+                                        for r in result.trials}) == names
+        assert build_reports(tmp_path / "run", tmp_path / "rep", cfg,
+                             positions=prepare_position_series(trials, cfg)) == names
+        for name in names:
+            assert ((tmp_path / "direct" / name).read_bytes()
+                    == (tmp_path / "rep" / name).read_bytes())
 
     def test_report_rebuild_needs_all_position_series(self, study, tmp_path):
         trials, cfg, result = study

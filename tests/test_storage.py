@@ -251,3 +251,38 @@ class TestTrialDir:
         (d / "truth.csv").write_text("trial,start_t,end_t\nwalk01,2.0,2.35\n")
         back = load_trial_dir(d)
         assert [t.trial_id for t in back] == ["walk01"]
+
+
+class TestUndecodableBytes:
+    """A byte that is not text, in any file storage reads, names the file."""
+
+    def corrupt(self, path):
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] = 0xFF
+        path.write_bytes(bytes(raw))
+
+    def test_trial_metadata(self, tmp_path):
+        d = tmp_path / "trials"
+        d.mkdir()
+        (d / "walk01.csv").write_text("t,x\n0.0,1.0\n0.1,2.0\n")
+        (d / "trials.meta").write_bytes(b"note=\xff\n")
+        with pytest.raises(DataFormatError, match=r"trials\.meta: not utf-8 text"):
+            load_trial_dir(d)
+
+    def test_sidecar(self, tmp_path):
+        hist = CueHistogram(bin_dt=0.5, counts=np.array([0, 3]), n_trials=3,
+                            direction="src2tgt")
+        path = tmp_path / "histogram.csv"
+        write_histogram_csv(hist, path)
+        self.corrupt(tmp_path / "histogram.csv.meta")
+        with pytest.raises(DataFormatError,
+                           match=r"histogram\.csv\.meta: not utf-8 text"):
+            read_histogram_csv(path)
+
+    def test_rows_csv(self, tmp_path):
+        path = tmp_path / "events.csv"
+        write_events_csv([("t000", CueEvent(start_t=1.25, end_t=1.5, peak_te=0.75,
+                                            direction="src2tgt"))], path)
+        self.corrupt(path)
+        with pytest.raises(DataFormatError, match=r"events\.csv: not utf-8 text"):
+            read_events_csv(path)

@@ -1,6 +1,5 @@
-"""Time-series container, CSV trial format, and feature transforms."""
+"""Time-series container, CSV trial format, resampling and trimming."""
 import csv
-import math
 import warnings
 
 import numpy as np
@@ -10,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from cueflow.errors import DataFormatError
 from cueflow.timeseries import (TimeSeries, Trial, TrialSet, load_csv,
-                                magnitude, project_normalize_xy,
                                 read_numeric_csv, resample, trim_start,
                                 write_trial_csv)
 
@@ -265,50 +263,6 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(DataFormatError):
             resample(make_series([0.0, 1.0]), 0.0)
-
-
-class TestTransforms:
-    def test_magnitude_345(self):
-        ts = make_series(np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 1.0]]),
-                         channels=("gx", "gy"))
-        out = magnitude(ts, ("gx", "gy"))
-        assert out.channels == ("magnitude",)
-        np.testing.assert_allclose(out.data[:, 0], [5.0, 0.0, math.sqrt(2.0)])
-
-    def test_magnitude_triaxial(self):
-        ts = make_series(np.ones((4, 3)), channels=("x", "y", "z"))
-        np.testing.assert_allclose(magnitude(ts, ("x", "y", "z")).data[:, 0],
-                                   math.sqrt(3.0))
-
-    def test_project_normalize_planar_norm(self):
-        ts = make_series(np.array([[3.0, 4.0, 12.0]]), channels=("x", "y", "z"))
-        out = project_normalize_xy(ts, ("x", "y", "z"))
-        assert out.channels == ("x_unit", "y_unit")
-        np.testing.assert_allclose(out.data[0], [0.6, 0.8])
-
-    def test_project_normalize_degenerate_rows(self):
-        data = np.array([
-            [0.0, 0.0, 5.0],   # degenerate at start -> (1, 0)
-            [0.0, 2.0, 1.0],   # -> (0, 1)
-            [0.0, 0.0, 9.0],   # carries previous direction
-        ])
-        out = project_normalize_xy(make_series(data, channels=("x", "y", "z")),
-                                   ("x", "y", "z"))
-        np.testing.assert_allclose(out.data,
-                                   [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-
-    def test_project_normalize_needs_three_channels(self):
-        ts = make_series(np.zeros((2, 2)), channels=("x", "y"))
-        with pytest.raises(DataFormatError):
-            project_normalize_xy(ts, ("x", "y"))
-
-    def test_unit_norm_preserved(self):
-        rng = np.random.default_rng(8)
-        data = rng.standard_normal((200, 3))
-        out = project_normalize_xy(make_series(data, channels=("x", "y", "z")),
-                                   ("x", "y", "z"))
-        np.testing.assert_allclose(np.hypot(out.data[:, 0], out.data[:, 1]),
-                                   1.0, atol=1e-12)
 
 
 class TestTrimStart:
