@@ -20,14 +20,13 @@ from .errors import (ConfigError, CueflowError, DataFormatError, PipelineError,
                      TrainingDivergedError)
 from .models import (AUGMENTED, BASELINE, MLP_GAUSSIAN, VAR_LINEAR, FittedModel,
                      GaussianPredictions, TrainConfig, TrainReport, VARIANCE_FLOOR,
-                     fit_mlp, fit_var, gradient_check, load_model, predict,
-                     predict_dataset, save_model)
+                     fit_mlp, fit_var, gradient_check, predict, predict_dataset)
 from .pipeline import (Diagnostic, DirectionModels, PipelineResult, TrialResult,
                        build_reports, fit_models, run, validate_config)
 from .synth import (CueScenario, Var1Spec, X_TO_Y, Y_TO_X, gen_cue_scenario,
                     gen_var1, stationary_cov, te_oracle_var1)
-from .te import (DIRECTIONS, ENTROPY_DIFF, LOGLIK_RATIO, NATS_TO_BITS, SRC2TGT,
-                 TGT2SRC, TeSeries, gaussian_entropy, local_te, mean_te, peak_te)
+from .te import (DIRECTIONS, ENTROPY_DIFF, LOGLIK_RATIO, SRC2TGT, TGT2SRC,
+                 TeSeries, gaussian_entropy, local_te, mean_te, peak_te)
 from .timeseries import (TimeSeries, Trial, TrialSet, load_csv, resample,
                          trim_start, write_trial_csv)
 

@@ -2,8 +2,9 @@
 
 Files use ``configparser`` sections ``[io]``, ``[embedding]``, ``[model]``,
 ``[detector]``, ``[aggregate]``, and optionally ``[synth]``.  Every key maps
-one-to-one onto a config field; unknown sections or keys are hard errors so
-typos never silently fall back to defaults.  Command-line overrides take the
+one-to-one onto a field of its section's dataclass, which holds the key's
+type, default and checks; unknown sections or keys are hard errors so typos
+never silently fall back to defaults.  Command-line overrides take the
 form ``section.key=value``.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
 from .detector import DetectorConfig
@@ -23,17 +24,6 @@ DIRECTION_CHOICES = ("both", SRC2TGT, TGT2SRC)
 MODEL_KINDS = (VAR_LINEAR, MLP_GAUSSIAN)
 TE_MODE_CHOICES = (ENTROPY_DIFF, LOGLIK_RATIO)
 SYNTH_KINDS = ("cue_scenario", "var1")
-
-_KNOWN_KEYS = {
-    "io": {"target_channels", "source_channels", "resample_hz", "directions", "seed"},
-    "embedding": {"d", "delta_s"},
-    "model": {"kind", "te_mode", "hidden", "epochs", "learning_rate", "batch_size"},
-    "detector": {"alpha", "beta", "gamma", "hp_cutoff_hz", "skip_warmup"},
-    "aggregate": {"bin_dt", "cell_size_m", "position_channels"},
-    "synth": {"kind", "n_trials", "seed", "duration_s", "cue_times",
-              "response_delay_s", "amplitude", "noise_sigma", "rate_hz",
-              "a", "q", "n", "dt"},
-}
 
 
 @dataclass(frozen=True)
@@ -63,8 +53,8 @@ class IoConfig:
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    d: int = 4
-    delta_s: float = 0.1
+    d: int
+    delta_s: float
 
 
 @dataclass(frozen=True)
@@ -106,8 +96,8 @@ class ModelConfig:
 class DetectorSettings:
     """Detector knobs minus the sample step, which follows from resample_hz."""
 
-    alpha: float = 0.01
-    beta: float = 0.05
+    alpha: float
+    beta: float
     gamma: float = 3.0
     hp_cutoff_hz: float = 1.0
     skip_warmup: bool = True
@@ -122,7 +112,11 @@ class DetectorSettings:
 class AggregateConfig:
     bin_dt: float | None = 1.0
     cell_size_m: float | None = None
-    position_channels: tuple[str, str] | None = None
+    position_channels: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.position_channels is not None and len(self.position_channels) != 2:
+            raise ConfigError("[aggregate] position_channels needs exactly 2 names")
 
 
 @dataclass(frozen=True)
@@ -150,14 +144,18 @@ class SynthSettings:
             raise ConfigError(f"synth kind must be one of {SYNTH_KINDS}, got {self.kind!r}")
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        if len(self.a) != 4 or len(self.q) != 4:
+            raise ConfigError("[synth] a and q must each hold 4 numbers (row-major 2x2)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
+    # One field per section, in the order sections are parsed and their
+    # errors reported; kw_only lets a required section follow an optional one.
     io: IoConfig
-    embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
+    embedding: EmbeddingConfig
     model: ModelConfig = field(default_factory=ModelConfig)
-    detector: DetectorSettings = field(default_factory=DetectorSettings)
+    detector: DetectorSettings
     aggregate: AggregateConfig = field(default_factory=AggregateConfig)
 
     @property
@@ -170,74 +168,70 @@ class PipelineConfig:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _str_list(raw: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in raw.split(",") if s.strip())
+# Each section's dataclass is its schema: the section's keys are the class's
+# fields, a key is required when its field has no default, and the field's
+# annotation picks the reader below.  A reader raises ValueError on bad text.
+_SECTIONS = {"io": IoConfig, "embedding": EmbeddingConfig, "model": ModelConfig,
+             "detector": DetectorSettings, "aggregate": AggregateConfig,
+             "synth": SynthSettings}
 
 
-def _float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(s) for s in _str_list(raw))
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected comma-separated numbers, "
-                          f"got {raw!r}") from None
+def _bool(raw: str) -> bool:
+    low = raw.lower()
+    if low in ("true", "yes", "1", "on"):
+        return True
+    if low in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(raw)
 
 
-def _int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in _str_list(raw))
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected comma-separated integers, "
-                          f"got {raw!r}") from None
+def _list(item):
+    return lambda raw: tuple(item(s.strip()) for s in raw.split(",") if s.strip())
 
 
-class _Section:
-    """One parsed section with typed, error-annotated accessors."""
+# Field annotation, as written ("X | None" reads as X) -> (reader, what it expects).
+_READERS = {
+    "str": (str, "text"),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_bool, "a boolean"),
+    "tuple[str, ...]": (_list(str), "comma-separated names"),
+    "tuple[int, ...]": (_list(int), "comma-separated integers"),
+    "tuple[float, ...]": (_list(float), "comma-separated numbers"),
+}
 
-    def __init__(self, name: str, items: dict[str, str]):
-        self.name = name
-        self.items = items
 
-    def _raw(self, key: str, default=None, required: bool = False):
-        if key in self.items and self.items[key].strip() != "":
-            return self.items[key].strip()
-        if required:
-            raise ConfigError(f"missing required key [{self.name}] {key}")
-        return default
+def _reader(f: Field):
+    return _READERS[f.type.removesuffix(" | None")]
 
-    def get_str(self, key, default=None, required=False):
-        return self._raw(key, default, required)
 
-    def get_float(self, key, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
+def _required(f: Field) -> bool:
+    return f.default is MISSING and f.default_factory is MISSING
+
+
+def _keys(section: str) -> set[str]:
+    return {f.name for f in fields(_SECTIONS[section])}
+
+
+def _build(section: str, items: dict[str, str]):
+    """The section's dataclass from its raw items; absent keys take field defaults."""
+    values = {}
+    for f in fields(_SECTIONS[section]):
+        raw = items.get(f.name, "").strip()
+        if not raw:  # an empty value counts as absent
+            if _required(f):
+                raise ConfigError(f"missing required key [{section}] {f.name}")
+            continue
+        read, expected = _reader(f)
         try:
-            return float(raw)
+            values[f.name] = read(raw)
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected a number, got {raw!r}") from None
-
-    def get_int(self, key, default=None, required=False):
-        raw = self._raw(key, None, required)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected an integer, got {raw!r}") from None
-
-    def get_bool(self, key, default=None):
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        low = raw.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key}: expected a boolean, got {raw!r}")
+            raise ConfigError(f"[{section}] {f.name}: expected {expected}, "
+                              f"got {raw!r}") from None
+    return _SECTIONS[section](**values)
 
 
-def _parse_sections(text: str, origin: str) -> dict[str, _Section]:
+def _parse_sections(text: str, origin: str) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # preserve key case
@@ -245,30 +239,30 @@ def _parse_sections(text: str, origin: str) -> dict[str, _Section]:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
         raise ConfigError(f"{origin}: {exc}") from None
-    sections: dict[str, _Section] = {}
+    sections: dict[str, dict[str, str]] = {}
     for name in parser.sections():
-        if name not in _KNOWN_KEYS:
+        if name not in _SECTIONS:
             raise ConfigError(f"{origin}: unknown section [{name}]")
         items = dict(parser.items(name))
-        unknown = sorted(set(items) - _KNOWN_KEYS[name])
+        unknown = sorted(set(items) - _keys(name))
         if unknown:
             raise ConfigError(f"{origin}: unknown keys in [{name}]: {unknown}")
-        sections[name] = _Section(name, items)
+        sections[name] = items
     return sections
 
 
-def _apply_overrides(sections: dict[str, _Section], overrides) -> None:
+def _apply_overrides(sections: dict[str, dict[str, str]], overrides) -> None:
     for item in overrides or ():
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override {item!r} must look like section.key=value")
         target, value = item.split("=", 1)
         sec_name, key = target.split(".", 1)
         sec_name, key = sec_name.strip(), key.strip()
-        if sec_name not in _KNOWN_KEYS:
+        if sec_name not in _SECTIONS:
             raise ConfigError(f"override {item!r}: unknown section [{sec_name}]")
-        if key not in _KNOWN_KEYS[sec_name]:
+        if key not in _keys(sec_name):
             raise ConfigError(f"override {item!r}: unknown key {key!r} in [{sec_name}]")
-        sections.setdefault(sec_name, _Section(sec_name, {})).items[key] = value.strip()
+        sections.setdefault(sec_name, {})[key] = value.strip()
 
 
 def parse_config_text(text: str, origin: str = "<config>",
@@ -276,74 +270,13 @@ def parse_config_text(text: str, origin: str = "<config>",
     """Parse config text into (pipeline config, synth settings or None)."""
     sections = _parse_sections(text, origin)
     _apply_overrides(sections, overrides)
-    for required in ("io", "embedding", "detector"):
-        if required not in sections:
-            raise ConfigError(f"{origin}: missing required section [{required}]")
-    io_s = sections["io"]
-    emb_s = sections["embedding"]
-    mdl_s = sections.get("model", _Section("model", {}))
-    det_s = sections.get("detector", _Section("detector", {}))
-    agg_s = sections.get("aggregate", _Section("aggregate", {}))
-
-    io = IoConfig(
-        target_channels=_str_list(io_s.get_str("target_channels", required=True)),
-        source_channels=_str_list(io_s.get_str("source_channels", required=True)),
-        resample_hz=io_s.get_float("resample_hz", required=True),
-        directions=io_s.get_str("directions", "both"),
-        seed=io_s.get_int("seed", 0),
-    )
-    embedding = EmbeddingConfig(
-        d=emb_s.get_int("d", required=True),
-        delta_s=emb_s.get_float("delta_s", required=True),
-    )
-    hidden_raw = mdl_s.get_str("hidden")
-    model = ModelConfig(
-        kind=mdl_s.get_str("kind", VAR_LINEAR),
-        te_mode=mdl_s.get_str("te_mode", ENTROPY_DIFF),
-        hidden=_int_list("model", "hidden", hidden_raw) if hidden_raw else (64, 64),
-        epochs=mdl_s.get_int("epochs", 200),
-        learning_rate=mdl_s.get_float("learning_rate", 1e-3),
-        batch_size=mdl_s.get_int("batch_size", 256),
-    )
-    detector = DetectorSettings(
-        alpha=det_s.get_float("alpha", required=True),
-        beta=det_s.get_float("beta", required=True),
-        gamma=det_s.get_float("gamma", 3.0),
-        hp_cutoff_hz=det_s.get_float("hp_cutoff_hz", 1.0),
-        skip_warmup=det_s.get_bool("skip_warmup", True),
-    )
-    pos_raw = agg_s.get_str("position_channels")
-    pos = _str_list(pos_raw) if pos_raw else None
-    if pos is not None and len(pos) != 2:
-        raise ConfigError("[aggregate] position_channels needs exactly 2 names")
-    aggregate = AggregateConfig(
-        bin_dt=agg_s.get_float("bin_dt", 1.0),
-        cell_size_m=agg_s.get_float("cell_size_m", None),
-        position_channels=pos,
-    )
-    synth = None
-    if "synth" in sections:
-        syn_s = sections["synth"]
-        cue_raw = syn_s.get_str("cue_times")
-        synth = SynthSettings(
-            kind=syn_s.get_str("kind", required=True),
-            n_trials=syn_s.get_int("n_trials", 1),
-            seed=syn_s.get_int("seed", 0),
-            duration_s=syn_s.get_float("duration_s", 20.0),
-            cue_times=_float_list("synth", "cue_times", cue_raw) if cue_raw else (),
-            response_delay_s=syn_s.get_float("response_delay_s", 0.15),
-            amplitude=syn_s.get_float("amplitude", 1.0),
-            noise_sigma=syn_s.get_float("noise_sigma", 0.2),
-            rate_hz=syn_s.get_float("rate_hz", 10.0),
-            a=_float_list("synth", "a", syn_s.get_str("a", "0.5, 0.5, 0.0, 0.0")),
-            q=_float_list("synth", "q", syn_s.get_str("q", "1.0, 0.0, 0.0, 1.0")),
-            n=syn_s.get_int("n", 10000),
-            dt=syn_s.get_float("dt", 0.01),
-        )
-        if len(synth.a) != 4 or len(synth.q) != 4:
-            raise ConfigError("[synth] a and q must each hold 4 numbers (row-major 2x2)")
-    return PipelineConfig(io=io, embedding=embedding, model=model,
-                          detector=detector, aggregate=aggregate), synth
+    for f in fields(PipelineConfig):
+        if _required(f) and f.name not in sections:
+            raise ConfigError(f"{origin}: missing required section [{f.name}]")
+    cfg = PipelineConfig(**{f.name: _build(f.name, sections.get(f.name, {}))
+                            for f in fields(PipelineConfig)})
+    synth = _build("synth", sections["synth"]) if "synth" in sections else None
+    return cfg, synth
 
 
 def load_config(path, overrides=None) -> tuple[PipelineConfig, SynthSettings | None]:

@@ -16,7 +16,6 @@ transfer-entropy layer consumes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +120,7 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A trained predictor plus everything needed to reapply or serialize it."""
+    """A trained predictor plus everything needed to reapply it."""
 
     kind: str
     conditioning: str
@@ -371,25 +370,17 @@ def predict_dataset(model: FittedModel, ds: EmbeddedDataset) -> GaussianPredicti
 
 
 # ---------------------------------------------------------------------------
-# Verification and serialization
+# Verification
 # ---------------------------------------------------------------------------
 
 def gradient_check(hidden: tuple[int, ...] = (8,), input_dim: int = 3,
                    output_dim: int = 2, n_rows: int = 16, seed: int = 0,
-                   step: float = 1e-5,
-                   probe: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Max relative error between analytic and central-difference NLL gradients.
-
-    ``probe`` optionally supplies the (rows, targets) batch; otherwise a
-    small random one is drawn from ``seed``.
-    """
+                   step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference NLL gradients
+    on a small random batch drawn from ``seed``."""
     rng = np.random.default_rng(seed)
-    if probe is None:
-        x = rng.normal(size=(n_rows, input_dim))
-        y = rng.normal(size=(n_rows, output_dim))
-    else:
-        x, y = (np.asarray(a, dtype=float) for a in probe)
-        input_dim, output_dim = x.shape[1], y.shape[1]
+    x = rng.normal(size=(n_rows, input_dim))
+    y = rng.normal(size=(n_rows, output_dim))
     layers = _init_layers(input_dim, output_dim, hidden, rng)
     _, grads = _nll_and_grads(layers, x, y, output_dim)
     worst = 0.0
@@ -407,44 +398,3 @@ def gradient_check(hidden: tuple[int, ...] = (8,), input_dim: int = 3,
             err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
             worst = max(worst, err)
     return worst
-
-
-def save_model(model: FittedModel, path) -> None:
-    """Serialize to self-describing JSON; float round-trip is exact."""
-    doc = {
-        "kind": model.kind,
-        "conditioning": model.conditioning,
-        "input_dim": model.input_dim,
-        "output_dim": model.output_dim,
-        "hidden": list(model.hidden),
-        "seed": model.seed,
-        "train_report": {"final_nll": model.train_report.final_nll,
-                         "n_iter": model.train_report.n_iter},
-        "params": {k: {"shape": list(np.asarray(p).shape),
-                       "data": np.asarray(p, dtype=float).ravel().tolist()}
-                   for k, p in model.params.items()},
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_model(path) -> FittedModel:
-    """Inverse of :func:`save_model`."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        params = {k: np.asarray(rec["data"], dtype=float).reshape(rec["shape"])
-                  for k, rec in doc["params"].items()}
-        return FittedModel(
-            kind=doc["kind"],
-            conditioning=doc["conditioning"],
-            input_dim=int(doc["input_dim"]),
-            output_dim=int(doc["output_dim"]),
-            params=params,
-            hidden=tuple(int(h) for h in doc["hidden"]),
-            seed=int(doc["seed"]),
-            train_report=TrainReport(final_nll=float(doc["train_report"]["final_nll"]),
-                                     n_iter=int(doc["train_report"]["n_iter"])),
-        )
-    except KeyError as exc:
-        raise DataFormatError(f"{path}: missing model field {exc}") from None

@@ -9,6 +9,7 @@ Everything is deterministic for a fixed config and seed.
 
 from __future__ import annotations
 
+import csv
 import logging
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -288,22 +289,17 @@ def write_run_dir(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
             all_events.extend((r.trial_id, ev) for ev in trace.events)
     storage.write_events_csv(all_events, out / "events.csv")
     with open(out / "manifest.csv", "w", newline="") as fh:
-        fh.write(",".join(MANIFEST_HEADER) + "\n")
-        for r in result.trials:
-            fh.write(f"{r.trial_id},{r.scenario},{r.t0!r},{r.duration_s!r}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MANIFEST_HEADER)
+        writer.writerows([r.trial_id, r.scenario, repr(r.t0), repr(r.duration_s)]
+                         for r in result.trials)
 
 
 def _read_manifest(events_dir) -> list[tuple[str, str, float, float]]:
     path = Path(events_dir) / "manifest.csv"
     if not path.exists():
         raise DataFormatError(f"missing manifest {path}")
-    rows = []
-    for row in storage._read_rows(path, MANIFEST_HEADER):
-        try:
-            rows.append((row[0], row[1], float(row[2]), float(row[3])))
-        except ValueError:
-            raise DataFormatError(f"{path}: numeric parse error in {row}") from None
-    return rows
+    return storage.read_rows(path, MANIFEST_HEADER, (str, str, float, float))
 
 
 def prepare_position_series(trials: TrialSet, cfg: PipelineConfig) -> dict[str, TimeSeries]:

@@ -106,7 +106,8 @@ def _check_header(path, header: list[str], expected_header: list[str]) -> None:
         )
 
 
-def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
+def read_rows(path, expected_header: list[str], types) -> list[tuple]:
+    """Data rows of a CSV, each field converted by its column's entry in ``types``."""
     with text_errors(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -120,7 +121,10 @@ def _read_rows(path, expected_header: list[str]) -> list[list[str]]:
                 continue
             if len(row) != len(expected_header):
                 raise DataFormatError(f"{path}: row {i} has {len(row)} fields")
-            out.append(row)
+            try:
+                out.append(tuple(convert(v) for convert, v in zip(types, row)))
+            except ValueError:
+                raise DataFormatError(f"{path}: numeric parse error in {row}") from None
     return out
 
 
@@ -139,15 +143,10 @@ def write_events_csv(events, path) -> None:
 
 
 def read_events_csv(path) -> list[tuple[str, CueEvent]]:
-    out = []
-    for row in _read_rows(path, EVENTS_HEADER):
-        try:
-            ev = CueEvent(start_t=float(row[2]), end_t=float(row[3]),
-                          peak_te=float(row[4]), direction=row[1])
-        except ValueError:
-            raise DataFormatError(f"{path}: numeric parse error in {row}") from None
-        out.append((row[0], ev))
-    return out
+    return [(trial_id, CueEvent(start_t=start_t, end_t=end_t, peak_te=peak_te,
+                                direction=direction))
+            for trial_id, direction, start_t, end_t, peak_te
+            in read_rows(path, EVENTS_HEADER, (str, str, float, float, float))]
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +178,7 @@ def read_grid_csv(path) -> CueGrid:
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad sidecar ({exc})") from None
     counts = np.zeros(shape, dtype=int)
-    for row in _read_rows(path, ["ix", "iy", "count"]):
-        ix, iy, c = int(row[0]), int(row[1]), int(row[2])
+    for ix, iy, c in read_rows(path, ["ix", "iy", "count"], (int, int, int)):
         if not (0 <= ix < shape[0] and 0 <= iy < shape[1]):
             raise DataFormatError(f"{path}: cell ({ix}, {iy}) outside {shape}")
         counts[ix, iy] = c
@@ -208,10 +206,11 @@ def read_histogram_csv(path) -> CueHistogram:
         n_trials = int(meta["n_trials"])
     except (KeyError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad sidecar ({exc})") from None
-    rows = _read_rows(path, ["bin", "t_start", "count"])
-    counts = np.zeros(len(rows), dtype=int)
-    for row in rows:
-        counts[int(row[0])] = int(row[2])
+    rows = read_rows(path, ["bin", "t_start", "count"], (int, float, int))
+    for i, (b, _, _) in enumerate(rows):
+        if b != i:
+            raise DataFormatError(f"{path}: row {i + 1} holds bin {b}, expected {i}")
+    counts = np.array([c for _, _, c in rows], dtype=int)
     return CueHistogram(bin_dt=bin_dt, counts=counts, n_trials=n_trials,
                         direction=meta.get("direction", ""))
 
@@ -226,19 +225,18 @@ def write_report_csv(report: PeakTeReport, path) -> None:
 
 
 def read_report_csv(path) -> PeakTeReport:
-    rows = []
-    for row in _read_rows(path, REPORT_HEADER):
-        res = WelchResult(t_stat=float(row[3]), dof=float("nan"),
-                          p_value=float(row[4]), n_a=int(row[1]), n_b=int(row[2]))
-        rows.append((row[0], res))
-    return PeakTeReport(rows=tuple(rows))
+    rows = read_rows(path, REPORT_HEADER, (str, int, int, float, float))
+    return PeakTeReport(rows=tuple(
+        (direction, WelchResult(t_stat=t_stat, dof=float("nan"), p_value=p_value,
+                                n_a=n_a, n_b=n_b))
+        for direction, n_a, n_b, t_stat, p_value in rows))
 
 
 # ---------------------------------------------------------------------------
 # Trial directories
 # ---------------------------------------------------------------------------
 
-def load_trial_dir(path, schema=None) -> TrialSet:
+def load_trial_dir(path) -> TrialSet:
     """Load every ``*.csv`` in a directory as one trial each.
 
     File stems of the form ``<scenario>__<trial_id>`` carry a scenario
@@ -259,7 +257,7 @@ def load_trial_dir(path, schema=None) -> TrialSet:
         if not trial_id:
             scenario, trial_id = "", stem
         trials.append(Trial(trial_id=trial_id, scenario=scenario,
-                            series=load_csv(f, schema=schema)))
+                            series=load_csv(f)))
     if not trials:
         raise DataFormatError(f"{path}: no trial CSVs found")
     meta_file = path / "trials.meta"

@@ -24,8 +24,6 @@ ENTROPY_DIFF = "entropy_diff"
 LOGLIK_RATIO = "loglik_ratio"
 TE_MODES = (ENTROPY_DIFF, LOGLIK_RATIO)
 
-NATS_TO_BITS = 1.0 / np.log(2.0)
-
 _TIME_ATOL = 1e-9
 
 

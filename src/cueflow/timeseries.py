@@ -156,14 +156,6 @@ class TrialSet:
     def __iter__(self):
         return iter(self.trials)
 
-    @property
-    def scenarios(self) -> tuple[str, ...]:
-        """Distinct scenario labels, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for t in self.trials:
-            seen.setdefault(t.scenario, None)
-        return tuple(seen)
-
 
 @contextmanager
 def text_errors(path):
@@ -229,13 +221,12 @@ def _raise_bad_row(path: Path, rows, n_fields: int) -> NoReturn:
     raise DataFormatError(f"{path}: a number is not in plain decimal notation")
 
 
-def load_csv(path, schema=None) -> TimeSeries:
+def load_csv(path) -> TimeSeries:
     """Load one trial CSV (``t,<ch1>,...``) into a :class:`TimeSeries`.
 
     Timestamps must be strictly increasing; ``dt`` is set to the median
     successive difference and the raw timestamps are retained for resampling
-    when they deviate from a uniform grid.  ``schema`` lists channel names
-    that must be present.
+    when they deviate from a uniform grid.
     """
     path = Path(path)
 
@@ -258,10 +249,6 @@ def load_csv(path, schema=None) -> TimeSeries:
         raise DataFormatError(
             f"{path}: timestamps not strictly increasing at row {bad[0] + 2}"
         )
-    if schema is not None:
-        missing = [c for c in schema if c not in channels]
-        if missing:
-            raise DataFormatError(f"{path}: missing channels {missing}")
     dt = float(np.median(diffs))
     grid = t[0] + dt * np.arange(len(t))
     jitter = np.max(np.abs(t - grid))

@@ -163,6 +163,20 @@ class TestRunFlow:
             assert ((tmp_path / "run1" / name).read_bytes()
                     == (tmp_path / "run2" / name).read_bytes())
 
+    def test_trial_id_with_a_comma(self, cue_run_config, tmp_path, capsys):
+        trials_dir = tmp_path / "trials"
+        run_dir = tmp_path / "run"
+        main(["synth", "--config", str(cue_run_config), "--out", str(trials_dir)])
+        (trials_dir / "cue_scenario__t001.csv").rename(
+            trials_dir / "cue_scenario__t,001.csv")
+        assert main(["run", "--config", str(cue_run_config),
+                     "--trials", str(trials_dir), "--out", str(run_dir)]) == 0
+        assert "analyzed 3 trials" in capsys.readouterr().out
+        rows = (run_dir / "manifest.csv").read_text().splitlines()
+        assert rows[1].startswith('"t,001",cue_scenario,')  # "," sorts before "0"
+        assert rows[2].startswith("t000,cue_scenario,")
+        assert (run_dir / "histogram_src2tgt.csv").exists()
+
 
 class TestBadInputExits2:
     """A bad input file or metadata value is a data error, not a traceback."""

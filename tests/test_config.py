@@ -1,11 +1,18 @@
 """Tests for the INI config format: parsing, validation, overrides."""
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cueflow.config import (
+    _SECTIONS,
+    AggregateConfig,
     DetectorSettings,
     IoConfig,
     ModelConfig,
+    SynthSettings,
+    _reader,
     load_config,
     parse_config_text,
 )
@@ -342,3 +349,41 @@ class TestDerivedSettings:
         with pytest.raises(ConfigError, match="resample_hz"):
             IoConfig(target_channels=("x",), source_channels=("y",),
                      resample_hz=0.0)
+
+
+class TestSchema:
+    """Each section's dataclass is its schema; any text is parsed or refused."""
+
+    KEYS = [f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+            for f in fields(cls)]
+
+    def test_every_field_has_a_reader(self):
+        for section, cls in _SECTIONS.items():
+            for f in fields(cls):
+                try:
+                    _reader(f)
+                except KeyError:
+                    pytest.fail(f"[{section}] {f.name}: no reader for {f.type!r}")
+
+    def test_configs_built_in_code_get_the_file_checks(self):
+        with pytest.raises(ConfigError, match="exactly 2"):
+            AggregateConfig(position_channels=("px",))
+        with pytest.raises(ConfigError, match="4 numbers"):
+            SynthSettings(kind="var1", a=(0.5, 0.5))
+
+    @given(st.text())
+    def test_arbitrary_text_raises_only_config_errors(self, text):
+        try:
+            parse_config_text(text)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("key", KEYS)
+    @settings(max_examples=30)
+    @given(value=st.text())
+    def test_arbitrary_override_raises_only_config_errors(self, key, value):
+        # With a [synth] section present, every key's value is read.
+        try:
+            parse_config_text(BASE, overrides=["synth.kind=var1", f"{key}={value}"])
+        except ConfigError:
+            pass

@@ -1,4 +1,4 @@
-"""Gaussian predictive models: linear-ridge and MLP fits, gradients, persistence."""
+"""Gaussian predictive models: linear-ridge and MLP fits, gradients."""
 import numpy as np
 import pytest
 
@@ -7,7 +7,7 @@ from cueflow.errors import DataFormatError
 from cueflow.models import (AUGMENTED, BASELINE, VARIANCE_FLOOR, FittedModel,
                             GaussianPredictions, TrainConfig, _init_layers,
                             _nll_and_grads, fit_mlp, fit_var, gradient_check,
-                            load_model, predict, save_model)
+                            predict)
 from cueflow.timeseries import TimeSeries
 
 
@@ -260,42 +260,3 @@ class TestGradients:
                                     rng.normal(size=(16, 2)), 2)
         assert np.isfinite(nll)
         assert all(np.isfinite(g).all() for g in grads)
-
-
-class TestPersistence:
-    def test_var_round_trip(self, tmp_path):
-        ds = embed_pair(ar1_series(0.6, 500, seed=2))
-        model = fit_var(ds, BASELINE)
-        path = tmp_path / "var.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.kind == model.kind
-        assert back.conditioning == model.conditioning
-        assert (back.input_dim, back.output_dim) == (model.input_dim,
-                                                     model.output_dim)
-        assert back.train_report == model.train_report
-        for k in model.params:
-            np.testing.assert_array_equal(back.params[k], model.params[k])
-
-    def test_mlp_round_trip_preserves_predictions(self, tmp_path):
-        rng = np.random.default_rng(9)
-        ds = EmbeddedDataset(targets=rng.standard_normal((150, 1)),
-                             target_hist=rng.standard_normal((150, 4)),
-                             source_hist=np.zeros((150, 0)),
-                             times=np.arange(150.0),
-                             spec=EmbeddingSpec(d=4, delta_s=1.0, dt=1.0))
-        model = fit_mlp(ds, BASELINE, hidden=(8, 8),
-                        train=TrainConfig(epochs=30, batch_size=64, seed=5))
-        path = tmp_path / "mlp.json"
-        save_model(model, path)
-        back = load_model(path)
-        p0 = predict(model, ds.target_hist)
-        p1 = predict(back, ds.target_hist)
-        np.testing.assert_array_equal(p1.mean, p0.mean)
-        np.testing.assert_array_equal(p1.var, p0.var)
-
-    def test_missing_field_rejected(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text('{"kind": "var_linear"}')
-        with pytest.raises(DataFormatError):
-            load_model(path)

@@ -286,3 +286,53 @@ class TestUndecodableBytes:
         self.corrupt(path)
         with pytest.raises(DataFormatError, match=r"events\.csv: not utf-8 text"):
             read_events_csv(path)
+
+
+class TestBadRows:
+    """A malformed row in an aggregate product names the file and the row."""
+
+    def written(self, tmp_path, kind):
+        if kind == "histogram":
+            path = tmp_path / "histogram.csv"
+            write_histogram_csv(CueHistogram(bin_dt=0.5, counts=np.array([0, 3]),
+                                             n_trials=3, direction="src2tgt"), path)
+            return path, read_histogram_csv
+        if kind == "grid":
+            path = tmp_path / "grid.csv"
+            write_grid_csv(CueGrid(origin=(0.0, 0.0), cell_size_m=1.0,
+                                   counts=np.ones((2, 2), dtype=int),
+                                   direction="src2tgt"), path)
+            return path, read_grid_csv
+        path = tmp_path / "peak_te_report.csv"
+        write_report_csv(PeakTeReport(rows=(
+            ("src2tgt", WelchResult(t_stat=-1.0, dof=8.0, p_value=0.25,
+                                    n_a=5, n_b=5)),)), path)
+        return path, read_report_csv
+
+    def replace_last_row(self, path, row):
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1] + [row]) + "\n")
+
+    @pytest.mark.parametrize("kind, row", [
+        ("histogram", "1,0.5,abc"),
+        ("grid", "1,x,1"),
+        ("report", "src2tgt,5,5,-1.0,low"),
+    ])
+    def test_non_numeric_field(self, tmp_path, kind, row):
+        path, read = self.written(tmp_path, kind)
+        self.replace_last_row(path, row)
+        with pytest.raises(DataFormatError) as info:
+            read(path)
+        assert str(info.value) == f"{path}: numeric parse error in {row.split(',')}"
+
+    @pytest.mark.parametrize("row, message", [
+        ("2,1.0,3", "row 2 holds bin 2, expected 1"),
+        ("-1,-0.5,3", "row 2 holds bin -1, expected 1"),
+        ("0,0.0,3", "row 2 holds bin 0, expected 1"),
+    ])
+    def test_histogram_bins_in_order(self, tmp_path, row, message):
+        path, _ = self.written(tmp_path, "histogram")
+        self.replace_last_row(path, row)
+        with pytest.raises(DataFormatError) as info:
+            read_histogram_csv(path)
+        assert str(info.value) == f"{path}: {message}"

@@ -4,7 +4,7 @@ import pytest
 
 from cueflow.errors import DataFormatError
 from cueflow.models import GaussianPredictions
-from cueflow.te import (ENTROPY_DIFF, LOGLIK_RATIO, NATS_TO_BITS, TeSeries,
+from cueflow.te import (ENTROPY_DIFF, LOGLIK_RATIO, TeSeries,
                         gaussian_entropy, local_te, mean_te, peak_te)
 
 
@@ -61,9 +61,6 @@ class TestGaussianEntropy:
             gaussian_entropy(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
         with pytest.raises(DataFormatError):
             gaussian_entropy(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
-
-    def test_nats_to_bits(self):
-        np.testing.assert_allclose(NATS_TO_BITS, 1.4426950408889634, atol=1e-15)
 
 
 class TestLocalTe:

@@ -116,12 +116,6 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="'t'"):
             load_csv(self.write(tmp_path, "time,x\n0,1\n1,2\n"))
 
-    def test_schema_enforced(self, tmp_path):
-        p = self.write(tmp_path, "t,x\n0.0,1\n0.1,2\n")
-        load_csv(p, schema=("x",))
-        with pytest.raises(DataFormatError, match="missing channels"):
-            load_csv(p, schema=("x", "y"))
-
     def test_single_sample_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="two samples"):
             load_csv(self.write(tmp_path, "t,x\n0.0,1\n"))
@@ -292,8 +286,3 @@ class TestTrialSet:
         with pytest.raises(DataFormatError, match="schema"):
             TrialSet(trials=(self.trial("a"),
                              self.trial("b", channels=("x", "y"))))
-
-    def test_scenarios_in_first_appearance_order(self):
-        ts = TrialSet(trials=(self.trial("a", "late"), self.trial("b", "early"),
-                              self.trial("c", "late")))
-        assert ts.scenarios == ("late", "early")
