@@ -156,6 +156,87 @@ def spatial_grid(trials, cell_size_m: float, channels: tuple[str, str],
                    cell_size_m=float(cell_size_m), counts=counts, direction=direction)
 
 
+# Cap on continued-fraction terms.  Under 80 are needed for any dof up to 1e9;
+# a NaN argument runs to the cap and gives NaN.
+_CF_MAX_TERMS = 1000
+_CF_TINY = 1e-300
+
+
+def _stirling_tail(x: float) -> float:
+    """``lgamma(x) - ((x - 1/2) ln x - x + ln(2 pi) / 2)``, accurate for x >= 10."""
+    z = 1.0 / (x * x)
+    return (1.0 / 12 - z * (1.0 / 360 - z * (1.0 / 1260 - z * (1.0 / 1680 - z / 1188)))) / x
+
+
+def _log_inv_beta(a: float, b: float) -> float:
+    """``ln(Gamma(a + b) / (Gamma(a) Gamma(b)))``.
+
+    For a large argument the three ``lgamma`` terms nearly cancel, so
+    ``ln Gamma(big + small) - ln Gamma(big)`` is taken from Stirling's
+    series instead, where no large terms cancel.
+    """
+    small, big = min(a, b), max(a, b)
+    if big < 10.0:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    ratio = ((big - 0.5) * math.log1p(small / big) + small * math.log(big + small) - small
+             + _stirling_tail(big + small) - _stirling_tail(big))
+    return ratio - math.lgamma(small)
+
+
+def _betainc_cf(a: float, b: float, x: float, y: float) -> float:
+    """``I_x(a, b)`` by its continued fraction (modified Lentz), ``y = 1 - x``.
+
+    Converges fast for ``x < (a + 1) / (a + b + 2)``.
+    """
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    front = math.exp(_log_inv_beta(a, b) + a * log_x + b * log_y) / a
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        # Even then odd term of the fraction.
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) >= _CF_TINY else _CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) >= _CF_TINY else _CF_TINY
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return front * h
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta ``I_x(a, b)``, with ``y = 1 - x`` given exactly.
+
+    Passing ``y`` keeps its relative precision when ``x`` rounds to near 1.
+    Past the fraction's convergence point the symmetry ``I_x(a, b) = 1 -
+    I_y(b, a)`` is used ("Numerical Recipes" 6.4; DiDonato & Morris,
+    Algorithm 708).
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    if x * (a + b + 2.0) < a + 1.0:
+        return _betainc_cf(a, b, x, y)
+    return 1.0 - _betainc_cf(b, a, y, x)
+
+
+def _two_sided_p(t_stat: float, dof: float) -> float:
+    """Two-sided Student-t p-value, ``I_{nu/(nu+t^2)}(nu/2, 1/2)``."""
+    a = dof / 2.0
+    if abs(t_stat) > 1e150:
+        # t^2 would overflow and x underflow; to double precision the
+        # fraction is 1 and ln x = ln nu - 2 ln|t|.
+        log_x = math.log(dof) - 2.0 * math.log(abs(t_stat))
+        return math.exp(_log_inv_beta(a, 0.5) + a * log_x) / a
+    t2 = t_stat * t_stat
+    return _betainc(a, 0.5, dof / (dof + t2), t2 / (dof + t2))
+
+
 def welch_ttest(a, b) -> WelchResult:
     """Two-sided Welch t-test with Welch-Satterthwaite degrees of freedom.
 
@@ -163,9 +244,6 @@ def welch_ttest(a, b) -> WelchResult:
     ``p = I_{nu/(nu+t^2)}(nu/2, 1/2)``, evaluated in double precision.
     Each group needs at least two values and nonzero combined variance.
     """
-    # Imported here so that loading cueflow does not load scipy.
-    from scipy import special
-
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:
@@ -178,10 +256,10 @@ def welch_ttest(a, b) -> WelchResult:
     se2 = va / a.size + vb / b.size
     if se2 <= 0.0:
         raise DataFormatError("zero variance in both groups; t statistic undefined")
-    t_stat = (a.mean() - b.mean()) / math.sqrt(se2)
-    dof = se2**2 / ((va / a.size) ** 2 / (a.size - 1) + (vb / b.size) ** 2 / (b.size - 1))
-    p = float(special.betainc(dof / 2.0, 0.5, dof / (dof + t_stat**2)))
-    return WelchResult(t_stat=float(t_stat), dof=float(dof), p_value=p,
+    t_stat = float((a.mean() - b.mean()) / math.sqrt(se2))
+    dof = float(se2**2 / ((va / a.size) ** 2 / (a.size - 1)
+                          + (vb / b.size) ** 2 / (b.size - 1)))
+    return WelchResult(t_stat=t_stat, dof=dof, p_value=_two_sided_p(t_stat, dof),
                        n_a=int(a.size), n_b=int(b.size))
 
 

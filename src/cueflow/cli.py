@@ -85,11 +85,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _out_dir(arg: str) -> Path:
+    """The ``--out`` directory, created if absent, before any work is done."""
+    out = Path(arg)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CueflowError(f"cannot use --out {out} as a directory: "
+                           f"{exc.strerror or exc}") from None
+    return out
+
+
 def _cmd_run(args) -> int:
     cfg, _ = load_config(args.config, args.set)
+    out = _out_dir(args.out)
     trials = storage.load_trial_dir(args.trials)
     result = pipeline.run(trials, cfg)
-    out = Path(args.out)
     pipeline.write_run_dir(result, cfg, out)
     positions = {r.trial_id: r.prepared for r in result.trials}
     pipeline.build_reports(out, out, cfg, positions)
@@ -143,8 +154,7 @@ def _cmd_synth(args) -> int:
     _, settings = load_config(args.config, args.set)
     if settings is None:
         raise ConfigError("config has no [synth] section")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     if settings.kind == "cue_scenario":
         trials, truths = _scenario_trials(settings)
         with open(out / "truth.csv", "w") as fh:
@@ -186,11 +196,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_report(args) -> int:
     cfg, _ = load_config(args.config, args.set)
+    out = _out_dir(args.out)
     positions = None
     if args.trials is not None:
         trials = storage.load_trial_dir(args.trials)
         positions = pipeline.prepare_position_series(trials, cfg)
-    written = pipeline.build_reports(args.events, args.out, cfg, positions)
+    written = pipeline.build_reports(args.events, out, cfg, positions)
     print(f"wrote {len(written)} aggregate file(s) -> {args.out}")
     return 0
 

@@ -232,7 +232,9 @@ def _build(section: str, items: dict[str, str]):
 
 
 def _parse_sections(text: str, origin: str) -> dict[str, dict[str, str]]:
-    parser = configparser.ConfigParser(interpolation=None,
+    # No header can name a section "\n", so [DEFAULT] parses as an ordinary
+    # section and is rejected below, instead of being copied into every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n",
                                        inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # preserve key case
     try:

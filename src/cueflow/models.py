@@ -234,17 +234,13 @@ def _nll_and_grads(layers, x, y, output_dim):
     nll = 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + resid**2 * inv_var, axis=1))
     d_mu = -(resid * inv_var) / b
     d_lv = 0.5 * (1.0 - resid**2 * inv_var) / b
-    d_out = np.hstack([d_mu, d_lv])
+    d_z = np.hstack([d_mu, d_lv])
     grads = [None] * len(layers)
-    grads[-2] = acts[-1].T @ d_out
-    grads[-1] = d_out.sum(axis=0)
-    d_a = d_out @ layers[-2].T
-    n_hidden = len(layers) // 2 - 1
-    for i in range(n_hidden - 1, -1, -1):
-        d_z = d_a * (1.0 - acts[i + 1] ** 2)
+    for i in range(len(layers) // 2 - 1, -1, -1):
         grads[2 * i] = acts[i].T @ d_z
         grads[2 * i + 1] = d_z.sum(axis=0)
-        d_a = d_z @ layers[2 * i].T
+        if i:  # nothing reads the gradient w.r.t. the network input
+            d_z = (d_z @ layers[2 * i].T) * (1.0 - acts[i] ** 2)
     return nll, grads
 
 

@@ -85,11 +85,14 @@ def gen_var1(spec: Var1Spec) -> tuple[TimeSeries, TimeSeries]:
 
 
 def stationary_cov(spec: Var1Spec) -> np.ndarray:
-    """Stationary covariance: the solution of Sigma = A Sigma A' + Q."""
-    # Imported here so that loading cueflow does not load scipy.
-    from scipy.linalg import solve_discrete_lyapunov
+    """Stationary covariance: the solution of Sigma = A Sigma A' + Q.
 
-    return solve_discrete_lyapunov(spec.a, spec.q)
+    Solved in Kronecker form, ``vec Sigma = (I - A kron A)^-1 vec Q``, which
+    for a 2x2 system is a single 4x4 linear solve.
+    """
+    n = spec.a.shape[0]
+    lhs = np.eye(n * n) - np.kron(spec.a, spec.a)
+    return np.linalg.solve(lhs, spec.q.ravel()).reshape(n, n)
 
 
 def te_oracle_var1(spec: Var1Spec, direction: str = Y_TO_X) -> float:

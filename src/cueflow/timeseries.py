@@ -159,10 +159,13 @@ class TrialSet:
 
 @contextmanager
 def text_errors(path):
-    """Turn an undecodable byte or a CSV syntax error met while reading
-    ``path`` into a :class:`DataFormatError` naming the file."""
+    """Turn a missing or unreadable file, an undecodable byte or a CSV syntax
+    error met while reading ``path`` into a :class:`DataFormatError` naming
+    the file."""
     try:
         yield
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
     except csv.Error as exc:

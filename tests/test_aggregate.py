@@ -1,8 +1,10 @@
 """Cross-trial aggregation: histograms, location grids, Welch peak-TE study."""
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cueflow.aggregate import (peak_te_study, spatial_grid,
+from cueflow.aggregate import (_two_sided_p, peak_te_study, spatial_grid,
                                temporal_histogram, welch_ttest)
 from cueflow.detector import CueEvent
 from cueflow.errors import DataFormatError
@@ -170,6 +172,20 @@ class TestWelchTtest:
                                rng.standard_normal(8)).p_value < 0.05
                    for _ in range(2000))
         assert 0.03 <= hits / 2000 <= 0.07
+
+    @settings(max_examples=300, deadline=None)
+    @given(dof=st.floats(1.0, 200.0),
+           t=st.floats(allow_nan=False, allow_infinity=False))
+    def test_p_value_matches_50_digit_reference(self, dof, t):
+        """Relative error under 2e-12 wherever p is a normal double, small |t|
+        (p near 1) and large |t| (p far in the tail) included."""
+        with mpmath.workdps(50):
+            nu, tm = mpmath.mpf(dof), mpmath.mpf(t)
+            exact = mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + tm * tm),
+                                   regularized=True)
+            if exact >= 1e-300:
+                rel = abs((_two_sided_p(t, dof) - exact) / exact)
+                assert rel < 2e-12, (dof, t, float(rel))
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(DataFormatError):

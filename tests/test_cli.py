@@ -1,5 +1,6 @@
 """CLI tests: each subcommand run in-process through ``main``."""
 
+import json
 import os
 import re
 import subprocess
@@ -111,6 +112,19 @@ def cue_config(tmp_path):
     path = tmp_path / "cue.ini"
     path.write_text(CUE_INI)
     return path
+
+
+@pytest.fixture()
+def two_scenario_trials(cue_run_config, tmp_path):
+    """Four synthetic trials in two scenarios of two, so that a run with
+    ``cue_run_config`` builds the peak-TE report."""
+    trials_dir = tmp_path / "two_scenarios"
+    assert main(["synth", "--config", str(cue_run_config), "--set", "synth.n_trials=4",
+                 "--out", str(trials_dir)]) == 0
+    for i, scenario in enumerate(("driven", "driven", "null", "null")):
+        (trials_dir / f"cue_scenario__t00{i}.csv").rename(
+            trials_dir / f"{scenario}__t00{i}.csv")
+    return trials_dir
 
 
 class TestRunFlow:
@@ -251,6 +265,37 @@ class TestBadInputExits2:
         assert f"{run_dir / 'manifest.csv'}: {message}" in err
 
 
+class TestMissingFilesExit2:
+    """A run directory with a file gone, or an --out that cannot be a
+    directory, is a data error naming the path, not a traceback."""
+
+    @pytest.mark.parametrize("removed", ["events.csv", "te_t001_src2tgt.csv"])
+    def test_report_on_a_run_with_a_file_gone(self, cue_run_config,
+                                              two_scenario_trials, tmp_path,
+                                              capsys, removed):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(run_dir)]) == 0
+        (run_dir / removed).unlink()
+        capsys.readouterr()
+        assert main(["report", "--config", str(cue_run_config), "--events",
+                     str(run_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"cannot read {run_dir / removed}" in err
+
+    def test_run_out_is_an_existing_file(self, cue_run_config, two_scenario_trials,
+                                         tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        capsys.readouterr()
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"cannot use --out {out} as a directory" in err
+
+
 class TestSynthCommand:
     def test_cue_scenario_writes_truth_and_loadable_trials(self, cue_config,
                                                            tmp_path, capsys):
@@ -311,8 +356,7 @@ class TestValidateCommand:
 
 class TestStartUp:
     def test_importing_the_cli_loads_no_scipy(self):
-        """scipy is imported only by the functions that call it, so start-up
-        stays cheap; checked in a fresh interpreter."""
+        """Start-up loads numpy alone; checked in a fresh interpreter."""
         env = dict(os.environ,
                    PYTHONPATH=str(Path(cueflow.__file__).resolve().parents[1]))
         code = ("import sys, cueflow, cueflow.cli; "
@@ -320,6 +364,37 @@ class TestStartUp:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    def test_no_command_loads_scipy(self, cue_run_config, var1_config,
+                                    two_scenario_trials, tmp_path):
+        """Each command runs to completion in a fresh interpreter without
+        importing scipy; ``run`` and ``report`` build the Welch report."""
+        run_dir, rep_dir = tmp_path / "run", tmp_path / "rep"
+        commands = [
+            ["synth", "--config", str(var1_config), "--out", str(tmp_path / "var1")],
+            ["oracle", "--config", str(var1_config)],
+            ["validate", "--config", str(cue_run_config)],
+            ["run", "--config", str(cue_run_config), "--trials",
+             str(two_scenario_trials), "--out", str(run_dir)],
+            ["report", "--config", str(cue_run_config), "--events", str(run_dir),
+             "--out", str(rep_dir), "--trials", str(two_scenario_trials)],
+        ]
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cueflow.__file__).resolve().parents[1]))
+        code = ("import json, sys\n"
+                "from cueflow.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    code = main(argv)\n"
+                "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                "    print(json.dumps([argv[0], code, loaded]), file=sys.stderr)\n")
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                             env=env, check=True, capture_output=True, text=True,
+                             timeout=120)
+        results = [json.loads(line) for line in out.stderr.splitlines()
+                   if line.startswith("[")]
+        assert results == [[argv[0], 0, []] for argv in commands]
+        for directory in (run_dir, rep_dir):
+            assert (directory / "peak_te_report.csv").exists()
 
     @pytest.mark.parametrize("override", [
         "model.epochs=0", "model.learning_rate=-1", "model.batch_size=0",

@@ -116,6 +116,12 @@ position_channels = px, py
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config_text(BASE + "\n[typo]\nx = 1\n")
 
+    @pytest.mark.parametrize("default", ["[DEFAULT]\ngamma = 2.0\n", "[DEFAULT]\n"])
+    def test_default_section_rejected(self, default):
+        """configparser would copy [DEFAULT] keys into every section."""
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
+            parse_config_text(default + "\n" + BASE)
+
     def test_unknown_key_rejected(self):
         text = BASE.replace("resample_hz = 115", "resample_hz = 115\nresample = 115")
         with pytest.raises(ConfigError, match="unknown keys"):

@@ -1,9 +1,11 @@
 """Cue detector: high-pass filter, adaptive DES threshold, event extraction."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from cueflow.detector import (DetectorConfig, des_threshold, detect,
-                              detect_trace, highpass, time_constants)
+from cueflow.detector import (MIN_EVENT_SAMPLES, DetectorConfig, des_threshold,
+                              detect, detect_trace, highpass, time_constants)
 from cueflow.errors import ConfigError, DataFormatError
 from cueflow.te import TeSeries
 
@@ -312,3 +314,88 @@ class TestDetect:
     def test_too_short_series_rejected(self):
         with pytest.raises(DataFormatError):
             detect(te_series(np.array([1.0])), cfg_100hz())
+
+
+@st.composite
+def te_values(draw):
+    """Bounded noise with a few triangular bumps, so that runs of cue samples
+    of every length occur."""
+    n = draw(st.integers(2, 300))
+    values = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.integers(0, n - 1))
+        width = draw(st.integers(1, 30))
+        height = draw(st.floats(0.5, 10.0))
+        bump = height * (1.0 - np.abs(np.linspace(-1.0, 1.0, width + 2)[1:-1]))
+        values[lo:lo + width] += bump[:n - lo]
+    return values
+
+
+def fast_cfg(**kw):
+    """Level time constant ~10 samples, so the warm-up rule leaves room."""
+    return cfg_100hz(alpha=0.1, beta=0.2, **kw)
+
+
+def runs(mask):
+    """Maximal runs of True in ``mask`` as [lo, hi) sample ranges."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int), [0]])))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
+
+
+class TestDetectorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(level=st.floats(-1e6, 1e6), n=st.integers(2, 400),
+           gamma=st.floats(0.1, 10.0), cutoff_hz=st.floats(0.05, 49.0))
+    def test_constant_input_filters_to_exact_zero(self, level, n, gamma, cutoff_hz):
+        trace = detect_trace(te_series(np.full(n, level)),
+                             cfg_100hz(gamma=gamma, hp_cutoff_hz=cutoff_hz))
+        assert not trace.te_filtered.any()
+        assert not trace.cue.any()
+        assert trace.events == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=te_values(), offset=st.floats(-1e3, 1e3))
+    def test_high_pass_rejects_a_dc_offset(self, values, offset):
+        """Shifting the input by a constant moves the filtered series only by
+        rounding of the shifted input."""
+        cfg = cfg_100hz()
+        plain = highpass(te_series(values), cfg.hp_cutoff_hz, cfg.dt).te_raw
+        shifted = highpass(te_series(values + offset), cfg.hp_cutoff_hz, cfg.dt).te_raw
+        scale = 10.0 + abs(offset)
+        np.testing.assert_allclose(shifted, plain, rtol=0, atol=1e-12 * scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=te_values(), gammas=st.lists(st.floats(0.1, 10.0), min_size=2,
+                                               max_size=2, unique=True).map(sorted))
+    def test_a_larger_gamma_only_removes_cue_samples(self, values, gammas):
+        """mu and sigma do not depend on gamma and sigma >= 0, so the cue
+        mask nests; without the warm-up rule so do the event samples."""
+        low, high = (detect_trace(te_series(values),
+                                  fast_cfg(gamma=g, skip_warmup=False))
+                     for g in gammas)
+        assert not (high.cue & ~low.cue).any()
+
+        def covered(trace):
+            idx = [np.flatnonzero((trace.times >= ev.start_t) & (trace.times <= ev.end_t))
+                   for ev in trace.events]
+            return set(np.concatenate(idx).tolist()) if idx else set()
+
+        assert covered(high) <= covered(low)
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=te_values(), gamma=st.floats(0.1, 5.0), skip_warmup=st.booleans())
+    def test_events_are_maximal_cue_runs_of_min_length(self, values, gamma,
+                                                       skip_warmup):
+        trace = detect_trace(te_series(values),
+                             fast_cfg(gamma=gamma, skip_warmup=skip_warmup))
+        by_start = {trace.times[lo]: (lo, hi) for lo, hi in runs(trace.cue)}
+        for ev in trace.events:
+            lo, hi = by_start[ev.start_t]
+            assert hi - lo >= MIN_EVENT_SAMPLES
+            assert ev.end_t == trace.times[hi - 1]
+            assert trace.cue[lo:hi].all()
+            assert (trace.te_raw[lo:hi] > 0).all()
+            assert ev.peak_te == trace.te_raw[lo:hi].max()
+        if not skip_warmup:
+            assert len(trace.events) == sum(hi - lo >= MIN_EVENT_SAMPLES
+                                            for lo, hi in runs(trace.cue))

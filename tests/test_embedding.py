@@ -1,6 +1,8 @@
 """Delay-vector construction: lag layout, leakage, and spacing validation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.errors import DataFormatError
@@ -128,3 +130,37 @@ class TestEmbed:
         with pytest.raises(DataFormatError):
             embed(series(np.zeros(4)), series(np.zeros(4)),
                   EmbeddingSpec(d=2, delta_s=2.0, dt=1.0))
+
+
+class TestLagIdentities:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_every_cell_is_the_input_sample_its_lag_names(self, data):
+        """Row r, lag j, channel c of a history block holds sample
+        ``r + horizon - j*stride`` of channel c; the target row holds sample
+        ``r + horizon`` and keeps its time stamp."""
+        d = data.draw(st.integers(1, 5), label="d")
+        stride = data.draw(st.integers(1, 4), label="stride")
+        dt = data.draw(st.sampled_from([0.005, 0.01, 0.1, 1.0]), label="dt")
+        n = data.draw(st.integers(d * stride + 1, d * stride + 40), label="n")
+        n_tgt = data.draw(st.integers(1, 3), label="target channels")
+        n_src = data.draw(st.integers(1, 3), label="source channels")
+        values = st.floats(allow_nan=False, allow_infinity=False)
+        x = data.draw(arrays(np.float64, (n, n_tgt), elements=values), label="x")
+        y = data.draw(arrays(np.float64, (n, n_src), elements=values), label="y")
+        spec = EmbeddingSpec(d=d, delta_s=stride * dt, dt=dt)
+        target = series(x, dt=dt)
+        ds = embed(target, series(y, dt=dt), spec)
+        h = spec.horizon
+        assert (spec.stride, h, ds.n_rows) == (stride, d * stride, n - h)
+        assert ds.target_hist.shape == (n - h, d * n_tgt)
+        assert ds.source_hist.shape == (n - h, d * n_src)
+        assert ds.targets.tobytes() == x[h:].tobytes()
+        assert ds.times.tobytes() == target.times[h:].tobytes()
+        for r in range(ds.n_rows):
+            for j in range(1, d + 1):
+                lag = r + h - j * stride
+                assert (ds.target_hist[r, (j - 1) * n_tgt:j * n_tgt].tobytes()
+                        == x[lag].tobytes())
+                assert (ds.source_hist[r, (j - 1) * n_src:j * n_src].tobytes()
+                        == y[lag].tobytes())

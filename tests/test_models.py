@@ -5,9 +5,9 @@ import pytest
 from cueflow.embedding import EmbeddedDataset, EmbeddingSpec, embed
 from cueflow.errors import DataFormatError
 from cueflow.models import (AUGMENTED, BASELINE, VARIANCE_FLOOR, FittedModel,
-                            GaussianPredictions, TrainConfig, _init_layers,
-                            _nll_and_grads, fit_mlp, fit_var, gradient_check,
-                            predict)
+                            GaussianPredictions, TrainConfig, _forward,
+                            _init_layers, _nll_and_grads, fit_mlp, fit_var,
+                            gradient_check, predict)
 from cueflow.timeseries import TimeSeries
 
 
@@ -241,6 +241,29 @@ class TestFitMlp:
         assert np.all(preds.var >= VARIANCE_FLOOR)
 
 
+def reference_nll_and_grads(layers, x, y, output_dim):
+    """Backprop that also forms the never-read gradient w.r.t. the input."""
+    b = x.shape[0]
+    mu, lv, acts = _forward(layers, x, output_dim)
+    inv_var = np.exp(-lv)
+    resid = y - mu
+    nll = 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + resid**2 * inv_var, axis=1))
+    d_mu = -(resid * inv_var) / b
+    d_lv = 0.5 * (1.0 - resid**2 * inv_var) / b
+    d_out = np.hstack([d_mu, d_lv])
+    grads = [None] * len(layers)
+    grads[-2] = acts[-1].T @ d_out
+    grads[-1] = d_out.sum(axis=0)
+    d_a = d_out @ layers[-2].T
+    n_hidden = len(layers) // 2 - 1
+    for i in range(n_hidden - 1, -1, -1):
+        d_z = d_a * (1.0 - acts[i + 1] ** 2)
+        grads[2 * i] = acts[i].T @ d_z
+        grads[2 * i + 1] = d_z.sum(axis=0)
+        d_a = d_z @ layers[2 * i].T
+    return nll, grads
+
+
 class TestGradients:
     def test_backprop_matches_finite_differences(self):
         rel = gradient_check(hidden=(8,), input_dim=3, output_dim=2,
@@ -260,3 +283,15 @@ class TestGradients:
                                     rng.normal(size=(16, 2)), 2)
         assert np.isfinite(nll)
         assert all(np.isfinite(g).all() for g in grads)
+
+    @pytest.mark.parametrize("hidden", [(), (8,), (16, 8), (5, 4, 3)])
+    def test_gradients_match_the_reference_bitwise(self, hidden):
+        rng = np.random.default_rng(len(hidden))
+        layers = _init_layers(4, 2, hidden, rng)
+        x, y = rng.normal(size=(32, 4)), rng.normal(size=(32, 2))
+        nll, grads = _nll_and_grads(layers, x, y, 2)
+        ref_nll, ref_grads = reference_nll_and_grads(layers, x, y, 2)
+        assert nll.tobytes() == ref_nll.tobytes()
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert g.tobytes() == ref.tobytes()

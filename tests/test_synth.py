@@ -50,6 +50,24 @@ class TestGenVar1:
         np.testing.assert_array_equal(a[1].data, b[1].data)
 
 
+class TestStationaryCov:
+    def test_bitwise_equal_to_scipy(self):
+        """The Kronecker-form solve is scipy's own method for small systems
+        (scipy serves as the oracle here only)."""
+        from scipy.linalg import solve_discrete_lyapunov
+
+        rng = np.random.default_rng(0)
+        specs = [spec(COUPLED)]
+        while len(specs) < 500:
+            a = rng.uniform(-1.2, 1.2, (2, 2))
+            if np.max(np.abs(np.linalg.eigvals(a))) < 1.0:
+                chol = rng.standard_normal((2, 2))
+                specs.append(spec(a, q=chol @ chol.T + 0.01 * np.eye(2)))
+        for s in specs:
+            ref = solve_discrete_lyapunov(s.a, s.q)
+            assert stationary_cov(s).tobytes() == ref.tobytes()
+
+
 class TestTeOracle:
     def test_coupled_case_closed_form(self):
         """Reduced residual 0.25*Var(Y) + 1 = 1.25 against full residual 1."""
