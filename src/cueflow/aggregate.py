@@ -252,13 +252,20 @@ def welch_ttest(a, b) -> WelchResult:
         )
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataFormatError("non-finite values in t-test input")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    se2 = va / a.size + vb / b.size
-    if se2 <= 0.0:
-        raise DataFormatError("zero variance in both groups; t statistic undefined")
-    t_stat = float((a.mean() - b.mean()) / math.sqrt(se2))
-    dof = float(se2**2 / ((va / a.size) ** 2 / (a.size - 1)
-                          + (vb / b.size) ** 2 / (b.size - 1)))
+    # Spreads beyond the range of a double turn se2, t or dof into inf or
+    # nan; the check below reports that, so numpy need not warn.
+    with np.errstate(all="ignore"):
+        va, vb = a.var(ddof=1), b.var(ddof=1)
+        se2 = va / a.size + vb / b.size
+        if se2 <= 0.0:
+            raise DataFormatError("zero variance in both groups; t statistic undefined")
+        t_stat = float((a.mean() - b.mean()) / math.sqrt(se2))
+        dof = float(se2**2 / ((va / a.size) ** 2 / (a.size - 1)
+                              + (vb / b.size) ** 2 / (b.size - 1)))
+    if not (math.isfinite(se2) and math.isfinite(t_stat) and math.isfinite(dof)):
+        raise DataFormatError(
+            f"t-test statistics are not finite (se^2={se2}, t={t_stat}, dof={dof})"
+        )
     return WelchResult(t_stat=t_stat, dof=dof, p_value=_two_sided_p(t_stat, dof),
                        n_a=int(a.size), n_b=int(b.size))
 

@@ -39,8 +39,10 @@ class IoConfig:
             raise ConfigError("target_channels and source_channels must be non-empty")
         if set(self.target_channels) & set(self.source_channels):
             raise ConfigError("target and source channels overlap")
-        if not self.resample_hz > 0:
-            raise ConfigError(f"resample_hz must be positive, got {self.resample_hz}")
+        if not (math.isfinite(self.resample_hz) and self.resample_hz > 0):
+            raise ConfigError(
+                f"[io] resample_hz must be positive and finite, got {self.resample_hz}"
+            )
         if self.directions not in DIRECTION_CHOICES:
             raise ConfigError(
                 f"directions must be one of {DIRECTION_CHOICES}, got {self.directions!r}"
@@ -115,6 +117,10 @@ class AggregateConfig:
     position_channels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("bin_dt", "cell_size_m"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"[aggregate] {name} must be positive and finite, got {v}")
         if self.position_channels is not None and len(self.position_channels) != 2:
             raise ConfigError("[aggregate] position_channels needs exactly 2 names")
 

@@ -75,7 +75,10 @@ class CueEvent:
 
 @dataclass
 class DetectionTrace:
-    """Everything the detector computed for one direction, sample-aligned."""
+    """One direction's sample-aligned detector series and the events found on them.
+
+    The arrays are the columns of a TE trace CSV; the events go to ``events.csv``.
+    """
 
     direction: str
     times: np.ndarray
@@ -83,8 +86,6 @@ class DetectionTrace:
     te_filtered: np.ndarray
     threshold: np.ndarray
     cue: np.ndarray
-    mu: np.ndarray | None = None
-    sigma: np.ndarray | None = None
     events: list[CueEvent] = field(default_factory=list)
 
 
@@ -168,7 +169,7 @@ def des_threshold(series: TeSeries, cfg: DetectorConfig
 
 
 def detect_trace(series: TeSeries, cfg: DetectorConfig) -> DetectionTrace:
-    """Run the full detector and keep every intermediate series.
+    """Run the full detector and keep the series it compares.
 
     The cue mask at t requires ``te_raw[t] > 0`` and
     ``te_filtered[t] > threshold[t]``; maximal runs of the mask at least
@@ -181,7 +182,7 @@ def detect_trace(series: TeSeries, cfg: DetectorConfig) -> DetectionTrace:
     if len(series) < 2:
         raise DataFormatError("detector needs at least two samples")
     filtered = highpass(series, cfg.hp_cutoff_hz, cfg.dt)
-    mu, sigma, threshold = des_threshold(filtered, cfg)
+    _, _, threshold = des_threshold(filtered, cfg)
     with np.errstate(invalid="ignore"):
         mask = (series.te_raw > 0.0) & (filtered.te_raw > threshold)
     events = []
@@ -208,8 +209,6 @@ def detect_trace(series: TeSeries, cfg: DetectorConfig) -> DetectionTrace:
         te_filtered=filtered.te_raw,
         threshold=threshold,
         cue=mask,
-        mu=mu,
-        sigma=sigma,
         events=events,
     )
 

@@ -2,9 +2,8 @@
 
 Models are fit pooled across the trials of each scenario (matching how the
 study protocol treats a scenario as one condition) and then applied to every
-trial of that scenario.  Passing pre-fit models instead freezes them, which
-makes per-trial outputs independent of which other trials are present.
-Everything is deterministic for a fixed config and seed.
+trial of that scenario.  Everything is deterministic for a fixed config and
+seed.
 """
 
 from __future__ import annotations
@@ -20,11 +19,11 @@ import numpy as np
 from . import aggregate as agg
 from . import storage
 from .config import PipelineConfig
-from .detector import DetectionTrace, detect_trace, time_constants
+from .detector import DetectionTrace, DetectorConfig, detect_trace, time_constants
 from .embedding import EmbeddedDataset, EmbeddingSpec, embed
 from .errors import CueflowError, DataFormatError, PipelineError
-from .models import (AUGMENTED, BASELINE, MLP_GAUSSIAN, VAR_LINEAR, FittedModel,
-                     fit_mlp, fit_var, predict_dataset)
+from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
+                     predict_dataset)
 from .te import SRC2TGT, TGT2SRC, TeSeries, local_te
 from .timeseries import TimeSeries, TrialSet, resample, trim_start
 
@@ -46,7 +45,7 @@ class DirectionModels:
 
 @dataclass
 class TrialResult:
-    """Per-trial outputs: TE series and detection trace (with events) per direction.
+    """Per-trial outputs: the detection trace (TE, threshold, events) per direction.
 
     ``prepared`` is the trial's series as analysed: resampled, then trimmed
     at its alignment point.
@@ -55,7 +54,6 @@ class TrialResult:
     trial_id: str
     scenario: str
     prepared: TimeSeries
-    series: dict[str, TeSeries]
     traces: dict[str, DetectionTrace]
 
     @property
@@ -70,35 +68,36 @@ class TrialResult:
 @dataclass
 class PipelineResult:
     trials: list[TrialResult]
-    models: dict[tuple[str, str], DirectionModels]  # (scenario, direction) -> pair
+
+
+def _embedding_spec(cfg: PipelineConfig) -> EmbeddingSpec:
+    return EmbeddingSpec(d=cfg.embedding.d, delta_s=cfg.embedding.delta_s, dt=cfg.dt)
 
 
 def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
-    """Static consistency checks; returns diagnostics, raises nothing."""
+    """Every rule :func:`run` checks before fitting, as diagnostics; raises nothing.
+
+    The embedding spec and detector config are built here exactly as ``run``
+    builds them, so their own checks are the rules.
+    """
     out: list[Diagnostic] = []
-    dt = cfg.dt
-    nyquist = 0.5 * cfg.io.resample_hz
-    if cfg.detector.hp_cutoff_hz >= nyquist:
-        out.append(Diagnostic("error",
-                   f"high-pass cutoff {cfg.detector.hp_cutoff_hz} Hz is at or above "
-                   f"the Nyquist rate {nyquist} Hz for resample_hz={cfg.io.resample_hz}"))
-    stride = round(cfg.embedding.delta_s / dt)
-    if stride < 1 or abs(stride * dt - cfg.embedding.delta_s) > 1e-9 * max(cfg.embedding.delta_s, dt):
-        out.append(Diagnostic("error",
-                   f"embedding delta_s={cfg.embedding.delta_s} s is not an integer "
-                   f"multiple of the sample step {dt} s"))
     try:
-        tau_level, tau_trend = time_constants(cfg.detector.alpha, cfg.detector.beta, dt)
+        _embedding_spec(cfg)
     except CueflowError as exc:
-        out.append(Diagnostic("error", str(exc)))
-        return out
-    out.append(Diagnostic("info",
-               f"threshold level time constant {tau_level:.4g} s, "
-               f"trend time constant {tau_trend:.4g} s"))
-    if tau_trend > tau_level:
-        out.append(Diagnostic("warning",
-                   "trend smoother adapts more slowly than the level smoother "
-                   f"({tau_trend:.4g} s > {tau_level:.4g} s)"))
+        out.append(Diagnostic("error", f"[embedding] {exc}"))
+    try:
+        det = cfg.detector.to_config(cfg.dt)
+    except CueflowError as exc:
+        out.append(Diagnostic("error", f"[detector] {exc}"))
+    else:
+        tau_level, tau_trend = time_constants(det.alpha, det.beta, det.dt)
+        out.append(Diagnostic("info",
+                   f"threshold level time constant {tau_level:.4g} s, "
+                   f"trend time constant {tau_trend:.4g} s"))
+        if tau_trend > tau_level:
+            out.append(Diagnostic("warning",
+                       "trend smoother adapts more slowly than the level smoother "
+                       f"({tau_trend:.4g} s > {tau_level:.4g} s)"))
     if cfg.aggregate.cell_size_m is not None and cfg.aggregate.position_channels is None:
         out.append(Diagnostic("warning",
                    "cell_size_m is set but position_channels is not; "
@@ -146,13 +145,11 @@ def _fit_pair(pooled: EmbeddedDataset, cfg: PipelineConfig, seed: int,
     if cfg.model.kind == VAR_LINEAR:
         base = fit_var(pooled, BASELINE)
         full = fit_var(pooled, AUGMENTED)
-    elif cfg.model.kind == MLP_GAUSSIAN:
+    else:
         base = fit_mlp(pooled, BASELINE, hidden=cfg.model.hidden,
                        train=cfg.model.train_config(seed))
         full = fit_mlp(pooled, AUGMENTED, hidden=cfg.model.hidden,
                        train=cfg.model.train_config(seed + 1))
-    else:  # pragma: no cover - kinds validated at config parse
-        raise PipelineError(f"unknown model kind {cfg.model.kind!r}")
     logger.info("fitted scenario %r, direction %s (%s): baseline NLL %.6g, "
                 "augmented NLL %.6g", scenario, direction, cfg.model.kind,
                 base.train_report.final_nll, full.train_report.final_nll)
@@ -164,14 +161,12 @@ def fit_models(trials: TrialSet, cfg: PipelineConfig, *,
                ) -> dict[tuple[str, str], DirectionModels]:
     """Fit pooled per-scenario models for every configured direction.
 
-    The returned mapping can be fed back into :func:`run` to freeze models
-    across datasets; its keys are ``(scenario, direction)``.  ``prepared``
-    holds the trials' prepared series, in trial order, when the caller has
-    them already.
+    The mapping's keys are ``(scenario, direction)``.  ``prepared`` holds the
+    trials' prepared series, in trial order, when the caller has them already.
     """
     if prepared is None:
         prepared = _prepare_trials(trials, cfg)
-    spec = EmbeddingSpec(d=cfg.embedding.d, delta_s=cfg.embedding.delta_s, dt=cfg.dt)
+    spec = _embedding_spec(cfg)
     by_scenario: dict[str, list] = {}
     for trial, series in zip(trials, prepared):
         by_scenario.setdefault(trial.scenario, []).append((trial.trial_id, series))
@@ -214,42 +209,32 @@ def _apply_trim(series: TimeSeries, trial_id: str, metadata: dict[str, str]) -> 
     return trim_start(series, start_s)
 
 
-def _analyze_trial(trial, series: TimeSeries, cfg: PipelineConfig,
-                   spec: EmbeddingSpec, models) -> TrialResult:
+def _analyze_trial(trial, series: TimeSeries, cfg: PipelineConfig, spec: EmbeddingSpec,
+                   det_cfg: DetectorConfig, models) -> TrialResult:
     traces: dict[str, DetectionTrace] = {}
-    te_series_map: dict[str, TeSeries] = {}
-    det_cfg = cfg.detector.to_config(cfg.dt)
     for direction in cfg.io.direction_list:
         tgt_ch, src_ch = _direction_roles(cfg, direction)
+        pair = models[(trial.scenario, direction)]
         try:
             ds = embed(series.select(tgt_ch), series.select(src_ch), spec)
-            pair = models[(trial.scenario, direction)]
             base = predict_dataset(pair.baseline, ds)
             full = predict_dataset(pair.augmented, ds)
             te_series = local_te(base, full, ds.targets, mode=cfg.model.te_mode,
                                  direction=direction)
-            te_series_map[direction] = te_series
             traces[direction] = detect_trace(te_series, det_cfg)
-        except KeyError:
-            raise PipelineError(
-                f"trial {trial.trial_id!r}: no frozen models for scenario "
-                f"{trial.scenario!r}, direction {direction!r}"
-            ) from None
         except CueflowError as exc:
             raise PipelineError(
                 f"trial {trial.trial_id!r}, stage te ({direction}): {exc}"
             ) from exc
     return TrialResult(trial_id=trial.trial_id, scenario=trial.scenario,
-                       prepared=series, series=te_series_map, traces=traces)
+                       prepared=series, traces=traces)
 
 
-def run(trials: TrialSet, cfg: PipelineConfig,
-        models: dict[tuple[str, str], DirectionModels] | None = None) -> PipelineResult:
+def run(trials: TrialSet, cfg: PipelineConfig) -> PipelineResult:
     """Analyze a trial set under one configuration.
 
-    When ``models`` is None they are fit pooled per scenario first
-    (:func:`fit_models`); passing a mapping freezes them.  Cross-trial
-    aggregates come from the written run directory, through
+    Models are fit pooled per scenario first (:func:`fit_models`).
+    Cross-trial aggregates come from the written run directory, through
     :func:`build_reports`.
     """
     if len(trials) == 0:
@@ -257,12 +242,12 @@ def run(trials: TrialSet, cfg: PipelineConfig,
     errors = [d for d in validate_config(cfg) if d.severity == "error"]
     if errors:
         raise PipelineError("invalid configuration: " + "; ".join(d.message for d in errors))
-    spec = EmbeddingSpec(d=cfg.embedding.d, delta_s=cfg.embedding.delta_s, dt=cfg.dt)
+    spec = _embedding_spec(cfg)
+    det_cfg = cfg.detector.to_config(cfg.dt)
     prepared = _prepare_trials(trials, cfg)
-    if models is None:
-        models = fit_models(trials, cfg, prepared=prepared)
-    results = [_analyze_trial(t, s, cfg, spec, models) for t, s in zip(trials, prepared)]
-    return PipelineResult(trials=results, models=models)
+    models = fit_models(trials, cfg, prepared=prepared)
+    return PipelineResult(trials=[_analyze_trial(t, s, cfg, spec, det_cfg, models)
+                                  for t, s in zip(trials, prepared)])
 
 
 def _rebase(ev, t0: float):

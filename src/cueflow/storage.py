@@ -85,7 +85,7 @@ def write_te_csv(trace: DetectionTrace, path) -> None:
 
 
 def read_te_csv(path, direction: str = "src2tgt") -> DetectionTrace:
-    """Read a TE trace back; smoother internals (mu/sigma) are not stored."""
+    """Read a TE trace back; its events are stored in ``events.csv`` instead."""
     _, arr = read_numeric_csv(path, lambda header: _check_header(path, header, TE_HEADER))
     if arr.size == 0:
         raise DataFormatError(f"{path}: no samples")

@@ -267,8 +267,8 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
     first = run(trials, cfg)
     second = run(trials, cfg)
     bitwise = all(
-        np.array_equal(first.trials[0].series[d].te_raw,
-                       second.trials[0].series[d].te_raw)
+        np.array_equal(first.trials[0].traces[d].te_raw,
+                       second.trials[0].traces[d].te_raw)
         and first.trials[0].traces[d].events == second.trials[0].traces[d].events
         for d in ("src2tgt", "tgt2src"))
 

@@ -1,4 +1,6 @@
 """Cross-trial aggregation: histograms, location grids, Welch peak-TE study."""
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -194,6 +196,14 @@ class TestWelchTtest:
             welch_ttest([2.0, 2.0, 2.0], [3.0, 3.0])
         with pytest.raises(DataFormatError):
             welch_ttest([1.0, np.nan, 2.0], [1.0, 2.0])
+
+    def test_spread_beyond_a_double_rejected_without_warnings(self):
+        """A variance that overflows leaves se^2 and dof non-finite: that is
+        an error, not a NaN p-value, and numpy warns about nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="not finite"):
+                welch_ttest([1e200, -1e200], [0.0, 1.0])
 
 
 def te_map(rng, bump):

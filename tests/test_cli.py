@@ -353,6 +353,37 @@ class TestValidateCommand:
         assert "Nyquist" in out
         assert out.splitlines()[-1] == "INVALID: 1 error(s), 0 warning(s)"
 
+    @pytest.mark.parametrize("override, named", [
+        ("detector.gamma=-1", "[detector] gamma"),
+        ("detector.hp_cutoff_hz=-1", "[detector] hp_cutoff_hz"),
+        ("embedding.d=0", "[embedding] embedding order d"),
+        ("io.resample_hz=inf", "[io] resample_hz"),
+        ("aggregate.bin_dt=0", "[aggregate] bin_dt"),
+        ("aggregate.cell_size_m=0", "[aggregate] cell_size_m"),
+    ])
+    def test_every_rule_of_run_is_checked(self, var1_config, override, named,
+                                          capsys):
+        assert main(["validate", "--config", str(var1_config),
+                     "--set", override]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert named in captured.out + captured.err
+
+    def test_run_rejects_a_bad_detector_before_fitting(
+            self, cue_run_config, two_scenario_trials, tmp_path, capsys,
+            monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("models were fitted")
+
+        monkeypatch.setattr("cueflow.pipeline.fit_models", no_fit)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cue_run_config), "--set",
+                     "detector.gamma=-1", "--trials", str(two_scenario_trials),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration: [detector] gamma must be positive" in err
+        assert not list((tmp_path / "run").iterdir())
+
 
 class TestStartUp:
     def test_importing_the_cli_loads_no_scipy(self):

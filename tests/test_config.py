@@ -1,5 +1,6 @@
 """Tests for the INI config format: parsing, validation, overrides."""
 
+import re
 from dataclasses import fields
 
 import pytest
@@ -355,6 +356,16 @@ class TestDerivedSettings:
         with pytest.raises(ConfigError, match="resample_hz"):
             IoConfig(target_channels=("x",), source_channels=("y",),
                      resample_hz=0.0)
+
+    @pytest.mark.parametrize("override", [
+        "io.resample_hz=inf", "io.resample_hz=nan",
+        "aggregate.bin_dt=0", "aggregate.bin_dt=-1", "aggregate.bin_dt=inf",
+        "aggregate.cell_size_m=0", "aggregate.cell_size_m=nan",
+    ])
+    def test_rates_and_sizes_must_be_positive_and_finite(self, override):
+        section, key = override.split("=")[0].split(".")
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} ")):
+            parse_config_text(BASE, overrides=[override])
 
 
 class TestSchema:

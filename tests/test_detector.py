@@ -305,8 +305,7 @@ class TestDetect:
         series = pulse_trace(4.0, 0.01, [(2.0, 2.2, 1.0)])
         trace = detect_trace(series, cfg_100hz())
         n = len(series)
-        for arr in (trace.te_raw, trace.te_filtered, trace.threshold,
-                    trace.cue, trace.mu, trace.sigma):
+        for arr in (trace.te_raw, trace.te_filtered, trace.threshold, trace.cue):
             assert arr.shape == (n,)
         np.testing.assert_array_equal(trace.times, series.times)
         assert trace.cue.sum() > 0

@@ -87,8 +87,8 @@ class TestRunOnCoupledVar:
         direction and stays near zero in the reverse one."""
         trial, spec = var1_trial("t000", seed=0, n=100_000)
         result = run(var1_trial_set(trial), make_config())
-        fwd = float(np.mean(result.trials[0].series["src2tgt"].te_raw))
-        rev = float(np.mean(result.trials[0].series["tgt2src"].te_raw))
+        fwd = float(np.mean(result.trials[0].traces["src2tgt"].te_raw))
+        rev = float(np.mean(result.trials[0].traces["tgt2src"].te_raw))
         oracle = te_oracle_var1(spec)
         assert abs(fwd - oracle) < 0.01
         assert abs(rev) < 0.005
@@ -109,7 +109,7 @@ class TestRunOnCoupledVar:
             aggregate=AggregateConfig(),
         )
         swapped = run(trials, swapped_cfg)
-        a, b = forward.trials[0].series, swapped.trials[0].series
+        a, b = forward.trials[0].traces, swapped.trials[0].traces
         np.testing.assert_array_equal(a["src2tgt"].te_raw, b["tgt2src"].te_raw)
         np.testing.assert_array_equal(a["tgt2src"].te_raw, b["src2tgt"].te_raw)
 
@@ -118,7 +118,7 @@ class TestRunOnCoupledVar:
         entropy-difference series cannot vary over time."""
         trial, _ = var1_trial("t000", seed=4, n=2000)
         result = run(var1_trial_set(trial), make_config())
-        te = result.trials[0].series["src2tgt"].te_raw
+        te = result.trials[0].traces["src2tgt"].te_raw
         assert float(np.ptp(te)) == 0.0
 
     def test_reruns_are_deterministic(self):
@@ -139,24 +139,12 @@ class TestRunOnCoupledVar:
         for i in range(2):
             for direction in ("src2tgt", "tgt2src"):
                 np.testing.assert_array_equal(
-                    first.trials[i].series[direction].te_raw,
-                    second.trials[i].series[direction].te_raw)
+                    first.trials[i].traces[direction].te_raw,
+                    second.trials[i].traces[direction].te_raw)
                 assert (first.trials[i].traces[direction].events
                         == second.trials[i].traces[direction].events)
                 compared += first.trials[i].traces[direction].events
         assert compared
-
-    def test_frozen_models_make_trials_independent(self):
-        """With pre-fit models, a trial's outputs do not depend on which
-        other trials are analyzed alongside it."""
-        t0, _ = var1_trial("t000", seed=5, n=600)
-        t1, _ = var1_trial("t001", seed=6, n=600)
-        cfg = make_config(model=dict(kind="mlp_gaussian", hidden=(8,), epochs=30))
-        frozen = fit_models(var1_trial_set(t0, t1), cfg)
-        full = run(var1_trial_set(t0, t1), cfg, models=frozen)
-        solo = run(var1_trial_set(t0), cfg, models=frozen)
-        np.testing.assert_array_equal(full.trials[0].series["src2tgt"].te_raw,
-                                      solo.trials[0].series["src2tgt"].te_raw)
 
     def test_fit_log_names_scenario_and_direction(self, caplog):
         t0, _ = var1_trial("t000", seed=8, n=600, scenario="baseline")
@@ -179,7 +167,7 @@ class TestRunOnCoupledVar:
         out = result.trials[0]
         assert out.t0 == 0.0
         assert out.duration_s == pytest.approx(14.99)
-        assert out.series["src2tgt"].te_raw.size == 1499
+        assert out.traces["src2tgt"].te_raw.size == 1499
 
 
     def test_each_trial_is_prepared_once(self, monkeypatch, tmp_path):
@@ -241,11 +229,6 @@ class TestRunErrors:
         with pytest.raises(PipelineError,
                            match=r"trial 't000', stage embed \(src2tgt\)"):
             run(var1_trial_set(trial), cfg)
-
-    def test_frozen_models_must_cover_every_scenario(self):
-        trial, _ = var1_trial("t000", seed=0, n=500)
-        with pytest.raises(PipelineError, match="no frozen models for scenario"):
-            run(var1_trial_set(trial), make_config(), models={})
 
 
 @pytest.fixture(scope="module")
