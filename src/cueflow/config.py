@@ -164,6 +164,16 @@ class PipelineConfig:
     detector: DetectorSettings
     aggregate: AggregateConfig = field(default_factory=AggregateConfig)
 
+    def __post_init__(self) -> None:
+        # A bin finer than one sample holds nothing a sample-wide bin does
+        # not, and bounds the histogram at one bin per analysed sample.
+        bin_dt = self.aggregate.bin_dt
+        if bin_dt is not None and bin_dt < self.dt:
+            raise ConfigError(
+                f"[aggregate] bin_dt must be at least one sample "
+                f"(1/resample_hz = {self.dt!r} s), got {bin_dt!r}"
+            )
+
     @property
     def dt(self) -> float:
         """Post-resampling sample step in seconds."""

@@ -267,6 +267,9 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     y_mean, y_scale = y_raw.mean(axis=0), np.maximum(y_raw.std(axis=0), _SCALE_FLOOR)
     x = (x_raw - x_mean) / x_scale
     y = (y_raw - y_mean) / y_scale
+    # Training runs in float32, about 3x faster per step than float64; the
+    # stored layers, predictions and the reported NLL are float64.
+    x32, y32 = x.astype(np.float32), y.astype(np.float32)
 
     rng = np.random.default_rng(train.seed)
     # Layers and gradients are views into flat buffers, so each Adam step is
@@ -275,7 +278,7 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     #   w = w - lr * (m / c1) / (sqrt(v / c2) + eps)
     # so the trained weights are bitwise the same.
     init = _init_layers(p, d, hidden, rng)
-    flat = np.concatenate([q.ravel() for q in init])
+    flat = np.concatenate([q.ravel() for q in init]).astype(np.float32)
     grad = np.empty_like(flat)
     layers, grad_views, at = [], [], 0
     for q in init:
@@ -291,7 +294,7 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
         order = rng.permutation(n)
         for lo in range(0, n, batch):
             idx = order[lo:lo + batch]
-            nll, grads = _nll_and_grads(layers, x[idx], y[idx], d)
+            nll, grads = _nll_and_grads(layers, x32[idx], y32[idx], d)
             if not np.isfinite(nll):
                 raise TrainingDivergedError(
                     f"non-finite NLL at epoch {epoch}, step {step}"
@@ -314,9 +317,10 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
             m_hat /= v_hat
             flat -= m_hat
 
+    layers = [q.astype(np.float64) for q in layers]
     final_nll, _ = _nll_and_grads(layers, x, y, d)
     final_nll = float(final_nll + np.sum(np.log(y_scale)))  # back to original units
-    params = {f"layer_{i}": q.copy() for i, q in enumerate(layers)}
+    params = {f"layer_{i}": q for i, q in enumerate(layers)}
     params.update(x_mean=x_mean, x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)
     return FittedModel(
         kind=MLP_GAUSSIAN,

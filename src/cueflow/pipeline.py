@@ -24,7 +24,7 @@ from .embedding import EmbeddedDataset, EmbeddingSpec, embed
 from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
                      predict_dataset)
-from .te import SRC2TGT, TGT2SRC, TeSeries, local_te
+from .te import ENTROPY_DIFF, SRC2TGT, TGT2SRC, TeSeries, local_te
 from .timeseries import TimeSeries, TrialSet, resample, trim_start
 
 logger = logging.getLogger("cueflow")
@@ -98,6 +98,11 @@ def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
             out.append(Diagnostic("warning",
                        "trend smoother adapts more slowly than the level smoother "
                        f"({tau_trend:.4g} s > {tau_level:.4g} s)"))
+    if cfg.model.kind == VAR_LINEAR and cfg.model.te_mode == ENTROPY_DIFF:
+        out.append(Diagnostic("warning",
+                   "[model] te_mode = entropy_diff with kind = var_linear gives a "
+                   "constant TE trace (the covariance does not vary over time), "
+                   "so no cue event can be detected; use loglik_ratio"))
     if cfg.aggregate.cell_size_m is not None and cfg.aggregate.position_channels is None:
         out.append(Diagnostic("warning",
                    "cell_size_m is set but position_channels is not; "

@@ -1,11 +1,17 @@
-"""The benchmark's per-layer tracer wraps names the program must keep."""
+"""The benchmark harness runs on the program as it stands: its per-layer
+tracer wraps names the program must keep, and a short run of each gated
+workload ends in its JSON result line."""
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def tracer_targets():
@@ -20,3 +26,21 @@ def test_traced_name_resolves(module_name, attr, span):
     """A refactor that drops one of these names would turn the span's
     per-layer metric null; it has to fail here instead."""
     assert callable(getattr(importlib.import_module(module_name), attr, None))
+
+
+def gated_workloads():
+    return [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", gated_workloads())
+def test_harness_prints_a_correct_result(workload):
+    """The harness imports the package in-process and reads the run's files;
+    a change that breaks either ends the harness before its result line."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "0.01"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr[-2000:]
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -359,6 +359,8 @@ class TestValidateCommand:
         ("embedding.d=0", "[embedding] embedding order d"),
         ("io.resample_hz=inf", "[io] resample_hz"),
         ("aggregate.bin_dt=0", "[aggregate] bin_dt"),
+        ("aggregate.bin_dt=1e-300", "[aggregate] bin_dt"),
+        ("aggregate.bin_dt=0.009", "[aggregate] bin_dt"),
         ("aggregate.cell_size_m=0", "[aggregate] cell_size_m"),
     ])
     def test_every_rule_of_run_is_checked(self, var1_config, override, named,
@@ -383,6 +385,22 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert "invalid configuration: [detector] gamma must be positive" in err
         assert not list((tmp_path / "run").iterdir())
+
+    def test_run_rejects_a_sub_sample_bin_before_fitting(
+            self, cue_run_config, two_scenario_trials, tmp_path, capsys,
+            monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("models were fitted")
+
+        monkeypatch.setattr("cueflow.pipeline.fit_models", no_fit)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cue_run_config), "--set",
+                     "aggregate.bin_dt=1e-300", "--trials", str(two_scenario_trials),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "[aggregate] bin_dt must be at least one sample" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestStartUp:

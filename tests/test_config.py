@@ -367,6 +367,15 @@ class TestDerivedSettings:
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} ")):
             parse_config_text(BASE, overrides=[override])
 
+    def test_bins_are_at_least_one_sample_wide(self):
+        """1/115 s is the sample step of BASE; a bin of exactly one sample is
+        the finest allowed, so the histogram has at most one bin per sample."""
+        cfg, _ = parse_config_text(BASE, overrides=[f"aggregate.bin_dt={1 / 115!r}"])
+        assert cfg.aggregate.bin_dt == cfg.dt
+        for bin_dt in ("0.0086", "1e-300"):
+            with pytest.raises(ConfigError, match=re.escape("[aggregate] bin_dt ")):
+                parse_config_text(BASE, overrides=[f"aggregate.bin_dt={bin_dt}"])
+
 
 class TestSchema:
     """Each section's dataclass is its schema; any text is parsed or refused."""

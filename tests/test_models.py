@@ -136,15 +136,16 @@ class TestFitVar:
 
 
 def per_layer_adam(x_raw, y_raw, hidden, train):
-    """Reference training loop: Adam applied to each layer array in turn."""
+    """Reference training loop: Adam applied to each layer array in turn, in
+    float32 like :func:`fit_mlp`; the layers come back as float64."""
     n, p = x_raw.shape
     d = y_raw.shape[1]
     x_scale = np.maximum(x_raw.std(axis=0), 1e-12)
     y_scale = np.maximum(y_raw.std(axis=0), 1e-12)
-    x = (x_raw - x_raw.mean(axis=0)) / x_scale
-    y = (y_raw - y_raw.mean(axis=0)) / y_scale
+    x = ((x_raw - x_raw.mean(axis=0)) / x_scale).astype(np.float32)
+    y = ((y_raw - y_raw.mean(axis=0)) / y_scale).astype(np.float32)
     rng = np.random.default_rng(train.seed)
-    layers = _init_layers(p, d, hidden, rng)
+    layers = [q.astype(np.float32) for q in _init_layers(p, d, hidden, rng)]
     m = [np.zeros_like(q) for q in layers]
     v = [np.zeros_like(q) for q in layers]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -162,7 +163,7 @@ def per_layer_adam(x_raw, y_raw, hidden, train):
                 m_hat = m[j] / (1 - beta1**step)
                 v_hat = v[j] / (1 - beta2**step)
                 layers[j] = layers[j] - train.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    return layers, step
+    return [q.astype(np.float64) for q in layers], step
 
 
 class TestFitMlp:
@@ -239,6 +240,41 @@ class TestFitMlp:
         model = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=50))
         preds = predict(model, hist)
         assert np.all(preds.var >= VARIANCE_FLOOR)
+
+    def test_trains_in_float32_and_stores_float64(self):
+        """Stored layers are float32 weights promoted to float64, and the
+        reported NLL is the float64 NLL of those stored layers."""
+        rng = np.random.default_rng(6)
+        ds = EmbeddedDataset(targets=rng.standard_normal((120, 2)),
+                             target_hist=rng.standard_normal((120, 3)),
+                             source_hist=rng.standard_normal((120, 3)),
+                             times=np.arange(120.0),
+                             spec=EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
+        model = fit_mlp(ds, AUGMENTED, hidden=(8, 4), train=TrainConfig(epochs=10))
+        layers = [model.params[f"layer_{i}"] for i in range(6)]
+        for q in layers:
+            assert q.dtype == np.float64
+            assert np.array_equal(q.astype(np.float32).astype(np.float64), q)
+        p = model.params
+        x = (ds.joint_hist - p["x_mean"]) / p["x_scale"]
+        y = (ds.targets - p["y_mean"]) / p["y_scale"]
+        nll, _ = _nll_and_grads(layers, x, y, 2)
+        assert model.train_report.final_nll == float(nll + np.sum(np.log(p["y_scale"])))
+
+    def test_constant_target_keeps_float32_exp_in_range(self):
+        """A constant target drives log-variance down for the whole run; at
+        the acceptance size it stays far above -log(float32 max) ~ -88.7,
+        where exp(-lv) would overflow (and raise under the warning filter)."""
+        rng = np.random.default_rng(4)
+        hist = rng.standard_normal((100, 2))
+        ds = EmbeddedDataset(targets=np.zeros((100, 1)), target_hist=hist,
+                             source_hist=np.zeros((100, 0)),
+                             times=np.arange(100.0),
+                             spec=EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
+        model = fit_mlp(ds, BASELINE, hidden=(64, 64), train=TrainConfig())
+        xs = (hist - model.params["x_mean"]) / model.params["x_scale"]
+        _, lv, _ = _forward([model.params[f"layer_{i}"] for i in range(6)], xs, 1)
+        assert lv.min() > -0.5 * np.log(np.finfo(np.float32).max)
 
 
 def reference_nll_and_grads(layers, x, y, output_dim):

@@ -43,7 +43,8 @@ def make_config(*, directions="both", d=1, delta_s=0.01, resample_hz=100.0,
 
 class TestValidateConfig:
     def test_clean_config_reports_only_time_constants(self):
-        cfg = make_config(resample_hz=200.0, delta_s=0.1, d=4)
+        cfg = make_config(resample_hz=200.0, delta_s=0.1, d=4,
+                          model=dict(te_mode="loglik_ratio"))
         diags = validate_config(cfg)
         assert [d.severity for d in diags] == ["info"]
         assert "threshold level time constant 0.4975 s" in diags[0].message
@@ -76,9 +77,23 @@ class TestValidateConfig:
 
     def test_out_of_range_smoothing_becomes_a_diagnostic(self):
         """Bad smoothing constants surface as an error entry, not an exception."""
-        cfg = make_config(detector=dict(alpha=1.5, beta=0.05))
+        cfg = make_config(detector=dict(alpha=1.5, beta=0.05),
+                          model=dict(te_mode="loglik_ratio"))
         diags = validate_config(cfg)
         assert [d.severity for d in diags] == ["error"]
+
+    @pytest.mark.parametrize("kind, te_mode, warns", [
+        ("var_linear", "entropy_diff", True),
+        ("var_linear", "loglik_ratio", False),
+        ("mlp_gaussian", "entropy_diff", False),
+    ])
+    def test_linear_entropy_diff_warns_of_a_constant_trace(self, kind, te_mode, warns):
+        cfg = make_config(model=dict(kind=kind, te_mode=te_mode))
+        diags = validate_config(cfg)
+        assert "error" not in {d.severity for d in diags}
+        warned = [d for d in diags
+                  if d.severity == "warning" and "constant TE trace" in d.message]
+        assert len(warned) == int(warns)
 
 
 class TestRunOnCoupledVar:
