@@ -157,10 +157,8 @@ def _cmd_synth(args) -> int:
     out = _out_dir(args.out)
     if settings.kind == "cue_scenario":
         trials, truths = _scenario_trials(settings)
-        with open(out / "truth.csv", "w") as fh:
-            fh.write("trial,start_t,end_t\n")
-            for trial_id, s, e in truths:
-                fh.write(f"{trial_id},{s!r},{e!r}\n")
+        storage.write_rows(out / "truth.csv", ["trial", "start_t", "end_t"],
+                           ([t, repr(s), repr(e)] for t, s, e in truths), lineterminator="\n")
     else:
         trials = _var1_trials(settings)
     storage.write_trial_dir(trials, out)

@@ -60,20 +60,20 @@ class EmbeddedDataset:
     """Aligned regression blocks produced by :func:`embed`.
 
     targets : (T, Dx) current target samples
-    target_hist : (T, d*Dx) past target samples, lags delta..d*delta
-    source_hist : (T, d*Dy) past source samples, same lag schedule
+    joint_hist : (T, d*Dx + d*Dy) past target samples (lags delta..d*delta) in
+        the first ``target_cols`` columns, then past source samples, same lags
     times : (T,) timestamps of the target rows
     """
 
     targets: np.ndarray
-    target_hist: np.ndarray
-    source_hist: np.ndarray
+    joint_hist: np.ndarray
+    target_cols: int
     times: np.ndarray
     spec: EmbeddingSpec
 
     def __post_init__(self) -> None:
         n = self.targets.shape[0]
-        for name in ("target_hist", "source_hist", "times"):
+        for name in ("joint_hist", "times"):
             if getattr(self, name).shape[0] != n:
                 raise DataFormatError(f"{name} rows do not match targets rows")
 
@@ -82,20 +82,18 @@ class EmbeddedDataset:
         return self.targets.shape[0]
 
     @property
-    def joint_hist(self) -> np.ndarray:
-        """Target history with source history appended column-wise."""
-        return np.hstack([self.target_hist, self.source_hist])
+    def target_hist(self) -> np.ndarray:
+        """Target history: a column view of :attr:`joint_hist`."""
+        return self.joint_hist[:, :self.target_cols]
 
-
-def _lag_block(data: np.ndarray, d: int, stride: int) -> np.ndarray:
-    n = data.shape[0]
-    off = d * stride
-    cols = [data[off - j * stride: n - j * stride] for j in range(1, d + 1)]
-    return np.hstack(cols)
+    @property
+    def source_hist(self) -> np.ndarray:
+        """Source history: a column view of :attr:`joint_hist`."""
+        return self.joint_hist[:, self.target_cols:]
 
 
 def embed(target: TimeSeries, source: TimeSeries, spec: EmbeddingSpec) -> EmbeddedDataset:
-    """Build aligned (targets, target_hist, source_hist) blocks.
+    """Build aligned (targets, joint history) blocks.
 
     Both series must share ``dt`` (1e-9 relative) and length.  The first
     ``d * stride`` samples are consumed as history, so the output has
@@ -115,10 +113,12 @@ def embed(target: TimeSeries, source: TimeSeries, spec: EmbeddingSpec) -> Embedd
         raise DataFormatError(
             f"series too short to embed: need more than {off} samples, got {n}"
         )
-    return EmbeddedDataset(
-        targets=target.data[off:],
-        target_hist=_lag_block(target.data, spec.d, spec.stride),
-        source_hist=_lag_block(source.data, spec.d, spec.stride),
-        times=target.times[off:],
-        spec=spec,
-    )
+    # Each lag block is written straight into its columns of one array.  It
+    # is column-major, so the target and source blocks are contiguous too.
+    hist = np.empty((n - off, spec.d * (target.n_channels + source.n_channels)), order="F")
+    np.concatenate([data[off - j * spec.stride: n - j * spec.stride]
+                    for data in (target.data, source.data) for j in range(1, spec.d + 1)],
+                   axis=1, out=hist)
+    return EmbeddedDataset(targets=target.data[off:], joint_hist=hist,
+                           target_cols=spec.d * target.n_channels,
+                           times=target.times[off:], spec=spec)

@@ -166,7 +166,9 @@ def fit_var(ds: EmbeddedDataset, conditioning: str = BASELINE) -> FittedModel:
         raise DataFormatError(
             f"need more rows than parameters to fit: T={t_rows}, dim={p + 1}"
         )
-    z = np.column_stack([np.ones(t_rows), x])
+    # Column-major like embed's block: a row-major z can move results at rounding level.
+    z = np.empty((t_rows, p + 1), order="F")
+    z[:, 0], z[:, 1:] = 1.0, x
     g = z.T @ z
     lam = RIDGE_SCALE * np.trace(x.T @ x) / p
     reg = lam * np.eye(p + 1)

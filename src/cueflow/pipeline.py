@@ -8,7 +8,6 @@ seed.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -138,23 +137,37 @@ def _pool(datasets: list[EmbeddedDataset]) -> EmbeddedDataset:
         return datasets[0]
     return EmbeddedDataset(
         targets=np.vstack([d.targets for d in datasets]),
-        target_hist=np.vstack([d.target_hist for d in datasets]),
-        source_hist=np.vstack([d.source_hist for d in datasets]),
+        joint_hist=np.vstack([d.joint_hist for d in datasets]),
+        target_cols=datasets[0].target_cols,
         times=np.concatenate([d.times for d in datasets]),
         spec=datasets[0].spec,
     )
 
 
-def _fit_pair(pooled: EmbeddedDataset, cfg: PipelineConfig, seed: int,
-              scenario: str, direction: str) -> DirectionModels:
-    if cfg.model.kind == VAR_LINEAR:
-        base = fit_var(pooled, BASELINE)
-        full = fit_var(pooled, AUGMENTED)
-    else:
-        base = fit_mlp(pooled, BASELINE, hidden=cfg.model.hidden,
-                       train=cfg.model.train_config(seed))
-        full = fit_mlp(pooled, AUGMENTED, hidden=cfg.model.hidden,
-                       train=cfg.model.train_config(seed + 1))
+def _fit_pair(group: list[tuple[str, TimeSeries]], cfg: PipelineConfig,
+              spec: EmbeddingSpec, seed: int, scenario: str,
+              direction: str) -> DirectionModels:
+    """Embed one scenario's trials for ``direction``, stack them and fit the pair."""
+    tgt_ch, src_ch = _direction_roles(cfg, direction)
+    datasets = []
+    for trial_id, series in group:
+        try:
+            datasets.append(embed(series.select(tgt_ch), series.select(src_ch), spec))
+        except CueflowError as exc:
+            raise PipelineError(f"trial {trial_id!r}, stage embed ({direction}): {exc}") from exc
+    pooled = _pool(datasets)
+    del datasets  # only the stacked copy stays alive while fitting
+    try:
+        if cfg.model.kind == VAR_LINEAR:
+            base = fit_var(pooled, BASELINE)
+            full = fit_var(pooled, AUGMENTED)
+        else:
+            base = fit_mlp(pooled, BASELINE, hidden=cfg.model.hidden,
+                           train=cfg.model.train_config(seed))
+            full = fit_mlp(pooled, AUGMENTED, hidden=cfg.model.hidden,
+                           train=cfg.model.train_config(seed + 1))
+    except CueflowError as exc:
+        raise PipelineError(f"scenario {scenario!r}, stage fit ({direction}): {exc}") from exc
     logger.info("fitted scenario %r, direction %s (%s): baseline NLL %.6g, "
                 "augmented NLL %.6g", scenario, direction, cfg.model.kind,
                 base.train_report.final_nll, full.train_report.final_nll)
@@ -175,28 +188,10 @@ def fit_models(trials: TrialSet, cfg: PipelineConfig, *,
     by_scenario: dict[str, list] = {}
     for trial, series in zip(trials, prepared):
         by_scenario.setdefault(trial.scenario, []).append((trial.trial_id, series))
-    models: dict[tuple[str, str], DirectionModels] = {}
-    for s_idx, (scenario, group) in enumerate(by_scenario.items()):
-        for d_idx, direction in enumerate(cfg.io.direction_list):
-            tgt_ch, src_ch = _direction_roles(cfg, direction)
-            datasets = []
-            for trial_id, series in group:
-                try:
-                    ds = embed(series.select(tgt_ch), series.select(src_ch), spec)
-                except CueflowError as exc:
-                    raise PipelineError(
-                        f"trial {trial_id!r}, stage embed ({direction}): {exc}"
-                    ) from exc
-                datasets.append(ds)
-            seed = cfg.io.seed + 4 * s_idx + 2 * d_idx
-            try:
-                models[(scenario, direction)] = _fit_pair(_pool(datasets), cfg, seed,
-                                                          scenario, direction)
-            except CueflowError as exc:
-                raise PipelineError(
-                    f"scenario {scenario!r}, stage fit ({direction}): {exc}"
-                ) from exc
-    return models
+    return {(scenario, direction):
+            _fit_pair(group, cfg, spec, cfg.io.seed + 4 * s_idx + 2 * d_idx, scenario, direction)
+            for s_idx, (scenario, group) in enumerate(by_scenario.items())
+            for d_idx, direction in enumerate(cfg.io.direction_list)}
 
 
 def _apply_trim(series: TimeSeries, trial_id: str, metadata: dict[str, str]) -> TimeSeries:
@@ -278,11 +273,9 @@ def write_run_dir(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
             storage.write_te_csv(trace, out / te_csv_name(r.trial_id, direction))
             all_events.extend((r.trial_id, ev) for ev in trace.events)
     storage.write_events_csv(all_events, out / "events.csv")
-    with open(out / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows([r.trial_id, r.scenario, repr(r.t0), repr(r.duration_s)]
-                         for r in result.trials)
+    storage.write_rows(out / "manifest.csv", MANIFEST_HEADER,
+                       ([r.trial_id, r.scenario, repr(r.t0), repr(r.duration_s)]
+                        for r in result.trials), lineterminator="\n")
 
 
 def _read_manifest(events_dir) -> list[tuple[str, str, float, float]]:

@@ -23,7 +23,7 @@ from .aggregate import CueGrid, CueHistogram, PeakTeReport, WelchResult
 from .detector import CueEvent, DetectionTrace
 from .errors import DataFormatError
 from .timeseries import (Trial, TrialSet, load_csv, read_numeric_csv, text_errors,
-                         write_trial_csv)
+                         write_columns_csv, write_errors, write_trial_csv)
 
 TE_HEADER = ["t", "te_raw", "te_filtered", "threshold", "cue"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
@@ -40,7 +40,7 @@ def _meta_path(path) -> Path:
 
 
 def _write_key_values(path, items: dict[str, str]) -> None:
-    with open(path, "w") as fh:
+    with write_errors(path), open(path, "w") as fh:
         fh.write("".join(f"{k}={v}\n" for k, v in items.items()))
 
 
@@ -72,16 +72,10 @@ def _read_key_values(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def write_te_csv(trace: DetectionTrace, path) -> None:
-    # The bytes csv.writer gives for rows of _fmt() strings (no field needs
-    # quoting, rows end in \r\n), formatted a column at a time.
-    t, raw, filt, thr = (map(repr, np.asarray(col, dtype=float).tolist())
-                         for col in (trace.times, trace.te_raw,
-                                     trace.te_filtered, trace.threshold))
-    cue = np.asarray(trace.cue).astype(np.int64).tolist()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TE_HEADER) + "\r\n")
-        fh.write("".join([f"{a},{b},{c},{d},{e}\r\n"
-                          for a, b, c, d, e in zip(t, raw, filt, thr, cue)]))
+    write_columns_csv(path, TE_HEADER, [
+        *(np.asarray(col, dtype=float) for col in (trace.times, trace.te_raw,
+                                                   trace.te_filtered, trace.threshold)),
+        np.asarray(trace.cue).astype(np.int64)])
 
 
 def read_te_csv(path, direction: str = "src2tgt") -> DetectionTrace:
@@ -104,6 +98,14 @@ def _check_header(path, header: list[str], expected_header: list[str]) -> None:
         raise DataFormatError(
             f"{path}: header {header} does not match {expected_header}"
         )
+
+
+def write_rows(path, header: list[str], rows, lineterminator: str = "\r\n") -> None:
+    """Write ``header`` and ``rows`` through :func:`csv.writer`."""
+    with write_errors(path), open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_rows(path, expected_header: list[str], types) -> list[tuple]:
@@ -134,12 +136,9 @@ def read_rows(path, expected_header: list[str], types) -> list[tuple]:
 
 def write_events_csv(events, path) -> None:
     """``events`` is a sequence of (trial_id, CueEvent)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_HEADER)
-        for trial_id, ev in events:
-            writer.writerow([trial_id, ev.direction, _fmt(ev.start_t),
-                             _fmt(ev.end_t), _fmt(ev.peak_te)])
+    write_rows(path, EVENTS_HEADER, ([trial_id, ev.direction, _fmt(ev.start_t),
+                                      _fmt(ev.end_t), _fmt(ev.peak_te)]
+                                     for trial_id, ev in events))
 
 
 def read_events_csv(path) -> list[tuple[str, CueEvent]]:
@@ -154,11 +153,8 @@ def read_events_csv(path) -> list[tuple[str, CueEvent]]:
 # ---------------------------------------------------------------------------
 
 def write_grid_csv(grid: CueGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ix", "iy", "count"])
-        for ix, iy in np.argwhere(grid.counts):
-            writer.writerow([int(ix), int(iy), int(grid.counts[ix, iy])])
+    write_rows(path, ["ix", "iy", "count"], ([int(ix), int(iy), int(grid.counts[ix, iy])]
+                                             for ix, iy in np.argwhere(grid.counts)))
     _write_key_values(_meta_path(path), {
         "origin_x": _fmt(grid.origin[0]),
         "origin_y": _fmt(grid.origin[1]),
@@ -187,11 +183,8 @@ def read_grid_csv(path) -> CueGrid:
 
 
 def write_histogram_csv(hist: CueHistogram, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "t_start", "count"])
-        for i, c in enumerate(hist.counts):
-            writer.writerow([i, _fmt(i * hist.bin_dt), int(c)])
+    write_rows(path, ["bin", "t_start", "count"],
+               ([i, _fmt(i * hist.bin_dt), int(c)] for i, c in enumerate(hist.counts)))
     _write_key_values(_meta_path(path), {
         "bin_dt": _fmt(hist.bin_dt),
         "n_trials": str(hist.n_trials),
@@ -216,12 +209,8 @@ def read_histogram_csv(path) -> CueHistogram:
 
 
 def write_report_csv(report: PeakTeReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_HEADER)
-        for direction, res in report.rows:
-            writer.writerow([direction, res.n_a, res.n_b,
-                             _fmt(res.t_stat), _fmt(res.p_value)])
+    write_rows(path, REPORT_HEADER, ([direction, res.n_a, res.n_b, _fmt(res.t_stat),
+                                      _fmt(res.p_value)] for direction, res in report.rows))
 
 
 def read_report_csv(path) -> PeakTeReport:

@@ -15,9 +15,10 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import CueflowError, DataFormatError
 
 _UNIFORM_RTOL = 1e-9
+_WRITE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -262,14 +263,31 @@ def load_csv(path) -> TimeSeries:
 
 def write_trial_csv(ts: TimeSeries, path) -> None:
     """Write a trial CSV that :func:`load_csv` reads back losslessly."""
-    # The bytes csv.writer gives for rows of repr() strings (no number needs
-    # quoting, rows end in \r\n), formatted a column at a time.
     times = ts.raw_times if ts.raw_times is not None else ts.times
-    cols = [map(repr, np.asarray(times, dtype=float).tolist()),
-            *(map(repr, col) for col in ts.data.T.tolist())]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["t", *ts.channels])
-        fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
+    write_columns_csv(path, ["t", *ts.channels], [times, *ts.data.T])
+
+
+@contextmanager
+def write_errors(path):
+    """Turn an OSError met while writing ``path`` into a CueflowError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CueflowError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def write_columns_csv(path, header: list[str], columns) -> None:
+    """Write ``header``, then row ``i`` of the equal-length 1-D arrays ``columns``.
+
+    The bytes are those ``csv.writer`` gives for rows of ``repr`` strings (no
+    number needs quoting, rows end in CRLF), so floats read back exactly.
+    Rows are formatted a block at a time, not a whole column's text at once.
+    """
+    with write_errors(path), open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            text = [map(repr, col[lo:lo + _WRITE_BLOCK_ROWS].tolist()) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 
 def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:

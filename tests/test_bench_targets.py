@@ -4,6 +4,7 @@ workload ends in its JSON result line."""
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -35,12 +36,19 @@ def gated_workloads():
 @pytest.mark.parametrize("workload", gated_workloads())
 def test_harness_prints_a_correct_result(workload):
     """The harness imports the package in-process and reads the run's files;
-    a change that breaks either ends the harness before its result line."""
+    a change that breaks either ends the harness before its result line.  The
+    traced run also reports every per-layer metric: a traced name that is no
+    longer called, or a count it can no longer read, leaves a null there."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", "0.01"],
+         "--seed", "0", "--seconds", "0.01", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr[-2000:]
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    missing = [name for name, metric in result["metrics"].items()
+               if isinstance(metric["value"], bool)
+               or not isinstance(metric["value"], (int, float))
+               or not math.isfinite(metric["value"])]
+    assert result["metrics"] and not missing, missing

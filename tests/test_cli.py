@@ -296,6 +296,32 @@ class TestMissingFilesExit2:
         assert f"cannot use --out {out} as a directory" in err
 
 
+class TestUnwritableOutputExits2:
+    """An output file that cannot be written, here because a directory holds
+    its name, is a data error naming the file, not a traceback."""
+
+    @pytest.mark.parametrize("blocked", ["te_t000_src2tgt.csv", "events.csv",
+                                         "manifest.csv", "peak_te_report.csv"])
+    def test_run(self, cue_run_config, two_scenario_trials, tmp_path, capsys, blocked):
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"cannot write {out / blocked}: " in err
+
+    @pytest.mark.parametrize("blocked", ["truth.csv", "cue_scenario__t001.csv"])
+    def test_synth(self, cue_config, tmp_path, capsys, blocked):
+        out = tmp_path / "trials"
+        (out / blocked).mkdir(parents=True)
+        assert main(["synth", "--config", str(cue_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"cannot write {out / blocked}: " in err
+
+
 class TestSynthCommand:
     def test_cue_scenario_writes_truth_and_loadable_trials(self, cue_config,
                                                            tmp_path, capsys):

@@ -116,6 +116,20 @@ class TestEmbed:
         np.testing.assert_array_equal(ds.joint_hist,
                                       np.hstack([ds.target_hist, ds.source_hist]))
 
+    def test_histories_are_views_of_one_block(self):
+        """Target and source histories are column views of the joint block,
+        and reading ``joint_hist`` hands back that block, not a new copy."""
+        rng = np.random.default_rng(3)
+        ds = embed(series(rng.standard_normal((40, 2))),
+                   series(rng.standard_normal((40, 3))),
+                   EmbeddingSpec(d=3, delta_s=2.0, dt=1.0))
+        assert ds.joint_hist is ds.joint_hist
+        assert ds.joint_hist.base is None
+        for block in (ds.target_hist, ds.source_hist):
+            assert np.shares_memory(block, ds.joint_hist)
+            assert block.base is ds.joint_hist
+        assert ds.target_hist.shape[1] + ds.source_hist.shape[1] == ds.joint_hist.shape[1]
+
     def test_mismatched_dt_rejected(self):
         with pytest.raises(DataFormatError):
             embed(series(np.zeros(10), dt=1.0), series(np.zeros(10), dt=0.5),

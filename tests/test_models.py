@@ -38,10 +38,9 @@ def embed_pair(tgt, src=None, d=1):
 
 
 def slice_dataset(ds, rows):
-    return EmbeddedDataset(targets=ds.targets[rows],
-                           target_hist=ds.target_hist[rows],
-                           source_hist=ds.source_hist[rows],
-                           times=ds.times[rows], spec=ds.spec)
+    return EmbeddedDataset(targets=ds.targets[rows], joint_hist=ds.joint_hist[rows],
+                           target_cols=ds.target_cols, times=ds.times[rows],
+                           spec=ds.spec)
 
 
 class TestGaussianPredictions:
@@ -105,8 +104,8 @@ class TestFitVar:
     def test_constant_target_hits_variance_floor(self):
         rng = np.random.default_rng(0)
         hist = rng.standard_normal((50, 2))
-        ds = EmbeddedDataset(targets=np.full((50, 1), 3.0), target_hist=hist,
-                             source_hist=np.zeros((50, 0)),
+        ds = EmbeddedDataset(targets=np.full((50, 1), 3.0), joint_hist=hist,
+                             target_cols=hist.shape[1],
                              times=np.arange(50.0),
                              spec=EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
         model = fit_var(ds, BASELINE)
@@ -117,8 +116,8 @@ class TestFitVar:
 
     def test_too_few_rows_rejected(self):
         ds = EmbeddedDataset(targets=np.zeros((3, 1)),
-                             target_hist=np.zeros((3, 4)),
-                             source_hist=np.zeros((3, 0)),
+                             joint_hist=np.zeros((3, 4)),
+                             target_cols=4,
                              times=np.arange(3.0),
                              spec=EmbeddingSpec(d=4, delta_s=1.0, dt=1.0))
         with pytest.raises(DataFormatError):
@@ -201,8 +200,8 @@ class TestFitMlp:
     def test_fit_is_deterministic(self):
         rng = np.random.default_rng(3)
         ds = EmbeddedDataset(targets=rng.standard_normal((200, 1)),
-                             target_hist=rng.standard_normal((200, 3)),
-                             source_hist=np.zeros((200, 0)),
+                             joint_hist=rng.standard_normal((200, 3)),
+                             target_cols=3,
                              times=np.arange(200.0),
                              spec=EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
         a = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=20))
@@ -217,8 +216,9 @@ class TestFitMlp:
         as the update applied one layer array at a time."""
         rng = np.random.default_rng(9)
         ds = EmbeddedDataset(targets=rng.standard_normal((300, 2)),
-                             target_hist=rng.standard_normal((300, 3)),
-                             source_hist=rng.standard_normal((300, 3)),
+                             joint_hist=np.hstack([rng.standard_normal((300, 3)),
+                                                  rng.standard_normal((300, 3))]),
+                             target_cols=3,
                              times=np.arange(300.0),
                              spec=EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
         train = TrainConfig(epochs=15, batch_size=batch_size, seed=4)
@@ -233,8 +233,8 @@ class TestFitMlp:
         """A constant target would drive log-variance to -inf; the clamp holds."""
         rng = np.random.default_rng(4)
         hist = rng.standard_normal((100, 2))
-        ds = EmbeddedDataset(targets=np.zeros((100, 1)), target_hist=hist,
-                             source_hist=np.zeros((100, 0)),
+        ds = EmbeddedDataset(targets=np.zeros((100, 1)), joint_hist=hist,
+                             target_cols=hist.shape[1],
                              times=np.arange(100.0),
                              spec=EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
         model = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=50))
@@ -246,8 +246,9 @@ class TestFitMlp:
         reported NLL is the float64 NLL of those stored layers."""
         rng = np.random.default_rng(6)
         ds = EmbeddedDataset(targets=rng.standard_normal((120, 2)),
-                             target_hist=rng.standard_normal((120, 3)),
-                             source_hist=rng.standard_normal((120, 3)),
+                             joint_hist=np.hstack([rng.standard_normal((120, 3)),
+                                                  rng.standard_normal((120, 3))]),
+                             target_cols=3,
                              times=np.arange(120.0),
                              spec=EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
         model = fit_mlp(ds, AUGMENTED, hidden=(8, 4), train=TrainConfig(epochs=10))
@@ -267,8 +268,8 @@ class TestFitMlp:
         where exp(-lv) would overflow (and raise under the warning filter)."""
         rng = np.random.default_rng(4)
         hist = rng.standard_normal((100, 2))
-        ds = EmbeddedDataset(targets=np.zeros((100, 1)), target_hist=hist,
-                             source_hist=np.zeros((100, 0)),
+        ds = EmbeddedDataset(targets=np.zeros((100, 1)), joint_hist=hist,
+                             target_cols=hist.shape[1],
                              times=np.arange(100.0),
                              spec=EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
         model = fit_mlp(ds, BASELINE, hidden=(64, 64), train=TrainConfig())

@@ -24,6 +24,7 @@ from cueflow.pipeline import (
     write_run_dir,
 )
 from cueflow.synth import CueScenario, te_oracle_var1
+from cueflow.timeseries import TrialSet
 
 from conftest import (E2E_CUE_T, E2E_RATE_HZ, _cue_trial, _e2e_config,
                       var1_trial, var1_trial_set)
@@ -219,6 +220,35 @@ class TestRunOnCoupledVar:
                            match=r"trial 't000', stage prepare: metadata "
                                  r"trim_start_s\.t000=.* is not a finite number"):
             run(trials, make_config())
+
+
+class TestFitMemory:
+    def test_fit_peak_is_bounded_by_the_pooled_history(self):
+        """Fitting a two-trial 200 Hz var_linear scenario holds the stacked
+        history block and one design matrix at a time: no per-trial blocks
+        kept past stacking, no second joint copy.  Its traced peak stays
+        under 3x the pooled history's bytes."""
+        import tracemalloc
+
+        cfg = _e2e_config()
+        cfg = replace(cfg, io=replace(cfg.io, resample_hz=200.0),
+                      model=ModelConfig(kind="var_linear", te_mode="loglik_ratio"))
+        scen = CueScenario(duration_s=30.0, cue_times=(8.0,), response_delay_s=0.05,
+                           amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=200.0)
+        trials = TrialSet(trials=tuple(_cue_trial(f"t00{i}", "driven", replace(scen, seed=i))
+                                       for i in range(2)))
+        prepared = list(prepare_position_series(trials, cfg).values())
+        horizon = cfg.embedding.d * round(cfg.embedding.delta_s * 200.0)
+        width = cfg.embedding.d * (len(cfg.io.target_channels) + len(cfg.io.source_channels))
+        hist_bytes = sum(s.n_samples - horizon for s in prepared) * width * 8
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            fit_models(trials, cfg, prepared=prepared)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 3.0 * hist_bytes
 
 
 class TestRunErrors:

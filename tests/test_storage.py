@@ -1,4 +1,5 @@
 """CSV persistence round-trips for traces, events, aggregates, and trial dirs."""
+import csv
 import dataclasses
 
 import numpy as np
@@ -6,14 +7,27 @@ import pytest
 
 from cueflow.aggregate import CueGrid, CueHistogram, WelchResult, PeakTeReport
 from cueflow.detector import CueEvent, DetectionTrace, DetectorConfig, detect_trace
-from cueflow.errors import DataFormatError
+from cueflow.errors import CueflowError, DataFormatError
 from cueflow.storage import (load_trial_dir, read_events_csv, read_grid_csv,
                              read_histogram_csv, read_report_csv, read_te_csv,
                              write_events_csv, write_grid_csv,
                              write_histogram_csv, write_report_csv,
                              write_te_csv, write_trial_dir)
 from cueflow.te import TeSeries
-from cueflow.timeseries import TimeSeries, Trial, TrialSet
+from cueflow.timeseries import _WRITE_BLOCK_ROWS, TimeSeries, Trial, TrialSet
+
+
+BLOCK = _WRITE_BLOCK_ROWS
+
+
+def write_te_csv_reference(trace, path):
+    """The TE trace as csv.writer writes rows of repr() strings, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "te_raw", "te_filtered", "threshold", "cue"])
+        for row in zip(trace.times, trace.te_raw, trace.te_filtered,
+                       trace.threshold, trace.cue):
+            writer.writerow([repr(float(x)) for x in row[:4]] + [int(row[4])])
 
 
 def sample_trace():
@@ -51,8 +65,6 @@ class TestTeCsv:
     def test_bytes_match_csv_writer_of_repr(self, tmp_path):
         """Bulk formatting writes exactly what csv.writer writes for repr()
         fields, NaN, signed zero, subnormals and large magnitudes included."""
-        import csv
-
         special = [float("nan"), -0.0, 1e-5, 1e16, 5e-324, 0.1, -2.5, 123456789.125]
         n = len(special)
         trace = DetectionTrace(direction="src2tgt", times=0.005 * np.arange(n),
@@ -62,13 +74,29 @@ class TestTeCsv:
         path = tmp_path / "te.csv"
         write_te_csv(trace, path)
         ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "te_raw", "te_filtered", "threshold", "cue"])
-            for row in zip(trace.times, trace.te_raw, trace.te_filtered,
-                           trace.threshold, trace.cue):
-                writer.writerow([repr(float(x)) for x in row[:4]] + [int(row[4])])
+        write_te_csv_reference(trace, ref)
         assert path.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_block_boundaries_keep_the_bytes(self, tmp_path, n):
+        """Rows are formatted a block at a time; at every length around the
+        block size the file holds the csv.writer bytes and reads back
+        bitwise, with the leading NaN threshold and a signed zero."""
+        rng = np.random.default_rng(n)
+        te = rng.standard_normal(n)
+        te[0] = -0.0
+        threshold = rng.standard_normal(n)
+        threshold[0] = np.nan
+        trace = DetectionTrace(direction="src2tgt", times=0.005 * np.arange(n),
+                               te_raw=te, te_filtered=te[::-1].copy(),
+                               threshold=threshold, cue=rng.random(n) < 0.3)
+        path, ref = tmp_path / "te.csv", tmp_path / "ref.csv"
+        write_te_csv(trace, path)
+        write_te_csv_reference(trace, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        back = read_te_csv(path)
+        for name in ("times", "te_raw", "te_filtered", "threshold", "cue"):
+            assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
 
     def test_arrays_match_the_float_loop_bit_for_bit(self, tmp_path):
         """NaN thresholds, signed zero, subnormals, large magnitudes, quoted
@@ -344,3 +372,36 @@ class TestBadRows:
         with pytest.raises(DataFormatError) as info:
             read_histogram_csv(path)
         assert str(info.value) == f"{path}: {message}"
+
+
+class TestUnwritableFiles:
+    """A file a writer cannot create, here because a directory holds its
+    name, is a CueflowError naming that file, not a bare OSError."""
+
+    HIST = CueHistogram(bin_dt=0.5, counts=np.array([0, 3]), n_trials=3,
+                        direction="src2tgt")
+    GRID = CueGrid(origin=(0.0, 0.0), cell_size_m=1.0,
+                   counts=np.ones((2, 2), dtype=int), direction="src2tgt")
+    REPORT = PeakTeReport(rows=(("src2tgt", WelchResult(t_stat=-1.0, dof=8.0,
+                                                        p_value=0.25, n_a=5, n_b=5)),))
+    TRIALS = TrialSet(trials=(Trial(trial_id="t000", scenario="s", series=TimeSeries(
+        channels=("x",), data=np.arange(3.0), dt=0.1)),), metadata={"note": "x"})
+
+    @pytest.mark.parametrize("name, blocked, write", [
+        ("te.csv", "te.csv", lambda p: write_te_csv(sample_trace(), p)),
+        ("events.csv", "events.csv", lambda p: write_events_csv([], p)),
+        ("h.csv", "h.csv", lambda p: write_histogram_csv(TestUnwritableFiles.HIST, p)),
+        ("h.csv", "h.csv.meta", lambda p: write_histogram_csv(TestUnwritableFiles.HIST, p)),
+        ("g.csv", "g.csv", lambda p: write_grid_csv(TestUnwritableFiles.GRID, p)),
+        ("g.csv", "g.csv.meta", lambda p: write_grid_csv(TestUnwritableFiles.GRID, p)),
+        ("r.csv", "r.csv", lambda p: write_report_csv(TestUnwritableFiles.REPORT, p)),
+        ("trials", "trials/s__t000.csv",
+         lambda p: write_trial_dir(TestUnwritableFiles.TRIALS, p)),
+        ("trials", "trials/trials.meta",
+         lambda p: write_trial_dir(TestUnwritableFiles.TRIALS, p)),
+    ])
+    def test_the_file_is_named(self, tmp_path, name, blocked, write):
+        (tmp_path / blocked).mkdir(parents=True)
+        with pytest.raises(CueflowError) as info:
+            write(tmp_path / name)
+        assert str(info.value).startswith(f"cannot write {tmp_path / blocked}: ")

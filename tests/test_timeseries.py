@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cueflow.errors import DataFormatError
-from cueflow.timeseries import (TimeSeries, Trial, TrialSet, load_csv,
-                                read_numeric_csv, resample, trim_start,
+from cueflow.timeseries import (_WRITE_BLOCK_ROWS, TimeSeries, Trial, TrialSet,
+                                load_csv, read_numeric_csv, resample, trim_start,
                                 write_trial_csv)
 
 
@@ -196,6 +196,21 @@ class TestLoadCsv:
             write_trial_csv_reference(ts, tmp_path / "ref.csv")
             assert ((tmp_path / "new.csv").read_bytes()
                     == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("n", [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
+                                   _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 3])
+    def test_block_boundaries_keep_the_bytes(self, tmp_path, n):
+        """Rows are formatted a block at a time; at every length around the
+        block size the file holds the csv.writer bytes and reads back bitwise."""
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((n, 2))
+        data[0, 0] = -0.0
+        ts = TimeSeries(channels=("a", "b"), data=data, dt=0.005)
+        write_trial_csv(ts, tmp_path / "new.csv")
+        write_trial_csv_reference(ts, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        back = read_numeric_csv(tmp_path / "new.csv", lambda header: None)[1]
+        assert same_bits(back, np.column_stack([ts.times, data]))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
