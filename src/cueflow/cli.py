@@ -15,6 +15,13 @@ Every ``--set section.key=value`` overrides one config key.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread: a training step's products (at most 256x64 blocks) are too
+# small to repay a second thread, and results are the same on any count.  Set
+# before numpy loads, for the command line only; the environment's value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import logging
 import sys

@@ -47,6 +47,8 @@ class IoConfig:
             raise ConfigError(
                 f"directions must be one of {DIRECTION_CHOICES}, got {self.directions!r}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"[io] seed must be non-negative, got {self.seed}")
 
     @property
     def direction_list(self) -> tuple[str, ...]:
@@ -150,6 +152,8 @@ class SynthSettings:
             raise ConfigError(f"synth kind must be one of {SYNTH_KINDS}, got {self.kind!r}")
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        if self.seed < 0:
+            raise ConfigError(f"[synth] seed must be non-negative, got {self.seed}")
         if len(self.a) != 4 or len(self.q) != 4:
             raise ConfigError("[synth] a and q must each hold 4 numbers (row-major 2x2)")
 

@@ -216,33 +216,41 @@ def _init_layers(input_dim: int, output_dim: int, hidden, rng) -> list[np.ndarra
     return layers
 
 
-def _forward(layers, x, output_dim):
-    a = x
-    acts = [a]
-    n_hidden = len(layers) // 2 - 1
-    for i in range(n_hidden):
-        a = np.tanh(a @ layers[2 * i] + layers[2 * i + 1])
-        acts.append(a)
-    out = a @ layers[-2] + layers[-1]
-    return out[:, :output_dim], out[:, output_dim:], acts
+def _forward(layers, x):
+    """Output block ``[mean | log-variance]`` and the input of every layer."""
+    acts = [x]
+    for i in range(len(layers) // 2 - 1):
+        a = acts[-1] @ layers[2 * i]
+        a += layers[2 * i + 1]
+        acts.append(np.tanh(a, out=a))
+    out = acts[-1] @ layers[-2]
+    out += layers[-1]
+    return out, acts
 
 
-def _nll_and_grads(layers, x, y, output_dim):
-    """Mean Gaussian NLL over the batch and its gradient w.r.t. every layer."""
+def _nll_and_grads(layers, x, y, output_dim, grads=None):
+    """Mean Gaussian NLL over the batch and its gradient w.r.t. every layer,
+    written into ``grads`` (new arrays when None).  Only the pass's own arrays
+    are reused in place, so ``x``, ``y`` and ``layers`` are left as they are."""
     b = x.shape[0]
-    mu, lv, acts = _forward(layers, x, output_dim)
+    out, acts = _forward(layers, x)
+    mu, lv = out[:, :output_dim], out[:, output_dim:]
     inv_var = np.exp(-lv)
     resid = y - mu
-    nll = 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + resid**2 * inv_var, axis=1))
-    d_mu = -(resid * inv_var) / b
-    d_lv = 0.5 * (1.0 - resid**2 * inv_var) / b
-    d_z = np.hstack([d_mu, d_lv])
-    grads = [None] * len(layers)
+    r2_iv = resid**2 * inv_var
+    nll = 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + r2_iv, axis=1))
+    d_z = out  # becomes [d_mu | d_lv]
+    np.divide(-(resid * inv_var), b, out=mu)
+    np.divide(0.5 * (1.0 - r2_iv), b, out=lv)
+    if grads is None:
+        grads = [np.empty_like(q) for q in layers]
     for i in range(len(layers) // 2 - 1, -1, -1):
-        grads[2 * i] = acts[i].T @ d_z
-        grads[2 * i + 1] = d_z.sum(axis=0)
+        np.matmul(acts[i].T, d_z, out=grads[2 * i])
+        d_z.sum(axis=0, out=grads[2 * i + 1])
         if i:  # nothing reads the gradient w.r.t. the network input
-            d_z = (d_z @ layers[2 * i].T) * (1.0 - acts[i] ** 2)
+            a = acts[i]  # not read again, so it takes 1 - a**2
+            d_z = d_z @ layers[2 * i].T
+            d_z *= np.subtract(1.0, np.square(a, out=a), out=a)
     return nll, grads
 
 
@@ -274,9 +282,9 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     x32, y32 = x.astype(np.float32), y.astype(np.float32)
 
     rng = np.random.default_rng(train.seed)
-    # Layers and gradients are views into flat buffers, so each Adam step is
-    # a few whole-buffer in-place operations.  They keep the elementwise
-    # order of the per-layer update
+    # Layers and gradients (written by _nll_and_grads) are views into flat
+    # buffers, so each Adam step is a few whole-buffer in-place operations.
+    # They keep the elementwise order of the per-layer update
     #   w = w - lr * (m / c1) / (sqrt(v / c2) + eps)
     # so the trained weights are bitwise the same.
     init = _init_layers(p, d, hidden, rng)
@@ -294,16 +302,15 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     batch = max(1, min(train.batch_size, n))
     for epoch in range(train.epochs):
         order = rng.permutation(n)
+        x_epoch, y_epoch = x32[order], y32[order]
         for lo in range(0, n, batch):
-            idx = order[lo:lo + batch]
-            nll, grads = _nll_and_grads(layers, x32[idx], y32[idx], d)
+            nll, _ = _nll_and_grads(layers, x_epoch[lo:lo + batch],
+                                    y_epoch[lo:lo + batch], d, grad_views)
             if not np.isfinite(nll):
                 raise TrainingDivergedError(
                     f"non-finite NLL at epoch {epoch}, step {step}"
                 )
             step += 1
-            for view, g in zip(grad_views, grads):
-                view[...] = g
             m *= beta1
             np.multiply(grad, 1 - beta1, out=m_hat)
             m += m_hat
@@ -360,7 +367,8 @@ def predict(model: FittedModel, rows: np.ndarray,
         mean = model.params["intercept"] + rows @ model.params["coef"]
         return GaussianPredictions(mean=mean, times=times, cov=model.params["cov"])
     xs = (rows - model.params["x_mean"]) / model.params["x_scale"]
-    mu, lv, _ = _forward(_mlp_layers(model), xs, model.output_dim)
+    out, _ = _forward(_mlp_layers(model), xs)
+    mu, lv = out[:, :model.output_dim], out[:, model.output_dim:]
     mean = model.params["y_mean"] + model.params["y_scale"] * mu
     var = np.maximum(model.params["y_scale"] ** 2 * np.exp(lv), VARIANCE_FLOOR)
     return GaussianPredictions(mean=mean, times=times, var=var)

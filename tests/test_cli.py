@@ -339,6 +339,16 @@ class TestSynthCommand:
             "follower_px", "follower_py")
         assert trials.trials[0].series.data.shape == (101, 6)
 
+    def test_negative_seed_exits_2_before_writing(self, cue_config, tmp_path,
+                                                  capsys):
+        out_dir = tmp_path / "trials"
+        assert main(["synth", "--config", str(cue_config), "--set", "synth.seed=-1",
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "[synth] seed must be non-negative" in err
+        assert not out_dir.exists()
+
     def test_synth_needs_a_synth_section(self, var1_config, tmp_path):
         text = var1_config.read_text().split("[synth]")[0]
         bare = tmp_path / "bare.ini"
@@ -388,6 +398,7 @@ class TestValidateCommand:
         ("aggregate.bin_dt=1e-300", "[aggregate] bin_dt"),
         ("aggregate.bin_dt=0.009", "[aggregate] bin_dt"),
         ("aggregate.cell_size_m=0", "[aggregate] cell_size_m"),
+        ("io.seed=-1", "[io] seed"),
     ])
     def test_every_rule_of_run_is_checked(self, var1_config, override, named,
                                           capsys):
@@ -439,6 +450,35 @@ class TestStartUp:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+    def test_importing_the_package_loads_no_numpy(self):
+        """So that ``cueflow.cli`` runs its BLAS pin before numpy loads."""
+        assert self.fresh("import sys, cueflow; print('numpy' in sys.modules)",
+                          None) == "False"
+
+    @pytest.mark.parametrize("imports, preset, expected", [
+        ("cueflow.cli", None, "1"),
+        ("cueflow.cli", "3", "3"),
+        # What perfbench's harness imports before its BLAS reference pass.
+        ("cueflow.config, cueflow.storage, cueflow.synth", None, "None"),
+    ])
+    def test_only_the_cli_pins_blas_threads(self, imports, preset, expected):
+        """The CLI runs OpenBLAS on one thread unless the environment says
+        otherwise; importing the library leaves the environment alone."""
+        code = f"import os, {imports}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert self.fresh(code, preset) == expected
+
+    @staticmethod
+    def fresh(code, blas_threads):
+        """stdout of ``code`` in a new interpreter whose environment sets
+        OPENBLAS_NUM_THREADS to ``blas_threads`` (unset when None)."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(cueflow.__file__).resolve().parents[1])
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        return out.stdout.strip()
 
     def test_no_command_loads_scipy(self, cue_run_config, var1_config,
                                     two_scenario_trials, tmp_path):

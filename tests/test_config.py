@@ -367,6 +367,15 @@ class TestDerivedSettings:
         with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} ")):
             parse_config_text(BASE, overrides=[override])
 
+    @pytest.mark.parametrize("section", ["io", "synth"])
+    def test_seeds_must_be_non_negative(self, section):
+        """numpy's generators take no negative seed, so the parse rejects it."""
+        text = BASE + "\n[synth]\nkind = cue_scenario\n"
+        cfg, synth = parse_config_text(text, overrides=[f"{section}.seed=0"])
+        assert (cfg.io.seed, synth.seed) == (0, 0)
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] seed ")):
+            parse_config_text(text, overrides=[f"{section}.seed=-1"])
+
     def test_bins_are_at_least_one_sample_wide(self):
         """1/115 s is the sample step of BASE; a bin of exactly one sample is
         the finest allowed, so the histogram has at most one bin per sample."""

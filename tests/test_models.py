@@ -136,7 +136,8 @@ class TestFitVar:
 
 def per_layer_adam(x_raw, y_raw, hidden, train):
     """Reference training loop: Adam applied to each layer array in turn, in
-    float32 like :func:`fit_mlp`; the layers come back as float64."""
+    float32 like :func:`fit_mlp`, on the out-of-place reference backprop;
+    the layers come back as float64."""
     n, p = x_raw.shape
     d = y_raw.shape[1]
     x_scale = np.maximum(x_raw.std(axis=0), 1e-12)
@@ -154,7 +155,7 @@ def per_layer_adam(x_raw, y_raw, hidden, train):
         order = rng.permutation(n)
         for lo in range(0, n, batch):
             idx = order[lo:lo + batch]
-            _, grads = _nll_and_grads(layers, x[idx], y[idx], d)
+            _, grads = reference_nll_and_grads(layers, x[idx], y[idx], d)
             step += 1
             for j, g in enumerate(grads):
                 m[j] = beta1 * m[j] + (1 - beta1) * g
@@ -274,14 +275,20 @@ class TestFitMlp:
                              spec=EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
         model = fit_mlp(ds, BASELINE, hidden=(64, 64), train=TrainConfig())
         xs = (hist - model.params["x_mean"]) / model.params["x_scale"]
-        _, lv, _ = _forward([model.params[f"layer_{i}"] for i in range(6)], xs, 1)
+        out, _ = _forward([model.params[f"layer_{i}"] for i in range(6)], xs)
+        lv = out[:, 1:]
         assert lv.min() > -0.5 * np.log(np.finfo(np.float32).max)
 
 
 def reference_nll_and_grads(layers, x, y, output_dim):
-    """Backprop that also forms the never-read gradient w.r.t. the input."""
+    """Out-of-place forward pass and backprop that also forms the never-read
+    gradient w.r.t. the input."""
     b = x.shape[0]
-    mu, lv, acts = _forward(layers, x, output_dim)
+    acts = [x]
+    for i in range(len(layers) // 2 - 1):
+        acts.append(np.tanh(acts[-1] @ layers[2 * i] + layers[2 * i + 1]))
+    out = acts[-1] @ layers[-2] + layers[-1]
+    mu, lv = out[:, :output_dim], out[:, output_dim:]
     inv_var = np.exp(-lv)
     resid = y - mu
     nll = 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + resid**2 * inv_var, axis=1))
@@ -323,12 +330,27 @@ class TestGradients:
 
     @pytest.mark.parametrize("hidden", [(), (8,), (16, 8), (5, 4, 3)])
     def test_gradients_match_the_reference_bitwise(self, hidden):
+        """In float64 on C-ordered rows, and in float32, as fit_mlp trains, on
+        a short last batch taken as a column view of a column-major block (the
+        layout of embedded histories); the in-place pass writes into the given
+        gradient arrays and leaves its inputs byte-for-byte unchanged."""
         rng = np.random.default_rng(len(hidden))
         layers = _init_layers(4, 2, hidden, rng)
         x, y = rng.normal(size=(32, 4)), rng.normal(size=(32, 2))
-        nll, grads = _nll_and_grads(layers, x, y, 2)
-        ref_nll, ref_grads = reference_nll_and_grads(layers, x, y, 2)
-        assert nll.tobytes() == ref_nll.tobytes()
-        assert len(grads) == len(ref_grads)
-        for g, ref in zip(grads, ref_grads):
-            assert g.tobytes() == ref.tobytes()
+        block = np.asfortranarray(rng.normal(size=(40, 6)), dtype=np.float32)
+        cases = [(layers, x, y, None),
+                 ([q.astype(np.float32) for q in layers], block[32:, 2:],
+                  rng.normal(size=(8, 2)).astype(np.float32),
+                  [np.full(q.shape, np.nan, np.float32) for q in layers])]
+        for layers, x, y, into in cases:
+            before = [q.tobytes() for q in (x, y, *layers)]
+            nll, grads = _nll_and_grads(layers, x, y, 2, into)
+            ref_nll, ref_grads = reference_nll_and_grads(layers, x, y, 2)
+            assert [q.tobytes() for q in (x, y, *layers)] == before
+            assert nll.tobytes() == ref_nll.tobytes()
+            assert len(grads) == len(ref_grads)
+            for g, ref in zip(grads, ref_grads):
+                assert g.dtype == ref.dtype
+                assert g.tobytes() == ref.tobytes()
+            if into is not None:
+                assert all(g is q for g, q in zip(grads, into))
