@@ -15,7 +15,7 @@ import numpy as np
 from .detector import CueEvent
 from .errors import DataFormatError
 from .te import TeSeries, peak_te
-from .timeseries import TimeSeries
+from .timeseries import MAX_ARRAY_ITEMS, TimeSeries
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,13 @@ def spatial_grid(trials, cell_size_m: float, channels: tuple[str, str],
         origin = tuple(all_xy.min(axis=0) - cell_size_m)
     origin_arr = np.asarray(origin, dtype=float)
     if shape is None:
-        span = np.floor((all_xy.max(axis=0) - origin_arr) / cell_size_m).astype(int)
-        shape = (int(span[0]) + 2, int(span[1]) + 2)
+        # In Python floats, so a cell small enough to overflow gives inf, not a warning.
+        nx, ny = (float(span) / cell_size_m for span in all_xy.max(axis=0) - origin_arr)
+        if not (nx + 2) * (ny + 2) <= MAX_ARRAY_ITEMS:
+            raise DataFormatError(
+                f"cell_size_m = {cell_size_m} gives a {nx + 2:.4g} x {ny + 2:.4g} grid, "
+                "more cells than a numpy array can index")
+        shape = (math.floor(nx) + 2, math.floor(ny) + 2)
     counts = np.zeros(shape, dtype=int)
     for xy, t, events in positions:
         active = np.zeros(t.size, dtype=bool)

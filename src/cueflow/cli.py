@@ -107,11 +107,10 @@ def _cmd_run(args) -> int:
     cfg, _ = load_config(args.config, args.set)
     out = _out_dir(args.out)
     trials = storage.load_trial_dir(args.trials)
-    result = pipeline.run(trials, cfg)
-    pipeline.write_run_dir(result, cfg, out)
+    result = pipeline.run(trials, cfg, out)
     positions = {r.trial_id: r.prepared for r in result.trials}
     pipeline.build_reports(out, out, cfg, positions)
-    n_events = sum(len(tr.events) for r in result.trials for tr in r.traces.values())
+    n_events = sum(len(evs) for r in result.trials for evs in r.events.values())
     print(f"analyzed {len(result.trials)} trials; {n_events} cue events -> {out}")
     return 0
 

@@ -1,4 +1,4 @@
-"""Delay embedding of target/source series into history matrices.
+"""Delay embedding of target/source series into one regression design block.
 
 A history vector at time t stacks the d past samples
 ``[x(t - delta), x(t - 2*delta), ..., x(t - d*delta)]``; the current sample
@@ -59,21 +59,22 @@ class EmbeddingSpec:
 class EmbeddedDataset:
     """Aligned regression blocks produced by :func:`embed`.
 
-    targets : (T, Dx) current target samples
-    joint_hist : (T, d*Dx + d*Dy) past target samples (lags delta..d*delta) in
-        the first ``target_cols`` columns, then past source samples, same lags
+    targets : (T, Dx) current target samples, column-major
+    design : (T, 1 + d*Dx + d*Dy) column-major design block: ones in column
+        0 (the intercept), then past target samples (lags delta..d*delta) in
+        the next ``target_cols`` columns, then past source samples, same lags
     times : (T,) timestamps of the target rows
     """
 
     targets: np.ndarray
-    joint_hist: np.ndarray
+    design: np.ndarray
     target_cols: int
     times: np.ndarray
     spec: EmbeddingSpec
 
     def __post_init__(self) -> None:
         n = self.targets.shape[0]
-        for name in ("joint_hist", "times"):
+        for name in ("design", "times"):
             if getattr(self, name).shape[0] != n:
                 raise DataFormatError(f"{name} rows do not match targets rows")
 
@@ -82,22 +83,26 @@ class EmbeddedDataset:
         return self.targets.shape[0]
 
     @property
+    def joint_hist(self) -> np.ndarray:
+        """Target then source history: a column view of :attr:`design`."""
+        return self.design[:, 1:]
+
+    @property
     def target_hist(self) -> np.ndarray:
-        """Target history: a column view of :attr:`joint_hist`."""
-        return self.joint_hist[:, :self.target_cols]
+        """Target history: a column view of :attr:`design`."""
+        return self.design[:, 1:1 + self.target_cols]
 
     @property
     def source_hist(self) -> np.ndarray:
-        """Source history: a column view of :attr:`joint_hist`."""
-        return self.joint_hist[:, self.target_cols:]
+        """Source history: a column view of :attr:`design`."""
+        return self.design[:, 1 + self.target_cols:]
 
 
-def embed(target: TimeSeries, source: TimeSeries, spec: EmbeddingSpec) -> EmbeddedDataset:
-    """Build aligned (targets, joint history) blocks.
+def history_rows(target: TimeSeries, source: TimeSeries, spec: EmbeddingSpec) -> int:
+    """Rows one trial's (target, source) pair gives :func:`embed`: ``N - d * stride``.
 
-    Both series must share ``dt`` (1e-9 relative) and length.  The first
-    ``d * stride`` samples are consumed as history, so the output has
-    ``N - d * stride`` rows; shorter inputs are an error.
+    Both series must share ``dt`` (1e-9 relative) and length, and be longer
+    than ``spec.horizon``; anything else is a :class:`DataFormatError`.
     """
     if abs(target.dt - spec.dt) > _LAG_RTOL * max(target.dt, spec.dt):
         raise DataFormatError(f"target dt={target.dt} does not match spec dt={spec.dt}")
@@ -108,17 +113,41 @@ def embed(target: TimeSeries, source: TimeSeries, spec: EmbeddingSpec) -> Embedd
         raise DataFormatError(
             f"target has {n} samples but source has {source.n_samples}"
         )
-    off = spec.horizon
-    if n <= off:
+    if n <= spec.horizon:
         raise DataFormatError(
-            f"series too short to embed: need more than {off} samples, got {n}"
+            f"series too short to embed: need more than {spec.horizon} samples, got {n}"
         )
-    # Each lag block is written straight into its columns of one array.  It
-    # is column-major, so the target and source blocks are contiguous too.
-    hist = np.empty((n - off, spec.d * (target.n_channels + source.n_channels)), order="F")
-    np.concatenate([data[off - j * spec.stride: n - j * spec.stride]
-                    for data in (target.data, source.data) for j in range(1, spec.d + 1)],
-                   axis=1, out=hist)
-    return EmbeddedDataset(targets=target.data[off:], joint_hist=hist,
-                           target_cols=spec.d * target.n_channels,
-                           times=target.times[off:], spec=spec)
+    return n - spec.horizon
+
+
+def embed(pairs: list[tuple[TimeSeries, TimeSeries]], spec: EmbeddingSpec) -> EmbeddedDataset:
+    """Build aligned (targets, design) blocks from one or more trials'
+    ``(target, source)`` series pairs, which share their channel counts.
+
+    Each pair gives :func:`history_rows` rows, stacked in pair order: its
+    first ``d * stride`` samples are consumed as history, so no history row
+    reaches across two trials.
+    """
+    rows = [history_rows(target, source, spec) for target, source in pairs]
+    n_tgt, n_src = pairs[0][0].n_channels, pairs[0][1].n_channels
+    # Every lag is written straight into its columns of one column-major
+    # block, so each column (and the target and source blocks) is contiguous.
+    design = np.empty((sum(rows), 1 + spec.d * (n_tgt + n_src)), order="F")
+    targets = np.empty((sum(rows), n_tgt), order="F")
+    times = np.empty(sum(rows))
+    design[:, 0] = 1.0
+    off, lo = spec.horizon, 0
+    for (target, source), n_rows in zip(pairs, rows):
+        hi = lo + n_rows
+        np.concatenate([data[off - j * spec.stride: off - j * spec.stride + n_rows]
+                        for data in (target.data, source.data)
+                        for j in range(1, spec.d + 1)], axis=1, out=design[lo:hi, 1:])
+        targets[lo:hi] = target.data[off:]
+        # target.times[off:], t0 + k * dt, without its full-length temporaries
+        t = times[lo:hi]
+        t[:] = np.arange(off, off + n_rows)
+        t *= target.dt
+        t += target.t0
+        lo = hi
+    return EmbeddedDataset(targets=targets, design=design, target_cols=spec.d * n_tgt,
+                           times=times, spec=spec)

@@ -166,9 +166,7 @@ def fit_var(ds: EmbeddedDataset, conditioning: str = BASELINE) -> FittedModel:
         raise DataFormatError(
             f"need more rows than parameters to fit: T={t_rows}, dim={p + 1}"
         )
-    # Column-major like embed's block: a row-major z can move results at rounding level.
-    z = np.empty((t_rows, p + 1), order="F")
-    z[:, 0], z[:, 1:] = 1.0, x
+    z = ds.design[:, :1 + p]  # the intercept column, then x
     g = z.T @ z
     lam = RIDGE_SCALE * np.trace(x.T @ x) / p
     reg = lam * np.eye(p + 1)
@@ -228,6 +226,11 @@ def _forward(layers, x):
     return out, acts
 
 
+def _gaussian_nll(lv, r2_iv):
+    """Mean Gaussian NLL from log-variances and squared residuals over variances."""
+    return 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + r2_iv, axis=1))
+
+
 def _nll_and_grads(layers, x, y, output_dim, grads=None):
     """Mean Gaussian NLL over the batch and its gradient w.r.t. every layer,
     written into ``grads`` (new arrays when None).  Only the pass's own arrays
@@ -238,7 +241,7 @@ def _nll_and_grads(layers, x, y, output_dim, grads=None):
     inv_var = np.exp(-lv)
     resid = y - mu
     r2_iv = resid**2 * inv_var
-    nll = 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + r2_iv, axis=1))
+    nll = _gaussian_nll(lv, r2_iv)
     d_z = out  # becomes [d_mu | d_lv]
     np.divide(-(resid * inv_var), b, out=mu)
     np.divide(0.5 * (1.0 - r2_iv), b, out=lv)
@@ -327,7 +330,9 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
             flat -= m_hat
 
     layers = [q.astype(np.float64) for q in layers]
-    final_nll, _ = _nll_and_grads(layers, x, y, d)
+    out, _ = _forward(layers, x)
+    lv = out[:, d:]
+    final_nll = _gaussian_nll(lv, (y - out[:, :d])**2 * np.exp(-lv))
     final_nll = float(final_nll + np.sum(np.log(y_scale)))  # back to original units
     params = {f"layer_{i}": q for i, q in enumerate(layers)}
     params.update(x_mean=x_mean, x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)

@@ -18,8 +18,8 @@ import numpy as np
 from . import aggregate as agg
 from . import storage
 from .config import PipelineConfig
-from .detector import DetectionTrace, DetectorConfig, detect_trace, time_constants
-from .embedding import EmbeddedDataset, EmbeddingSpec, embed
+from .detector import CueEvent, DetectorConfig, detect_trace, time_constants
+from .embedding import EmbeddingSpec, embed, history_rows
 from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
                      predict_dataset)
@@ -44,7 +44,8 @@ class DirectionModels:
 
 @dataclass
 class TrialResult:
-    """Per-trial outputs: the detection trace (TE, threshold, events) per direction.
+    """What a run keeps of one trial once its TE traces are written: the
+    cue events per direction.
 
     ``prepared`` is the trial's series as analysed: resampled, then trimmed
     at its alignment point.
@@ -53,7 +54,7 @@ class TrialResult:
     trial_id: str
     scenario: str
     prepared: TimeSeries
-    traces: dict[str, DetectionTrace]
+    events: dict[str, list[CueEvent]]
 
     @property
     def t0(self) -> float:
@@ -132,31 +133,25 @@ def _direction_roles(cfg: PipelineConfig, direction: str) -> tuple[tuple[str, ..
     return cfg.io.source_channels, cfg.io.target_channels
 
 
-def _pool(datasets: list[EmbeddedDataset]) -> EmbeddedDataset:
-    if len(datasets) == 1:
-        return datasets[0]
-    return EmbeddedDataset(
-        targets=np.vstack([d.targets for d in datasets]),
-        joint_hist=np.vstack([d.joint_hist for d in datasets]),
-        target_cols=datasets[0].target_cols,
-        times=np.concatenate([d.times for d in datasets]),
-        spec=datasets[0].spec,
-    )
+def _embed_pair(trial_id: str, series: TimeSeries, cfg: PipelineConfig,
+                spec: EmbeddingSpec, direction: str) -> tuple[TimeSeries, TimeSeries]:
+    """One trial's (target, source) series for ``direction``, checked for
+    :func:`embed`; an error names the trial."""
+    tgt_ch, src_ch = _direction_roles(cfg, direction)
+    try:
+        pair = series.select(tgt_ch), series.select(src_ch)
+        history_rows(*pair, spec)
+    except CueflowError as exc:
+        raise PipelineError(f"trial {trial_id!r}, stage embed ({direction}): {exc}") from exc
+    return pair
 
 
 def _fit_pair(group: list[tuple[str, TimeSeries]], cfg: PipelineConfig,
               spec: EmbeddingSpec, seed: int, scenario: str,
               direction: str) -> DirectionModels:
-    """Embed one scenario's trials for ``direction``, stack them and fit the pair."""
-    tgt_ch, src_ch = _direction_roles(cfg, direction)
-    datasets = []
-    for trial_id, series in group:
-        try:
-            datasets.append(embed(series.select(tgt_ch), series.select(src_ch), spec))
-        except CueflowError as exc:
-            raise PipelineError(f"trial {trial_id!r}, stage embed ({direction}): {exc}") from exc
-    pooled = _pool(datasets)
-    del datasets  # only the stacked copy stays alive while fitting
+    """Embed one scenario's trials for ``direction`` into one block and fit the pair."""
+    pooled = embed([_embed_pair(trial_id, series, cfg, spec, direction)
+                    for trial_id, series in group], spec)
     try:
         if cfg.model.kind == VAR_LINEAR:
             base = fit_var(pooled, BASELINE)
@@ -209,32 +204,43 @@ def _apply_trim(series: TimeSeries, trial_id: str, metadata: dict[str, str]) -> 
     return trim_start(series, start_s)
 
 
+def _analyze_direction(trial, series: TimeSeries, direction: str, cfg: PipelineConfig,
+                       spec: EmbeddingSpec, det_cfg: DetectorConfig, pair: DirectionModels,
+                       out: Path) -> list[CueEvent]:
+    """Detect cues on one trial in one direction and write its TE trace; only
+    the events outlive the call."""
+    try:
+        ds = embed([_embed_pair(trial.trial_id, series, cfg, spec, direction)], spec)
+        te_series = local_te(predict_dataset(pair.baseline, ds),
+                             predict_dataset(pair.augmented, ds), ds.targets,
+                             mode=cfg.model.te_mode, direction=direction)
+        del ds  # detection needs the TE series alone
+        trace = detect_trace(te_series, det_cfg)
+    except CueflowError as exc:
+        raise PipelineError(
+            f"trial {trial.trial_id!r}, stage te ({direction}): {exc}"
+        ) from exc
+    storage.write_te_csv(trace, out / te_csv_name(trial.trial_id, direction))
+    return trace.events
+
+
 def _analyze_trial(trial, series: TimeSeries, cfg: PipelineConfig, spec: EmbeddingSpec,
-                   det_cfg: DetectorConfig, models) -> TrialResult:
-    traces: dict[str, DetectionTrace] = {}
-    for direction in cfg.io.direction_list:
-        tgt_ch, src_ch = _direction_roles(cfg, direction)
-        pair = models[(trial.scenario, direction)]
-        try:
-            ds = embed(series.select(tgt_ch), series.select(src_ch), spec)
-            base = predict_dataset(pair.baseline, ds)
-            full = predict_dataset(pair.augmented, ds)
-            te_series = local_te(base, full, ds.targets, mode=cfg.model.te_mode,
-                                 direction=direction)
-            traces[direction] = detect_trace(te_series, det_cfg)
-        except CueflowError as exc:
-            raise PipelineError(
-                f"trial {trial.trial_id!r}, stage te ({direction}): {exc}"
-            ) from exc
-    return TrialResult(trial_id=trial.trial_id, scenario=trial.scenario,
-                       prepared=series, traces=traces)
+                   det_cfg: DetectorConfig, models, out: Path) -> TrialResult:
+    return TrialResult(
+        trial_id=trial.trial_id, scenario=trial.scenario, prepared=series,
+        events={direction: _analyze_direction(trial, series, direction, cfg, spec, det_cfg,
+                                              models[(trial.scenario, direction)], out)
+                for direction in cfg.io.direction_list})
 
 
-def run(trials: TrialSet, cfg: PipelineConfig) -> PipelineResult:
-    """Analyze a trial set under one configuration.
+def run(trials: TrialSet, cfg: PipelineConfig, out_dir) -> PipelineResult:
+    """Analyze a trial set under one configuration into the run directory ``out_dir``.
 
-    Models are fit pooled per scenario first (:func:`fit_models`).
-    Cross-trial aggregates come from the written run directory, through
+    Models are fit pooled per scenario first (:func:`fit_models`).  Each
+    trial's TE traces are written as soon as it is analysed, and
+    :func:`write_run_dir` writes ``events.csv`` and ``manifest.csv`` last,
+    so a run that fails part way leaves no manifest.  Cross-trial
+    aggregates come from the written run directory, through
     :func:`build_reports`.
     """
     if len(trials) == 0:
@@ -246,8 +252,12 @@ def run(trials: TrialSet, cfg: PipelineConfig) -> PipelineResult:
     det_cfg = cfg.detector.to_config(cfg.dt)
     prepared = _prepare_trials(trials, cfg)
     models = fit_models(trials, cfg, prepared=prepared)
-    return PipelineResult(trials=[_analyze_trial(t, s, cfg, spec, det_cfg, models)
-                                  for t, s in zip(trials, prepared)])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    result = PipelineResult(trials=[_analyze_trial(t, s, cfg, spec, det_cfg, models, out)
+                                    for t, s in zip(trials, prepared)])
+    write_run_dir(result, cfg, out)
+    return result
 
 
 def _rebase(ev, t0: float):
@@ -263,15 +273,11 @@ def te_csv_name(trial_id: str, direction: str) -> str:
 
 
 def write_run_dir(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
-    """Write per-trial TE traces, the event table, and the trial manifest."""
+    """Write the event table and then the trial manifest, which completes a
+    run directory whose TE traces :func:`run` has written."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    all_events = []
-    for r in result.trials:
-        for direction in cfg.io.direction_list:
-            trace = r.traces[direction]
-            storage.write_te_csv(trace, out / te_csv_name(r.trial_id, direction))
-            all_events.extend((r.trial_id, ev) for ev in trace.events)
+    all_events = [(r.trial_id, ev) for r in result.trials
+                  for direction in cfg.io.direction_list for ev in r.events[direction]]
     storage.write_events_csv(all_events, out / "events.csv")
     storage.write_rows(out / "manifest.csv", MANIFEST_HEADER,
                        ([r.trial_id, r.scenario, repr(r.t0), repr(r.duration_s)]

@@ -19,6 +19,8 @@ from .errors import CueflowError, DataFormatError
 
 _UNIFORM_RTOL = 1e-9
 _WRITE_BLOCK_ROWS = 4096
+# Items of 8 bytes numpy can index in one array; a longer one is a ValueError.
+MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,12 @@ def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:
         raise DataFormatError(f"rate_hz must be positive, got {rate_hz}")
     src_t = ts.raw_times if ts.raw_times is not None else ts.times
     t_end = float(src_t[-1])
-    n_out = int(np.floor((t_end - ts.t0) * rate_hz + 1e-9)) + 1
+    n_out = np.floor((t_end - ts.t0) * rate_hz + 1e-9) + 1
+    if not n_out <= MAX_ARRAY_ITEMS:
+        raise DataFormatError(
+            f"resample_hz = {rate_hz} gives {n_out:.4g} samples over {t_end - ts.t0} s, "
+            "more than a numpy array can index")
+    n_out = int(n_out)
     if n_out < 1:
         raise DataFormatError("resample grid is empty")
     new_dt = 1.0 / rate_hz

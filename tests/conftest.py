@@ -5,11 +5,13 @@ so they run once per session and every module that needs them shares the
 result.
 """
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cueflow import pipeline
+from cueflow import pipeline, storage
 from cueflow.config import (AggregateConfig, DetectorSettings, EmbeddingConfig,
                             IoConfig, ModelConfig, PipelineConfig)
 from cueflow.embedding import EmbeddingSpec, embed
@@ -53,13 +55,37 @@ def _e2e_config() -> PipelineConfig:
     )
 
 
+def run_read_back(trials: TrialSet, cfg: PipelineConfig, out_dir):
+    """``pipeline.run`` into ``out_dir``, then every TE trace read back from
+    its file with ``storage.read_te_csv``, carrying its direction's events.
+
+    Returns the run's result and, per trial in trial order, a dict of
+    direction -> trace.
+    """
+    result = pipeline.run(trials, cfg, out_dir)
+    traces = [{direction: replace(
+                   storage.read_te_csv(Path(out_dir) / pipeline.te_csv_name(r.trial_id, direction),
+                                       direction=direction),
+                   events=events)
+               for direction, events in r.events.items()}
+              for r in result.trials]
+    return result, traces
+
+
 @pytest.fixture(scope="session")
 def e2e_config():
     return _e2e_config()
 
 
+def _timed_run(trials, cfg, out_dir):
+    start = time.perf_counter()
+    result, traces = run_read_back(trials, cfg, out_dir)
+    result.elapsed_s = time.perf_counter() - start
+    return result, traces
+
+
 @pytest.fixture(scope="session")
-def driven_run(e2e_config):
+def driven_run(e2e_config, tmp_path_factory):
     """Twenty driven trials (one scripted cue each) through the full pipeline."""
     trials = TrialSet(trials=tuple(
         _cue_trial(f"d{seed:03d}", "driven",
@@ -67,14 +93,11 @@ def driven_run(e2e_config):
                                response_delay_s=0.05, amplitude=1.5,
                                noise_sigma=0.2, seed=seed, rate_hz=E2E_RATE_HZ))
         for seed in E2E_DRIVEN_SEEDS))
-    start = time.perf_counter()
-    result = pipeline.run(trials, e2e_config)
-    result.elapsed_s = time.perf_counter() - start
-    return result
+    return _timed_run(trials, e2e_config, tmp_path_factory.mktemp("driven_run"))
 
 
 @pytest.fixture(scope="session")
-def null_run(e2e_config):
+def null_run(e2e_config, tmp_path_factory):
     """Twenty cue-free trials (flat heading, noise only), 120 s each."""
     trials = TrialSet(trials=tuple(
         _cue_trial(f"n{seed:03d}", "null",
@@ -82,10 +105,7 @@ def null_run(e2e_config):
                                response_delay_s=0.05, amplitude=0.0,
                                noise_sigma=0.2, seed=seed, rate_hz=E2E_RATE_HZ))
         for seed in E2E_NULL_SEEDS))
-    start = time.perf_counter()
-    result = pipeline.run(trials, e2e_config)
-    result.elapsed_s = time.perf_counter() - start
-    return result
+    return _timed_run(trials, e2e_config, tmp_path_factory.mktemp("null_run"))
 
 
 COUPLED_A = ((0.5, 0.5), (0.0, 0.0))
@@ -119,7 +139,7 @@ def _var1_mean_te(spec: Var1Spec, reverse: bool = False) -> float:
     """
     x, y = gen_var1(spec)
     target, source = (y, x) if reverse else (x, y)
-    ds = embed(target, source, EmbeddingSpec(d=1, delta_s=spec.dt, dt=spec.dt))
+    ds = embed([(target, source)], EmbeddingSpec(d=1, delta_s=spec.dt, dt=spec.dt))
     base = predict_dataset(fit_var(ds, BASELINE), ds)
     full = predict_dataset(fit_var(ds, AUGMENTED), ds)
     series = local_te(base, full, ds.targets)

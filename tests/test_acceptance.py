@@ -16,13 +16,12 @@ from cueflow.aggregate import (CueGrid, CueHistogram, PeakTeReport,
 from cueflow.detector import DetectorConfig, detect, detect_trace, time_constants
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.models import AUGMENTED, BASELINE, TrainConfig, fit_mlp, fit_var, gradient_check
-from cueflow.pipeline import run
 from cueflow.synth import te_oracle_var1
 from cueflow.te import TeSeries, gaussian_entropy
 from cueflow.timeseries import TimeSeries
 
 from conftest import (E2E_CUE_T, E2E_ONSET_TOL, _coupling_spec, _var1_mean_te,
-                      var1_trial, var1_trial_set)
+                      run_read_back, var1_trial, var1_trial_set)
 
 
 def _criterion(n: int, ok: bool, details: str) -> None:
@@ -145,16 +144,17 @@ def test_criterion_4_detector_properties():
 def test_criterion_5_end_to_end_detection(driven_run, null_run):
     """Scripted-cue trials must be caught at the right moment while cue-free
     trials stay quiet."""
+    (driven, driven_traces), (null, null_traces) = driven_run, null_run
     hits = sum(
-        1 for r in driven_run.trials
+        1 for r in driven_traces
         if any(abs(ev.start_t - E2E_CUE_T) <= E2E_ONSET_TOL
-               for ev in r.traces["src2tgt"].events))
-    n_driven = len(driven_run.trials)
+               for ev in r["src2tgt"].events))
+    n_driven = len(driven.trials)
 
-    false_events = sum(len(r.traces["src2tgt"].events) for r in null_run.trials)
-    null_minutes = sum(r.duration_s for r in null_run.trials) / 60.0
+    false_events = sum(len(r["src2tgt"].events) for r in null_traces)
+    null_minutes = sum(r.duration_s for r in null.trials) / 60.0
     rate = false_events / null_minutes
-    elapsed = driven_run.elapsed_s + null_run.elapsed_s
+    elapsed = driven.elapsed_s + null.elapsed_s
     ok = (hits >= 0.9 * n_driven and rate <= 1.0 and elapsed < 180.0)
     _criterion(5, ok,
                f"onset hits {hits}/{n_driven} (need >= {int(0.9 * n_driven)}), "
@@ -224,7 +224,7 @@ def test_criterion_7_model_correctness():
 
     tgt, src = _coupled_pair(seed=13)
     spec = EmbeddingSpec(d=1, delta_s=1.0, dt=1.0)
-    ds = embed(tgt, src, spec)
+    ds = embed([(tgt, src)], spec)
     nll_var = fit_var(ds, AUGMENTED).train_report.final_nll
     nll_mlp = fit_mlp(ds, AUGMENTED, hidden=(), train=TrainConfig()
                       ).train_report.final_nll
@@ -236,10 +236,10 @@ def test_criterion_7_model_correctness():
     for t in range(1, phi_x.size):
         phi_x[t] = 0.9 * phi_x[t - 1] + rng.standard_normal()
     ar = TimeSeries(channels=("x",), data=phi_x, dt=1.0)
-    ar_coef = fit_var(embed(ar, ar, spec), BASELINE).params["coef"][0, 0]
+    ar_coef = fit_var(embed([(ar, ar)], spec), BASELINE).params["coef"][0, 0]
 
     tgt7, src7 = _coupled_pair(seed=7)
-    pair_coef = fit_var(embed(tgt7, src7, spec), AUGMENTED).params["coef"][:, 0]
+    pair_coef = fit_var(embed([(tgt7, src7)], spec), AUGMENTED).params["coef"][:, 0]
     coef_err = max(abs(ar_coef - 0.9), *np.abs(pair_coef - [0.5, 0.5]))
 
     ok = grad_err < 1e-4 and nll_gap < 0.01 and coef_err < 0.02
@@ -264,12 +264,12 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         aggregate=AggregateConfig(bin_dt=1.0),
     )
     trials = var1_trial_set(var1_trial("t000", seed=5, n=600)[0])
-    first = run(trials, cfg)
-    second = run(trials, cfg)
+    _, first = run_read_back(trials, cfg, tmp_path / "first")
+    _, second = run_read_back(trials, cfg, tmp_path / "second")
     bitwise = all(
-        np.array_equal(first.trials[0].traces[d].te_raw,
-                       second.trials[0].traces[d].te_raw)
-        and first.trials[0].traces[d].events == second.trials[0].traces[d].events
+        np.array_equal(first[0][d].te_raw,
+                       second[0][d].te_raw)
+        and first[0][d].events == second[0][d].events
         for d in ("src2tgt", "tgt2src"))
 
     trace = detect_trace(_te_series(

@@ -87,6 +87,14 @@ class TestSpatialGrid:
                             channels=("px", "py"))
         assert grid.counts.sum() == 0
 
+    @pytest.mark.parametrize("cell_size_m", [1e-300, 5e-324])
+    def test_grid_too_large_to_index_is_a_data_error(self, cell_size_m):
+        """A cell so small that the grid's cell count overflows what numpy
+        can index names the setting, with no overflow warning."""
+        series = position_series([[0.5, 0.5], [1.5, 1.5]])
+        with pytest.raises(DataFormatError, match="cell_size_m = .* more cells than"):
+            spatial_grid([([], series)], cell_size_m=cell_size_m, channels=("px", "py"))
+
     def test_auto_origin_pads_one_cell(self):
         series = position_series([[2.0, 3.0], [4.0, 5.0]])
         grid = spatial_grid([([ev(0.0, 0.1)], series)], cell_size_m=1.0,

@@ -296,6 +296,33 @@ class TestMissingFilesExit2:
         assert f"cannot use --out {out} as a directory" in err
 
 
+class TestPartialRun:
+    def test_a_failed_run_leaves_no_manifest(self, cue_run_config, two_scenario_trials,
+                                             tmp_path, capsys):
+        """Traces are written trial by trial, and ``events.csv`` and
+        ``manifest.csv`` last: a run whose last trial fails at stage te
+        leaves the earlier traces but no manifest, which ``report`` refuses."""
+        last = two_scenario_trials / "null__t003.csv"
+        # Five samples: one embedded row, too few for the detector.  Pooled
+        # with t002 the scenario still fits.
+        last.write_text("".join(last.read_text().splitlines(keepends=True)[:6]))
+        run_dir = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "trial 't003', stage te (src2tgt)" in err
+        assert (run_dir / "te_t002_tgt2src.csv").is_file()
+        assert not (run_dir / "manifest.csv").exists()
+        assert not (run_dir / "events.csv").exists()
+        assert main(["report", "--config", str(cue_run_config), "--events",
+                     str(run_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"missing manifest {run_dir / 'manifest.csv'}" in err
+
+
 class TestUnwritableOutputExits2:
     """An output file that cannot be written, here because a directory holds
     its name, is a data error naming the file, not a traceback."""
@@ -438,6 +465,28 @@ class TestValidateCommand:
         assert "Traceback" not in err
         assert "[aggregate] bin_dt must be at least one sample" in err
         assert not (tmp_path / "run").exists()
+
+
+class TestArraysTooLargeToIndexExit2:
+    """A rate or cell size that passes ``validate`` but asks numpy for more
+    items than an array can index is a data error naming the setting."""
+
+    @pytest.mark.parametrize("overrides, named", [
+        (["io.resample_hz=1e300"], "stage prepare: resample_hz = 1e+300 gives"),
+        (["aggregate.cell_size_m=1e-300",
+          "aggregate.position_channels=follower_px, follower_py"],
+         "cell_size_m = 1e-300 gives"),
+    ])
+    def test_run(self, cue_run_config, two_scenario_trials, tmp_path, capsys,
+                 overrides, named):
+        sets = [arg for override in overrides for arg in ("--set", override)]
+        assert main(["validate", "--config", str(cue_run_config), *sets]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(cue_run_config), *sets, "--trials",
+                     str(two_scenario_trials), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
 
 
 class TestStartUp:

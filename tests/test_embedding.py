@@ -39,7 +39,7 @@ class TestEmbed:
         """d=3 lags of [10..50] leave a single row predicting the last value."""
         tgt = series([10.0, 20.0, 30.0, 40.0, 50.0])
         src = series([1.0, 2.0, 3.0, 4.0, 5.0])
-        ds = embed(tgt, src, EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
+        ds = embed([(tgt, src)], EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
         assert ds.n_rows == 2
         np.testing.assert_array_equal(ds.targets, [[40.0], [50.0]])
         np.testing.assert_array_equal(ds.target_hist,
@@ -50,13 +50,13 @@ class TestEmbed:
 
     def test_order_one_is_a_single_lag(self):
         tgt = series([1.0, 2.0, 3.0])
-        ds = embed(tgt, tgt, EmbeddingSpec(d=1, delta_s=1.0, dt=1.0))
+        ds = embed([(tgt, tgt)], EmbeddingSpec(d=1, delta_s=1.0, dt=1.0))
         np.testing.assert_array_equal(ds.targets, [[2.0], [3.0]])
         np.testing.assert_array_equal(ds.target_hist, [[1.0], [2.0]])
 
     def test_stride_two(self):
         tgt = series([1.0, 2.0, 3.0, 4.0, 5.0])
-        ds = embed(tgt, tgt, EmbeddingSpec(d=2, delta_s=2.0, dt=1.0))
+        ds = embed([(tgt, tgt)], EmbeddingSpec(d=2, delta_s=2.0, dt=1.0))
         assert ds.n_rows == 1
         np.testing.assert_array_equal(ds.targets, [[5.0]])
         np.testing.assert_array_equal(ds.target_hist, [[3.0, 1.0]])
@@ -69,14 +69,14 @@ class TestEmbed:
             stride = int(rng.integers(1, 3))
             ts = series(rng.standard_normal(n))
             spec = EmbeddingSpec(d=d, delta_s=float(stride), dt=1.0)
-            assert embed(ts, ts, spec).n_rows == n - d * stride
+            assert embed([(ts, ts)], spec).n_rows == n - d * stride
 
     def test_lag_columns_are_shifts_of_the_input(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(120)
         y = rng.standard_normal(120)
         spec = EmbeddingSpec(d=3, delta_s=2.0, dt=1.0)
-        ds = embed(series(x), series(y), spec)
+        ds = embed([(series(x), series(y))], spec)
         h = spec.horizon
         np.testing.assert_array_equal(ds.targets[:, 0], x[h:])
         for j in range(1, spec.d + 1):
@@ -91,7 +91,7 @@ class TestEmbed:
         n = 50
         x = np.zeros(n)
         x[30] = 1.0  # a single spike
-        ds = embed(series(x), series(np.zeros(n)),
+        ds = embed([(series(x), series(np.zeros(n)))],
                    EmbeddingSpec(d=4, delta_s=1.0, dt=1.0))
         row = 30 - ds.spec.horizon  # row whose target is the spike
         assert ds.targets[row, 0] == 1.0
@@ -100,8 +100,8 @@ class TestEmbed:
     def test_multichannel_layout(self):
         """Within each lag, channels appear in series order (channels fastest)."""
         data = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
-        ds = embed(series(data, channels=("a", "b")),
-                   series(data, channels=("a", "b")),
+        ds = embed([(series(data, channels=("a", "b")),
+                     series(data, channels=("a", "b")))],
                    EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
         np.testing.assert_array_equal(ds.targets, [[3.0, 30.0], [4.0, 40.0]])
         np.testing.assert_array_equal(ds.target_hist,
@@ -110,39 +110,54 @@ class TestEmbed:
 
     def test_joint_hist_concatenates_target_then_source(self):
         rng = np.random.default_rng(2)
-        ds = embed(series(rng.standard_normal(30)),
-                   series(rng.standard_normal(30)),
+        ds = embed([(series(rng.standard_normal(30)),
+                     series(rng.standard_normal(30)))],
                    EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
         np.testing.assert_array_equal(ds.joint_hist,
                                       np.hstack([ds.target_hist, ds.source_hist]))
 
     def test_histories_are_views_of_one_block(self):
-        """Target and source histories are column views of the joint block,
-        and reading ``joint_hist`` hands back that block, not a new copy."""
+        """The joint, target and source histories are column views of one
+        column-major design block whose column 0 is ones, not new copies."""
         rng = np.random.default_rng(3)
-        ds = embed(series(rng.standard_normal((40, 2))),
-                   series(rng.standard_normal((40, 3))),
+        ds = embed([(series(rng.standard_normal((40, 2))),
+                     series(rng.standard_normal((40, 3))))],
                    EmbeddingSpec(d=3, delta_s=2.0, dt=1.0))
-        assert ds.joint_hist is ds.joint_hist
-        assert ds.joint_hist.base is None
-        for block in (ds.target_hist, ds.source_hist):
-            assert np.shares_memory(block, ds.joint_hist)
-            assert block.base is ds.joint_hist
+        assert ds.design.base is None
+        assert ds.design.flags.f_contiguous and ds.targets.flags.f_contiguous
+        assert (ds.design[:, 0] == 1.0).all()
+        for block in (ds.joint_hist, ds.target_hist, ds.source_hist):
+            assert block.base is ds.design
+            assert block.flags.f_contiguous
+        assert ds.design.shape[1] == 1 + ds.joint_hist.shape[1] == 1 + 3 * (2 + 3)
         assert ds.target_hist.shape[1] + ds.source_hist.shape[1] == ds.joint_hist.shape[1]
+
+    def test_trials_stack_without_shared_history(self):
+        """Embedding several trials at once stacks each trial's own rows in
+        order: no history row reaches into the trial before it."""
+        rng = np.random.default_rng(4)
+        pairs = [(series(rng.standard_normal((n, 2))), series(rng.standard_normal(n)))
+                 for n in (30, 12, 25)]
+        spec = EmbeddingSpec(d=2, delta_s=2.0, dt=1.0)
+        pooled = embed(pairs, spec)
+        alone = [embed([pair], spec) for pair in pairs]
+        for name in ("targets", "design", "times"):
+            assert (getattr(pooled, name).tobytes()
+                    == np.concatenate([getattr(ds, name) for ds in alone]).tobytes())
 
     def test_mismatched_dt_rejected(self):
         with pytest.raises(DataFormatError):
-            embed(series(np.zeros(10), dt=1.0), series(np.zeros(10), dt=0.5),
+            embed([(series(np.zeros(10), dt=1.0), series(np.zeros(10), dt=0.5))],
                   EmbeddingSpec(d=1, delta_s=1.0, dt=1.0))
 
     def test_mismatched_length_rejected(self):
         with pytest.raises(DataFormatError):
-            embed(series(np.zeros(10)), series(np.zeros(11)),
+            embed([(series(np.zeros(10)), series(np.zeros(11)))],
                   EmbeddingSpec(d=1, delta_s=1.0, dt=1.0))
 
     def test_series_shorter_than_horizon_rejected(self):
         with pytest.raises(DataFormatError):
-            embed(series(np.zeros(4)), series(np.zeros(4)),
+            embed([(series(np.zeros(4)), series(np.zeros(4)))],
                   EmbeddingSpec(d=2, delta_s=2.0, dt=1.0))
 
 
@@ -164,7 +179,7 @@ class TestLagIdentities:
         y = data.draw(arrays(np.float64, (n, n_src), elements=values), label="y")
         spec = EmbeddingSpec(d=d, delta_s=stride * dt, dt=dt)
         target = series(x, dt=dt)
-        ds = embed(target, series(y, dt=dt), spec)
+        ds = embed([(target, series(y, dt=dt))], spec)
         h = spec.horizon
         assert (spec.stride, h, ds.n_rows) == (stride, d * stride, n - h)
         assert ds.target_hist.shape == (n - h, d * n_tgt)

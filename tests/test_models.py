@@ -34,13 +34,22 @@ def coupled_pair(seed, n=10_000):
 
 def embed_pair(tgt, src=None, d=1):
     src = tgt if src is None else src
-    return embed(tgt, src, EmbeddingSpec(d=d, delta_s=tgt.dt, dt=tgt.dt))
+    return embed([(tgt, src)], EmbeddingSpec(d=d, delta_s=tgt.dt, dt=tgt.dt))
 
 
 def slice_dataset(ds, rows):
-    return EmbeddedDataset(targets=ds.targets[rows], joint_hist=ds.joint_hist[rows],
+    return EmbeddedDataset(targets=ds.targets[rows], design=ds.design[rows],
                            target_cols=ds.target_cols, times=ds.times[rows],
                            spec=ds.spec)
+
+
+def history_dataset(targets, hist, target_cols, d):
+    """A dataset over a given history block, laid out as ``embed`` lays it out:
+    column-major, with a column of ones before the history."""
+    design = np.asfortranarray(np.column_stack([np.ones(len(hist)), hist]))
+    return EmbeddedDataset(targets=targets, design=design, target_cols=target_cols,
+                           times=np.arange(float(len(hist))),
+                           spec=EmbeddingSpec(d=d, delta_s=1.0, dt=1.0))
 
 
 class TestGaussianPredictions:
@@ -104,10 +113,7 @@ class TestFitVar:
     def test_constant_target_hits_variance_floor(self):
         rng = np.random.default_rng(0)
         hist = rng.standard_normal((50, 2))
-        ds = EmbeddedDataset(targets=np.full((50, 1), 3.0), joint_hist=hist,
-                             target_cols=hist.shape[1],
-                             times=np.arange(50.0),
-                             spec=EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
+        ds = history_dataset(np.full((50, 1), 3.0), hist, hist.shape[1], d=2)
         model = fit_var(ds, BASELINE)
         preds = predict(model, hist)
         np.testing.assert_allclose(preds.mean, 3.0, rtol=0, atol=1e-9)
@@ -115,11 +121,7 @@ class TestFitVar:
                                    VARIANCE_FLOOR, rtol=1e-6)
 
     def test_too_few_rows_rejected(self):
-        ds = EmbeddedDataset(targets=np.zeros((3, 1)),
-                             joint_hist=np.zeros((3, 4)),
-                             target_cols=4,
-                             times=np.arange(3.0),
-                             spec=EmbeddingSpec(d=4, delta_s=1.0, dt=1.0))
+        ds = history_dataset(np.zeros((3, 1)), np.zeros((3, 4)), 4, d=4)
         with pytest.raises(DataFormatError):
             fit_var(ds, BASELINE)
 
@@ -200,11 +202,8 @@ class TestFitMlp:
 
     def test_fit_is_deterministic(self):
         rng = np.random.default_rng(3)
-        ds = EmbeddedDataset(targets=rng.standard_normal((200, 1)),
-                             joint_hist=rng.standard_normal((200, 3)),
-                             target_cols=3,
-                             times=np.arange(200.0),
-                             spec=EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
+        ds = history_dataset(rng.standard_normal((200, 1)),
+                             rng.standard_normal((200, 3)), 3, d=3)
         a = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=20))
         b = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=20))
         for k in a.params:
@@ -216,12 +215,9 @@ class TestFitMlp:
         """The whole-buffer Adam update trains the same weights, bit for bit,
         as the update applied one layer array at a time."""
         rng = np.random.default_rng(9)
-        ds = EmbeddedDataset(targets=rng.standard_normal((300, 2)),
-                             joint_hist=np.hstack([rng.standard_normal((300, 3)),
-                                                  rng.standard_normal((300, 3))]),
-                             target_cols=3,
-                             times=np.arange(300.0),
-                             spec=EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
+        ds = history_dataset(rng.standard_normal((300, 2)),
+                             np.hstack([rng.standard_normal((300, 3)),
+                                        rng.standard_normal((300, 3))]), 3, d=3)
         train = TrainConfig(epochs=15, batch_size=batch_size, seed=4)
         model = fit_mlp(ds, AUGMENTED, hidden=hidden, train=train)
         layers, n_iter = per_layer_adam(ds.joint_hist, ds.targets, hidden, train)
@@ -234,10 +230,7 @@ class TestFitMlp:
         """A constant target would drive log-variance to -inf; the clamp holds."""
         rng = np.random.default_rng(4)
         hist = rng.standard_normal((100, 2))
-        ds = EmbeddedDataset(targets=np.zeros((100, 1)), joint_hist=hist,
-                             target_cols=hist.shape[1],
-                             times=np.arange(100.0),
-                             spec=EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
+        ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1], d=2)
         model = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=50))
         preds = predict(model, hist)
         assert np.all(preds.var >= VARIANCE_FLOOR)
@@ -246,12 +239,9 @@ class TestFitMlp:
         """Stored layers are float32 weights promoted to float64, and the
         reported NLL is the float64 NLL of those stored layers."""
         rng = np.random.default_rng(6)
-        ds = EmbeddedDataset(targets=rng.standard_normal((120, 2)),
-                             joint_hist=np.hstack([rng.standard_normal((120, 3)),
-                                                  rng.standard_normal((120, 3))]),
-                             target_cols=3,
-                             times=np.arange(120.0),
-                             spec=EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
+        ds = history_dataset(rng.standard_normal((120, 2)),
+                             np.hstack([rng.standard_normal((120, 3)),
+                                        rng.standard_normal((120, 3))]), 3, d=3)
         model = fit_mlp(ds, AUGMENTED, hidden=(8, 4), train=TrainConfig(epochs=10))
         layers = [model.params[f"layer_{i}"] for i in range(6)]
         for q in layers:
@@ -263,16 +253,37 @@ class TestFitMlp:
         nll, _ = _nll_and_grads(layers, x, y, 2)
         assert model.train_report.final_nll == float(nll + np.sum(np.log(p["y_scale"])))
 
+    def test_final_nll_needs_no_backward_pass(self, monkeypatch):
+        """The final NLL comes from a forward pass alone, bitwise equal to
+        the NLL the training objective gives on the stored layers."""
+        import cueflow.models as models_module
+
+        tgt, src = coupled_pair(seed=2, n=600)
+        ds = embed_pair(tgt, src, d=2)
+        calls = []
+        nll_and_grads = models_module._nll_and_grads
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return nll_and_grads(*args, **kwargs)
+
+        monkeypatch.setattr(models_module, "_nll_and_grads", counting)
+        model = fit_mlp(ds, AUGMENTED, hidden=(16, 16), train=TrainConfig(epochs=5))
+        assert len(calls) == model.train_report.n_iter
+        p = model.params
+        x = (ds.joint_hist - p["x_mean"]) / p["x_scale"]
+        y = (ds.targets - p["y_mean"]) / p["y_scale"]
+        layers = [p[f"layer_{i}"] for i in range(6)]
+        nll, _ = nll_and_grads(layers, x, y, 1)
+        assert model.train_report.final_nll == float(nll + np.sum(np.log(p["y_scale"])))
+
     def test_constant_target_keeps_float32_exp_in_range(self):
         """A constant target drives log-variance down for the whole run; at
         the acceptance size it stays far above -log(float32 max) ~ -88.7,
         where exp(-lv) would overflow (and raise under the warning filter)."""
         rng = np.random.default_rng(4)
         hist = rng.standard_normal((100, 2))
-        ds = EmbeddedDataset(targets=np.zeros((100, 1)), joint_hist=hist,
-                             target_cols=hist.shape[1],
-                             times=np.arange(100.0),
-                             spec=EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
+        ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1], d=2)
         model = fit_mlp(ds, BASELINE, hidden=(64, 64), train=TrainConfig())
         xs = (hist - model.params["x_mean"]) / model.params["x_scale"]
         out, _ = _forward([model.params[f"layer_{i}"] for i in range(6)], xs)

@@ -19,15 +19,13 @@ from cueflow.pipeline import (
     build_reports,
     fit_models,
     prepare_position_series,
-    run,
     validate_config,
-    write_run_dir,
 )
 from cueflow.synth import CueScenario, te_oracle_var1
 from cueflow.timeseries import TrialSet
 
 from conftest import (E2E_CUE_T, E2E_RATE_HZ, _cue_trial, _e2e_config,
-                      var1_trial, var1_trial_set)
+                      run_read_back, var1_trial, var1_trial_set)
 
 
 def make_config(*, directions="both", d=1, delta_s=0.01, resample_hz=100.0,
@@ -98,24 +96,24 @@ class TestValidateConfig:
 
 
 class TestRunOnCoupledVar:
-    def test_mean_te_matches_closed_form(self):
+    def test_mean_te_matches_closed_form(self, tmp_path):
         """A long coupled AR pair recovers the analytic TE in the driven
         direction and stays near zero in the reverse one."""
         trial, spec = var1_trial("t000", seed=0, n=100_000)
-        result = run(var1_trial_set(trial), make_config())
-        fwd = float(np.mean(result.trials[0].traces["src2tgt"].te_raw))
-        rev = float(np.mean(result.trials[0].traces["tgt2src"].te_raw))
+        _, traces = run_read_back(var1_trial_set(trial), make_config(), tmp_path)
+        fwd = float(np.mean(traces[0]["src2tgt"].te_raw))
+        rev = float(np.mean(traces[0]["tgt2src"].te_raw))
         oracle = te_oracle_var1(spec)
         assert abs(fwd - oracle) < 0.01
         assert abs(rev) < 0.005
 
-    def test_swapping_roles_swaps_directions_exactly(self):
+    def test_swapping_roles_swaps_directions_exactly(self, tmp_path):
         """Exchanging target and source channels relabels the directions
         without changing a single TE value."""
         trial, _ = var1_trial("t000", seed=3, n=5000)
         trials = var1_trial_set(trial)
         model = dict(te_mode="loglik_ratio")
-        forward = run(trials, make_config(d=2, model=model))
+        _, forward = run_read_back(trials, make_config(d=2, model=model), tmp_path / "fwd")
         swapped_cfg = PipelineConfig(
             io=IoConfig(target_channels=("y",), source_channels=("x",),
                         resample_hz=100.0),
@@ -124,20 +122,20 @@ class TestRunOnCoupledVar:
             detector=DetectorSettings(alpha=0.01, beta=0.05),
             aggregate=AggregateConfig(),
         )
-        swapped = run(trials, swapped_cfg)
-        a, b = forward.trials[0].traces, swapped.trials[0].traces
+        _, swapped = run_read_back(trials, swapped_cfg, tmp_path / "swapped")
+        a, b = forward[0], swapped[0]
         np.testing.assert_array_equal(a["src2tgt"].te_raw, b["tgt2src"].te_raw)
         np.testing.assert_array_equal(a["tgt2src"].te_raw, b["src2tgt"].te_raw)
 
-    def test_var_entropy_difference_is_time_constant(self):
+    def test_var_entropy_difference_is_time_constant(self, tmp_path):
         """Linear models have one shared residual covariance, so the
         entropy-difference series cannot vary over time."""
         trial, _ = var1_trial("t000", seed=4, n=2000)
-        result = run(var1_trial_set(trial), make_config())
-        te = result.trials[0].traces["src2tgt"].te_raw
+        _, traces = run_read_back(var1_trial_set(trial), make_config(), tmp_path)
+        te = traces[0]["src2tgt"].te_raw
         assert float(np.ptp(te)) == 0.0
 
-    def test_reruns_are_deterministic(self):
+    def test_reruns_are_deterministic(self, tmp_path):
         """Scripted-cue trials through the acceptance MLP, so the compared
         event lists hold real detections."""
         trials = var1_trial_set(*(
@@ -149,17 +147,17 @@ class TestRunOnCoupledVar:
             for i, seed in enumerate((5, 6))))
         cfg = _e2e_config()
         cfg = replace(cfg, io=replace(cfg.io, directions="both"))
-        first = run(trials, cfg)
-        second = run(trials, cfg)
+        _, first = run_read_back(trials, cfg, tmp_path / "first")
+        _, second = run_read_back(trials, cfg, tmp_path / "second")
         compared = []
         for i in range(2):
             for direction in ("src2tgt", "tgt2src"):
                 np.testing.assert_array_equal(
-                    first.trials[i].traces[direction].te_raw,
-                    second.trials[i].traces[direction].te_raw)
-                assert (first.trials[i].traces[direction].events
-                        == second.trials[i].traces[direction].events)
-                compared += first.trials[i].traces[direction].events
+                    first[i][direction].te_raw,
+                    second[i][direction].te_raw)
+                assert (first[i][direction].events
+                        == second[i][direction].events)
+                compared += first[i][direction].events
         assert compared
 
     def test_fit_log_names_scenario_and_direction(self, caplog):
@@ -176,14 +174,14 @@ class TestRunOnCoupledVar:
             assert message.startswith(
                 f"fitted scenario {scenario!r}, direction {direction} (var_linear):")
 
-    def test_trim_metadata_drops_the_lead_in(self):
+    def test_trim_metadata_drops_the_lead_in(self, tmp_path):
         trial, _ = var1_trial("t000", seed=7, n=2000)
         trials = var1_trial_set(trial, metadata={"trim_start_s.t000": "5.0"})
-        result = run(trials, make_config())
+        result, traces = run_read_back(trials, make_config(), tmp_path)
         out = result.trials[0]
         assert out.t0 == 0.0
         assert out.duration_s == pytest.approx(14.99)
-        assert out.traces["src2tgt"].te_raw.size == 1499
+        assert traces[0]["src2tgt"].te_raw.size == 1499
 
 
     def test_each_trial_is_prepared_once(self, monkeypatch, tmp_path):
@@ -204,8 +202,7 @@ class TestRunOnCoupledVar:
                                 metadata={"trim_start_s.t001": "1.0"})
         cfg = make_config(aggregate=dict(bin_dt=1.0, cell_size_m=1.0,
                                          position_channels=("x", "y")))
-        result = run(trials, cfg)
-        write_run_dir(result, cfg, tmp_path)
+        result, _ = run_read_back(trials, cfg, tmp_path)
         written = build_reports(tmp_path, tmp_path, cfg,
                                 {r.trial_id: r.prepared for r in result.trials})
         assert len(calls) == 2
@@ -213,13 +210,13 @@ class TestRunOnCoupledVar:
         assert result.trials[1].t0 == 0.0
 
     @pytest.mark.parametrize("value", ["abc", "inf", "nan", ""])
-    def test_bad_trim_value_names_the_key(self, value):
+    def test_bad_trim_value_names_the_key(self, value, tmp_path):
         trial, _ = var1_trial("t000", seed=7, n=500)
         trials = var1_trial_set(trial, metadata={"trim_start_s.t000": value})
         with pytest.raises(PipelineError,
                            match=r"trial 't000', stage prepare: metadata "
                                  r"trim_start_s\.t000=.* is not a finite number"):
-            run(trials, make_config())
+            run_read_back(trials, make_config(), tmp_path)
 
 
 class TestFitMemory:
@@ -250,20 +247,85 @@ class TestFitMemory:
             tracemalloc.stop()
         assert peak - start < 3.0 * hist_bytes
 
+    def test_fit_peak_is_bounded_by_the_design_block(self):
+        """Fitting a two-trial 200 Hz var_linear scenario embeds both trials
+        into one design block and fits both conditionings from column views
+        of it, with no stacked or per-conditioning copy.  Its traced peak
+        stays under 1.5x that block's bytes."""
+        import tracemalloc
+
+        cfg = _e2e_config()
+        cfg = replace(cfg, io=replace(cfg.io, resample_hz=200.0),
+                      model=ModelConfig(kind="var_linear", te_mode="loglik_ratio"))
+        scen = CueScenario(duration_s=30.0, cue_times=(8.0,), response_delay_s=0.05,
+                           amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=200.0)
+        trials = TrialSet(trials=tuple(_cue_trial(f"t00{i}", "driven", replace(scen, seed=i))
+                                       for i in range(2)))
+        prepared = list(prepare_position_series(trials, cfg).values())
+        horizon = cfg.embedding.d * round(cfg.embedding.delta_s * 200.0)
+        width = cfg.embedding.d * (len(cfg.io.target_channels) + len(cfg.io.source_channels))
+        design_bytes = sum(s.n_samples - horizon for s in prepared) * (1 + width) * 8
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            fit_models(trials, cfg, prepared=prepared)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 1.5 * design_bytes
+
+
+class TestAnalysisMemory:
+    def test_run_holds_one_trials_traces_at_a_time(self, monkeypatch, tmp_path):
+        """Each trial's TE traces are written as soon as it is analysed and
+        then dropped, so the live heap after the last of four trials is
+        within one trial's trace bytes of its level after the first."""
+        import tracemalloc
+
+        import cueflow.pipeline as pipeline_module
+
+        cfg = _e2e_config()
+        cfg = replace(cfg, io=replace(cfg.io, resample_hz=200.0, directions="both"),
+                      model=ModelConfig(kind="var_linear", te_mode="loglik_ratio"))
+        scen = CueScenario(duration_s=20.0, cue_times=(8.0,), response_delay_s=0.05,
+                           amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=200.0)
+        trials = TrialSet(trials=tuple(_cue_trial(f"t00{i}", "driven", replace(scen, seed=i))
+                                       for i in range(4)))
+        levels = []
+        analyze = pipeline_module._analyze_trial
+
+        def recording(*args):
+            result = analyze(*args)
+            levels.append(tracemalloc.get_traced_memory()[0])
+            return result
+
+        monkeypatch.setattr(pipeline_module, "_analyze_trial", recording)
+        tracemalloc.start()
+        try:
+            run_read_back(trials, cfg, tmp_path)
+        finally:
+            tracemalloc.stop()
+        rows = trials.trials[0].series.n_samples - cfg.embedding.d * round(
+            cfg.embedding.delta_s * 200.0)
+        # times, te_raw, te_filtered and threshold in float64, cue in bool
+        trace_bytes = 2 * rows * (4 * 8 + 1)
+        assert len(levels) == 4
+        assert levels[-1] - levels[0] < trace_bytes
+
 
 class TestRunErrors:
-    def test_empty_trial_set_rejected(self):
+    def test_empty_trial_set_rejected(self, tmp_path):
         from cueflow.timeseries import TrialSet
         with pytest.raises(PipelineError, match="no trials"):
-            run(TrialSet(trials=()), make_config())
+            run_read_back(TrialSet(trials=()), make_config(), tmp_path)
 
-    def test_invalid_config_rejected_up_front(self):
+    def test_invalid_config_rejected_up_front(self, tmp_path):
         trial, _ = var1_trial("t000", seed=0, n=500)
         cfg = make_config(resample_hz=115.0, delta_s=0.1)
         with pytest.raises(PipelineError, match="invalid configuration"):
-            run(var1_trial_set(trial), cfg)
+            run_read_back(var1_trial_set(trial), cfg, tmp_path)
 
-    def test_missing_channel_names_trial_and_stage(self):
+    def test_missing_channel_names_trial_and_stage(self, tmp_path):
         trial, _ = var1_trial("t000", seed=0, n=500)
         cfg = PipelineConfig(
             io=IoConfig(target_channels=("z",), source_channels=("y",),
@@ -273,11 +335,11 @@ class TestRunErrors:
         )
         with pytest.raises(PipelineError,
                            match=r"trial 't000', stage embed \(src2tgt\)"):
-            run(var1_trial_set(trial), cfg)
+            run_read_back(var1_trial_set(trial), cfg, tmp_path)
 
 
 @pytest.fixture(scope="module")
-def study():
+def study(tmp_path_factory):
     trials = var1_trial_set(
         var1_trial("a0", seed=0, n=1200, scenario="coupled")[0],
         var1_trial("a1", seed=1, n=1200, scenario="coupled")[0],
@@ -291,25 +353,25 @@ def study():
         aggregate=dict(bin_dt=1.0, cell_size_m=1.0,
                        position_channels=("x", "y")),
     )
-    return trials, cfg, run(trials, cfg)
+    run_dir = tmp_path_factory.mktemp("study") / "run"
+    result, _ = run_read_back(trials, cfg, run_dir)
+    return trials, cfg, result, run_dir
 
 
 class TestRunDirProducts:
     def test_two_scenarios_produce_a_report(self, study, tmp_path):
-        _, cfg, result = study
-        write_run_dir(result, cfg, tmp_path)
-        assert "peak_te_report.csv" in build_reports(tmp_path, tmp_path, cfg)
+        _, cfg, _, run_dir = study
+        assert "peak_te_report.csv" in build_reports(run_dir, tmp_path, cfg)
         report = storage.read_report_csv(tmp_path / "peak_te_report.csv")
         assert [d for d, _ in report.rows] == ["src2tgt"]
 
-    def test_run_dir_layout(self, study, tmp_path):
-        trials, cfg, result = study
-        write_run_dir(result, cfg, tmp_path / "run")
-        names = sorted(p.name for p in (tmp_path / "run").iterdir())
+    def test_run_dir_layout(self, study):
+        _, _, _, run_dir = study
+        names = sorted(p.name for p in run_dir.iterdir())
         assert names == ["events.csv", "manifest.csv", "te_a0_src2tgt.csv",
                          "te_a1_src2tgt.csv", "te_b0_src2tgt.csv",
                          "te_b1_src2tgt.csv"]
-        manifest = (tmp_path / "run" / "manifest.csv").read_text().splitlines()
+        manifest = (run_dir / "manifest.csv").read_text().splitlines()
         assert manifest[0] == "trial,scenario,t0,duration_s"
         assert len(manifest) == 5
 
@@ -317,30 +379,28 @@ class TestRunDirProducts:
         """Aggregates built from the run's own prepared series (as ``run``
         does) match those rebuilt from re-derived positions (as ``report
         --trials`` does) byte for byte."""
-        trials, cfg, result = study
-        write_run_dir(result, cfg, tmp_path / "run")
+        trials, cfg, result, run_dir = study
         names = ["histogram_src2tgt.csv", "grid_src2tgt.csv", "peak_te_report.csv"]
-        assert build_reports(tmp_path / "run", tmp_path / "direct", cfg,
+        assert build_reports(run_dir, tmp_path / "direct", cfg,
                              positions={r.trial_id: r.prepared
                                         for r in result.trials}) == names
-        assert build_reports(tmp_path / "run", tmp_path / "rep", cfg,
+        assert build_reports(run_dir, tmp_path / "rep", cfg,
                              positions=prepare_position_series(trials, cfg)) == names
         for name in names:
             assert ((tmp_path / "direct" / name).read_bytes()
                     == (tmp_path / "rep" / name).read_bytes())
 
     def test_report_rebuild_needs_all_position_series(self, study, tmp_path):
-        trials, cfg, result = study
-        write_run_dir(result, cfg, tmp_path / "run")
+        trials, cfg, _, run_dir = study
         positions = prepare_position_series(trials, cfg)
         positions.pop("a1")
         with pytest.raises(PipelineError, match="no position series for trial 'a1'"):
-            build_reports(tmp_path / "run", tmp_path / "rep", cfg,
+            build_reports(run_dir, tmp_path / "rep", cfg,
                           positions=positions)
 
     def test_rebuild_requires_a_manifest(self, study, tmp_path):
         from cueflow.errors import DataFormatError
-        _, cfg, _ = study
+        _, cfg, _, _ = study
         (tmp_path / "empty").mkdir()
         with pytest.raises(DataFormatError, match="missing manifest"):
             build_reports(tmp_path / "empty", tmp_path / "rep", cfg)

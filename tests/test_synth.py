@@ -180,9 +180,10 @@ class TestEndToEndDetection:
     def test_high_snr_cue_detected_once_at_onset(self, driven_run):
         """Amplitude/noise ratio 7.5: the scripted cue at t=8 s produces
         exactly one event inside +/-0.3 s of onset in at least 18/20 seeds."""
+        _, traces = driven_run
         hits = 0
-        for trial in driven_run.trials:
-            events = trial.traces["src2tgt"].events
+        for trial in traces:
+            events = trial["src2tgt"].events
             in_window = [e for e in events
                          if abs(e.start_t - E2E_CUE_T) <= E2E_ONSET_TOL]
             hits += len(in_window) == 1
@@ -200,10 +201,11 @@ class TestEndToEndDetection:
         noise level or model capacity.  The assertion states the target
         rather than the floor; see the project notes before touching it.
         """
+        result, traces = null_run
         total_events = 0
         total_minutes = 0.0
-        for trial in null_run.trials:
-            total_events += len(trial.traces["src2tgt"].events)
+        for trial, trial_traces in zip(result.trials, traces):
+            total_events += len(trial_traces["src2tgt"].events)
             total_minutes += trial.duration_s / 60.0
         rate = total_events / total_minutes
         assert rate <= 1.0, f"false-event rate {rate:.2f}/min exceeds 1/min"

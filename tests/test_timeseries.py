@@ -239,6 +239,11 @@ class TestLoadCsv:
 
 
 class TestResample:
+    @pytest.mark.parametrize("rate_hz", [1e300, 1e308])
+    def test_grid_too_long_to_index_is_a_data_error(self, rate_hz):
+        with pytest.raises(DataFormatError, match="resample_hz = .* more than a numpy"):
+            resample(make_series([0.0, 1.0, 2.0], dt=1.0), rate_hz)
+
     def test_linear_interpolation_doubles_rate(self):
         ts = make_series([0.0, 1.0, 2.0], dt=1.0)
         out = resample(ts, 2.0)
