@@ -29,10 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pipeline, storage, synth
+from . import pipeline, storage
 from .config import load_config
 from .errors import ConfigError, CueflowError
-from .synth import CueScenario, Var1Spec, X_TO_Y, Y_TO_X
 from .timeseries import TimeSeries, Trial, TrialSet
 
 logger = logging.getLogger("cueflow.cli")
@@ -116,10 +115,13 @@ def _cmd_run(args) -> int:
 
 
 def _scenario_trials(settings) -> tuple[TrialSet, list[tuple[str, float, float]]]:
+    # synth is imported where it is used, so run, report and validate start without it.
+    from . import synth
+
     trials = []
     truths = []
     for i in range(settings.n_trials):
-        scen = CueScenario(
+        scen = synth.CueScenario(
             duration_s=settings.duration_s,
             cue_times=settings.cue_times,
             response_delay_s=settings.response_delay_s,
@@ -144,11 +146,13 @@ def _scenario_trials(settings) -> tuple[TrialSet, list[tuple[str, float, float]]
 
 
 def _var1_trials(settings) -> TrialSet:
+    from . import synth
+
     trials = []
     a = np.asarray(settings.a).reshape(2, 2)
     q = np.asarray(settings.q).reshape(2, 2)
     for i in range(settings.n_trials):
-        spec = Var1Spec(a=a, q=q, n=settings.n, seed=settings.seed + i, dt=settings.dt)
+        spec = synth.Var1Spec(a=a, q=q, n=settings.n, seed=settings.seed + i, dt=settings.dt)
         x, y = synth.gen_var1(spec)
         series = TimeSeries(channels=("x", "y"),
                             data=np.hstack([x.data, y.data]), dt=settings.dt)
@@ -178,10 +182,12 @@ def _cmd_oracle(args) -> int:
         raise ConfigError("config has no [synth] section")
     if settings.kind != "var1":
         raise ConfigError(f"oracle requires [synth] kind=var1, got {settings.kind!r}")
-    spec = Var1Spec(a=np.asarray(settings.a).reshape(2, 2),
-                    q=np.asarray(settings.q).reshape(2, 2),
-                    n=max(settings.n, 2), seed=settings.seed, dt=settings.dt)
-    for direction in (Y_TO_X, X_TO_Y):
+    from . import synth
+
+    spec = synth.Var1Spec(a=np.asarray(settings.a).reshape(2, 2),
+                          q=np.asarray(settings.q).reshape(2, 2),
+                          n=max(settings.n, 2), seed=settings.seed, dt=settings.dt)
+    for direction in (synth.Y_TO_X, synth.X_TO_Y):
         te = synth.te_oracle_var1(spec, direction)
         print(f"te[{direction}] = {te!r} nats")
     return 0

@@ -214,45 +214,88 @@ def _init_layers(input_dim: int, output_dim: int, hidden, rng) -> list[np.ndarra
     return layers
 
 
-def _forward(layers, x):
-    """Output block ``[mean | log-variance]`` and the input of every layer."""
+# An np.float64, not a Python float, so that the NLL's terms are summed in
+# float64 on a float32 batch too.
+_LOG_2PI = np.log(2.0 * np.pi)
+
+
+class _Work:
+    """The arrays one forward/backward pass over ``rows`` rows writes into,
+    uninitialised.  (A plain class: a dataclass costs start-up time.)"""
+
+    def __init__(self, layers, rows: int, output_dim: int, dtype):
+        widths = [w.shape[1] for w in layers[:-2:2]]
+        self.acts = [np.empty((rows, h), dtype) for h in widths]  # hidden outputs
+        self.out = np.empty((rows, 2 * output_dim), dtype)  # [mu | lv], then [d_mu | d_lv]
+        self.d_z = [np.empty((rows, h), dtype) for h in widths]  # d NLL / d hidden input
+        self.inv_var, self.resid, self.r2_iv = np.empty((3, rows, output_dim), dtype)
+        self.terms = np.empty((rows, output_dim))  # the NLL's terms, in float64
+        self.term_rows = np.empty(rows)
+
+
+def _forward(layers, x, work=None):
+    """Output block ``[mean | log-variance]`` and the input of every layer,
+    written into ``work``'s arrays (new arrays when None)."""
     acts = [x]
     for i in range(len(layers) // 2 - 1):
-        a = acts[-1] @ layers[2 * i]
+        a = np.matmul(acts[-1], layers[2 * i], out=work.acts[i] if work else None)
         a += layers[2 * i + 1]
         acts.append(np.tanh(a, out=a))
-    out = acts[-1] @ layers[-2]
+    out = np.matmul(acts[-1], layers[-2], out=work.out if work else None)
     out += layers[-1]
     return out, acts
 
 
-def _gaussian_nll(lv, r2_iv):
-    """Mean Gaussian NLL from log-variances and squared residuals over variances."""
-    return 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + r2_iv, axis=1))
+def _gaussian_nll(lv, r2_iv, terms=None, term_rows=None):
+    """Mean Gaussian NLL from log-variances and squared residuals over
+    variances, summed in float64 (in ``terms`` and ``term_rows`` when given).
+    Equal, bitwise, to ``0.5 * np.mean(np.sum(log(2 pi) + lv + r2_iv, axis=1))``
+    without the Python layers of np.mean and np.sum."""
+    terms = np.add(_LOG_2PI, lv, out=terms)
+    terms += r2_iv
+    return 0.5 * (np.add.reduce(np.add.reduce(terms, axis=1, out=term_rows))
+                  / lv.shape[0])
 
 
-def _nll_and_grads(layers, x, y, output_dim, grads=None):
+def _column_sums(a, out):
+    """``a.sum(axis=0, out=out)``, bitwise.  einsum adds the rows in the same
+    order and faster, except for a single column, which it sums another way."""
+    if a.shape[1] == 1:
+        return np.add.reduce(a, axis=0, out=out)
+    return np.einsum("ij->j", a, out=out)
+
+
+def _nll_and_grads(layers, x, y, output_dim, grads=None, work=None):
     """Mean Gaussian NLL over the batch and its gradient w.r.t. every layer,
-    written into ``grads`` (new arrays when None).  Only the pass's own arrays
-    are reused in place, so ``x``, ``y`` and ``layers`` are left as they are."""
+    written into ``grads`` (new arrays when None).  Every intermediate goes
+    into ``work``, a :class:`_Work` for the batch's row count (new arrays
+    when None), so ``x``, ``y`` and ``layers``, which share one dtype, are left
+    as they are."""
     b = x.shape[0]
-    out, acts = _forward(layers, x)
+    if work is None:
+        work = _Work(layers, b, output_dim, np.result_type(x, *layers))
+    out, acts = _forward(layers, x, work)
     mu, lv = out[:, :output_dim], out[:, output_dim:]
-    inv_var = np.exp(-lv)
-    resid = y - mu
-    r2_iv = resid**2 * inv_var
-    nll = _gaussian_nll(lv, r2_iv)
-    d_z = out  # becomes [d_mu | d_lv]
-    np.divide(-(resid * inv_var), b, out=mu)
-    np.divide(0.5 * (1.0 - r2_iv), b, out=lv)
+    inv_var = np.exp(np.negative(lv, out=work.inv_var), out=work.inv_var)
+    resid = np.subtract(y, mu, out=work.resid)
+    r2_iv = np.square(resid, out=work.r2_iv)
+    r2_iv *= inv_var
+    nll = _gaussian_nll(lv, r2_iv, work.terms, work.term_rows)
+    # out becomes d_z = [d_mu | d_lv] = [-resid * inv_var / b | 0.5 * (1 - r2_iv) / b],
+    # with the sign and the 0.5 moved into the divisors, where they are exact.
+    # The (rows, d) temporaries are contiguous; the halves of out are not.
+    d_z = out
+    resid *= inv_var
+    np.divide(resid, -b, out=mu)
+    np.divide(np.subtract(1.0, r2_iv, out=r2_iv), 2 * b, out=lv)
     if grads is None:
         grads = [np.empty_like(q) for q in layers]
     for i in range(len(layers) // 2 - 1, -1, -1):
         np.matmul(acts[i].T, d_z, out=grads[2 * i])
-        d_z.sum(axis=0, out=grads[2 * i + 1])
+        _column_sums(d_z, grads[2 * i + 1])
         if i:  # nothing reads the gradient w.r.t. the network input
             a = acts[i]  # not read again, so it takes 1 - a**2
-            d_z = d_z @ layers[2 * i].T
+            d_z = np.matmul(d_z, layers[2 * i].T, out=work.d_z[i - 1])
             d_z *= np.subtract(1.0, np.square(a, out=a), out=a)
     return nll, grads
 
@@ -281,8 +324,9 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     x = (x_raw - x_mean) / x_scale
     y = (y_raw - y_mean) / y_scale
     # Training runs in float32, about 3x faster per step than float64; the
-    # stored layers, predictions and the reported NLL are float64.
-    x32, y32 = x.astype(np.float32), y.astype(np.float32)
+    # stored layers, predictions and the reported NLL are float64.  C order,
+    # as np.take copies any other layout before it gathers rows.
+    x32, y32 = x.astype(np.float32, order="C"), y.astype(np.float32, order="C")
 
     rng = np.random.default_rng(train.seed)
     # Layers and gradients (written by _nll_and_grads) are views into flat
@@ -303,31 +347,46 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
     batch = max(1, min(train.batch_size, n))
-    for epoch in range(train.epochs):
-        order = rng.permutation(n)
-        x_epoch, y_epoch = x32[order], y32[order]
-        for lo in range(0, n, batch):
-            nll, _ = _nll_and_grads(layers, x_epoch[lo:lo + batch],
-                                    y_epoch[lo:lo + batch], d, grad_views)
-            if not np.isfinite(nll):
-                raise TrainingDivergedError(
-                    f"non-finite NLL at epoch {epoch}, step {step}"
-                )
-            step += 1
-            m *= beta1
-            np.multiply(grad, 1 - beta1, out=m_hat)
-            m += m_hat
-            v *= beta2
-            np.multiply(grad, 1 - beta2, out=v_hat)
-            v_hat *= grad
-            v += v_hat
-            np.divide(m, 1 - beta1**step, out=m_hat)
-            np.divide(v, 1 - beta2**step, out=v_hat)
-            np.sqrt(v_hat, out=v_hat)
-            v_hat += eps
-            m_hat *= train.learning_rate
-            m_hat /= v_hat
-            flat -= m_hat
+    # Each epoch's shuffled rows, and the work arrays of the full and the
+    # short last batch, are allocated once; rng.shuffle of a fresh arange is
+    # rng.permutation, so the order of the rows is unchanged.  np.take buffers
+    # out in its default mode="raise"; every index is in range, so "clip"
+    # gathers the same rows without the buffer.
+    rows = np.arange(n)
+    order = np.empty_like(rows)
+    x_epoch, y_epoch = np.empty((n, p), np.float32), np.empty((n, d), np.float32)
+    works = {k: _Work(layers, k, d, np.float32) for k in {batch, n % batch or batch}}
+    # A diverging run overflows exp and makes inf - inf on its way to the
+    # non-finite NLL below, which is its one report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(train.epochs):
+            order[:] = rows
+            rng.shuffle(order)
+            np.take(x32, order, axis=0, out=x_epoch, mode="clip")
+            np.take(y32, order, axis=0, out=y_epoch, mode="clip")
+            for lo in range(0, n, batch):
+                x_b, y_b = x_epoch[lo:lo + batch], y_epoch[lo:lo + batch]
+                nll, _ = _nll_and_grads(layers, x_b, y_b, d, grad_views,
+                                        works[x_b.shape[0]])
+                if not np.isfinite(nll):
+                    raise TrainingDivergedError(
+                        f"non-finite NLL at epoch {epoch}, step {step}"
+                    )
+                step += 1
+                m *= beta1
+                np.multiply(grad, 1 - beta1, out=m_hat)
+                m += m_hat
+                v *= beta2
+                np.multiply(grad, 1 - beta2, out=v_hat)
+                v_hat *= grad
+                v += v_hat
+                np.divide(m, 1 - beta1**step, out=m_hat)
+                np.divide(v, 1 - beta2**step, out=v_hat)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += eps
+                m_hat *= train.learning_rate
+                m_hat /= v_hat
+                flat -= m_hat
 
     layers = [q.astype(np.float64) for q in layers]
     out, _ = _forward(layers, x)

@@ -207,6 +207,25 @@ class TestBadInputExits2:
         assert "Traceback" not in err
         return code, err
 
+    def test_diverging_fit_is_one_clean_error(self, cue_run_config,
+                                              two_scenario_trials, tmp_path):
+        """A learning rate that makes training diverge ends the run with exit
+        code 2 and one message naming the fit stage; numpy's overflow and
+        invalid-value warnings do not reach stderr (checked in a fresh
+        interpreter, where warnings are printed, not raised)."""
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cueflow.__file__).resolve().parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "cueflow.cli", "run", "--config", str(cue_run_config),
+             "--trials", str(two_scenario_trials), "--out", str(tmp_path / "run"),
+             "--set", "model.kind=mlp_gaussian", "--set", "model.learning_rate=1e3"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 2
+        assert re.search(r"stage fit .*: non-finite NLL at epoch \d+, step \d+",
+                         out.stderr)
+        assert "Warning" not in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_undecodable_byte_in_a_trial(self, cue_config, tmp_path, capsys):
         def corrupt(trials_dir):
             bad = trials_dir / "cue_scenario__t001.csv"
@@ -543,22 +562,47 @@ class TestStartUp:
             ["report", "--config", str(cue_run_config), "--events", str(run_dir),
              "--out", str(rep_dir), "--trials", str(two_scenario_trials)],
         ]
+        assert self.loaded_after(commands, ["scipy"]) == [
+            [argv[0], 0, []] for argv in commands]
+        for directory in (run_dir, rep_dir):
+            assert (directory / "peak_te_report.csv").exists()
+
+    def test_run_report_and_validate_load_neither_synth_nor_numpy_ma(
+            self, cue_run_config, two_scenario_trials, tmp_path):
+        """Only synth and oracle import cueflow.synth, and load_csv takes its
+        median without np.median, which imports numpy.ma."""
+        run_dir = tmp_path / "run"
+        commands = [
+            ["validate", "--config", str(cue_run_config)],
+            ["run", "--config", str(cue_run_config), "--trials",
+             str(two_scenario_trials), "--out", str(run_dir)],
+            ["report", "--config", str(cue_run_config), "--events", str(run_dir),
+             "--out", str(tmp_path / "rep"), "--trials", str(two_scenario_trials)],
+        ]
+        assert self.loaded_after(commands, ["cueflow.synth", "numpy.ma"]) == [
+            [argv[0], 0, []] for argv in commands]
+
+    @staticmethod
+    def loaded_after(commands, packages):
+        """Run each command through ``main`` in turn in one new interpreter;
+        for each, its name, its exit code and the modules of ``packages``
+        loaded by its end."""
         env = dict(os.environ,
                    PYTHONPATH=str(Path(cueflow.__file__).resolve().parents[1]))
         code = ("import json, sys\n"
                 "from cueflow.cli import main\n"
-                "for argv in json.loads(sys.argv[1]):\n"
+                "commands, packages = json.loads(sys.argv[1])\n"
+                "for argv in commands:\n"
                 "    code = main(argv)\n"
-                "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                "    loaded = sorted(m for m in sys.modules for p in packages\n"
+                "                    if m == p or m.startswith(p + '.'))\n"
                 "    print(json.dumps([argv[0], code, loaded]), file=sys.stderr)\n")
-        out = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+        out = subprocess.run([sys.executable, "-c", code,
+                              json.dumps([commands, packages])],
                              env=env, check=True, capture_output=True, text=True,
                              timeout=120)
-        results = [json.loads(line) for line in out.stderr.splitlines()
-                   if line.startswith("[")]
-        assert results == [[argv[0], 0, []] for argv in commands]
-        for directory in (run_dir, rep_dir):
-            assert (directory / "peak_te_report.csv").exists()
+        return [json.loads(line) for line in out.stderr.splitlines()
+                if line.startswith("[")]
 
     @pytest.mark.parametrize("override", [
         "model.epochs=0", "model.learning_rate=-1", "model.batch_size=0",

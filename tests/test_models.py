@@ -1,13 +1,16 @@
 """Gaussian predictive models: linear-ridge and MLP fits, gradients."""
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cueflow.embedding import EmbeddedDataset, EmbeddingSpec, embed
-from cueflow.errors import DataFormatError
+from cueflow.errors import DataFormatError, TrainingDivergedError
 from cueflow.models import (AUGMENTED, BASELINE, VARIANCE_FLOOR, FittedModel,
                             GaussianPredictions, TrainConfig, _forward,
-                            _init_layers, _nll_and_grads, fit_mlp, fit_var,
-                            gradient_check, predict)
+                            _gaussian_nll, _init_layers, _nll_and_grads, _Work,
+                            fit_mlp, fit_var, gradient_check, predict)
 from cueflow.timeseries import TimeSeries
 
 
@@ -290,6 +293,55 @@ class TestFitMlp:
         lv = out[:, 1:]
         assert lv.min() > -0.5 * np.log(np.finfo(np.float32).max)
 
+    def test_divergence_raises_naming_epoch_and_step(self):
+        """A learning rate far too large drives the NLL to inf or NaN within
+        a few steps; fit_mlp raises, with no RuntimeWarning on the way (the
+        test run turns one into an error)."""
+        rng = np.random.default_rng(5)
+        ds = history_dataset(rng.standard_normal((300, 2)),
+                             rng.standard_normal((300, 4)), 4, d=2)
+        with pytest.raises(TrainingDivergedError) as err:
+            fit_mlp(ds, BASELINE, hidden=(16, 16),
+                    train=TrainConfig(epochs=20, batch_size=64, learning_rate=1e3))
+        assert re.fullmatch(r"non-finite NLL at epoch \d+, step \d+", str(err.value))
+
+    def test_epochs_after_the_first_allocate_no_batch_sized_block(self, monkeypatch):
+        """From the second epoch on, no step (reshuffle, forward and backward
+        pass, Adam update) allocates a block as large as a hidden layer's
+        output on its batch: traced memory never rises that far above its level
+        at the step's start.  (A ufunc that broadcasts or casts takes up to
+        8192 items of scratch of its own, so the blocks are made larger.)"""
+        import cueflow.models as models_module
+
+        rng = np.random.default_rng(8)
+        n, batch, width = 712, 256, 64  # batches of 256, 256 and 200 rows
+        # 24 inputs, so that an epoch's reshuffled rows are a larger block too.
+        ds = history_dataset(rng.standard_normal((n, 2)),
+                             rng.standard_normal((n, 24)), 12, d=6)
+        sizes, rises, level = [], [], []
+        nll_and_grads = models_module._nll_and_grads
+
+        def traced(layers, x, *args):
+            current, peak = tracemalloc.get_traced_memory()
+            if level:
+                rises.append(peak - level[0])
+            sizes.append(x.shape[0] * width * x.itemsize)
+            tracemalloc.reset_peak()
+            level[:] = [tracemalloc.get_traced_memory()[0]]
+            return nll_and_grads(layers, x, *args)
+
+        monkeypatch.setattr(models_module, "_nll_and_grads", traced)
+        tracemalloc.start()
+        try:
+            model = fit_mlp(ds, AUGMENTED, hidden=(width, width),
+                            train=TrainConfig(epochs=4, batch_size=batch))
+        finally:
+            tracemalloc.stop()
+        assert model.train_report.n_iter == 12
+        # rises[k] covers step k and the reshuffle before step k + 1.
+        for rise, size in zip(rises[2:], sizes[2:-1]):
+            assert rise < size
+
 
 def reference_nll_and_grads(layers, x, y, output_dim):
     """Out-of-place forward pass and backprop that also forms the never-read
@@ -339,29 +391,59 @@ class TestGradients:
         assert np.isfinite(nll)
         assert all(np.isfinite(g).all() for g in grads)
 
-    @pytest.mark.parametrize("hidden", [(), (8,), (16, 8), (5, 4, 3)])
+    @pytest.mark.parametrize("hidden", [(), (8,), (16, 8), (5, 4, 3), (1,)])
     def test_gradients_match_the_reference_bitwise(self, hidden):
         """In float64 on C-ordered rows, and in float32, as fit_mlp trains, on
-        a short last batch taken as a column view of a column-major block (the
-        layout of embedded histories); the in-place pass writes into the given
-        gradient arrays and leaves its inputs byte-for-byte unchanged."""
+        a full batch and on a short last batch taken as a column view of a
+        column-major block (the layout of embedded histories); the in-place
+        pass writes into the given gradient and work arrays and leaves its
+        inputs byte-for-byte unchanged.  Each work set serves two batches of
+        different data, so nothing in it carries over from one pass to the
+        next.  A hidden layer one unit wide has a single-column bias sum."""
         rng = np.random.default_rng(len(hidden))
         layers = _init_layers(4, 2, hidden, rng)
-        x, y = rng.normal(size=(32, 4)), rng.normal(size=(32, 2))
-        block = np.asfortranarray(rng.normal(size=(40, 6)), dtype=np.float32)
-        cases = [(layers, x, y, None),
-                 ([q.astype(np.float32) for q in layers], block[32:, 2:],
-                  rng.normal(size=(8, 2)).astype(np.float32),
-                  [np.full(q.shape, np.nan, np.float32) for q in layers])]
-        for layers, x, y, into in cases:
-            before = [q.tobytes() for q in (x, y, *layers)]
-            nll, grads = _nll_and_grads(layers, x, y, 2, into)
-            ref_nll, ref_grads = reference_nll_and_grads(layers, x, y, 2)
-            assert [q.tobytes() for q in (x, y, *layers)] == before
-            assert nll.tobytes() == ref_nll.tobytes()
-            assert len(grads) == len(ref_grads)
-            for g, ref in zip(grads, ref_grads):
-                assert g.dtype == ref.dtype
-                assert g.tobytes() == ref.tobytes()
-            if into is not None:
-                assert all(g is q for g, q in zip(grads, into))
+        layers32 = [q.astype(np.float32) for q in layers]
+        block = np.asfortranarray(rng.normal(size=(48, 6)), dtype=np.float32)
+
+        def batches(rows, dtype):
+            return [(rng.normal(size=(rows, 4)).astype(dtype),
+                     rng.normal(size=(rows, 2)).astype(dtype)) for _ in range(2)]
+
+        def into():
+            return [np.full(q.shape, np.nan, np.float32) for q in layers]
+
+        short = [(block[lo:lo + 8, 2:], rng.normal(size=(8, 2)).astype(np.float32))
+                 for lo in (32, 40)]
+        cases = [(layers, batches(32, np.float64), None, None),
+                 (layers32, batches(32, np.float32), into(),
+                  _Work(layers32, 32, 2, np.float32)),
+                 (layers32, short, into(), _Work(layers32, 8, 2, np.float32))]
+        for layers, data, into, work in cases:
+            for x, y in data:
+                before = [q.tobytes() for q in (x, y, *layers)]
+                nll, grads = _nll_and_grads(layers, x, y, 2, into, work)
+                ref_nll, ref_grads = reference_nll_and_grads(layers, x, y, 2)
+                assert [q.tobytes() for q in (x, y, *layers)] == before
+                assert nll.tobytes() == ref_nll.tobytes()
+                assert len(grads) == len(ref_grads)
+                for g, ref in zip(grads, ref_grads):
+                    assert g.dtype == ref.dtype
+                    assert g.tobytes() == ref.tobytes()
+                if into is not None:
+                    assert all(g is q for g, q in zip(grads, into))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [1, 2, 3, 9])
+    def test_gaussian_nll_is_the_mean_of_row_sums_bitwise(self, dtype, d):
+        """Summed without np.mean and np.sum, into given arrays or new ones,
+        the NLL is bitwise the np.mean(np.sum(...)) form, in float64 for a
+        float32 batch too, on a log-variance view of an output block."""
+        rng = np.random.default_rng(d)
+        out = (3.0 * rng.normal(size=(300, 2 * d))).astype(dtype)
+        lv = out[:, d:]
+        r2_iv = rng.exponential(size=(300, d)).astype(dtype)
+        ref = 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + r2_iv, axis=1))
+        for nll in (_gaussian_nll(lv, r2_iv),
+                    _gaussian_nll(lv, r2_iv, np.empty((300, d)), np.empty(300))):
+            assert nll.dtype == np.float64
+            assert nll.tobytes() == ref.tobytes()

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from cueflow.errors import DataFormatError
 from cueflow.timeseries import (_WRITE_BLOCK_ROWS, TimeSeries, Trial, TrialSet,
-                                load_csv, read_numeric_csv, resample, trim_start,
+                                _median, load_csv, read_numeric_csv, resample, trim_start,
                                 write_trial_csv)
 
 
@@ -97,9 +97,25 @@ class TestLoadCsv:
         assert ts.dt == pytest.approx(0.1)
         assert ts.raw_times is not None  # jitter kept for resampling
 
+    def test_median_is_np_median_bitwise(self):
+        """Odd and even lengths, ties, and spreads over many magnitudes."""
+        rng = np.random.default_rng(12)
+        for n in range(1, 451):
+            a = rng.exponential(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
+            if n % 3 == 0:
+                a = np.round(a, 1)  # many equal values
+            assert _median(a).hex() == float(np.median(a)).hex()
+
     def test_non_increasing_timestamps_name_the_row(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0.0,1\n0.2,2\n0.1,3\n")
         with pytest.raises(DataFormatError, match="row 3"):
+            load_csv(p)
+
+    def test_nan_timestamp_names_the_row(self, tmp_path):
+        """A NaN timestamp is not increasing; without the check a NaN after
+        the middle difference would leave dt finite and the NaN unnoticed."""
+        p = self.write(tmp_path, "t,x\n0.0,1\n0.1,2\n0.2,3\n0.3,4\nnan,5\n")
+        with pytest.raises(DataFormatError, match="row 5"):
             load_csv(p)
 
     def test_numeric_junk_names_the_row(self, tmp_path):
