@@ -75,16 +75,16 @@ class CueEvent:
 
 @dataclass
 class DetectionTrace:
-    """One direction's sample-aligned detector series and the events found on them.
+    """One direction's local TE, its cue mask and the events found on them.
 
     The arrays are the columns of a TE trace CSV; the events go to ``events.csv``.
+    The filtered TE and the threshold are not kept: :func:`highpass` and
+    :func:`des_threshold` rebuild them bitwise from ``te_raw``.
     """
 
     direction: str
     times: np.ndarray
     te_raw: np.ndarray
-    te_filtered: np.ndarray
-    threshold: np.ndarray
     cue: np.ndarray
     events: list[CueEvent] = field(default_factory=list)
 
@@ -169,15 +169,15 @@ def des_threshold(series: TeSeries, cfg: DetectorConfig
 
 
 def detect_trace(series: TeSeries, cfg: DetectorConfig) -> DetectionTrace:
-    """Run the full detector and keep the series it compares.
+    """Run the full detector on ``series``, whose arrays the trace shares.
 
-    The cue mask at t requires ``te_raw[t] > 0`` and
-    ``te_filtered[t] > threshold[t]``; maximal runs of the mask at least
-    :data:`MIN_EVENT_SAMPLES` long become :class:`CueEvent` records whose
-    ``peak_te`` is the raw-TE maximum inside the run.  Shorter runs stay in
-    the ``cue`` mask but give no event.  With ``skip_warmup`` set, events
-    starting inside the first level time-constant are discarded as
-    initialization transients.
+    The cue mask at t requires ``te_raw[t] > 0`` and the :func:`highpass`
+    output to exceed its :func:`des_threshold` at t; maximal runs of the
+    mask at least :data:`MIN_EVENT_SAMPLES` long become :class:`CueEvent`
+    records whose ``peak_te`` is the raw-TE maximum inside the run.
+    Shorter runs stay in the ``cue`` mask but give no event.  With
+    ``skip_warmup`` set, events starting inside the first level
+    time-constant are discarded as initialization transients.
     """
     if len(series) < 2:
         raise DataFormatError("detector needs at least two samples")
@@ -202,17 +202,5 @@ def detect_trace(series: TeSeries, cfg: DetectorConfig) -> DetectionTrace:
             peak_te=float(np.max(series.te_raw[run])),
             direction=series.direction,
         ))
-    return DetectionTrace(
-        direction=series.direction,
-        times=series.times.copy(),
-        te_raw=series.te_raw.copy(),
-        te_filtered=filtered.te_raw,
-        threshold=threshold,
-        cue=mask,
-        events=events,
-    )
-
-
-def detect(series: TeSeries, cfg: DetectorConfig) -> list[CueEvent]:
-    """Cue events for one TE series (see :func:`detect_trace` for internals)."""
-    return detect_trace(series, cfg).events
+    return DetectionTrace(direction=series.direction, times=series.times,
+                          te_raw=series.te_raw, cue=mask, events=events)

@@ -120,18 +120,25 @@ def history_rows(target: TimeSeries, source: TimeSeries, spec: EmbeddingSpec) ->
     return n - spec.horizon
 
 
-def embed(pairs: list[tuple[TimeSeries, TimeSeries]], spec: EmbeddingSpec) -> EmbeddedDataset:
+def embed(pairs: list[tuple[TimeSeries, TimeSeries]], spec: EmbeddingSpec,
+          channels: tuple[tuple[str, ...], tuple[str, ...]] | None = None) -> EmbeddedDataset:
     """Build aligned (targets, design) blocks from one or more trials'
     ``(target, source)`` series pairs, which share their channel counts.
 
-    Each pair gives :func:`history_rows` rows, stacked in pair order: its
-    first ``d * stride`` samples are consumed as history, so no history row
+    ``channels``, a (target names, source names) pair, embeds only those
+    channels of each pair's target and source, in that order, read in
+    place; by default every channel of both is embedded.  Each pair gives
+    :func:`history_rows` rows, stacked in pair order: its first
+    ``d * stride`` samples are consumed as history, so no history row
     reaches across two trials.
     """
     rows = [history_rows(target, source, spec) for target, source in pairs]
-    n_tgt, n_src = pairs[0][0].n_channels, pairs[0][1].n_channels
-    # Every lag is written straight into its columns of one column-major
-    # block, so each column (and the target and source blocks) is contiguous.
+    if channels is None:
+        channels = pairs[0][0].channels, pairs[0][1].channels
+    n_tgt, n_src = map(len, channels)
+    # Every lag of every channel is written straight into its column of one
+    # column-major block, so each column (and the target and source blocks)
+    # is contiguous, and only views of the series are taken.
     design = np.empty((sum(rows), 1 + spec.d * (n_tgt + n_src)), order="F")
     targets = np.empty((sum(rows), n_tgt), order="F")
     times = np.empty(sum(rows))
@@ -139,10 +146,14 @@ def embed(pairs: list[tuple[TimeSeries, TimeSeries]], spec: EmbeddingSpec) -> Em
     off, lo = spec.horizon, 0
     for (target, source), n_rows in zip(pairs, rows):
         hi = lo + n_rows
-        np.concatenate([data[off - j * spec.stride: off - j * spec.stride + n_rows]
-                        for data in (target.data, source.data)
-                        for j in range(1, spec.d + 1)], axis=1, out=design[lo:hi, 1:])
-        targets[lo:hi] = target.data[off:]
+        tgt_idx, src_idx = ([series.channel_index(name) for name in names]
+                            for series, names in zip((target, source), channels))
+        np.concatenate([data[off - j * spec.stride: off - j * spec.stride + n_rows, c, None]
+                        for data, idx in ((target.data, tgt_idx), (source.data, src_idx))
+                        for j in range(1, spec.d + 1) for c in idx],
+                       axis=1, out=design[lo:hi, 1:])
+        np.concatenate([target.data[off:, c, None] for c in tgt_idx], axis=1,
+                       out=targets[lo:hi])
         # target.times[off:], t0 + k * dt, without its full-length temporaries
         t = times[lo:hi]
         t[:] = np.arange(off, off + n_rows)

@@ -19,7 +19,7 @@ from . import aggregate as agg
 from . import storage
 from .config import PipelineConfig
 from .detector import CueEvent, DetectorConfig, detect_trace, time_constants
-from .embedding import EmbeddingSpec, embed, history_rows
+from .embedding import EmbeddedDataset, EmbeddingSpec, embed, history_rows
 from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
                      predict_dataset)
@@ -133,25 +133,29 @@ def _direction_roles(cfg: PipelineConfig, direction: str) -> tuple[tuple[str, ..
     return cfg.io.source_channels, cfg.io.target_channels
 
 
-def _embed_pair(trial_id: str, series: TimeSeries, cfg: PipelineConfig,
-                spec: EmbeddingSpec, direction: str) -> tuple[TimeSeries, TimeSeries]:
-    """One trial's (target, source) series for ``direction``, checked for
-    :func:`embed`; an error names the trial."""
-    tgt_ch, src_ch = _direction_roles(cfg, direction)
-    try:
-        pair = series.select(tgt_ch), series.select(src_ch)
-        history_rows(*pair, spec)
-    except CueflowError as exc:
-        raise PipelineError(f"trial {trial_id!r}, stage embed ({direction}): {exc}") from exc
-    return pair
+def _embed(group: list[tuple[str, TimeSeries]], cfg: PipelineConfig,
+           spec: EmbeddingSpec, direction: str) -> EmbeddedDataset:
+    """Embed the ``(trial_id, series)`` of ``group`` for ``direction`` into one
+    block, each series' channels read in place; an error names the trial."""
+    roles = _direction_roles(cfg, direction)
+    for trial_id, series in group:
+        try:
+            for names in roles:
+                for name in names:
+                    series.channel_index(name)
+                if len(set(names)) != len(names):
+                    raise DataFormatError(f"duplicate channel names: {names}")
+            history_rows(series, series, spec)
+        except CueflowError as exc:
+            raise PipelineError(f"trial {trial_id!r}, stage embed ({direction}): {exc}") from exc
+    return embed([(series, series) for _, series in group], spec, roles)
 
 
 def _fit_pair(group: list[tuple[str, TimeSeries]], cfg: PipelineConfig,
               spec: EmbeddingSpec, seed: int, scenario: str,
               direction: str) -> DirectionModels:
     """Embed one scenario's trials for ``direction`` into one block and fit the pair."""
-    pooled = embed([_embed_pair(trial_id, series, cfg, spec, direction)
-                    for trial_id, series in group], spec)
+    pooled = _embed(group, cfg, spec, direction)
     try:
         if cfg.model.kind == VAR_LINEAR:
             base = fit_var(pooled, BASELINE)
@@ -210,7 +214,7 @@ def _analyze_direction(trial, series: TimeSeries, direction: str, cfg: PipelineC
     """Detect cues on one trial in one direction and write its TE trace; only
     the events outlive the call."""
     try:
-        ds = embed([_embed_pair(trial.trial_id, series, cfg, spec, direction)], spec)
+        ds = _embed([(trial.trial_id, series)], cfg, spec, direction)
         te_series = local_te(predict_dataset(pair.baseline, ds),
                              predict_dataset(pair.augmented, ds), ds.targets,
                              mode=cfg.model.te_mode, direction=direction)

@@ -3,8 +3,7 @@
 Formats (all comma-separated, header row first, floats written with
 shortest-round-trip ``repr`` so read-back is lossless):
 
-* TE trace, one file per trial and direction:
-  ``t,te_raw,te_filtered,threshold,cue`` (cue is 0/1; threshold starts NaN).
+* TE trace, one file per trial and direction: ``t,te_raw,cue`` (cue is 0/1).
 * Events: ``trial,direction,start_t,end_t,peak_te``.
 * Grid: ``ix,iy,count`` for nonzero cells, plus a ``<path>.meta`` sidecar of
   ``key=value`` lines (origin_x, origin_y, cell_size_m, nx, ny, direction).
@@ -25,7 +24,7 @@ from .errors import DataFormatError
 from .timeseries import (Trial, TrialSet, load_csv, read_numeric_csv, text_errors,
                          write_columns_csv, write_errors, write_trial_csv)
 
-TE_HEADER = ["t", "te_raw", "te_filtered", "threshold", "cue"]
+TE_HEADER = ["t", "te_raw", "cue"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
 REPORT_HEADER = ["direction", "n_a", "n_b", "t_stat", "p_value"]
 
@@ -72,10 +71,9 @@ def _read_key_values(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def write_te_csv(trace: DetectionTrace, path) -> None:
-    write_columns_csv(path, TE_HEADER, [
-        *(np.asarray(col, dtype=float) for col in (trace.times, trace.te_raw,
-                                                   trace.te_filtered, trace.threshold)),
-        np.asarray(trace.cue).astype(np.int64)])
+    write_columns_csv(path, TE_HEADER, [np.asarray(trace.times, dtype=float),
+                                        np.asarray(trace.te_raw, dtype=float),
+                                        np.asarray(trace.cue).astype(np.int64)])
 
 
 def read_te_csv(path, direction: str = "src2tgt") -> DetectionTrace:
@@ -83,14 +81,8 @@ def read_te_csv(path, direction: str = "src2tgt") -> DetectionTrace:
     _, arr = read_numeric_csv(path, lambda header: _check_header(path, header, TE_HEADER))
     if arr.size == 0:
         raise DataFormatError(f"{path}: no samples")
-    return DetectionTrace(
-        direction=direction,
-        times=arr[:, 0],
-        te_raw=arr[:, 1],
-        te_filtered=arr[:, 2],
-        threshold=arr[:, 3],
-        cue=arr[:, 4] != 0.0,
-    )
+    return DetectionTrace(direction=direction, times=arr[:, 0], te_raw=arr[:, 1],
+                          cue=arr[:, 2] != 0.0)
 
 
 def _check_header(path, header: list[str], expected_header: list[str]) -> None:

@@ -241,9 +241,9 @@ def _median(a: np.ndarray) -> float:
 def load_csv(path) -> TimeSeries:
     """Load one trial CSV (``t,<ch1>,...``) into a :class:`TimeSeries`.
 
-    Timestamps must be strictly increasing; ``dt`` is set to the median
-    successive difference and the raw timestamps are retained for resampling
-    when they deviate from a uniform grid.
+    Timestamps must be finite and strictly increasing; ``dt`` is set to the
+    median successive difference and the raw timestamps are retained for
+    resampling when they deviate from a uniform grid.
     """
     path = Path(path)
 
@@ -260,8 +260,11 @@ def load_csv(path) -> TimeSeries:
         raise DataFormatError(f"{path}: need at least two samples")
     # Contiguous copies, so that no view keeps the whole parsed block alive.
     t = arr[:, 0].copy()
+    bad = np.flatnonzero(~np.isfinite(t))
+    if bad.size:
+        raise DataFormatError(f"{path}: timestamp {t[bad[0]]} at row {bad[0] + 1} is not finite")
     diffs = np.diff(t)
-    bad = np.flatnonzero(~(diffs > 0))  # a NaN timestamp is not increasing either
+    bad = np.flatnonzero(diffs <= 0)
     if bad.size:
         raise DataFormatError(
             f"{path}: timestamps not strictly increasing at row {bad[0] + 2}"

@@ -56,8 +56,9 @@ def _e2e_config() -> PipelineConfig:
 
 
 def run_read_back(trials: TrialSet, cfg: PipelineConfig, out_dir):
-    """``pipeline.run`` into ``out_dir``, then every TE trace read back from
-    its file with ``storage.read_te_csv``, carrying its direction's events.
+    """``pipeline.run`` into ``out_dir``, then every TE trace (times, te_raw
+    and cue) read back from its file with ``storage.read_te_csv``, carrying
+    its direction's events.
 
     Returns the run's result and, per trial in trial order, a dict of
     direction -> trace.

@@ -13,7 +13,8 @@ import numpy as np
 from cueflow import storage
 from cueflow.aggregate import (CueGrid, CueHistogram, PeakTeReport,
                                WelchResult, peak_te_study)
-from cueflow.detector import DetectorConfig, detect, detect_trace, time_constants
+from cueflow.detector import (DetectorConfig, des_threshold, detect_trace, highpass,
+                              time_constants)
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.models import AUGMENTED, BASELINE, TrainConfig, fit_mlp, fit_var, gradient_check
 from cueflow.synth import te_oracle_var1
@@ -108,12 +109,12 @@ def test_criterion_4_detector_properties():
     """DC rejection, pulse localization, threshold-factor monotonicity, and
     sub-threshold quiescence."""
     start = time.perf_counter()
-    dc_events = sum(len(detect(_te_series(np.full(400, level)), _detector()))
+    dc_events = sum(len(detect_trace(_te_series(np.full(400, level)), _detector()).events)
                     for level in (0.0, -1.0, 5.0))
 
     tt = 0.01 * np.arange(601)
     pulse = np.where((tt >= 2.0) & (tt < 2.3), 1.0, 0.0)
-    events = detect(_te_series(pulse), _detector())
+    events = detect_trace(_te_series(pulse), _detector()).events
     pulse_ok = len(events) == 1 and abs(events[0].start_t - 2.0) <= 0.1
 
     mono_ok = True
@@ -121,7 +122,7 @@ def test_criterion_4_detector_properties():
     base += np.where((tt >= 4.0) & (tt < 4.2), 0.8, 0.0)
     for seed in range(10):
         noisy = base + 0.2 * np.random.default_rng(seed).standard_normal(601)
-        counts = [len(detect(_te_series(noisy), _detector(gamma=g)))
+        counts = [len(detect_trace(_te_series(noisy), _detector(gamma=g)).events)
                   for g in (1, 2, 3, 4, 5)]
         mono_ok &= counts == sorted(counts, reverse=True)
 
@@ -129,9 +130,9 @@ def test_criterion_4_detector_properties():
     weak = np.where((tt4 >= 2.0) & (tt4 < 2.3), 0.5, 0.0)
     quiet = sum(
         1 for seed in range(20)
-        if not detect(_te_series(
+        if not detect_trace(_te_series(
             weak + np.random.default_rng(seed).standard_normal(401)),
-            _detector(gamma=4.0)))
+            _detector(gamma=4.0)).events)
     elapsed = time.perf_counter() - start
     ok = (dc_events == 0 and pulse_ok and mono_ok and quiet >= 18
           and elapsed < 30.0)
@@ -272,15 +273,24 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         and first[0][d].events == second[0][d].events
         for d in ("src2tgt", "tgt2src"))
 
+    det = _detector()
+
+    def threshold(trace):
+        """The threshold the detector compared, rebuilt from the trace's TE."""
+        series = TeSeries(direction=trace.direction, times=trace.times,
+                          te_raw=trace.te_raw, mode="entropy_diff")
+        return des_threshold(highpass(series, det.hp_cutoff_hz, det.dt), det)[2]
+
     trace = detect_trace(_te_series(
         0.05 * np.random.default_rng(5).standard_normal(400)
-        + np.where(np.arange(400) // 100 == 2, 2.0, 0.0)), _detector())
+        + np.where(np.arange(400) // 100 == 2, 2.0, 0.0)), det)
     storage.write_te_csv(trace, tmp_path / "te.csv")
     back = storage.read_te_csv(tmp_path / "te.csv", direction="src2tgt")
     te_err = max(
         float(np.nanmax(np.abs(back.te_raw - trace.te_raw))),
         float(np.nanmax(np.abs(
-            np.nan_to_num(back.threshold) - np.nan_to_num(trace.threshold)))))
+            np.nan_to_num(threshold(back)) - np.nan_to_num(threshold(trace))))),
+        float(np.count_nonzero(back.cue != trace.cue)))
 
     hist = CueHistogram(direction="src2tgt", bin_dt=0.5,
                         counts=np.array([1, 0, 3, 2]), n_trials=4)

@@ -177,6 +177,48 @@ class TestRunFlow:
             assert ((tmp_path / "run1" / name).read_bytes()
                     == (tmp_path / "run2" / name).read_bytes())
 
+    def test_written_traces_redetect_to_their_cues_and_events(self, cue_run_config,
+                                                                 tmp_path, capsys):
+        """Each TE trace holds what detection needs: the detector run under
+        the run's [detector] section on a trace's t and te_raw gives its
+        written cue column and its trial's events.csv rows, bitwise."""
+        from cueflow.config import load_config
+        from cueflow.detector import detect_trace
+        from cueflow.pipeline import MANIFEST_HEADER, te_csv_name
+        from cueflow.te import TeSeries
+
+        trials_dir, run_dir = tmp_path / "trials", tmp_path / "run"
+        main(["synth", "--config", str(cue_run_config), "--out", str(trials_dir)])
+        assert main(["run", "--config", str(cue_run_config),
+                     "--trials", str(trials_dir), "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        cfg, _ = load_config(cue_run_config)
+        det = cfg.detector.to_config(cfg.dt)
+
+        def bits(ev):
+            return ev.direction, ev.start_t.hex(), ev.end_t.hex(), ev.peak_te.hex()
+
+        written = storage.read_events_csv(run_dir / "events.csv")
+        trial_ids = [row[0] for row in storage.read_rows(
+            run_dir / "manifest.csv", MANIFEST_HEADER, (str, str, float, float))]
+        names = {te_csv_name(trial_id, direction) for trial_id in trial_ids
+                 for direction in cfg.io.direction_list}
+        assert {p.name for p in run_dir.glob("te_*.csv")} == names
+        redetected = 0
+        for trial_id in trial_ids:
+            for direction in cfg.io.direction_list:
+                back = storage.read_te_csv(run_dir / te_csv_name(trial_id, direction),
+                                           direction=direction)
+                trace = detect_trace(TeSeries(direction=direction, times=back.times,
+                                              te_raw=back.te_raw, mode=cfg.model.te_mode),
+                                     det)
+                assert trace.cue.tobytes() == back.cue.tobytes()
+                assert ([bits(ev) for ev in trace.events]
+                        == [bits(ev) for t, ev in written
+                            if t == trial_id and ev.direction == direction])
+                redetected += len(trace.events)
+        assert redetected == len(written) > 0
+
     def test_trial_id_with_a_comma(self, cue_run_config, tmp_path, capsys):
         trials_dir = tmp_path / "trials"
         run_dir = tmp_path / "run"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cueflow.detector import (MIN_EVENT_SAMPLES, DetectorConfig, des_threshold,
-                              detect, detect_trace, highpass, time_constants)
+                              detect_trace, highpass, time_constants)
 from cueflow.errors import ConfigError, DataFormatError
 from cueflow.te import TeSeries
 
@@ -198,17 +198,23 @@ class TestDesThreshold:
         np.testing.assert_allclose(mu, x, atol=1e-6)
 
 
+def compared_series(series, cfg):
+    """The high-passed TE and the threshold that detect_trace compares."""
+    filtered = highpass(series, cfg.hp_cutoff_hz, cfg.dt)
+    return filtered.te_raw, des_threshold(filtered, cfg)[2]
+
+
 class TestDetect:
     def test_constant_input_yields_no_events(self):
         for level in (0.0, -1.0, 5.0):
             series = te_series(np.full(500, level))
-            assert detect(series, cfg_100hz()) == []
+            assert detect_trace(series, cfg_100hz()).events == []
 
     def test_rectangular_pulse_is_localized(self):
         """Amplitude-1 pulse over [2.0, 2.3) s on a zero baseline: exactly one
         event, starting on the pulse onset."""
         series = pulse_trace(6.0, 0.01, [(2.0, 2.3, 1.0)])
-        events = detect(series, cfg_100hz())
+        events = detect_trace(series, cfg_100hz()).events
         assert len(events) == 1
         ev = events[0]
         assert abs(ev.start_t - 2.0) <= 0.1
@@ -227,7 +233,7 @@ class TestDetect:
         assert trace.cue[200]
         assert trace.events == []
         te[201] = 1.0
-        events = detect(te_series(te), cfg_100hz())
+        events = detect_trace(te_series(te), cfg_100hz()).events
         assert len(events) == 1
         assert events[0].start_t == 2.0
         assert events[0].end_t == pytest.approx(2.01)
@@ -243,7 +249,7 @@ class TestDetect:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             series = te_series(base + rng.standard_normal(n))
-            quiet += len(detect(series, cfg)) == 0
+            quiet += len(detect_trace(series, cfg).events) == 0
         assert quiet >= 18
 
     def test_event_count_shrinks_as_gamma_grows(self):
@@ -252,7 +258,7 @@ class TestDetect:
             noise = 0.2 * rng.standard_normal(601)
             series = pulse_trace(6.0, 0.01, [(2.0, 2.3, 1.0), (4.0, 4.2, 0.8)],
                                  noise=noise)
-            counts = [len(detect(series, cfg_100hz(gamma=g)))
+            counts = [len(detect_trace(series, cfg_100hz(gamma=g)).events)
                       for g in (1.0, 2.0, 3.0, 4.0, 5.0)]
             assert counts == sorted(counts, reverse=True)
 
@@ -261,7 +267,7 @@ class TestDetect:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             series = te_series(rng.standard_normal(800))
-            events = detect(series, cfg)
+            events = detect_trace(series, cfg).events
             t_lo, t_hi = series.times[0], series.times[-1]
             prev_end = -np.inf
             for ev in events:
@@ -273,10 +279,12 @@ class TestDetect:
     def test_detection_is_deterministic(self):
         rng = np.random.default_rng(21)
         values = rng.standard_normal(500)
-        a = detect_trace(te_series(values), cfg_100hz(gamma=2.0))
-        b = detect_trace(te_series(values.copy()), cfg_100hz(gamma=2.0))
-        np.testing.assert_array_equal(a.te_filtered, b.te_filtered)
-        np.testing.assert_array_equal(a.threshold, b.threshold)
+        cfg = cfg_100hz(gamma=2.0)
+        a = detect_trace(te_series(values), cfg)
+        b = detect_trace(te_series(values.copy()), cfg)
+        for got, want in zip(compared_series(te_series(values), cfg),
+                             compared_series(te_series(values.copy()), cfg)):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(a.cue, b.cue)
         assert a.events == b.events
 
@@ -287,8 +295,8 @@ class TestDetect:
         raw = 5.0 + 0.5 * np.abs(rng.standard_normal(400))
         raw[200:215] += 3.0
         cfg = cfg_100hz()
-        e1 = detect(te_series(raw), cfg)
-        e2 = detect(te_series(raw + 100.0), cfg)
+        e1 = detect_trace(te_series(raw), cfg).events
+        e2 = detect_trace(te_series(raw + 100.0), cfg).events
         assert [(e.start_t, e.end_t) for e in e1] == \
                [(e.start_t, e.end_t) for e in e2]
         assert len(e1) > 0
@@ -296,8 +304,8 @@ class TestDetect:
     def test_warmup_events_are_skipped_by_default(self):
         """tau_level is ~1 s here, so a pulse at 0.5 s is an init transient."""
         series = pulse_trace(6.0, 0.01, [(0.5, 0.7, 1.0)])
-        assert detect(series, cfg_100hz()) == []
-        kept = detect(series, cfg_100hz(skip_warmup=False))
+        assert detect_trace(series, cfg_100hz()).events == []
+        kept = detect_trace(series, cfg_100hz(skip_warmup=False)).events
         assert len(kept) == 1
         assert kept[0].start_t == 0.5
 
@@ -305,14 +313,14 @@ class TestDetect:
         series = pulse_trace(4.0, 0.01, [(2.0, 2.2, 1.0)])
         trace = detect_trace(series, cfg_100hz())
         n = len(series)
-        for arr in (trace.te_raw, trace.te_filtered, trace.threshold, trace.cue):
+        for arr in (trace.te_raw, *compared_series(series, cfg_100hz()), trace.cue):
             assert arr.shape == (n,)
         np.testing.assert_array_equal(trace.times, series.times)
         assert trace.cue.sum() > 0
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DataFormatError):
-            detect(te_series(np.array([1.0])), cfg_100hz())
+            detect_trace(te_series(np.array([1.0])), cfg_100hz())
 
 
 @st.composite
@@ -346,9 +354,10 @@ class TestDetectorProperties:
     @given(level=st.floats(-1e6, 1e6), n=st.integers(2, 400),
            gamma=st.floats(0.1, 10.0), cutoff_hz=st.floats(0.05, 49.0))
     def test_constant_input_filters_to_exact_zero(self, level, n, gamma, cutoff_hz):
-        trace = detect_trace(te_series(np.full(n, level)),
-                             cfg_100hz(gamma=gamma, hp_cutoff_hz=cutoff_hz))
-        assert not trace.te_filtered.any()
+        series = te_series(np.full(n, level))
+        cfg = cfg_100hz(gamma=gamma, hp_cutoff_hz=cutoff_hz)
+        trace = detect_trace(series, cfg)
+        assert not highpass(series, cfg.hp_cutoff_hz, cfg.dt).te_raw.any()
         assert not trace.cue.any()
         assert trace.events == []
 

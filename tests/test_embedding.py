@@ -145,6 +145,23 @@ class TestEmbed:
             assert (getattr(pooled, name).tobytes()
                     == np.concatenate([getattr(ds, name) for ds in alone]).tobytes())
 
+    def test_named_channels_embed_as_their_selected_series(self):
+        """Channels named out of several-channel series, in any order, give
+        the bytes that embedding the selected sub-series gives."""
+        rng = np.random.default_rng(6)
+        pairs = [(s, s) for s in (series(rng.standard_normal((n, 4)),
+                                         channels=("a", "b", "c", "d"))
+                                  for n in (30, 17))]
+        spec = EmbeddingSpec(d=3, delta_s=2.0, dt=1.0)
+        tgt, src = ("c", "a"), ("d", "b")
+        got = embed(pairs, spec, (tgt, src))
+        want = embed([(s.select(tgt), s.select(src)) for s, _ in pairs], spec)
+        assert got.target_cols == want.target_cols == 3 * len(tgt)
+        for name in ("targets", "design", "times"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.shape, a.flags.f_contiguous) == (b.shape, b.flags.f_contiguous)
+            assert a.tobytes() == b.tobytes()
+
     def test_mismatched_dt_rejected(self):
         with pytest.raises(DataFormatError):
             embed([(series(np.zeros(10), dt=1.0), series(np.zeros(10), dt=0.5))],

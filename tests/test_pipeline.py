@@ -219,6 +219,23 @@ class TestRunOnCoupledVar:
             run_read_back(trials, make_config(), tmp_path)
 
 
+def two_trial_200hz_scenario():
+    """A var_linear config at 200 Hz, one scenario of two 30 s trials, their
+    prepared series, and the width of the history the config embeds."""
+    cfg = _e2e_config()
+    cfg = replace(cfg, io=replace(cfg.io, resample_hz=200.0),
+                  model=ModelConfig(kind="var_linear", te_mode="loglik_ratio"))
+    scen = CueScenario(duration_s=30.0, cue_times=(8.0,), response_delay_s=0.05,
+                       amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=200.0)
+    trials = TrialSet(trials=tuple(_cue_trial(f"t00{i}", "driven", replace(scen, seed=i))
+                                   for i in range(2)))
+    prepared = list(prepare_position_series(trials, cfg).values())
+    horizon = cfg.embedding.d * round(cfg.embedding.delta_s * 200.0)
+    rows = sum(s.n_samples - horizon for s in prepared)
+    width = cfg.embedding.d * (len(cfg.io.target_channels) + len(cfg.io.source_channels))
+    return cfg, trials, prepared, rows, width
+
+
 class TestFitMemory:
     def test_fit_peak_is_bounded_by_the_pooled_history(self):
         """Fitting a two-trial 200 Hz var_linear scenario holds the stacked
@@ -227,17 +244,8 @@ class TestFitMemory:
         under 3x the pooled history's bytes."""
         import tracemalloc
 
-        cfg = _e2e_config()
-        cfg = replace(cfg, io=replace(cfg.io, resample_hz=200.0),
-                      model=ModelConfig(kind="var_linear", te_mode="loglik_ratio"))
-        scen = CueScenario(duration_s=30.0, cue_times=(8.0,), response_delay_s=0.05,
-                           amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=200.0)
-        trials = TrialSet(trials=tuple(_cue_trial(f"t00{i}", "driven", replace(scen, seed=i))
-                                       for i in range(2)))
-        prepared = list(prepare_position_series(trials, cfg).values())
-        horizon = cfg.embedding.d * round(cfg.embedding.delta_s * 200.0)
-        width = cfg.embedding.d * (len(cfg.io.target_channels) + len(cfg.io.source_channels))
-        hist_bytes = sum(s.n_samples - horizon for s in prepared) * width * 8
+        cfg, trials, prepared, rows, width = two_trial_200hz_scenario()
+        hist_bytes = rows * width * 8
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -254,17 +262,8 @@ class TestFitMemory:
         stays under 1.5x that block's bytes."""
         import tracemalloc
 
-        cfg = _e2e_config()
-        cfg = replace(cfg, io=replace(cfg.io, resample_hz=200.0),
-                      model=ModelConfig(kind="var_linear", te_mode="loglik_ratio"))
-        scen = CueScenario(duration_s=30.0, cue_times=(8.0,), response_delay_s=0.05,
-                           amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=200.0)
-        trials = TrialSet(trials=tuple(_cue_trial(f"t00{i}", "driven", replace(scen, seed=i))
-                                       for i in range(2)))
-        prepared = list(prepare_position_series(trials, cfg).values())
-        horizon = cfg.embedding.d * round(cfg.embedding.delta_s * 200.0)
-        width = cfg.embedding.d * (len(cfg.io.target_channels) + len(cfg.io.source_channels))
-        design_bytes = sum(s.n_samples - horizon for s in prepared) * (1 + width) * 8
+        cfg, trials, prepared, rows, width = two_trial_200hz_scenario()
+        design_bytes = rows * (1 + width) * 8
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -273,6 +272,36 @@ class TestFitMemory:
         finally:
             tracemalloc.stop()
         assert peak - start < 1.5 * design_bytes
+
+    def test_embedding_reads_the_trials_channels_in_place(self, monkeypatch):
+        """The fit stage fills its design block from views of each prepared
+        series, so the traced peak up to the end of the first embedding is
+        the block, its target and time columns and a few temporaries: under
+        1.25x the block's bytes.  Copies of every trial's target and source
+        channels, alive together while the block fills, would add a quarter
+        of the block here."""
+        import tracemalloc
+
+        import cueflow.pipeline as pipeline_module
+
+        cfg, trials, prepared, rows, width = two_trial_200hz_scenario()
+        design_bytes = rows * (1 + width) * 8
+        peaks = []
+        embed = pipeline_module.embed
+
+        def recording(*args, **kwargs):
+            result = embed(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return result
+
+        monkeypatch.setattr(pipeline_module, "embed", recording)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            fit_models(trials, cfg, prepared=prepared)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] - start < 1.25 * design_bytes
 
 
 class TestAnalysisMemory:
@@ -307,8 +336,8 @@ class TestAnalysisMemory:
             tracemalloc.stop()
         rows = trials.trials[0].series.n_samples - cfg.embedding.d * round(
             cfg.embedding.delta_s * 200.0)
-        # times, te_raw, te_filtered and threshold in float64, cue in bool
-        trace_bytes = 2 * rows * (4 * 8 + 1)
+        # a trace's times and te_raw in float64 and its cue in bool, both directions
+        trace_bytes = 2 * rows * (2 * 8 + 1)
         assert len(levels) == 4
         assert levels[-1] - levels[0] < trace_bytes
 

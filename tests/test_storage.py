@@ -24,14 +24,13 @@ def write_te_csv_reference(trace, path):
     """The TE trace as csv.writer writes rows of repr() strings, one row at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "te_raw", "te_filtered", "threshold", "cue"])
-        for row in zip(trace.times, trace.te_raw, trace.te_filtered,
-                       trace.threshold, trace.cue):
-            writer.writerow([repr(float(x)) for x in row[:4]] + [int(row[4])])
+        writer.writerow(["t", "te_raw", "cue"])
+        for t, te, cue in zip(trace.times, trace.te_raw, trace.cue):
+            writer.writerow([repr(float(t)), repr(float(te)), int(cue)])
 
 
 def sample_trace():
-    """A real detector output, so the round-trip covers NaN thresholds and events."""
+    """A real detector output, so the round-trip covers its cue mask and events."""
     rng = np.random.default_rng(5)
     n = 400
     te = rng.standard_normal(n) * 0.05
@@ -66,11 +65,10 @@ class TestTeCsv:
         """Bulk formatting writes exactly what csv.writer writes for repr()
         fields, NaN, signed zero, subnormals and large magnitudes included."""
         special = [float("nan"), -0.0, 1e-5, 1e16, 5e-324, 0.1, -2.5, 123456789.125]
-        n = len(special)
+        te = np.array(special + [-x for x in special])
+        n = te.size
         trace = DetectionTrace(direction="src2tgt", times=0.005 * np.arange(n),
-                               te_raw=np.array(special), te_filtered=-np.array(special),
-                               threshold=np.array(special[::-1]),
-                               cue=np.arange(n) % 3 == 0)
+                               te_raw=te, cue=np.arange(n) % 3 == 0)
         path = tmp_path / "te.csv"
         write_te_csv(trace, path)
         ref = tmp_path / "ref.csv"
@@ -81,73 +79,64 @@ class TestTeCsv:
     def test_block_boundaries_keep_the_bytes(self, tmp_path, n):
         """Rows are formatted a block at a time; at every length around the
         block size the file holds the csv.writer bytes and reads back
-        bitwise, with the leading NaN threshold and a signed zero."""
+        bitwise, with a signed zero and a NaN."""
         rng = np.random.default_rng(n)
         te = rng.standard_normal(n)
         te[0] = -0.0
-        threshold = rng.standard_normal(n)
-        threshold[0] = np.nan
+        te[1:2] = np.nan
         trace = DetectionTrace(direction="src2tgt", times=0.005 * np.arange(n),
-                               te_raw=te, te_filtered=te[::-1].copy(),
-                               threshold=threshold, cue=rng.random(n) < 0.3)
+                               te_raw=te, cue=rng.random(n) < 0.3)
         path, ref = tmp_path / "te.csv", tmp_path / "ref.csv"
         write_te_csv(trace, path)
         write_te_csv_reference(trace, ref)
         assert path.read_bytes() == ref.read_bytes()
         back = read_te_csv(path)
-        for name in ("times", "te_raw", "te_filtered", "threshold", "cue"):
+        for name in ("times", "te_raw", "cue"):
             assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
 
     def test_arrays_match_the_float_loop_bit_for_bit(self, tmp_path):
-        """NaN thresholds, signed zero, subnormals, large magnitudes, quoted
-        fields, blank lines and CRLF line ends read back as csv.reader +
-        float() read them."""
+        """NaN, signed zero, subnormals, large magnitudes, quoted fields,
+        blank lines and CRLF line ends read back as csv.reader + float()
+        read them."""
         import csv
 
         path = tmp_path / "te.csv"
-        path.write_bytes(b"t,te_raw,te_filtered,threshold,cue\r\n"
-                         b"0.0,-0.0,5e-324,nan,0\r\n"
+        path.write_bytes(b"t,te_raw,cue\r\n"
+                         b"-0.0,-0.0,0\r\n"
                          b"\r\n"
-                         b'0.005,"1e16",-1e-05,nan,1\r\n'
-                         b"0.01,0.1,-0.0,1.7976931348623157e308,\"0\"\r\n"
+                         b'5e-324,"1e16",1\r\n'
+                         b'"0.01",nan,"0"\r\n'
+                         b"0.015,-1e-05,1\r\n"
+                         b"0.02,1.7976931348623157e308,0\r\n"
                          b"\r\n\r\n")
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
             ref = np.array([[float(v) for v in row] for row in reader if row])
         back = read_te_csv(path)
-        for got, col in ((back.times, 0), (back.te_raw, 1), (back.te_filtered, 2),
-                         (back.threshold, 3)):
+        for got, col in ((back.times, 0), (back.te_raw, 1)):
             assert got.tobytes() == ref[:, col].tobytes()
-        np.testing.assert_array_equal(back.cue, ref[:, 4] != 0.0)
+        np.testing.assert_array_equal(back.cue, ref[:, 2] != 0.0)
 
     def test_header_only_trace_is_an_error_without_warning(self, tmp_path):
         import warnings
 
         path = tmp_path / "te.csv"
-        path.write_text("t,te_raw,te_filtered,threshold,cue\n")
+        path.write_text("t,te_raw,cue\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataFormatError, match="no samples"):
                 read_te_csv(path)
 
     @pytest.mark.parametrize("row, match", [
-        ("0.0,1,2,3", "row 2 has 4 fields, expected 5"),
-        ("0.0,1,2,x,0", "numeric parse error at row 2"),
+        ("0.0,1,2,3", "row 2 has 4 fields, expected 3"),
+        ("0.0,x,0", "numeric parse error at row 2"),
     ])
     def test_bad_row_is_named(self, tmp_path, row, match):
         path = tmp_path / "te.csv"
-        path.write_text("t,te_raw,te_filtered,threshold,cue\n0.0,1,2,nan,0\n"
-                        + row + "\n")
+        path.write_text("t,te_raw,cue\n0.0,nan,0\n" + row + "\n")
         with pytest.raises(DataFormatError, match=match):
             read_te_csv(path)
-
-    def test_nan_threshold_survives(self, tmp_path):
-        trace = sample_trace()
-        assert np.isnan(trace.threshold[0])  # no history at the first sample
-        path = tmp_path / "te.csv"
-        write_te_csv(trace, path)
-        assert np.isnan(read_te_csv(path, direction="src2tgt").threshold[0])
 
 
 class TestEventsCsv:

@@ -112,11 +112,19 @@ class TestLoadCsv:
             load_csv(p)
 
     def test_nan_timestamp_names_the_row(self, tmp_path):
-        """A NaN timestamp is not increasing; without the check a NaN after
-        the middle difference would leave dt finite and the NaN unnoticed."""
-        p = self.write(tmp_path, "t,x\n0.0,1\n0.1,2\n0.2,3\n0.3,4\nnan,5\n")
-        with pytest.raises(DataFormatError, match="row 5"):
-            load_csv(p)
+        """A NaN or infinite timestamp is named with its row.  Without the
+        check a NaN after the middle difference would leave dt finite and
+        the NaN unnoticed, and an infinite first or last timestamp would
+        only fail in resampling, naming neither file nor row."""
+        for times, row in (((0.0, 0.1, 0.2, 0.3, "nan"), 5),
+                           ((0.0, 1.0, 2.0, "inf"), 4),
+                           (("-inf", 1.0, 2.0, 3.0), 1),
+                           ((0.0, "inf", 2.0, 3.0), 2),
+                           ((0.0, 1.0, "-inf", 3.0), 3)):
+            body = "".join(f"{t},{i}\n" for i, t in enumerate(times))
+            p = self.write(tmp_path, "t,x\n" + body)
+            with pytest.raises(DataFormatError, match=rf"{p.name}: timestamp \S+ at row {row} "):
+                load_csv(p)
 
     def test_numeric_junk_names_the_row(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0.0,1\n0.1,oops\n")
