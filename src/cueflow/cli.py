@@ -105,8 +105,9 @@ def _out_dir(arg: str) -> Path:
 def _cmd_run(args) -> int:
     cfg, _ = load_config(args.config, args.set)
     out = _out_dir(args.out)
-    trials = storage.load_trial_dir(args.trials)
-    result = pipeline.run(trials, cfg, out)
+    # No name holds the loaded set: it is freed once it is prepared.
+    result = pipeline.run(pipeline.prepare_trials(storage.load_trial_dir(args.trials), cfg),
+                          cfg, out)
     positions = {r.trial_id: r.prepared for r in result.trials}
     pipeline.build_reports(out, out, cfg, positions)
     n_events = sum(len(evs) for r in result.trials for evs in r.events.values())
@@ -209,8 +210,8 @@ def _cmd_report(args) -> int:
     out = _out_dir(args.out)
     positions = None
     if args.trials is not None:
-        trials = storage.load_trial_dir(args.trials)
-        positions = pipeline.prepare_position_series(trials, cfg)
+        positions = {trial.trial_id: trial.series for trial in pipeline.prepare_trials(
+            storage.load_trial_dir(args.trials), cfg)}
     written = pipeline.build_reports(args.events, out, cfg, positions)
     print(f"wrote {len(written)} aggregate file(s) -> {args.out}")
     return 0

@@ -24,7 +24,7 @@ from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
                      predict_dataset)
 from .te import ENTROPY_DIFF, SRC2TGT, TGT2SRC, TeSeries, local_te
-from .timeseries import TimeSeries, TrialSet, resample, trim_start
+from .timeseries import TimeSeries, Trial, TrialSet, resample, trim_start
 
 logger = logging.getLogger("cueflow")
 
@@ -70,6 +70,18 @@ class PipelineResult:
     trials: list[TrialResult]
 
 
+class PreparedTrials(tuple):
+    """Trials as analysed, in trial order: each one's series resampled to the
+    analysis rate, then trimmed at its alignment point.
+
+    Built by :func:`prepare_trials`; :func:`fit_models` and :func:`run` take
+    nothing else, so a loaded :class:`TrialSet` is never analysed as it was
+    recorded.
+    """
+
+    __slots__ = ()
+
+
 def _embedding_spec(cfg: PipelineConfig) -> EmbeddingSpec:
     return EmbeddingSpec(d=cfg.embedding.d, delta_s=cfg.embedding.delta_s, dt=cfg.dt)
 
@@ -110,8 +122,12 @@ def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
     return out
 
 
-def _prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> list[TimeSeries]:
-    """Each trial resampled to the analysis rate and trimmed, in trial order."""
+def prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> PreparedTrials:
+    """Each trial resampled to the analysis rate and trimmed, in trial order.
+
+    The prepared series share no array with ``trials``, so a caller that
+    keeps only the result frees the loaded set once this returns.
+    """
     ids = {trial.trial_id for trial in trials}
     for key in trials.metadata:
         if key.startswith(TRIM_KEY_PREFIX) and key[len(TRIM_KEY_PREFIX):] not in ids:
@@ -120,10 +136,17 @@ def _prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> list[TimeSeries]:
     for trial in trials:
         try:
             series = resample(trial.series, cfg.io.resample_hz)
-            out.append(_apply_trim(series, trial.trial_id, trials.metadata))
+            series = _apply_trim(series, trial.trial_id, trials.metadata)
         except CueflowError as exc:
             raise PipelineError(f"trial {trial.trial_id!r}, stage prepare: {exc}") from exc
-    return out
+        out.append(Trial(trial_id=trial.trial_id, scenario=trial.scenario, series=series))
+    return PreparedTrials(out)
+
+
+def _require_prepared(trials) -> None:
+    if not isinstance(trials, PreparedTrials):
+        raise TypeError(f"expected trials from prepare_trials, got {type(trials).__name__}: "
+                        "trials are analysed only once resampled and trimmed")
 
 
 def _direction_roles(cfg: PipelineConfig, direction: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -133,12 +156,13 @@ def _direction_roles(cfg: PipelineConfig, direction: str) -> tuple[tuple[str, ..
     return cfg.io.source_channels, cfg.io.target_channels
 
 
-def _embed(group: list[tuple[str, TimeSeries]], cfg: PipelineConfig,
-           spec: EmbeddingSpec, direction: str) -> EmbeddedDataset:
-    """Embed the ``(trial_id, series)`` of ``group`` for ``direction`` into one
+def _embed(group: list[Trial], cfg: PipelineConfig, spec: EmbeddingSpec,
+           direction: str) -> EmbeddedDataset:
+    """Embed the prepared trials of ``group`` for ``direction`` into one
     block, each series' channels read in place; an error names the trial."""
     roles = _direction_roles(cfg, direction)
-    for trial_id, series in group:
+    for trial in group:
+        series = trial.series
         try:
             for names in roles:
                 for name in names:
@@ -147,11 +171,12 @@ def _embed(group: list[tuple[str, TimeSeries]], cfg: PipelineConfig,
                     raise DataFormatError(f"duplicate channel names: {names}")
             history_rows(series, series, spec)
         except CueflowError as exc:
-            raise PipelineError(f"trial {trial_id!r}, stage embed ({direction}): {exc}") from exc
-    return embed([(series, series) for _, series in group], spec, roles)
+            raise PipelineError(
+                f"trial {trial.trial_id!r}, stage embed ({direction}): {exc}") from exc
+    return embed([(trial.series, trial.series) for trial in group], spec, roles)
 
 
-def _fit_pair(group: list[tuple[str, TimeSeries]], cfg: PipelineConfig,
+def _fit_pair(group: list[Trial], cfg: PipelineConfig,
               spec: EmbeddingSpec, seed: int, scenario: str,
               direction: str) -> DirectionModels:
     """Embed one scenario's trials for ``direction`` into one block and fit the pair."""
@@ -173,20 +198,17 @@ def _fit_pair(group: list[tuple[str, TimeSeries]], cfg: PipelineConfig,
     return DirectionModels(baseline=base, augmented=full)
 
 
-def fit_models(trials: TrialSet, cfg: PipelineConfig, *,
-               prepared: list[TimeSeries] | None = None
+def fit_models(trials: PreparedTrials, cfg: PipelineConfig
                ) -> dict[tuple[str, str], DirectionModels]:
     """Fit pooled per-scenario models for every configured direction.
 
-    The mapping's keys are ``(scenario, direction)``.  ``prepared`` holds the
-    trials' prepared series, in trial order, when the caller has them already.
+    The mapping's keys are ``(scenario, direction)``.
     """
-    if prepared is None:
-        prepared = _prepare_trials(trials, cfg)
+    _require_prepared(trials)
     spec = _embedding_spec(cfg)
-    by_scenario: dict[str, list] = {}
-    for trial, series in zip(trials, prepared):
-        by_scenario.setdefault(trial.scenario, []).append((trial.trial_id, series))
+    by_scenario: dict[str, list[Trial]] = {}
+    for trial in trials:
+        by_scenario.setdefault(trial.scenario, []).append(trial)
     return {(scenario, direction):
             _fit_pair(group, cfg, spec, cfg.io.seed + 4 * s_idx + 2 * d_idx, scenario, direction)
             for s_idx, (scenario, group) in enumerate(by_scenario.items())
@@ -208,13 +230,13 @@ def _apply_trim(series: TimeSeries, trial_id: str, metadata: dict[str, str]) -> 
     return trim_start(series, start_s)
 
 
-def _analyze_direction(trial, series: TimeSeries, direction: str, cfg: PipelineConfig,
+def _analyze_direction(trial: Trial, direction: str, cfg: PipelineConfig,
                        spec: EmbeddingSpec, det_cfg: DetectorConfig, pair: DirectionModels,
                        out: Path) -> list[CueEvent]:
-    """Detect cues on one trial in one direction and write its TE trace; only
-    the events outlive the call."""
+    """Detect cues on one prepared trial in one direction and write its TE
+    trace; only the events outlive the call."""
     try:
-        ds = _embed([(trial.trial_id, series)], cfg, spec, direction)
+        ds = _embed([trial], cfg, spec, direction)
         te_series = local_te(predict_dataset(pair.baseline, ds),
                              predict_dataset(pair.augmented, ds), ds.targets,
                              mode=cfg.model.te_mode, direction=direction)
@@ -228,18 +250,20 @@ def _analyze_direction(trial, series: TimeSeries, direction: str, cfg: PipelineC
     return trace.events
 
 
-def _analyze_trial(trial, series: TimeSeries, cfg: PipelineConfig, spec: EmbeddingSpec,
+def _analyze_trial(trial: Trial, cfg: PipelineConfig, spec: EmbeddingSpec,
                    det_cfg: DetectorConfig, models, out: Path) -> TrialResult:
     return TrialResult(
-        trial_id=trial.trial_id, scenario=trial.scenario, prepared=series,
-        events={direction: _analyze_direction(trial, series, direction, cfg, spec, det_cfg,
+        trial_id=trial.trial_id, scenario=trial.scenario, prepared=trial.series,
+        events={direction: _analyze_direction(trial, direction, cfg, spec, det_cfg,
                                               models[(trial.scenario, direction)], out)
                 for direction in cfg.io.direction_list})
 
 
-def run(trials: TrialSet, cfg: PipelineConfig, out_dir) -> PipelineResult:
-    """Analyze a trial set under one configuration into the run directory ``out_dir``.
+def run(trials: PreparedTrials, cfg: PipelineConfig, out_dir) -> PipelineResult:
+    """Analyze prepared trials under one configuration into the run directory
+    ``out_dir``.
 
+    ``trials`` comes from :func:`prepare_trials` under the same ``cfg``.
     Models are fit pooled per scenario first (:func:`fit_models`).  Each
     trial's TE traces are written as soon as it is analysed, and
     :func:`write_run_dir` writes ``events.csv`` and ``manifest.csv`` last,
@@ -247,6 +271,7 @@ def run(trials: TrialSet, cfg: PipelineConfig, out_dir) -> PipelineResult:
     aggregates come from the written run directory, through
     :func:`build_reports`.
     """
+    _require_prepared(trials)
     if len(trials) == 0:
         raise PipelineError("no trials to analyze")
     errors = [d for d in validate_config(cfg) if d.severity == "error"]
@@ -254,12 +279,11 @@ def run(trials: TrialSet, cfg: PipelineConfig, out_dir) -> PipelineResult:
         raise PipelineError("invalid configuration: " + "; ".join(d.message for d in errors))
     spec = _embedding_spec(cfg)
     det_cfg = cfg.detector.to_config(cfg.dt)
-    prepared = _prepare_trials(trials, cfg)
-    models = fit_models(trials, cfg, prepared=prepared)
+    models = fit_models(trials, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = PipelineResult(trials=[_analyze_trial(t, s, cfg, spec, det_cfg, models, out)
-                                    for t, s in zip(trials, prepared)])
+    result = PipelineResult(trials=[_analyze_trial(trial, cfg, spec, det_cfg, models, out)
+                                    for trial in trials])
     write_run_dir(result, cfg, out)
     return result
 
@@ -293,12 +317,6 @@ def _read_manifest(events_dir) -> list[tuple[str, str, float, float]]:
     if not path.exists():
         raise DataFormatError(f"missing manifest {path}")
     return storage.read_rows(path, MANIFEST_HEADER, (str, str, float, float))
-
-
-def prepare_position_series(trials: TrialSet, cfg: PipelineConfig) -> dict[str, TimeSeries]:
-    """Resampled/trimmed series per trial id, for spatial-grid aggregation."""
-    return {trial.trial_id: series
-            for trial, series in zip(trials, _prepare_trials(trials, cfg))}
 
 
 def build_reports(events_dir, out_dir, cfg: PipelineConfig,

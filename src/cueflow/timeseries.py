@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -228,20 +229,33 @@ def _raise_bad_row(path: Path, rows, n_fields: int) -> NoReturn:
 
 
 def _median(a: np.ndarray) -> float:
-    """``np.median`` of a 1-D float array without NaNs, bitwise; np.median
-    checks for NaNs with numpy.ma, whose import is a large share of a short
-    run's start-up."""
+    """``np.median`` of a 1-D float array without NaNs, bitwise, partitioning
+    ``a`` in place; np.median copies ``a`` and checks for NaNs with numpy.ma,
+    whose import is a large share of a short run's start-up."""
     h = a.size // 2
     if a.size % 2:
-        return float(np.partition(a, h)[h])
-    lo, hi = np.partition(a, (h - 1, h))[h - 1:h + 1]
-    return float((lo + hi) / 2)
+        a.partition(h)
+        return float(a[h])
+    a.partition((h - 1, h))
+    return float((a[h - 1] + a[h]) / 2)
+
+
+def _file_row(path: Path, index: int) -> int:
+    """The row of ``path`` that :func:`read_numeric_csv` parsed as body row
+    ``index`` (from 0), numbered as it names rows: from 1 after the header,
+    blank lines included."""
+    with text_errors(path), open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        return next(islice((i for i, row in enumerate(rows, start=1) if row), index, None))
 
 
 def load_csv(path) -> TimeSeries:
     """Load one trial CSV (``t,<ch1>,...``) into a :class:`TimeSeries`.
 
-    Timestamps must be finite and strictly increasing; ``dt`` is set to the
+    Channel names must be distinct, timestamps finite and strictly
+    increasing, and values finite; a bad timestamp or value is named by its
+    row, counted as :func:`read_numeric_csv` counts.  ``dt`` is set to the
     median successive difference and the raw timestamps are retained for
     resampling when they deviate from a uniform grid.
     """
@@ -253,28 +267,41 @@ def load_csv(path) -> TimeSeries:
             raise DataFormatError(f"{path}: first column must be 't', got {header[:1]}")
         if len(header) < 2:
             raise DataFormatError(f"{path}: no data channels in header")
+        if len(set(header[1:])) != len(header) - 1:
+            raise DataFormatError(f"{path}: duplicate channel names: {tuple(header[1:])}")
 
     header, arr = read_numeric_csv(path, check_header)
     channels = tuple(h.strip() for h in header[1:])
     if arr.shape[0] < 2:
         raise DataFormatError(f"{path}: need at least two samples")
-    # Contiguous copies, so that no view keeps the whole parsed block alive.
-    t = arr[:, 0].copy()
+    # Views of the parsed block, which the series keeps instead of copies.
+    # Each temporary below is at most one column, and is dropped before the
+    # next is made.
+    t, data = arr[:, 0], arr[:, 1:]
     bad = np.flatnonzero(~np.isfinite(t))
     if bad.size:
-        raise DataFormatError(f"{path}: timestamp {t[bad[0]]} at row {bad[0] + 1} is not finite")
+        row = int(bad[0])
+        raise DataFormatError(
+            f"{path}: timestamp {t[row]} at row {_file_row(path, row)} is not finite")
     diffs = np.diff(t)
     bad = np.flatnonzero(diffs <= 0)
     if bad.size:
-        raise DataFormatError(
-            f"{path}: timestamps not strictly increasing at row {bad[0] + 2}"
-        )
+        raise DataFormatError(f"{path}: timestamps not strictly increasing at row "
+                              f"{_file_row(path, int(bad[0]) + 1)}")
     dt = _median(diffs)
-    grid = t[0] + dt * np.arange(len(t))
-    jitter = np.max(np.abs(t - grid))
-    raw = t if jitter > _UNIFORM_RTOL * max(dt, 1.0) else None
-    return TimeSeries(channels=channels, data=np.ascontiguousarray(arr[:, 1:]), dt=dt,
-                      t0=float(t[0]), raw_times=raw)
+    del diffs
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise DataFormatError(f"{path}: value {data[row, col]} in channel {channels[col]!r} "
+                              f"at row {_file_row(path, int(row))} is not finite")
+    # Deviation from the uniform grid t0 + k*dt.
+    dev = np.arange(len(t), dtype=float)
+    dev *= dt
+    dev += t[0]
+    dev -= t
+    raw = t if np.abs(dev, out=dev).max() > _UNIFORM_RTOL * max(dt, 1.0) else None
+    del dev
+    return TimeSeries(channels=channels, data=data, dt=dt, t0=float(t[0]), raw_times=raw)
 
 
 def write_trial_csv(ts: TimeSeries, path) -> None:

@@ -56,14 +56,14 @@ def _e2e_config() -> PipelineConfig:
 
 
 def run_read_back(trials: TrialSet, cfg: PipelineConfig, out_dir):
-    """``pipeline.run`` into ``out_dir``, then every TE trace (times, te_raw
-    and cue) read back from its file with ``storage.read_te_csv``, carrying
-    its direction's events.
+    """``pipeline.run`` of the prepared ``trials`` into ``out_dir``, then
+    every TE trace (times, te_raw and cue) read back from its file with
+    ``storage.read_te_csv``, carrying its direction's events.
 
     Returns the run's result and, per trial in trial order, a dict of
     direction -> trace.
     """
-    result = pipeline.run(trials, cfg, out_dir)
+    result = pipeline.run(pipeline.prepare_trials(trials, cfg), cfg, out_dir)
     traces = [{direction: replace(
                    storage.read_te_csv(Path(out_dir) / pipeline.te_csv_name(r.trial_id, direction),
                                        direction=direction),

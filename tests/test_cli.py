@@ -128,6 +128,46 @@ def two_scenario_trials(cue_run_config, tmp_path):
 
 
 class TestRunFlow:
+    def test_loaded_trials_are_freed_once_prepared(self, cue_run_config, tmp_path,
+                                                   monkeypatch, capsys):
+        """``cueflow run`` holds the loaded trial set only until it is
+        prepared: when fitting starts, the traced live heap holds the
+        prepared series and less than half a parsed block besides.  A loaded
+        set still held would add about the prepared bytes again."""
+        import tracemalloc
+
+        from cueflow import pipeline
+
+        trials_dir = tmp_path / "trials"
+        rate = ["--set", "io.resample_hz=200", "--set", "synth.rate_hz=200",
+                "--set", "synth.duration_s=30"]
+        assert main(["synth", "--config", str(cue_run_config), *rate,
+                     "--out", str(trials_dir)]) == 0
+        loaded = storage.load_trial_dir(trials_dir)
+        # Resampled at their own rate, the trials keep at most their rows.
+        prepared_bytes = sum(trial.series.data.nbytes for trial in loaded)
+        block = min(trial.series.n_samples * (trial.series.n_channels + 1) * 8
+                    for trial in loaded)
+        del loaded
+        levels = []
+        fit_models = pipeline.fit_models
+
+        def recording(*args, **kwargs):
+            levels.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.stop()
+            return fit_models(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_models", recording)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            assert main(["run", "--config", str(cue_run_config), *rate,
+                         "--trials", str(trials_dir), "--out", str(tmp_path / "run")]) == 0
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert levels[0] - start < prepared_bytes + block / 2
+
     def test_synth_run_report_round_trip(self, cue_run_config, tmp_path,
                                          capsys):
         trials_dir = tmp_path / "trials"
@@ -612,7 +652,9 @@ class TestStartUp:
     def test_run_report_and_validate_load_neither_synth_nor_numpy_ma(
             self, cue_run_config, two_scenario_trials, tmp_path):
         """Only synth and oracle import cueflow.synth, and load_csv takes its
-        median without np.median, which imports numpy.ma."""
+        median without np.median, which imports numpy.ma.  On a var_linear
+        config nothing imports numpy.random either: it loads hashlib and
+        libcrypto, and only MLP fits draw from it."""
         run_dir = tmp_path / "run"
         commands = [
             ["validate", "--config", str(cue_run_config)],
@@ -621,7 +663,7 @@ class TestStartUp:
             ["report", "--config", str(cue_run_config), "--events", str(run_dir),
              "--out", str(tmp_path / "rep"), "--trials", str(two_scenario_trials)],
         ]
-        assert self.loaded_after(commands, ["cueflow.synth", "numpy.ma"]) == [
+        assert self.loaded_after(commands, ["cueflow.synth", "numpy.ma", "numpy.random"]) == [
             [argv[0], 0, []] for argv in commands]
 
     @staticmethod

@@ -18,7 +18,8 @@ from cueflow.errors import PipelineError
 from cueflow.pipeline import (
     build_reports,
     fit_models,
-    prepare_position_series,
+    prepare_trials,
+    run,
     validate_config,
 )
 from cueflow.synth import CueScenario, te_oracle_var1
@@ -26,6 +27,12 @@ from cueflow.timeseries import TrialSet
 
 from conftest import (E2E_CUE_T, E2E_RATE_HZ, _cue_trial, _e2e_config,
                       run_read_back, var1_trial, var1_trial_set)
+
+
+def positions(trials, cfg):
+    """The prepared series of ``trials`` by trial id, as ``report --trials``
+    builds its grid positions."""
+    return {trial.trial_id: trial.series for trial in prepare_trials(trials, cfg)}
 
 
 def make_config(*, directions="both", d=1, delta_s=0.01, resample_hz=100.0,
@@ -163,8 +170,9 @@ class TestRunOnCoupledVar:
     def test_fit_log_names_scenario_and_direction(self, caplog):
         t0, _ = var1_trial("t000", seed=8, n=600, scenario="baseline")
         t1, _ = var1_trial("t001", seed=9, n=600, scenario="handover")
+        cfg = make_config()
         with caplog.at_level("INFO", logger="cueflow"):
-            fit_models(var1_trial_set(t0, t1), make_config())
+            fit_models(prepare_trials(var1_trial_set(t0, t1), cfg), cfg)
         fitted = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("fitted")]
         assert len(fitted) == 4
@@ -220,8 +228,9 @@ class TestRunOnCoupledVar:
 
 
 def two_trial_200hz_scenario():
-    """A var_linear config at 200 Hz, one scenario of two 30 s trials, their
-    prepared series, and the width of the history the config embeds."""
+    """A var_linear config at 200 Hz, one scenario of two 30 s trials
+    prepared, their history rows, and the width of the history the config
+    embeds."""
     cfg = _e2e_config()
     cfg = replace(cfg, io=replace(cfg.io, resample_hz=200.0),
                   model=ModelConfig(kind="var_linear", te_mode="loglik_ratio"))
@@ -229,11 +238,11 @@ def two_trial_200hz_scenario():
                        amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=200.0)
     trials = TrialSet(trials=tuple(_cue_trial(f"t00{i}", "driven", replace(scen, seed=i))
                                    for i in range(2)))
-    prepared = list(prepare_position_series(trials, cfg).values())
+    prepared = prepare_trials(trials, cfg)
     horizon = cfg.embedding.d * round(cfg.embedding.delta_s * 200.0)
-    rows = sum(s.n_samples - horizon for s in prepared)
+    rows = sum(trial.series.n_samples - horizon for trial in prepared)
     width = cfg.embedding.d * (len(cfg.io.target_channels) + len(cfg.io.source_channels))
-    return cfg, trials, prepared, rows, width
+    return cfg, prepared, rows, width
 
 
 class TestFitMemory:
@@ -244,12 +253,12 @@ class TestFitMemory:
         under 3x the pooled history's bytes."""
         import tracemalloc
 
-        cfg, trials, prepared, rows, width = two_trial_200hz_scenario()
+        cfg, prepared, rows, width = two_trial_200hz_scenario()
         hist_bytes = rows * width * 8
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            fit_models(trials, cfg, prepared=prepared)
+            fit_models(prepared, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -262,12 +271,12 @@ class TestFitMemory:
         stays under 1.5x that block's bytes."""
         import tracemalloc
 
-        cfg, trials, prepared, rows, width = two_trial_200hz_scenario()
+        cfg, prepared, rows, width = two_trial_200hz_scenario()
         design_bytes = rows * (1 + width) * 8
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            fit_models(trials, cfg, prepared=prepared)
+            fit_models(prepared, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -284,7 +293,7 @@ class TestFitMemory:
 
         import cueflow.pipeline as pipeline_module
 
-        cfg, trials, prepared, rows, width = two_trial_200hz_scenario()
+        cfg, prepared, rows, width = two_trial_200hz_scenario()
         design_bytes = rows * (1 + width) * 8
         peaks = []
         embed = pipeline_module.embed
@@ -298,7 +307,7 @@ class TestFitMemory:
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            fit_models(trials, cfg, prepared=prepared)
+            fit_models(prepared, cfg)
         finally:
             tracemalloc.stop()
         assert peaks[0] - start < 1.25 * design_bytes
@@ -343,6 +352,20 @@ class TestAnalysisMemory:
 
 
 class TestRunErrors:
+    def test_a_loaded_trial_set_is_not_analysed(self, tmp_path):
+        """A trial set as loaded, neither resampled nor trimmed, is refused
+        by fitting and analysis alike; they take prepare_trials' output."""
+        trial, _ = var1_trial("t000", seed=0, n=500)
+        storage.write_trial_dir(var1_trial_set(trial, metadata={"trim_start_s.t000": "1.0"}),
+                                tmp_path / "trials")
+        loaded = storage.load_trial_dir(tmp_path / "trials")
+        cfg = make_config()
+        with pytest.raises(TypeError, match="expected trials from prepare_trials, got TrialSet"):
+            run(loaded, cfg, tmp_path / "run")
+        with pytest.raises(TypeError, match="expected trials from prepare_trials, got TrialSet"):
+            fit_models(loaded, cfg)
+        assert not (tmp_path / "run").exists()
+
     def test_empty_trial_set_rejected(self, tmp_path):
         from cueflow.timeseries import TrialSet
         with pytest.raises(PipelineError, match="no trials"):
@@ -414,18 +437,18 @@ class TestRunDirProducts:
                              positions={r.trial_id: r.prepared
                                         for r in result.trials}) == names
         assert build_reports(run_dir, tmp_path / "rep", cfg,
-                             positions=prepare_position_series(trials, cfg)) == names
+                             positions=positions(trials, cfg)) == names
         for name in names:
             assert ((tmp_path / "direct" / name).read_bytes()
                     == (tmp_path / "rep" / name).read_bytes())
 
     def test_report_rebuild_needs_all_position_series(self, study, tmp_path):
         trials, cfg, _, run_dir = study
-        positions = prepare_position_series(trials, cfg)
-        positions.pop("a1")
+        partial = positions(trials, cfg)
+        partial.pop("a1")
         with pytest.raises(PipelineError, match="no position series for trial 'a1'"):
             build_reports(run_dir, tmp_path / "rep", cfg,
-                          positions=positions)
+                          positions=partial)
 
     def test_rebuild_requires_a_manifest(self, study, tmp_path):
         from cueflow.errors import DataFormatError
