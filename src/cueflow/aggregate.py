@@ -14,7 +14,6 @@ import numpy as np
 
 from .detector import CueEvent
 from .errors import DataFormatError
-from .te import TeSeries, peak_te
 from .timeseries import MAX_ARRAY_ITEMS, TimeSeries
 
 
@@ -275,23 +274,22 @@ def welch_ttest(a, b) -> WelchResult:
                        n_a=int(a.size), n_b=int(b.size))
 
 
-def peak_te_study(series_a, series_b) -> PeakTeReport:
+def peak_te_study(group_a, group_b) -> PeakTeReport:
     """Welch-compare per-trial peak TE between two analyzed trial groups.
 
     Each argument is a sequence of per-trial mappings ``direction ->
-    TeSeries`` produced under one pipeline configuration.  Directions
-    present in both groups are compared; peaks are taken on the raw TE.
+    te_raw``, the local TE array of that trial's trace, produced under one
+    pipeline configuration.  A trial's peak is the maximum of its raw TE.
+    Directions present in both groups are compared.
     """
     def peaks(group) -> dict[str, list[float]]:
         out: dict[str, list[float]] = {}
         for trial in group:
-            for direction, series in trial.items():
-                if not isinstance(series, TeSeries):
-                    raise DataFormatError("peak_te_study expects TeSeries values")
-                out.setdefault(direction, []).append(peak_te(series)[1])
+            for direction, te_raw in trial.items():
+                out.setdefault(direction, []).append(float(np.max(te_raw)))
         return out
 
-    pa, pb = peaks(series_a), peaks(series_b)
+    pa, pb = peaks(group_a), peaks(group_b)
     shared = [d for d in pa if d in pb]
     if not shared:
         raise DataFormatError("no shared directions between groups")

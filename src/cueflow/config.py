@@ -18,11 +18,10 @@ from pathlib import Path
 from .detector import DetectorConfig
 from .errors import ConfigError
 from .models import MLP_GAUSSIAN, VAR_LINEAR, TrainConfig
-from .te import ENTROPY_DIFF, LOGLIK_RATIO, SRC2TGT, TGT2SRC
+from .te import ENTROPY_DIFF, SRC2TGT, TE_MODES, TGT2SRC
 
 DIRECTION_CHOICES = ("both", SRC2TGT, TGT2SRC)
 MODEL_KINDS = (VAR_LINEAR, MLP_GAUSSIAN)
-TE_MODE_CHOICES = (ENTROPY_DIFF, LOGLIK_RATIO)
 SYNTH_KINDS = ("cue_scenario", "var1")
 
 
@@ -73,9 +72,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.te_mode not in TE_MODE_CHOICES:
+        if self.te_mode not in TE_MODES:
             raise ConfigError(
-                f"te_mode must be one of {TE_MODE_CHOICES}, got {self.te_mode!r}"
+                f"te_mode must be one of {TE_MODES}, got {self.te_mode!r}"
             )
         if not self.epochs >= 1:
             raise ConfigError(f"[model] epochs must be at least 1, got {self.epochs}")

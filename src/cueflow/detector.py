@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .te import TeSeries
 
 # Shortest run of cue-positive samples that counts as an event.  A count of
 # samples rather than seconds, so the rule holds at every sample rate.
@@ -77,9 +76,11 @@ class CueEvent:
 class DetectionTrace:
     """One direction's local TE, its cue mask and the events found on them.
 
-    The arrays are the columns of a TE trace CSV; the events go to ``events.csv``.
-    The filtered TE and the threshold are not kept: :func:`highpass` and
-    :func:`des_threshold` rebuild them bitwise from ``te_raw``.
+    The one record of a TE series from :func:`detect_trace` to file and back
+    (``storage.read_te_csv``).  The arrays are a TE trace CSV's columns; the
+    events go to ``events.csv``.  The filtered TE and the threshold are not
+    kept: :func:`highpass` and :func:`des_threshold` rebuild them bitwise
+    from ``te_raw``.
     """
 
     direction: str
@@ -100,12 +101,12 @@ def time_constants(alpha: float, beta: float, dt: float) -> tuple[float, float]:
     return -dt / math.log(1.0 - alpha), -dt / math.log(1.0 - beta)
 
 
-def highpass(series: TeSeries, cutoff_hz: float, dt: float) -> TeSeries:
+def highpass(te_raw: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
     """First-order discrete high-pass: y_t = a*(y_{t-1} + x_t - x_{t-1}), y_0 = 0.
 
-    ``a = RC / (RC + dt)`` with ``RC = 1 / (2*pi*cutoff_hz)``.  A constant
-    input maps to exactly zero; a unit step jumps to ``a`` and decays
-    geometrically.  The cutoff must stay below the Nyquist rate.
+    x is ``te_raw``, and ``a = RC / (RC + dt)`` with ``RC = 1 / (2*pi*cutoff_hz)``.
+    A constant input maps to exactly zero; a unit step jumps to ``a`` and
+    decays geometrically.  The cutoff must stay below the Nyquist rate.
     """
     if not (cutoff_hz > 0 and dt > 0):
         raise ConfigError("cutoff_hz and dt must be positive")
@@ -113,21 +114,19 @@ def highpass(series: TeSeries, cutoff_hz: float, dt: float) -> TeSeries:
         raise ConfigError(f"cutoff_hz={cutoff_hz} must be below Nyquist {0.5 / dt}")
     rc = 1.0 / (2.0 * math.pi * cutoff_hz)
     a = rc / (rc + dt)
-    x = series.te_raw
     # Shifting by x_0 pins y_0 = 0 without altering later differences.  The
-    # loop is ``lfilter([a, -a], [1, -a], x - x[0])`` in its transposed
-    # direct form, operation for operation, on Python floats.
+    # loop is ``lfilter([a, -a], [1, -a], te_raw - te_raw[0])`` in its
+    # transposed direct form, operation for operation, on Python floats.
     y = []
     z = 0.0
-    for xn in (x - x[0]).tolist():
+    for xn in (te_raw - te_raw[0]).tolist():
         yn = a * xn + z
         z = -a * xn - (-a) * yn
         y.append(yn)
-    return TeSeries(direction=series.direction, times=series.times.copy(),
-                    te_raw=np.array(y), mode=series.mode)
+    return np.array(y)
 
 
-def des_threshold(series: TeSeries, cfg: DetectorConfig
+def des_threshold(filtered: np.ndarray, cfg: DetectorConfig
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Holt double-exponential level/trend/spread recursion and its threshold.
 
@@ -145,7 +144,7 @@ def des_threshold(series: TeSeries, cfg: DetectorConfig
     differences the observations; it is not run, as it diverges past a few
     time constants.
     """
-    t_vals = series.te_raw.tolist()
+    t_vals = filtered.tolist()
     a, be = cfg.alpha, cfg.beta
     keep_a, keep_b = 1.0 - a, 1.0 - be
     # Python floats: the same IEEE operations as on numpy scalars, faster.
@@ -168,8 +167,10 @@ def des_threshold(series: TeSeries, cfg: DetectorConfig
     return mu, sigma, threshold
 
 
-def detect_trace(series: TeSeries, cfg: DetectorConfig) -> DetectionTrace:
-    """Run the full detector on ``series``, whose arrays the trace shares.
+def detect_trace(direction: str, times: np.ndarray, te_raw: np.ndarray,
+                 cfg: DetectorConfig) -> DetectionTrace:
+    """Run the full detector on the local TE ``te_raw`` sampled at ``times``;
+    the returned trace shares both arrays.
 
     The cue mask at t requires ``te_raw[t] > 0`` and the :func:`highpass`
     output to exceed its :func:`des_threshold` at t; maximal runs of the
@@ -179,28 +180,28 @@ def detect_trace(series: TeSeries, cfg: DetectorConfig) -> DetectionTrace:
     ``skip_warmup`` set, events starting inside the first level
     time-constant are discarded as initialization transients.
     """
-    if len(series) < 2:
+    if te_raw.size < 2:
         raise DataFormatError("detector needs at least two samples")
-    filtered = highpass(series, cfg.hp_cutoff_hz, cfg.dt)
+    filtered = highpass(te_raw, cfg.hp_cutoff_hz, cfg.dt)
     _, _, threshold = des_threshold(filtered, cfg)
     with np.errstate(invalid="ignore"):
-        mask = (series.te_raw > 0.0) & (filtered.te_raw > threshold)
+        mask = (te_raw > 0.0) & (filtered > threshold)
     events = []
-    warmup_end = series.times[0]
+    warmup_end = times[0]
     if cfg.skip_warmup:
-        warmup_end = series.times[0] + time_constants(cfg.alpha, cfg.beta, cfg.dt)[0]
+        warmup_end = times[0] + time_constants(cfg.alpha, cfg.beta, cfg.dt)[0]
     padded = np.concatenate([[False], mask, [False]])
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
     for lo, hi in zip(edges[::2], edges[1::2]):  # [lo, hi) in sample indices
-        start_t = float(series.times[lo])
+        start_t = float(times[lo])
         if hi - lo < MIN_EVENT_SAMPLES or (cfg.skip_warmup and start_t < warmup_end):
             continue
         run = slice(lo, hi)
         events.append(CueEvent(
             start_t=start_t,
-            end_t=float(series.times[hi - 1]),
-            peak_te=float(np.max(series.te_raw[run])),
-            direction=series.direction,
+            end_t=float(times[hi - 1]),
+            peak_te=float(np.max(te_raw[run])),
+            direction=direction,
         ))
-    return DetectionTrace(direction=series.direction, times=series.times,
-                          te_raw=series.te_raw, cue=mask, events=events)
+    return DetectionTrace(direction=direction, times=times, te_raw=te_raw, cue=mask,
+                          events=events)

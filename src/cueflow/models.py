@@ -43,7 +43,7 @@ class GaussianPredictions:
     entropy/log-density for the transfer-entropy layer.
     """
 
-    def __init__(self, mean: np.ndarray, times: np.ndarray, *,
+    def __init__(self, mean: np.ndarray, *,
                  var: np.ndarray | None = None, cov: np.ndarray | None = None):
         mean = np.asarray(mean, dtype=float)
         if mean.ndim != 2:
@@ -51,9 +51,6 @@ class GaussianPredictions:
         if (var is None) == (cov is None):
             raise DataFormatError("provide exactly one of var=, cov=")
         self.mean = mean
-        self.times = np.asarray(times, dtype=float)
-        if self.times.shape != (mean.shape[0],):
-            raise DataFormatError("times length must match mean rows")
         self.var = None
         self.cov = None
         if var is not None:
@@ -412,8 +409,7 @@ def _mlp_layers(model: FittedModel) -> list[np.ndarray]:
     return [model.params[f"layer_{i}"] for i in range(n_layers)]
 
 
-def predict(model: FittedModel, rows: np.ndarray,
-            times: np.ndarray | None = None) -> GaussianPredictions:
+def predict(model: FittedModel, rows: np.ndarray) -> GaussianPredictions:
     """Predictive Gaussians for history rows, in original data units.
 
     Every returned variance is clamped below by ``VARIANCE_FLOOR``.
@@ -425,22 +421,20 @@ def predict(model: FittedModel, rows: np.ndarray,
         raise DataFormatError(
             f"rows have {rows.shape[1]} columns, model expects {model.input_dim}"
         )
-    if times is None:
-        times = np.arange(rows.shape[0], dtype=float)
     if model.kind == VAR_LINEAR:
         mean = model.params["intercept"] + rows @ model.params["coef"]
-        return GaussianPredictions(mean=mean, times=times, cov=model.params["cov"])
+        return GaussianPredictions(mean=mean, cov=model.params["cov"])
     xs = (rows - model.params["x_mean"]) / model.params["x_scale"]
     out, _ = _forward(_mlp_layers(model), xs)
     mu, lv = out[:, :model.output_dim], out[:, model.output_dim:]
     mean = model.params["y_mean"] + model.params["y_scale"] * mu
     var = np.maximum(model.params["y_scale"] ** 2 * np.exp(lv), VARIANCE_FLOOR)
-    return GaussianPredictions(mean=mean, times=times, var=var)
+    return GaussianPredictions(mean=mean, var=var)
 
 
 def predict_dataset(model: FittedModel, ds: EmbeddedDataset) -> GaussianPredictions:
-    """Convenience: predict on an embedded dataset's own rows and timestamps."""
-    return predict(model, _design_rows(ds, model.conditioning), times=ds.times)
+    """Convenience: predict on an embedded dataset's own rows, in order."""
+    return predict(model, _design_rows(ds, model.conditioning))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from .embedding import EmbeddedDataset, EmbeddingSpec, embed, history_rows
 from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
                      predict_dataset)
-from .te import ENTROPY_DIFF, SRC2TGT, TGT2SRC, TeSeries, local_te
-from .timeseries import TimeSeries, Trial, TrialSet, resample, trim_start
+from .te import ENTROPY_DIFF, SRC2TGT, TGT2SRC, local_te
+from .timeseries import TimeSeries, Trial, TrialSet, file_row, resample, trim_start
 
 logger = logging.getLogger("cueflow")
 
@@ -237,11 +237,12 @@ def _analyze_direction(trial: Trial, direction: str, cfg: PipelineConfig,
     trace; only the events outlive the call."""
     try:
         ds = _embed([trial], cfg, spec, direction)
-        te_series = local_te(predict_dataset(pair.baseline, ds),
-                             predict_dataset(pair.augmented, ds), ds.targets,
-                             mode=cfg.model.te_mode, direction=direction)
-        del ds  # detection needs the TE series alone
-        trace = detect_trace(te_series, det_cfg)
+        times = ds.times
+        te_raw = local_te(predict_dataset(pair.baseline, ds),
+                          predict_dataset(pair.augmented, ds), ds.targets,
+                          mode=cfg.model.te_mode)
+        del ds  # detection needs the times and the TE alone
+        trace = detect_trace(direction, times, te_raw, det_cfg)
     except CueflowError as exc:
         raise PipelineError(
             f"trial {trial.trial_id!r}, stage te ({direction}): {exc}"
@@ -325,9 +326,11 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
 
     Reads ``manifest.csv``, ``events.csv``, and the per-trial TE traces under
     ``events_dir`` and writes histogram/grid/peak-TE products into
-    ``out_dir``.  Because the trace formats round-trip losslessly, running
-    this on a fresh run directory reproduces the aggregates byte for byte.
-    Returns the names of the files written.
+    ``out_dir``; the peak-TE study takes each trace's ``te_raw`` as read
+    back, and a non-finite value there is an error naming its file and row.
+    Because the trace formats round-trip losslessly, running this on a fresh
+    run directory reproduces the aggregates byte for byte.  Returns the
+    names of the files written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -370,16 +373,18 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
         if scenario not in scenarios:
             scenarios.append(scenario)
     if len(scenarios) == 2:
-        groups: dict[str, list[dict[str, TeSeries]]] = {s: [] for s in scenarios}
+        groups: dict[str, list[dict[str, np.ndarray]]] = {s: [] for s in scenarios}
         for trial_id, scenario, _, _ in manifest:
-            series_map = {}
+            te_map = {}
             for direction in cfg.io.direction_list:
-                trace = storage.read_te_csv(events_dir / te_csv_name(trial_id, direction),
-                                            direction=direction)
-                series_map[direction] = TeSeries(direction=direction, times=trace.times,
-                                                 te_raw=trace.te_raw,
-                                                 mode=cfg.model.te_mode)
-            groups[scenario].append(series_map)
+                path = events_dir / te_csv_name(trial_id, direction)
+                te_raw = storage.read_te_csv(path, direction).te_raw
+                bad = np.flatnonzero(~np.isfinite(te_raw))
+                if bad.size:
+                    raise DataFormatError(f"{path}: te_raw value {te_raw[bad[0]]} at row "
+                                          f"{file_row(path, int(bad[0]))} is not finite")
+                te_map[direction] = te_raw
+            groups[scenario].append(te_map)
         if min(len(g) for g in groups.values()) >= 2:
             report = agg.peak_te_study(groups[scenarios[0]], groups[scenarios[1]])
             storage.write_report_csv(report, out / "peak_te_report.csv")

@@ -71,12 +71,10 @@ def _read_key_values(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def write_te_csv(trace: DetectionTrace, path) -> None:
-    write_columns_csv(path, TE_HEADER, [np.asarray(trace.times, dtype=float),
-                                        np.asarray(trace.te_raw, dtype=float),
-                                        np.asarray(trace.cue).astype(np.int64)])
+    write_columns_csv(path, TE_HEADER, [trace.times, trace.te_raw, trace.cue.astype(np.int64)])
 
 
-def read_te_csv(path, direction: str = "src2tgt") -> DetectionTrace:
+def read_te_csv(path, direction: str) -> DetectionTrace:
     """Read a TE trace back; its events are stored in ``events.csv`` instead."""
     _, arr = read_numeric_csv(path, lambda header: _check_header(path, header, TE_HEADER))
     if arr.size == 0:

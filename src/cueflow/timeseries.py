@@ -240,7 +240,7 @@ def _median(a: np.ndarray) -> float:
     return float((a[h - 1] + a[h]) / 2)
 
 
-def _file_row(path: Path, index: int) -> int:
+def file_row(path: Path, index: int) -> int:
     """The row of ``path`` that :func:`read_numeric_csv` parsed as body row
     ``index`` (from 0), numbered as it names rows: from 1 after the header,
     blank lines included."""
@@ -282,18 +282,18 @@ def load_csv(path) -> TimeSeries:
     if bad.size:
         row = int(bad[0])
         raise DataFormatError(
-            f"{path}: timestamp {t[row]} at row {_file_row(path, row)} is not finite")
+            f"{path}: timestamp {t[row]} at row {file_row(path, row)} is not finite")
     diffs = np.diff(t)
     bad = np.flatnonzero(diffs <= 0)
     if bad.size:
         raise DataFormatError(f"{path}: timestamps not strictly increasing at row "
-                              f"{_file_row(path, int(bad[0]) + 1)}")
+                              f"{file_row(path, int(bad[0]) + 1)}")
     dt = _median(diffs)
     del diffs
     if not np.isfinite(data).all():
         row, col = np.argwhere(~np.isfinite(data))[0]
         raise DataFormatError(f"{path}: value {data[row, col]} in channel {channels[col]!r} "
-                              f"at row {_file_row(path, int(row))} is not finite")
+                              f"at row {file_row(path, int(row))} is not finite")
     # Deviation from the uniform grid t0 + k*dt.
     dev = np.arange(len(t), dtype=float)
     dev *= dt

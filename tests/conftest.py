@@ -17,7 +17,7 @@ from cueflow.config import (AggregateConfig, DetectorSettings, EmbeddingConfig,
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.models import AUGMENTED, BASELINE, fit_var, predict_dataset
 from cueflow.synth import CueScenario, Var1Spec, gen_cue_scenario, gen_var1
-from cueflow.te import local_te, mean_te
+from cueflow.te import local_te
 from cueflow.timeseries import TimeSeries, Trial, TrialSet
 
 # End-to-end scenario constants, shared by the synth examples and the
@@ -143,8 +143,7 @@ def _var1_mean_te(spec: Var1Spec, reverse: bool = False) -> float:
     ds = embed([(target, source)], EmbeddingSpec(d=1, delta_s=spec.dt, dt=spec.dt))
     base = predict_dataset(fit_var(ds, BASELINE), ds)
     full = predict_dataset(fit_var(ds, AUGMENTED), ds)
-    series = local_te(base, full, ds.targets)
-    return mean_te(series)
+    return float(np.mean(local_te(base, full, ds.targets)))
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from cueflow.detector import (DetectorConfig, des_threshold, detect_trace, highp
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.models import AUGMENTED, BASELINE, TrainConfig, fit_mlp, fit_var, gradient_check
 from cueflow.synth import te_oracle_var1
-from cueflow.te import TeSeries, gaussian_entropy
+from cueflow.te import gaussian_entropy
 from cueflow.timeseries import TimeSeries
 
 from conftest import (E2E_CUE_T, E2E_ONSET_TOL, _coupling_spec, _var1_mean_te,
@@ -31,9 +31,9 @@ def _criterion(n: int, ok: bool, details: str) -> None:
 
 
 def _te_series(values, dt=0.01):
+    """(direction, times, te_raw), as detect_trace takes them."""
     values = np.asarray(values, dtype=float)
-    return TeSeries(direction="src2tgt", times=dt * np.arange(values.size),
-                    te_raw=values, mode="entropy_diff")
+    return "src2tgt", dt * np.arange(values.size), values
 
 
 def _detector(gamma=3.0):
@@ -109,12 +109,12 @@ def test_criterion_4_detector_properties():
     """DC rejection, pulse localization, threshold-factor monotonicity, and
     sub-threshold quiescence."""
     start = time.perf_counter()
-    dc_events = sum(len(detect_trace(_te_series(np.full(400, level)), _detector()).events)
+    dc_events = sum(len(detect_trace(*_te_series(np.full(400, level)), _detector()).events)
                     for level in (0.0, -1.0, 5.0))
 
     tt = 0.01 * np.arange(601)
     pulse = np.where((tt >= 2.0) & (tt < 2.3), 1.0, 0.0)
-    events = detect_trace(_te_series(pulse), _detector()).events
+    events = detect_trace(*_te_series(pulse), _detector()).events
     pulse_ok = len(events) == 1 and abs(events[0].start_t - 2.0) <= 0.1
 
     mono_ok = True
@@ -122,7 +122,7 @@ def test_criterion_4_detector_properties():
     base += np.where((tt >= 4.0) & (tt < 4.2), 0.8, 0.0)
     for seed in range(10):
         noisy = base + 0.2 * np.random.default_rng(seed).standard_normal(601)
-        counts = [len(detect_trace(_te_series(noisy), _detector(gamma=g)).events)
+        counts = [len(detect_trace(*_te_series(noisy), _detector(gamma=g)).events)
                   for g in (1, 2, 3, 4, 5)]
         mono_ok &= counts == sorted(counts, reverse=True)
 
@@ -130,7 +130,7 @@ def test_criterion_4_detector_properties():
     weak = np.where((tt4 >= 2.0) & (tt4 < 2.3), 0.5, 0.0)
     quiet = sum(
         1 for seed in range(20)
-        if not detect_trace(_te_series(
+        if not detect_trace(*_te_series(
             weak + np.random.default_rng(seed).standard_normal(401)),
             _detector(gamma=4.0)).events)
     elapsed = time.perf_counter() - start
@@ -167,17 +167,11 @@ def _peak_trials(rng, n_trials, bump):
     trials = []
     for _ in range(n_trials):
         n = 200
-        times = 0.1 * np.arange(n)
         driven = 0.05 * rng.standard_normal(n)
         if bump:
             driven[rng.integers(20, n - 20)] = 1.0 + 0.1 * rng.standard_normal()
         quiet = 0.05 * rng.standard_normal(n)
-        trials.append({
-            "src2tgt": TeSeries(direction="src2tgt", times=times,
-                                te_raw=driven, mode="entropy_diff"),
-            "tgt2src": TeSeries(direction="tgt2src", times=times,
-                                te_raw=quiet, mode="entropy_diff"),
-        })
+        trials.append({"src2tgt": driven, "tgt2src": quiet})
     return trials
 
 
@@ -277,11 +271,9 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
 
     def threshold(trace):
         """The threshold the detector compared, rebuilt from the trace's TE."""
-        series = TeSeries(direction=trace.direction, times=trace.times,
-                          te_raw=trace.te_raw, mode="entropy_diff")
-        return des_threshold(highpass(series, det.hp_cutoff_hz, det.dt), det)[2]
+        return des_threshold(highpass(trace.te_raw, det.hp_cutoff_hz, det.dt), det)[2]
 
-    trace = detect_trace(_te_series(
+    trace = detect_trace(*_te_series(
         0.05 * np.random.default_rng(5).standard_normal(400)
         + np.where(np.arange(400) // 100 == 2, 2.0, 0.0)), det)
     storage.write_te_csv(trace, tmp_path / "te.csv")

@@ -10,7 +10,6 @@ from cueflow.aggregate import (_two_sided_p, peak_te_study, spatial_grid,
                                temporal_histogram, welch_ttest)
 from cueflow.detector import CueEvent
 from cueflow.errors import DataFormatError
-from cueflow.te import TeSeries
 from cueflow.timeseries import TimeSeries
 
 
@@ -217,18 +216,12 @@ class TestWelchTtest:
 def te_map(rng, bump):
     """One trial's TE series per direction; the forward one may carry a bump."""
     n = 200
-    times = 0.1 * np.arange(n)
     noise_a = 0.05 * rng.standard_normal(n)
     noise_b = 0.05 * rng.standard_normal(n)
     drv = noise_a.copy()
     if bump > 0:
         drv[rng.integers(20, n - 20)] = bump
-    return {
-        "src2tgt": TeSeries(direction="src2tgt", times=times, te_raw=drv,
-                            mode="entropy_diff"),
-        "tgt2src": TeSeries(direction="tgt2src", times=times, te_raw=noise_b,
-                            mode="entropy_diff"),
-    }
+    return {"src2tgt": drv, "tgt2src": noise_b}
 
 
 class TestPeakTeStudy:

@@ -225,7 +225,6 @@ class TestRunFlow:
         from cueflow.config import load_config
         from cueflow.detector import detect_trace
         from cueflow.pipeline import MANIFEST_HEADER, te_csv_name
-        from cueflow.te import TeSeries
 
         trials_dir, run_dir = tmp_path / "trials", tmp_path / "run"
         main(["synth", "--config", str(cue_run_config), "--out", str(trials_dir)])
@@ -249,9 +248,7 @@ class TestRunFlow:
             for direction in cfg.io.direction_list:
                 back = storage.read_te_csv(run_dir / te_csv_name(trial_id, direction),
                                            direction=direction)
-                trace = detect_trace(TeSeries(direction=direction, times=back.times,
-                                              te_raw=back.te_raw, mode=cfg.model.te_mode),
-                                     det)
+                trace = detect_trace(direction, back.times, back.te_raw, det)
                 assert trace.cue.tobytes() == back.cue.tobytes()
                 assert ([bits(ev) for ev in trace.events]
                         == [bits(ev) for t, ev in written
@@ -364,6 +361,28 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{run_dir / 'manifest.csv'}: {message}" in err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_trace_value_under_report(self, cue_run_config, two_scenario_trials,
+                                                 tmp_path, capsys, value):
+        """A trace whose te_raw holds a non-finite value is named by file and
+        row, rows counted from 1 after the header with blank lines included."""
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(run_dir)]) == 0
+        trace = run_dir / "te_t001_src2tgt.csv"
+        lines = trace.read_text().splitlines(keepends=True)
+        t, _, cue = lines[5].split(",")
+        lines[5] = f"{t},{value},{cue}"
+        lines.insert(2, "\r\n")
+        trace.write_text("".join(lines))
+        capsys.readouterr()
+        assert main(["report", "--config", str(cue_run_config), "--events",
+                     str(run_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"{trace}: te_raw value {value} at row 6 is not finite" in err
 
 
 class TestMissingFilesExit2:

@@ -1,4 +1,6 @@
 """Cue detector: high-pass filter, adaptive DES threshold, event extraction."""
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +9,14 @@ from hypothesis.extra.numpy import arrays
 from cueflow.detector import (MIN_EVENT_SAMPLES, DetectorConfig, des_threshold,
                               detect_trace, highpass, time_constants)
 from cueflow.errors import ConfigError, DataFormatError
-from cueflow.te import TeSeries
+
+# What detect_trace takes, in its argument order.
+Series = namedtuple("Series", ["direction", "times", "te_raw"])
 
 
 def te_series(values, dt=0.01, direction="src2tgt"):
     values = np.asarray(values, dtype=float)
-    return TeSeries(direction=direction, times=dt * np.arange(values.size),
-                    te_raw=values, mode="entropy_diff")
+    return Series(direction=direction, times=dt * np.arange(values.size), te_raw=values)
 
 
 def cfg_100hz(**kw):
@@ -81,13 +84,13 @@ class TestTimeConstants:
 
 class TestHighpass:
     def test_constant_input_maps_to_exactly_zero(self):
-        out = highpass(te_series(np.full(200, 3.7)), cutoff_hz=1.0, dt=0.01)
-        assert not out.te_raw.any()
+        out = highpass(np.full(200, 3.7), cutoff_hz=1.0, dt=0.01)
+        assert not out.any()
 
     def test_step_jumps_then_decays_geometrically(self):
         x = np.zeros(200)
         x[100:] = 2.0
-        out = highpass(te_series(x), cutoff_hz=1.0, dt=0.01).te_raw
+        out = highpass(x, cutoff_hz=1.0, dt=0.01)
         rc = 1.0 / (2.0 * np.pi)
         a = rc / (rc + 0.01)
         np.testing.assert_allclose(a, 0.9408826025582511, rtol=0, atol=1e-15)
@@ -98,12 +101,12 @@ class TestHighpass:
 
     def test_nonzero_start_is_rebased(self):
         """The filter starts from the first sample, not from zero."""
-        out = highpass(te_series(np.full(50, -4.0)), cutoff_hz=1.0, dt=0.01)
-        assert not out.te_raw.any()
+        out = highpass(np.full(50, -4.0), cutoff_hz=1.0, dt=0.01)
+        assert not out.any()
 
     def test_cutoff_at_nyquist_rejected(self):
         with pytest.raises(ConfigError):
-            highpass(te_series(np.zeros(10)), cutoff_hz=50.0, dt=0.01)
+            highpass(np.zeros(10), cutoff_hz=50.0, dt=0.01)
 
     @pytest.mark.parametrize("cutoff_hz, rate_hz, n", [
         (0.5, 10.0, 1_200), (1.0, 115.0, 5_000), (1.0, 200.0, 24_000),
@@ -118,14 +121,13 @@ class TestHighpass:
         rc = 1.0 / (2.0 * np.pi * cutoff_hz)
         a = rc / (rc + dt)
         expected = lfilter([a, -a], [1.0, -a], x - x[0])
-        out = highpass(te_series(x, dt=dt), cutoff_hz=cutoff_hz, dt=dt).te_raw
+        out = highpass(x, cutoff_hz=cutoff_hz, dt=dt)
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
 
 
-def des_threshold_reference(series, cfg):
+def des_threshold_reference(t_vals, cfg):
     """The recursion indexed over numpy arrays, one numpy scalar at a time."""
-    t_vals = series.te_raw
     n = t_vals.size
     mu = np.empty(n)
     b = np.empty(n)
@@ -147,10 +149,10 @@ def des_threshold_reference(series, cfg):
 class TestDesThreshold:
     def test_bitwise_equal_to_numpy_indexed_loop(self):
         rng = np.random.default_rng(7)
-        series = te_series(rng.standard_normal(24_000) * 0.2 + 0.1, dt=0.005)
+        values = rng.standard_normal(24_000) * 0.2 + 0.1
         cfg = DetectorConfig(alpha=0.01, beta=0.05, dt=0.005, gamma=3.0)
-        got = des_threshold(series, cfg)
-        for out, ref in zip(got, des_threshold_reference(series, cfg)):
+        got = des_threshold(values, cfg)
+        for out, ref in zip(got, des_threshold_reference(values, cfg)):
             assert out.tobytes() == ref.tobytes()
 
     RAMP_MU = np.array([
@@ -172,9 +174,8 @@ class TestDesThreshold:
 
     def test_ramp_recursion_reproduces_hand_computation(self):
         """Twenty steps of the level/trend/spread recursion on T_t = 0.1 t."""
-        series = te_series(0.1 * np.arange(20.0), dt=0.1)
         cfg = DetectorConfig(alpha=0.2, beta=0.1, dt=0.1, gamma=3.0)
-        mu, sigma, threshold = des_threshold(series, cfg)
+        mu, sigma, threshold = des_threshold(0.1 * np.arange(20.0), cfg)
         np.testing.assert_allclose(mu, self.RAMP_MU, rtol=0, atol=1e-12)
         np.testing.assert_allclose(threshold[1:], self.RAMP_THRESHOLD[1:],
                                    rtol=0, atol=1e-12)
@@ -182,9 +183,8 @@ class TestDesThreshold:
         assert sigma[0] == 0.0
 
     def test_constant_input_is_a_fixed_point(self):
-        series = te_series(np.full(100, 2.5), dt=0.1)
         mu, sigma, threshold = des_threshold(
-            series, DetectorConfig(alpha=0.3, beta=0.2, dt=0.1, gamma=3.0))
+            np.full(100, 2.5), DetectorConfig(alpha=0.3, beta=0.2, dt=0.1, gamma=3.0))
         np.testing.assert_allclose(mu, 2.5, atol=1e-12)
         np.testing.assert_allclose(sigma, 0.0, atol=1e-12)
         np.testing.assert_allclose(threshold[1:], 2.5, atol=1e-12)
@@ -193,28 +193,27 @@ class TestDesThreshold:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(50)
         mu, _, _ = des_threshold(
-            te_series(x, dt=0.1),
-            DetectorConfig(alpha=1.0 - 1e-9, beta=0.5, dt=0.1, gamma=3.0))
+            x, DetectorConfig(alpha=1.0 - 1e-9, beta=0.5, dt=0.1, gamma=3.0))
         np.testing.assert_allclose(mu, x, atol=1e-6)
 
 
 def compared_series(series, cfg):
     """The high-passed TE and the threshold that detect_trace compares."""
-    filtered = highpass(series, cfg.hp_cutoff_hz, cfg.dt)
-    return filtered.te_raw, des_threshold(filtered, cfg)[2]
+    filtered = highpass(series.te_raw, cfg.hp_cutoff_hz, cfg.dt)
+    return filtered, des_threshold(filtered, cfg)[2]
 
 
 class TestDetect:
     def test_constant_input_yields_no_events(self):
         for level in (0.0, -1.0, 5.0):
             series = te_series(np.full(500, level))
-            assert detect_trace(series, cfg_100hz()).events == []
+            assert detect_trace(*series, cfg_100hz()).events == []
 
     def test_rectangular_pulse_is_localized(self):
         """Amplitude-1 pulse over [2.0, 2.3) s on a zero baseline: exactly one
         event, starting on the pulse onset."""
         series = pulse_trace(6.0, 0.01, [(2.0, 2.3, 1.0)])
-        events = detect_trace(series, cfg_100hz()).events
+        events = detect_trace(*series, cfg_100hz()).events
         assert len(events) == 1
         ev = events[0]
         assert abs(ev.start_t - 2.0) <= 0.1
@@ -229,11 +228,11 @@ class TestDetect:
         the spike."""
         te = np.zeros(601)
         te[200] = 1.0
-        trace = detect_trace(te_series(te), cfg_100hz())
+        trace = detect_trace(*te_series(te), cfg_100hz())
         assert trace.cue[200]
         assert trace.events == []
         te[201] = 1.0
-        events = detect_trace(te_series(te), cfg_100hz()).events
+        events = detect_trace(*te_series(te), cfg_100hz()).events
         assert len(events) == 1
         assert events[0].start_t == 2.0
         assert events[0].end_t == pytest.approx(2.01)
@@ -249,7 +248,7 @@ class TestDetect:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             series = te_series(base + rng.standard_normal(n))
-            quiet += len(detect_trace(series, cfg).events) == 0
+            quiet += len(detect_trace(*series, cfg).events) == 0
         assert quiet >= 18
 
     def test_event_count_shrinks_as_gamma_grows(self):
@@ -258,7 +257,7 @@ class TestDetect:
             noise = 0.2 * rng.standard_normal(601)
             series = pulse_trace(6.0, 0.01, [(2.0, 2.3, 1.0), (4.0, 4.2, 0.8)],
                                  noise=noise)
-            counts = [len(detect_trace(series, cfg_100hz(gamma=g)).events)
+            counts = [len(detect_trace(*series, cfg_100hz(gamma=g)).events)
                       for g in (1.0, 2.0, 3.0, 4.0, 5.0)]
             assert counts == sorted(counts, reverse=True)
 
@@ -267,7 +266,7 @@ class TestDetect:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             series = te_series(rng.standard_normal(800))
-            events = detect_trace(series, cfg).events
+            events = detect_trace(*series, cfg).events
             t_lo, t_hi = series.times[0], series.times[-1]
             prev_end = -np.inf
             for ev in events:
@@ -280,8 +279,8 @@ class TestDetect:
         rng = np.random.default_rng(21)
         values = rng.standard_normal(500)
         cfg = cfg_100hz(gamma=2.0)
-        a = detect_trace(te_series(values), cfg)
-        b = detect_trace(te_series(values.copy()), cfg)
+        a = detect_trace(*te_series(values), cfg)
+        b = detect_trace(*te_series(values.copy()), cfg)
         for got, want in zip(compared_series(te_series(values), cfg),
                              compared_series(te_series(values.copy()), cfg)):
             np.testing.assert_array_equal(got, want)
@@ -295,8 +294,8 @@ class TestDetect:
         raw = 5.0 + 0.5 * np.abs(rng.standard_normal(400))
         raw[200:215] += 3.0
         cfg = cfg_100hz()
-        e1 = detect_trace(te_series(raw), cfg).events
-        e2 = detect_trace(te_series(raw + 100.0), cfg).events
+        e1 = detect_trace(*te_series(raw), cfg).events
+        e2 = detect_trace(*te_series(raw + 100.0), cfg).events
         assert [(e.start_t, e.end_t) for e in e1] == \
                [(e.start_t, e.end_t) for e in e2]
         assert len(e1) > 0
@@ -304,15 +303,15 @@ class TestDetect:
     def test_warmup_events_are_skipped_by_default(self):
         """tau_level is ~1 s here, so a pulse at 0.5 s is an init transient."""
         series = pulse_trace(6.0, 0.01, [(0.5, 0.7, 1.0)])
-        assert detect_trace(series, cfg_100hz()).events == []
-        kept = detect_trace(series, cfg_100hz(skip_warmup=False)).events
+        assert detect_trace(*series, cfg_100hz()).events == []
+        kept = detect_trace(*series, cfg_100hz(skip_warmup=False)).events
         assert len(kept) == 1
         assert kept[0].start_t == 0.5
 
     def test_trace_carries_aligned_internals(self):
         series = pulse_trace(4.0, 0.01, [(2.0, 2.2, 1.0)])
-        trace = detect_trace(series, cfg_100hz())
-        n = len(series)
+        trace = detect_trace(*series, cfg_100hz())
+        n = series.te_raw.size
         for arr in (trace.te_raw, *compared_series(series, cfg_100hz()), trace.cue):
             assert arr.shape == (n,)
         np.testing.assert_array_equal(trace.times, series.times)
@@ -320,7 +319,7 @@ class TestDetect:
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DataFormatError):
-            detect_trace(te_series(np.array([1.0])), cfg_100hz())
+            detect_trace(*te_series(np.array([1.0])), cfg_100hz())
 
 
 @st.composite
@@ -356,8 +355,8 @@ class TestDetectorProperties:
     def test_constant_input_filters_to_exact_zero(self, level, n, gamma, cutoff_hz):
         series = te_series(np.full(n, level))
         cfg = cfg_100hz(gamma=gamma, hp_cutoff_hz=cutoff_hz)
-        trace = detect_trace(series, cfg)
-        assert not highpass(series, cfg.hp_cutoff_hz, cfg.dt).te_raw.any()
+        trace = detect_trace(*series, cfg)
+        assert not highpass(series.te_raw, cfg.hp_cutoff_hz, cfg.dt).any()
         assert not trace.cue.any()
         assert trace.events == []
 
@@ -367,8 +366,8 @@ class TestDetectorProperties:
         """Shifting the input by a constant moves the filtered series only by
         rounding of the shifted input."""
         cfg = cfg_100hz()
-        plain = highpass(te_series(values), cfg.hp_cutoff_hz, cfg.dt).te_raw
-        shifted = highpass(te_series(values + offset), cfg.hp_cutoff_hz, cfg.dt).te_raw
+        plain = highpass(values, cfg.hp_cutoff_hz, cfg.dt)
+        shifted = highpass(values + offset, cfg.hp_cutoff_hz, cfg.dt)
         scale = 10.0 + abs(offset)
         np.testing.assert_allclose(shifted, plain, rtol=0, atol=1e-12 * scale)
 
@@ -378,7 +377,7 @@ class TestDetectorProperties:
     def test_a_larger_gamma_only_removes_cue_samples(self, values, gammas):
         """mu and sigma do not depend on gamma and sigma >= 0, so the cue
         mask nests; without the warm-up rule so do the event samples."""
-        low, high = (detect_trace(te_series(values),
+        low, high = (detect_trace(*te_series(values),
                                   fast_cfg(gamma=g, skip_warmup=False))
                      for g in gammas)
         assert not (high.cue & ~low.cue).any()
@@ -394,7 +393,7 @@ class TestDetectorProperties:
     @given(values=te_values(), gamma=st.floats(0.1, 5.0), skip_warmup=st.booleans())
     def test_events_are_maximal_cue_runs_of_min_length(self, values, gamma,
                                                        skip_warmup):
-        trace = detect_trace(te_series(values),
+        trace = detect_trace(*te_series(values),
                              fast_cfg(gamma=gamma, skip_warmup=skip_warmup))
         by_start = {trace.times[lo]: (lo, hi) for lo, hi in runs(trace.cue)}
         for ev in trace.events:

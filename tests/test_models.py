@@ -58,22 +58,18 @@ def history_dataset(targets, hist, target_cols, d):
 class TestGaussianPredictions:
     def test_requires_exactly_one_of_var_and_cov(self):
         mean = np.zeros((3, 1))
-        times = np.arange(3.0)
         with pytest.raises(DataFormatError):
-            GaussianPredictions(mean=mean, times=times)
+            GaussianPredictions(mean=mean)
         with pytest.raises(DataFormatError):
-            GaussianPredictions(mean=mean, times=times,
-                                var=np.ones((3, 1)), cov=np.eye(1))
+            GaussianPredictions(mean=mean, var=np.ones((3, 1)), cov=np.eye(1))
 
     def test_entropy_of_unit_gaussian(self):
-        p = GaussianPredictions(mean=np.zeros((2, 1)), times=np.arange(2.0),
-                                var=np.ones((2, 1)))
+        p = GaussianPredictions(mean=np.zeros((2, 1)), var=np.ones((2, 1)))
         np.testing.assert_allclose(p.entropy(), 1.4189385332046727, rtol=0,
                                    atol=1e-12)
 
     def test_log_density_standard_normal_at_zero(self):
-        p = GaussianPredictions(mean=np.zeros((1, 1)), times=np.zeros(1),
-                                var=np.ones((1, 1)))
+        p = GaussianPredictions(mean=np.zeros((1, 1)), var=np.ones((1, 1)))
         ld = p.log_density(np.zeros((1, 1)))
         np.testing.assert_allclose(ld, -0.5 * np.log(2 * np.pi), atol=1e-12)
 
@@ -82,17 +78,15 @@ class TestGaussianPredictions:
         mean = rng.standard_normal((20, 2))
         x = rng.standard_normal((20, 2))
         v = np.array([2.0, 0.5])
-        diag = GaussianPredictions(mean=mean, times=np.arange(20.0),
-                                   var=np.tile(v, (20, 1)))
-        full = GaussianPredictions(mean=mean, times=np.arange(20.0),
-                                   cov=np.diag(v))
+        diag = GaussianPredictions(mean=mean, var=np.tile(v, (20, 1)))
+        full = GaussianPredictions(mean=mean, cov=np.diag(v))
         np.testing.assert_allclose(diag.log_density(x), full.log_density(x),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(diag.entropy(), full.entropy(), atol=1e-12)
 
     def test_cov_must_be_positive_definite(self):
         with pytest.raises(DataFormatError):
-            GaussianPredictions(mean=np.zeros((1, 2)), times=np.zeros(1),
+            GaussianPredictions(mean=np.zeros((1, 2)),
                                 cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 

@@ -13,7 +13,6 @@ from cueflow.storage import (load_trial_dir, read_events_csv, read_grid_csv,
                              write_events_csv, write_grid_csv,
                              write_histogram_csv, write_report_csv,
                              write_te_csv, write_trial_dir)
-from cueflow.te import TeSeries
 from cueflow.timeseries import _WRITE_BLOCK_ROWS, TimeSeries, Trial, TrialSet
 
 
@@ -35,11 +34,9 @@ def sample_trace():
     n = 400
     te = rng.standard_normal(n) * 0.05
     te[200:215] += 2.0
-    series = TeSeries(direction="src2tgt", times=0.01 * np.arange(n),
-                      te_raw=te, mode="entropy_diff")
     cfg = DetectorConfig(alpha=0.05, beta=0.1, gamma=3.0, hp_cutoff_hz=1.0,
                          dt=0.01, skip_warmup=False)
-    return detect_trace(series, cfg)
+    return detect_trace("src2tgt", 0.01 * np.arange(n), te, cfg)
 
 
 class TestTeCsv:
@@ -60,6 +57,15 @@ class TestTeCsv:
                 assert got.tobytes() == want.tobytes(), f.name
             else:
                 assert got == want, f.name
+
+    def test_direction_is_the_callers(self, tmp_path):
+        """A trace file does not store its direction; the reader labels the
+        trace with the one it is given, and there is no default."""
+        path = tmp_path / "te_t0_tgt2src.csv"
+        write_te_csv(sample_trace(), path)
+        assert read_te_csv(path, "tgt2src").direction == "tgt2src"
+        with pytest.raises(TypeError):
+            read_te_csv(path)
 
     def test_bytes_match_csv_writer_of_repr(self, tmp_path):
         """Bulk formatting writes exactly what csv.writer writes for repr()
@@ -90,7 +96,7 @@ class TestTeCsv:
         write_te_csv(trace, path)
         write_te_csv_reference(trace, ref)
         assert path.read_bytes() == ref.read_bytes()
-        back = read_te_csv(path)
+        back = read_te_csv(path, "src2tgt")
         for name in ("times", "te_raw", "cue"):
             assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
 
@@ -113,7 +119,7 @@ class TestTeCsv:
             reader = csv.reader(fh)
             next(reader)
             ref = np.array([[float(v) for v in row] for row in reader if row])
-        back = read_te_csv(path)
+        back = read_te_csv(path, "src2tgt")
         for got, col in ((back.times, 0), (back.te_raw, 1)):
             assert got.tobytes() == ref[:, col].tobytes()
         np.testing.assert_array_equal(back.cue, ref[:, 2] != 0.0)
@@ -126,7 +132,7 @@ class TestTeCsv:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataFormatError, match="no samples"):
-                read_te_csv(path)
+                read_te_csv(path, "src2tgt")
 
     @pytest.mark.parametrize("row, match", [
         ("0.0,1,2,3", "row 2 has 4 fields, expected 3"),
@@ -136,7 +142,7 @@ class TestTeCsv:
         path = tmp_path / "te.csv"
         path.write_text("t,te_raw,cue\n0.0,nan,0\n" + row + "\n")
         with pytest.raises(DataFormatError, match=match):
-            read_te_csv(path)
+            read_te_csv(path, "src2tgt")
 
 
 class TestEventsCsv:

@@ -4,17 +4,14 @@ import pytest
 
 from cueflow.errors import DataFormatError
 from cueflow.models import GaussianPredictions
-from cueflow.te import (ENTROPY_DIFF, LOGLIK_RATIO, TeSeries,
-                        gaussian_entropy, local_te, mean_te, peak_te)
+from cueflow.te import ENTROPY_DIFF, LOGLIK_RATIO, gaussian_entropy, local_te
 
 
-def preds(mean, var=None, cov=None, times=None):
+def preds(mean, var=None, cov=None):
     mean = np.asarray(mean, dtype=float)
-    if times is None:
-        times = np.arange(float(mean.shape[0]))
     if cov is not None:
-        return GaussianPredictions(mean=mean, times=times, cov=cov)
-    return GaussianPredictions(mean=mean, times=times, var=var)
+        return GaussianPredictions(mean=mean, cov=cov)
+    return GaussianPredictions(mean=mean, var=var)
 
 
 class TestGaussianEntropy:
@@ -67,11 +64,9 @@ class TestLocalTe:
     def test_halved_variance_gives_half_log_two(self):
         base = preds(np.zeros((5, 1)), var=np.ones((5, 1)))
         full = preds(np.zeros((5, 1)), var=np.full((5, 1), 0.5))
-        series = local_te(base, full, np.zeros((5, 1)))
-        np.testing.assert_allclose(series.te_raw, 0.34657359027997264, rtol=0,
-                                   atol=1e-12)
-        assert series.mode == ENTROPY_DIFF
-        assert series.direction == "src2tgt"
+        te = local_te(base, full, np.zeros((5, 1)))
+        np.testing.assert_allclose(te, 0.34657359027997264, rtol=0, atol=1e-12)
+        assert te.dtype == np.float64 and te.shape == (5,)
 
     def test_identical_models_give_zero(self):
         rng = np.random.default_rng(2)
@@ -81,8 +76,7 @@ class TestLocalTe:
         full = preds(mean.copy(), var=var.copy())
         x = rng.standard_normal((10, 2))
         for mode in (ENTROPY_DIFF, LOGLIK_RATIO):
-            series = local_te(base, full, x, mode=mode)
-            np.testing.assert_allclose(series.te_raw, 0.0, atol=1e-12)
+            np.testing.assert_allclose(local_te(base, full, x, mode=mode), 0.0, atol=1e-12)
 
     def test_entropy_diff_ignores_means_loglik_does_not(self):
         """Homoscedastic models with different means: the entropy route is
@@ -92,9 +86,9 @@ class TestLocalTe:
         base = preds(np.zeros((50, 1)), var=np.ones((50, 1)))
         full = preds(x.copy(), var=np.ones((50, 1)))  # full predicts perfectly
         ent = local_te(base, full, x, mode=ENTROPY_DIFF)
-        np.testing.assert_allclose(ent.te_raw, 0.0, atol=1e-15)
+        np.testing.assert_allclose(ent, 0.0, atol=1e-15)
         llr = local_te(base, full, x, mode=LOGLIK_RATIO)
-        np.testing.assert_allclose(llr.te_raw, 0.5 * x[:, 0] ** 2, atol=1e-12)
+        np.testing.assert_allclose(llr, 0.5 * x[:, 0] ** 2, atol=1e-12)
 
     def test_entropy_diff_is_mean_shift_invariant(self):
         rng = np.random.default_rng(4)
@@ -102,11 +96,11 @@ class TestLocalTe:
         var_f = rng.uniform(0.1, 1.0, size=(30, 1))
         te0 = local_te(preds(np.zeros((30, 1)), var=var_b),
                        preds(np.zeros((30, 1)), var=var_f),
-                       np.zeros((30, 1))).te_raw
+                       np.zeros((30, 1)))
         shift = rng.standard_normal((30, 1)) * 10
         te1 = local_te(preds(shift, var=var_b),
                        preds(-shift, var=var_f),
-                       np.zeros((30, 1))).te_raw
+                       np.zeros((30, 1)))
         np.testing.assert_array_equal(te0, te1)
 
     def test_common_variance_scaling_cancels(self):
@@ -115,19 +109,10 @@ class TestLocalTe:
         var_b = rng.uniform(0.5, 2.0, size=(30, 2))
         var_f = rng.uniform(0.1, 1.0, size=(30, 2))
         zeros = np.zeros((30, 2))
-        te0 = local_te(preds(zeros, var=var_b), preds(zeros, var=var_f),
-                       zeros).te_raw
+        te0 = local_te(preds(zeros, var=var_b), preds(zeros, var=var_f), zeros)
         te1 = local_te(preds(zeros, var=7.0 * var_b),
-                       preds(zeros, var=7.0 * var_f), zeros).te_raw
+                       preds(zeros, var=7.0 * var_f), zeros)
         np.testing.assert_allclose(te0, te1, atol=1e-12)
-
-    def test_misaligned_times_rejected(self):
-        base = preds(np.zeros((3, 1)), var=np.ones((3, 1)),
-                     times=np.array([0.0, 1.0, 2.0]))
-        full = preds(np.zeros((3, 1)), var=np.ones((3, 1)),
-                     times=np.array([0.0, 1.0, 2.5]))
-        with pytest.raises(DataFormatError):
-            local_te(base, full, np.zeros((3, 1)))
 
     def test_length_mismatch_rejected(self):
         base = preds(np.zeros((3, 1)), var=np.ones((3, 1)))
@@ -135,41 +120,19 @@ class TestLocalTe:
         with pytest.raises(DataFormatError):
             local_te(base, full, np.zeros((3, 1)))
 
+    def test_unknown_mode_rejected(self):
+        base = preds(np.zeros((3, 1)), var=np.ones((3, 1)))
+        with pytest.raises(DataFormatError, match="unknown TE mode"):
+            local_te(base, base, np.zeros((3, 1)), mode="other")
 
-class TestTeSeries:
-    def test_validation(self):
-        t = np.arange(3.0)
-        with pytest.raises(DataFormatError):
-            TeSeries(direction="sideways", times=t, te_raw=np.zeros(3),
-                     mode=ENTROPY_DIFF)
-        with pytest.raises(DataFormatError):
-            TeSeries(direction="src2tgt", times=t, te_raw=np.zeros(3),
-                     mode="other")
-        with pytest.raises(DataFormatError):
-            TeSeries(direction="src2tgt", times=t, te_raw=np.zeros(4),
-                     mode=ENTROPY_DIFF)
-        with pytest.raises(DataFormatError):
-            TeSeries(direction="src2tgt", times=np.zeros(0),
-                     te_raw=np.zeros(0), mode=ENTROPY_DIFF)
-        with pytest.raises(DataFormatError):
-            TeSeries(direction="src2tgt", times=t,
-                     te_raw=np.array([0.0, np.inf, 0.0]), mode=ENTROPY_DIFF)
-
-    def test_mean_te_window_is_inclusive(self):
-        series = TeSeries(direction="src2tgt", times=np.arange(5.0),
-                          te_raw=np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-                          mode=ENTROPY_DIFF)
-        assert mean_te(series) == 3.0
-        assert mean_te(series, window=(1.0, 3.0)) == 3.0
-        assert mean_te(series, window=(2.0, 2.0)) == 3.0
-        with pytest.raises(DataFormatError):
-            mean_te(series, window=(1.2, 1.8))
-
-    def test_peak_breaks_ties_at_the_earliest_time(self):
-        series = TeSeries(direction="src2tgt", times=np.arange(4.0),
-                          te_raw=np.array([0.0, 7.0, 7.0, 1.0]),
-                          mode=ENTROPY_DIFF)
-        assert peak_te(series) == (1.0, 7.0)
+    def test_non_finite_te_rejected(self):
+        """An infinite prediction mean scores its realized sample at -inf."""
+        mean = np.zeros((3, 1))
+        mean[1] = np.inf
+        base = preds(np.zeros((3, 1)), var=np.ones((3, 1)))
+        full = preds(mean, var=np.ones((3, 1)))
+        with pytest.raises(DataFormatError, match="non-finite local TE"):
+            local_te(base, full, np.zeros((3, 1)), mode=LOGLIK_RATIO)
 
 
 class TestVarProcessTe:
