@@ -26,10 +26,6 @@ class CueHistogram:
     n_trials: int
     direction: str
 
-    @property
-    def bin_starts(self) -> np.ndarray:
-        return self.bin_dt * np.arange(self.counts.size)
-
 
 @dataclass(frozen=True)
 class CueGrid:
@@ -104,16 +100,14 @@ def temporal_histogram(trials, bin_dt: float, direction: str = "") -> CueHistogr
 
 
 def spatial_grid(trials, cell_size_m: float, channels: tuple[str, str],
-                 origin: tuple[float, float] | None = None,
-                 shape: tuple[int, int] | None = None,
                  direction: str = "") -> CueGrid:
     """Count cue-active position samples per grid cell.
 
     ``trials`` is a sequence of ``(events, position_series)`` pairs where the
     series holds the two named planar position channels.  Cells index by
-    ``floor((p - origin) / cell_size_m)``.  When ``origin`` is omitted it is
-    the componentwise minimum over all input positions padded by one cell,
-    and the grid is sized to cover every sample (plus one pad cell per side).
+    ``floor((p - origin) / cell_size_m)``, where the origin is the
+    componentwise minimum over all input positions padded by one cell, and
+    the grid is sized to cover every sample (plus one pad cell per side).
     """
     if not (cell_size_m > 0 and math.isfinite(cell_size_m)):
         raise DataFormatError(f"cell_size_m must be positive, got {cell_size_m}")
@@ -132,31 +126,23 @@ def spatial_grid(trials, cell_size_m: float, channels: tuple[str, str],
                 )
         positions.append((sub.data, t, events))
     all_xy = np.vstack([p for p, _, _ in positions])
-    if origin is None:
-        origin = tuple(all_xy.min(axis=0) - cell_size_m)
-    origin_arr = np.asarray(origin, dtype=float)
-    if shape is None:
-        # In Python floats, so a cell small enough to overflow gives inf, not a warning.
-        nx, ny = (float(span) / cell_size_m for span in all_xy.max(axis=0) - origin_arr)
-        if not (nx + 2) * (ny + 2) <= MAX_ARRAY_ITEMS:
-            raise DataFormatError(
-                f"cell_size_m = {cell_size_m} gives a {nx + 2:.4g} x {ny + 2:.4g} grid, "
-                "more cells than a numpy array can index")
-        shape = (math.floor(nx) + 2, math.floor(ny) + 2)
-    counts = np.zeros(shape, dtype=int)
+    origin = all_xy.min(axis=0) - cell_size_m
+    # In Python floats, so a cell small enough to overflow gives inf, not a warning.
+    nx, ny = (float(span) / cell_size_m for span in all_xy.max(axis=0) - origin)
+    if not (nx + 2) * (ny + 2) <= MAX_ARRAY_ITEMS:
+        raise DataFormatError(
+            f"cell_size_m = {cell_size_m} gives a {nx + 2:.4g} x {ny + 2:.4g} grid, "
+            "more cells than a numpy array can index")
+    counts = np.zeros((math.floor(nx) + 2, math.floor(ny) + 2), dtype=int)
     for xy, t, events in positions:
         active = np.zeros(t.size, dtype=bool)
         for ev in events:
             active |= (t >= ev.start_t - 1e-9) & (t <= ev.end_t + 1e-9)
-        cells = np.floor((xy[active] - origin_arr) / cell_size_m).astype(int)
+        # The grid is sized from these same positions, so every index is in range.
+        cells = np.floor((xy[active] - origin) / cell_size_m).astype(int)
         for ix, iy in cells:
-            if 0 <= ix < shape[0] and 0 <= iy < shape[1]:
-                counts[ix, iy] += 1
-            else:
-                raise DataFormatError(
-                    f"cue position cell ({ix}, {iy}) falls outside grid {shape}"
-                )
-    return CueGrid(origin=(float(origin_arr[0]), float(origin_arr[1])),
+            counts[ix, iy] += 1
+    return CueGrid(origin=(float(origin[0]), float(origin[1])),
                    cell_size_m=float(cell_size_m), counts=counts, direction=direction)
 
 

@@ -105,13 +105,12 @@ def _out_dir(arg: str) -> Path:
 def _cmd_run(args) -> int:
     cfg, _ = load_config(args.config, args.set)
     out = _out_dir(args.out)
-    # No name holds the loaded set: it is freed once it is prepared.
-    result = pipeline.run(pipeline.prepare_trials(storage.load_trial_dir(args.trials), cfg),
-                          cfg, out)
-    positions = {r.trial_id: r.prepared for r in result.trials}
-    pipeline.build_reports(out, out, cfg, positions)
-    n_events = sum(len(evs) for r in result.trials for evs in r.events.values())
-    print(f"analyzed {len(result.trials)} trials; {n_events} cue events -> {out}")
+    # No name holds the loaded or the prepared trials: the loaded set is freed
+    # once it is prepared, the prepared set once run returns its summaries.
+    results = pipeline.run(pipeline.prepare_trials(storage.load_trial_dir(args.trials), cfg),
+                           cfg, out)
+    n_events = sum(len(evs) for r in results for evs in r.events.values())
+    print(f"analyzed {len(results)} trials; {n_events} cue events -> {out}")
     return 0
 
 

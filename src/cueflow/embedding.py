@@ -92,11 +92,6 @@ class EmbeddedDataset:
         """Target history: a column view of :attr:`design`."""
         return self.design[:, 1:1 + self.target_cols]
 
-    @property
-    def source_hist(self) -> np.ndarray:
-        """Source history: a column view of :attr:`design`."""
-        return self.design[:, 1 + self.target_cols:]
-
 
 def history_rows(target: TimeSeries, source: TimeSeries, spec: EmbeddingSpec) -> int:
     """Rows one trial's (target, source) pair gives :func:`embed`: ``N - d * stride``.

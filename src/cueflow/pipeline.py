@@ -42,32 +42,17 @@ class DirectionModels:
     augmented: FittedModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialResult:
-    """What a run keeps of one trial once its TE traces are written: the
-    cue events per direction.
-
-    ``prepared`` is the trial's series as analysed: resampled, then trimmed
-    at its alignment point.
-    """
+    """What :func:`run` returns of one trial once its files are written: its
+    id and scenario, the start time and duration of its series as analysed,
+    and its cue events per direction."""
 
     trial_id: str
     scenario: str
-    prepared: TimeSeries
+    t0: float
+    duration_s: float
     events: dict[str, list[CueEvent]]
-
-    @property
-    def t0(self) -> float:
-        return self.prepared.t0
-
-    @property
-    def duration_s(self) -> float:
-        return self.prepared.duration
-
-
-@dataclass
-class PipelineResult:
-    trials: list[TrialResult]
 
 
 class PreparedTrials(tuple):
@@ -254,24 +239,25 @@ def _analyze_direction(trial: Trial, direction: str, cfg: PipelineConfig,
 def _analyze_trial(trial: Trial, cfg: PipelineConfig, spec: EmbeddingSpec,
                    det_cfg: DetectorConfig, models, out: Path) -> TrialResult:
     return TrialResult(
-        trial_id=trial.trial_id, scenario=trial.scenario, prepared=trial.series,
+        trial_id=trial.trial_id, scenario=trial.scenario, t0=trial.series.t0,
+        duration_s=trial.series.duration,
         events={direction: _analyze_direction(trial, direction, cfg, spec, det_cfg,
                                               models[(trial.scenario, direction)], out)
                 for direction in cfg.io.direction_list})
 
 
-def run(trials: PreparedTrials, cfg: PipelineConfig, out_dir) -> PipelineResult:
-    """Analyze prepared trials under one configuration into the run directory
-    ``out_dir``.
+def run(trials: PreparedTrials, cfg: PipelineConfig, out_dir) -> list[TrialResult]:
+    """Analyze prepared trials under one configuration into the complete run
+    directory ``out_dir``; return one :class:`TrialResult` per trial, in
+    trial order.
 
     ``trials`` comes from :func:`prepare_trials` under the same ``cfg``.
     Models are fit pooled per scenario first (:func:`fit_models`).  Each
-    trial's TE traces are written as soon as it is analysed, and
-    :func:`write_run_dir` writes ``events.csv`` and ``manifest.csv`` last,
-    so a run that fails part way leaves no manifest.  Cross-trial
-    aggregates come from the written run directory, through
-    :func:`build_reports`.
-    """
+    trial's TE traces are written as soon as it is analysed, then
+    :func:`write_run_dir` writes ``events.csv`` and ``manifest.csv``, so a
+    run that fails part way leaves no manifest.  The aggregates come last,
+    from the written files, by the :func:`build_reports` that ``cueflow
+    report`` uses, with the prepared series as positions."""
     _require_prepared(trials)
     if len(trials) == 0:
         raise PipelineError("no trials to analyze")
@@ -283,14 +269,10 @@ def run(trials: PreparedTrials, cfg: PipelineConfig, out_dir) -> PipelineResult:
     models = fit_models(trials, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = PipelineResult(trials=[_analyze_trial(trial, cfg, spec, det_cfg, models, out)
-                                    for trial in trials])
-    write_run_dir(result, cfg, out)
-    return result
-
-
-def _rebase(ev, t0: float):
-    return replace(ev, start_t=ev.start_t - t0, end_t=ev.end_t - t0)
+    results = [_analyze_trial(trial, cfg, spec, det_cfg, models, out) for trial in trials]
+    write_run_dir(results, cfg, out)
+    build_reports(out, out, cfg, {trial.trial_id: trial.series for trial in trials})
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -301,53 +283,83 @@ def te_csv_name(trial_id: str, direction: str) -> str:
     return f"te_{trial_id}_{direction}.csv"
 
 
-def write_run_dir(result: PipelineResult, cfg: PipelineConfig, out_dir) -> None:
-    """Write the event table and then the trial manifest, which completes a
-    run directory whose TE traces :func:`run` has written."""
+def write_run_dir(results: list[TrialResult], cfg: PipelineConfig, out_dir) -> None:
+    """Write the event table and then the trial manifest, after the TE traces
+    :func:`run` has written and before the aggregates."""
     out = Path(out_dir)
-    all_events = [(r.trial_id, ev) for r in result.trials
+    all_events = [(r.trial_id, ev) for r in results
                   for direction in cfg.io.direction_list for ev in r.events[direction]]
     storage.write_events_csv(all_events, out / "events.csv")
     storage.write_rows(out / "manifest.csv", MANIFEST_HEADER,
                        ([r.trial_id, r.scenario, repr(r.t0), repr(r.duration_s)]
-                        for r in result.trials), lineterminator="\n")
+                        for r in results), lineterminator="\n")
 
 
-def _read_manifest(events_dir) -> list[tuple[str, str, float, float]]:
-    path = Path(events_dir) / "manifest.csv"
+def _read_run_dir(events_dir: Path):
+    """A run directory's manifest rows and its events by ``(trial, direction)``.
+
+    A trial is listed once, with a positive duration.  An event's trial is
+    listed, its direction is ``src2tgt`` or ``tgt2src``, and it lies within
+    its trial's ``[t0, t0 + duration_s]`` (to 1e-9 s), ending no earlier
+    than it starts.  A row that breaks a rule is an error naming its file
+    and row."""
+    path = events_dir / "manifest.csv"
     if not path.exists():
         raise DataFormatError(f"missing manifest {path}")
-    return storage.read_rows(path, MANIFEST_HEADER, (str, str, float, float))
+    manifest = storage.read_rows(path, MANIFEST_HEADER, (str, str, float, float))
+    spans: dict[str, tuple[float, float]] = {}
+    for i, (trial_id, _, t0, duration) in enumerate(manifest):
+        if trial_id in spans or duration <= 0:
+            problem = (f"trial {trial_id!r} is listed again" if trial_id in spans
+                       else f"duration_s {duration} is not positive")
+            raise DataFormatError(f"{path}: row {file_row(path, i)}: {problem}")
+        spans[trial_id] = (t0, duration)
+
+    path = events_dir / "events.csv"
+    by_key: dict[tuple[str, str], list[CueEvent]] = {}
+    for i, (trial_id, ev) in enumerate(storage.read_events_csv(path)):
+        span = spans.get(trial_id)
+        if span is None:
+            problem = f"trial {trial_id!r} is not in manifest.csv"
+        elif ev.direction not in (SRC2TGT, TGT2SRC):
+            problem = f"direction {ev.direction!r} is neither {SRC2TGT} nor {TGT2SRC}"
+        elif ev.end_t < ev.start_t:
+            problem = f"end_t {ev.end_t} is before start_t {ev.start_t}"
+        elif ev.start_t - span[0] < -1e-9 or ev.end_t - span[0] > span[1] + 1e-9:
+            problem = (f"event [{ev.start_t}, {ev.end_t}] is outside trial {trial_id!r}, "
+                       f"which spans [{span[0]}, {span[0] + span[1]}]")
+        else:
+            by_key.setdefault((trial_id, ev.direction), []).append(ev)
+            continue
+        raise DataFormatError(f"{path}: row {file_row(path, i)}: {problem}")
+    return manifest, by_key
 
 
 def build_reports(events_dir, out_dir, cfg: PipelineConfig,
                   positions: dict[str, TimeSeries] | None = None) -> list[str]:
-    """Regenerate aggregate products from a run directory's saved files.
+    """Build the aggregate products of a run directory from its saved files.
 
-    Reads ``manifest.csv``, ``events.csv``, and the per-trial TE traces under
+    :func:`run` calls this on its own directory, with its prepared series
+    as ``positions``; ``cueflow report`` calls it on a saved one.  Reads
+    ``manifest.csv``, ``events.csv`` and the per-trial TE traces under
     ``events_dir`` and writes histogram/grid/peak-TE products into
-    ``out_dir``; the peak-TE study takes each trace's ``te_raw`` as read
-    back, and a non-finite value there is an error naming its file and row.
-    Because the trace formats round-trip losslessly, running this on a fresh
-    run directory reproduces the aggregates byte for byte.  Returns the
-    names of the files written.
-    """
+    ``out_dir``.  A non-finite number in a table or trace, or a table row
+    that disagrees with the others (see :func:`_read_run_dir`), is an error
+    naming its file and row.  The trace formats round-trip losslessly, so
+    this reproduces a run directory's own aggregates byte for byte.
+    Returns the names of the files written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events_dir = Path(events_dir)
-    manifest = _read_manifest(events_dir)
-    saved_events = storage.read_events_csv(events_dir / "events.csv")
-    by_key: dict[tuple[str, str], list] = {}
-    for trial_id, ev in saved_events:
-        by_key.setdefault((trial_id, ev.direction), []).append(ev)
+    manifest, by_key = _read_run_dir(events_dir)
 
     written: list[str] = []
     for direction in cfg.io.direction_list:
         if cfg.aggregate.bin_dt is not None:
             hist_in = []
             for trial_id, _, t0, duration in manifest:
-                evs = [_rebase(e, t0) for e in by_key.get((trial_id, direction), [])]
-                hist_in.append((evs, duration))
+                hist_in.append(([replace(e, start_t=e.start_t - t0, end_t=e.end_t - t0)
+                                 for e in by_key.get((trial_id, direction), [])], duration))
             hist = agg.temporal_histogram(hist_in, cfg.aggregate.bin_dt,
                                           direction=direction)
             name = f"histogram_{direction}.csv"

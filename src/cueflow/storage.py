@@ -14,6 +14,7 @@ shortest-round-trip ``repr`` so read-back is lossless):
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,12 @@ def write_rows(path, header: list[str], rows, lineterminator: str = "\r\n") -> N
 
 
 def read_rows(path, expected_header: list[str], types) -> list[tuple]:
-    """Data rows of a CSV, each field converted by its column's entry in ``types``."""
+    """Data rows of a CSV, each field converted by its column's entry in ``types``.
+
+    A field that does not convert, or a float that is not finite, is an
+    error naming the row, counted as :func:`read_numeric_csv` counts: from
+    1 after the header, blank lines included.
+    """
     with text_errors(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -114,9 +120,13 @@ def read_rows(path, expected_header: list[str], types) -> list[tuple]:
             if len(row) != len(expected_header):
                 raise DataFormatError(f"{path}: row {i} has {len(row)} fields")
             try:
-                out.append(tuple(convert(v) for convert, v in zip(types, row)))
+                values = tuple(convert(v) for convert, v in zip(types, row))
             except ValueError:
-                raise DataFormatError(f"{path}: numeric parse error in {row}") from None
+                raise DataFormatError(f"{path}: numeric parse error at row {i}") from None
+            for name, v in zip(expected_header, values):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise DataFormatError(f"{path}: {name} value {v} at row {i} is not finite")
+            out.append(values)
     return out
 
 

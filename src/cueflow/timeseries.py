@@ -103,10 +103,6 @@ class TimeSeries:
                 f"unknown channel {name!r}; available: {list(self.channels)}"
             ) from None
 
-    def values(self, name: str) -> np.ndarray:
-        """Column of one channel as a 1-D array."""
-        return self.data[:, self.channel_index(name)]
-
     def select(self, names) -> "TimeSeries":
         """Sub-series containing only ``names``, in the given order."""
         idx = [self.channel_index(n) for n in names]

@@ -60,17 +60,17 @@ def run_read_back(trials: TrialSet, cfg: PipelineConfig, out_dir):
     every TE trace (times, te_raw and cue) read back from its file with
     ``storage.read_te_csv``, carrying its direction's events.
 
-    Returns the run's result and, per trial in trial order, a dict of
-    direction -> trace.
+    Returns the run's trial summaries and, per trial in trial order, a dict
+    of direction -> trace.
     """
-    result = pipeline.run(pipeline.prepare_trials(trials, cfg), cfg, out_dir)
+    results = pipeline.run(pipeline.prepare_trials(trials, cfg), cfg, out_dir)
     traces = [{direction: replace(
                    storage.read_te_csv(Path(out_dir) / pipeline.te_csv_name(r.trial_id, direction),
                                        direction=direction),
                    events=events)
                for direction, events in r.events.items()}
-              for r in result.trials]
-    return result, traces
+              for r in results]
+    return results, traces
 
 
 @pytest.fixture(scope="session")
@@ -78,11 +78,16 @@ def e2e_config():
     return _e2e_config()
 
 
+class TimedRun(list):
+    """A run's trial summaries, with the run's wall time as ``elapsed_s``."""
+
+
 def _timed_run(trials, cfg, out_dir):
     start = time.perf_counter()
-    result, traces = run_read_back(trials, cfg, out_dir)
-    result.elapsed_s = time.perf_counter() - start
-    return result, traces
+    results, traces = run_read_back(trials, cfg, out_dir)
+    timed = TimedRun(results)
+    timed.elapsed_s = time.perf_counter() - start
+    return timed, traces
 
 
 @pytest.fixture(scope="session")

@@ -150,10 +150,10 @@ def test_criterion_5_end_to_end_detection(driven_run, null_run):
         1 for r in driven_traces
         if any(abs(ev.start_t - E2E_CUE_T) <= E2E_ONSET_TOL
                for ev in r["src2tgt"].events))
-    n_driven = len(driven.trials)
+    n_driven = len(driven)
 
     false_events = sum(len(r["src2tgt"].events) for r in null_traces)
-    null_minutes = sum(r.duration_s for r in null.trials) / 60.0
+    null_minutes = sum(r.duration_s for r in null) / 60.0
     rate = false_events / null_minutes
     elapsed = driven.elapsed_s + null.elapsed_s
     ok = (hits >= 0.9 * n_driven and rate <= 1.0 and elapsed < 180.0)

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,33 @@ class TestRunFlow:
             assert ((run_dir / name).read_bytes()
                     == (rep_dir / name).read_bytes())
 
+    def test_library_run_writes_the_command_run_directory(self, cue_run_config,
+                                                           two_scenario_trials, tmp_path,
+                                                           capsys):
+        """``pipeline.run`` writes the whole run directory, aggregates
+        included: file for file, it is byte-identical to the one ``cueflow
+        run`` writes from the same trials and config."""
+        from cueflow import pipeline
+        from cueflow.config import load_config
+
+        overrides = ["aggregate.cell_size_m=0.25",
+                     "aggregate.position_channels=follower_px, follower_py"]
+        (two_scenario_trials / "trials.meta").write_text("trim_start_s.t001=1.5\n")
+        cfg, _ = load_config(cue_run_config, overrides)
+        results = pipeline.run(pipeline.prepare_trials(
+            storage.load_trial_dir(two_scenario_trials), cfg), cfg, tmp_path / "lib")
+        assert main(["run", "--config", str(cue_run_config),
+                     *(arg for o in overrides for arg in ("--set", o)),
+                     "--trials", str(two_scenario_trials),
+                     "--out", str(tmp_path / "cli")]) == 0
+        names = sorted(p.name for p in (tmp_path / "cli").iterdir())
+        assert {"grid_tgt2src.csv", "histogram_src2tgt.csv", "peak_te_report.csv"} <= set(names)
+        assert sorted(p.name for p in (tmp_path / "lib").iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "lib" / name).read_bytes()
+                    == (tmp_path / "cli" / name).read_bytes()), name
+        assert f"analyzed {len(results)} trials" in capsys.readouterr().out
+
     def test_reruns_give_identical_outputs(self, cue_run_config, tmp_path, capsys):
         trials_dir = tmp_path / "trials"
         main(["synth", "--config", str(cue_run_config), "--out", str(trials_dir)])
@@ -348,7 +376,7 @@ class TestBadInputExits2:
         assert f"cannot read config {var1_config}" in err
 
     @pytest.mark.parametrize("row, message", [
-        ("t000,driven,abc,20.0", "numeric parse error in ['t000', 'driven', 'abc', '20.0']"),
+        ("t000,driven,abc,20.0", "numeric parse error at row 1"),
         ("t000,driven", "row 1 has 2 fields"),
     ])
     def test_bad_manifest_row_under_report(self, cue_config, tmp_path, capsys,
@@ -383,6 +411,54 @@ class TestBadInputExits2:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"{trace}: te_raw value {value} at row 6 is not finite" in err
+
+
+    def test_corrupt_run_directory_under_report(self, cue_run_config, two_scenario_trials,
+                                                tmp_path, capsys):
+        """Each numeric field of one events.csv row and one manifest.csv row
+        set to nan, inf and -inf in turn, and each row that disagrees with
+        the others, stops ``report`` with exit code 2 and a message naming
+        the file and the row, not a traceback."""
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(run_dir)]) == 0
+
+        def row(name, index):
+            lines = (run_dir / name).read_text().splitlines()
+            return dict(zip(lines[0].split(","), lines[index].split(",")))
+
+        event, entry = row("events.csv", 2), row("manifest.csv", 1)
+        start = float(event["start_t"])
+        cases = [(name, {column: value}, f"{column} value {value} at row 2 is not finite")
+                 for value in ("nan", "inf", "-inf")
+                 for name, columns in (("events.csv", ("start_t", "end_t", "peak_te")),
+                                       ("manifest.csv", ("t0", "duration_s")))
+                 for column in columns]
+        cases += [
+            ("events.csv", {"trial": "t999"}, "row 2: trial 't999' is not in manifest.csv"),
+            ("events.csv", {"direction": "sideways"},
+             "row 2: direction 'sideways' is neither src2tgt nor tgt2src"),
+            ("events.csv", {"end_t": repr(start - 0.5)},
+             f"row 2: end_t {start - 0.5!r} is before start_t {start!r}"),
+            ("events.csv", {"start_t": "1000.0", "end_t": "1000.5"},
+             f"row 2: event [1000.0, 1000.5] is outside trial {event['trial']!r}"),
+            ("manifest.csv", {"trial": entry["trial"]},
+             f"row 2: trial {entry['trial']!r} is listed again"),
+            ("manifest.csv", {"duration_s": "-1.0"}, "row 2: duration_s -1.0 is not positive"),
+        ]
+        for k, (name, fields, message) in enumerate(cases):
+            case_dir = tmp_path / f"case{k}"
+            shutil.copytree(run_dir, case_dir)
+            lines = (case_dir / name).read_text().splitlines()
+            lines[2] = ",".join(dict(zip(lines[0].split(","), lines[2].split(",")),
+                                     **fields).values())
+            (case_dir / name).write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            code = main(["report", "--config", str(cue_run_config), "--events",
+                         str(case_dir), "--out", str(tmp_path / f"rep{k}")])
+            err = capsys.readouterr().err
+            assert (code, "Traceback" in err) == (2, False), (name, fields, err)
+            assert f"{case_dir / name}: {message}" in err, (name, fields, err)
 
 
 class TestMissingFilesExit2:

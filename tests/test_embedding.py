@@ -17,6 +17,12 @@ def series(data, dt=1.0, channels=None):
     return TimeSeries(channels=channels, data=data, dt=dt)
 
 
+def source_hist(ds):
+    """Source history: the design columns after the intercept and the
+    target history."""
+    return ds.design[:, 1 + ds.target_cols:]
+
+
 class TestEmbeddingSpec:
     def test_stride_and_horizon(self):
         spec = EmbeddingSpec(d=4, delta_s=0.1, dt=0.01)
@@ -44,7 +50,7 @@ class TestEmbed:
         np.testing.assert_array_equal(ds.targets, [[40.0], [50.0]])
         np.testing.assert_array_equal(ds.target_hist,
                                       [[30.0, 20.0, 10.0], [40.0, 30.0, 20.0]])
-        np.testing.assert_array_equal(ds.source_hist,
+        np.testing.assert_array_equal(source_hist(ds),
                                       [[3.0, 2.0, 1.0], [4.0, 3.0, 2.0]])
         np.testing.assert_array_equal(ds.times, [3.0, 4.0])
 
@@ -83,7 +89,7 @@ class TestEmbed:
             shift = j * spec.stride
             np.testing.assert_array_equal(ds.target_hist[:, j - 1],
                                           x[h - shift:len(x) - shift])
-            np.testing.assert_array_equal(ds.source_hist[:, j - 1],
+            np.testing.assert_array_equal(source_hist(ds)[:, j - 1],
                                           y[h - shift:len(y) - shift])
 
     def test_no_future_leakage(self):
@@ -114,7 +120,7 @@ class TestEmbed:
                      series(rng.standard_normal(30)))],
                    EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
         np.testing.assert_array_equal(ds.joint_hist,
-                                      np.hstack([ds.target_hist, ds.source_hist]))
+                                      np.hstack([ds.target_hist, source_hist(ds)]))
 
     def test_histories_are_views_of_one_block(self):
         """The joint, target and source histories are column views of one
@@ -126,11 +132,11 @@ class TestEmbed:
         assert ds.design.base is None
         assert ds.design.flags.f_contiguous and ds.targets.flags.f_contiguous
         assert (ds.design[:, 0] == 1.0).all()
-        for block in (ds.joint_hist, ds.target_hist, ds.source_hist):
+        for block in (ds.joint_hist, ds.target_hist, source_hist(ds)):
             assert block.base is ds.design
             assert block.flags.f_contiguous
         assert ds.design.shape[1] == 1 + ds.joint_hist.shape[1] == 1 + 3 * (2 + 3)
-        assert ds.target_hist.shape[1] + ds.source_hist.shape[1] == ds.joint_hist.shape[1]
+        assert ds.target_hist.shape[1] + source_hist(ds).shape[1] == ds.joint_hist.shape[1]
 
     def test_trials_stack_without_shared_history(self):
         """Embedding several trials at once stacks each trial's own rows in
@@ -200,7 +206,7 @@ class TestLagIdentities:
         h = spec.horizon
         assert (spec.stride, h, ds.n_rows) == (stride, d * stride, n - h)
         assert ds.target_hist.shape == (n - h, d * n_tgt)
-        assert ds.source_hist.shape == (n - h, d * n_src)
+        assert source_hist(ds).shape == (n - h, d * n_src)
         assert ds.targets.tobytes() == x[h:].tobytes()
         assert ds.times.tobytes() == target.times[h:].tobytes()
         for r in range(ds.n_rows):
@@ -208,5 +214,5 @@ class TestLagIdentities:
                 lag = r + h - j * stride
                 assert (ds.target_hist[r, (j - 1) * n_tgt:j * n_tgt].tobytes()
                         == x[lag].tobytes())
-                assert (ds.source_hist[r, (j - 1) * n_src:j * n_src].tobytes()
+                assert (source_hist(ds)[r, (j - 1) * n_src:j * n_src].tobytes()
                         == y[lag].tobytes())

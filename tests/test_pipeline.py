@@ -186,7 +186,7 @@ class TestRunOnCoupledVar:
         trial, _ = var1_trial("t000", seed=7, n=2000)
         trials = var1_trial_set(trial, metadata={"trim_start_s.t000": "5.0"})
         result, traces = run_read_back(trials, make_config(), tmp_path)
-        out = result.trials[0]
+        out = result[0]
         assert out.t0 == 0.0
         assert out.duration_s == pytest.approx(14.99)
         assert traces[0]["src2tgt"].te_raw.size == 1499
@@ -211,11 +211,10 @@ class TestRunOnCoupledVar:
         cfg = make_config(aggregate=dict(bin_dt=1.0, cell_size_m=1.0,
                                          position_channels=("x", "y")))
         result, _ = run_read_back(trials, cfg, tmp_path)
-        written = build_reports(tmp_path, tmp_path, cfg,
-                                {r.trial_id: r.prepared for r in result.trials})
         assert len(calls) == 2
-        assert {"grid_src2tgt.csv", "grid_tgt2src.csv"} <= set(written)
-        assert result.trials[1].t0 == 0.0
+        assert (tmp_path / "grid_src2tgt.csv").is_file()
+        assert (tmp_path / "grid_tgt2src.csv").is_file()
+        assert result[1].t0 == 0.0
 
     @pytest.mark.parametrize("value", ["abc", "inf", "nan", ""])
     def test_bad_trim_value_names_the_key(self, value, tmp_path):
@@ -420,7 +419,9 @@ class TestRunDirProducts:
     def test_run_dir_layout(self, study):
         _, _, _, run_dir = study
         names = sorted(p.name for p in run_dir.iterdir())
-        assert names == ["events.csv", "manifest.csv", "te_a0_src2tgt.csv",
+        assert names == ["events.csv", "grid_src2tgt.csv", "grid_src2tgt.csv.meta",
+                         "histogram_src2tgt.csv", "histogram_src2tgt.csv.meta",
+                         "manifest.csv", "peak_te_report.csv", "te_a0_src2tgt.csv",
                          "te_a1_src2tgt.csv", "te_b0_src2tgt.csv",
                          "te_b1_src2tgt.csv"]
         manifest = (run_dir / "manifest.csv").read_text().splitlines()
@@ -428,19 +429,15 @@ class TestRunDirProducts:
         assert len(manifest) == 5
 
     def test_rebuilt_aggregates_are_byte_identical(self, study, tmp_path):
-        """Aggregates built from the run's own prepared series (as ``run``
-        does) match those rebuilt from re-derived positions (as ``report
-        --trials`` does) byte for byte."""
-        trials, cfg, result, run_dir = study
+        """The aggregates ``run`` writes from its own prepared series match
+        those rebuilt from re-derived positions (as ``report --trials``
+        does) byte for byte."""
+        trials, cfg, _, run_dir = study
         names = ["histogram_src2tgt.csv", "grid_src2tgt.csv", "peak_te_report.csv"]
-        assert build_reports(run_dir, tmp_path / "direct", cfg,
-                             positions={r.trial_id: r.prepared
-                                        for r in result.trials}) == names
         assert build_reports(run_dir, tmp_path / "rep", cfg,
                              positions=positions(trials, cfg)) == names
-        for name in names:
-            assert ((tmp_path / "direct" / name).read_bytes()
-                    == (tmp_path / "rep" / name).read_bytes())
+        for rebuilt in (tmp_path / "rep").iterdir():
+            assert rebuilt.read_bytes() == (run_dir / rebuilt.name).read_bytes()
 
     def test_report_rebuild_needs_all_position_series(self, study, tmp_path):
         trials, cfg, _, run_dir = study

@@ -204,7 +204,7 @@ class TestEndToEndDetection:
         result, traces = null_run
         total_events = 0
         total_minutes = 0.0
-        for trial, trial_traces in zip(result.trials, traces):
+        for trial, trial_traces in zip(result, traces):
             total_events += len(trial_traces["src2tgt"].events)
             total_minutes += trial.duration_s / 60.0
         rate = total_events / total_minutes

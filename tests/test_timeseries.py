@@ -60,10 +60,10 @@ class TestTimeSeries:
     def test_values_and_select_preserve_order(self):
         data = np.arange(6.0).reshape(3, 2)
         ts = make_series(data, channels=("a", "b"))
-        np.testing.assert_array_equal(ts.values("b"), [1.0, 3.0, 5.0])
+        assert ts.channel_index("b") == 1
         swapped = ts.select(("b", "a"))
         assert swapped.channels == ("b", "a")
-        np.testing.assert_array_equal(swapped.data[:, 0], ts.values("b"))
+        np.testing.assert_array_equal(swapped.data[:, 0], [1.0, 3.0, 5.0])
 
     def test_rejected_inputs(self):
         with pytest.raises(DataFormatError):
@@ -74,7 +74,7 @@ class TestTimeSeries:
             make_series([1.0, 2.0], dt=0.0)
         with pytest.raises(DataFormatError):
             ts = make_series([1.0, 2.0])
-            ts.values("missing")
+            ts.channel_index("missing")
 
 
 class TestLoadCsv:
