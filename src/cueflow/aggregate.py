@@ -84,17 +84,26 @@ def temporal_histogram(trials, bin_dt: float, direction: str = "") -> CueHistogr
     durations = [dur for _, dur in trials]
     if min(durations) <= 0:
         raise DataFormatError("trial durations must be positive")
-    n_bins = int(math.ceil(max(durations) / bin_dt))
-    counts = np.zeros(n_bins, dtype=int)
-    for events, duration in trials:
-        hit = np.zeros(n_bins, dtype=bool)
-        for ev in events:
-            if ev.start_t < -1e-9 or ev.end_t > duration + 1e-9:
-                raise DataFormatError(
-                    f"event [{ev.start_t}, {ev.end_t}] outside trial duration {duration}"
-                )
-            hit[list(_bins_hit(ev.start_t, ev.end_t, bin_dt, n_bins))] = True
-        counts += hit
+    # In Python floats, so a duration huge next to bin_dt gives inf, not a warning.
+    longest = float(max(durations))
+    bins = longest / bin_dt
+    too_many = f"bin_dt = {bin_dt} over duration_s {longest} gives {bins:.4g} bins"
+    if not bins <= MAX_ARRAY_ITEMS:
+        raise DataFormatError(f"{too_many}, more than a numpy array can index")
+    n_bins = math.ceil(bins)
+    try:
+        counts = np.zeros(n_bins, dtype=int)
+        for events, duration in trials:
+            hit = np.zeros(n_bins, dtype=bool)
+            for ev in events:
+                if ev.start_t < -1e-9 or ev.end_t > duration + 1e-9:
+                    raise DataFormatError(
+                        f"event [{ev.start_t}, {ev.end_t}] outside trial duration {duration}"
+                    )
+                hit[list(_bins_hit(ev.start_t, ev.end_t, bin_dt, n_bins))] = True
+            counts += hit
+    except MemoryError:
+        raise DataFormatError(f"{too_many}, more than memory can hold") from None
     return CueHistogram(bin_dt=bin_dt, counts=counts, n_trials=len(trials),
                         direction=direction)
 

@@ -5,7 +5,7 @@ Subcommands::
     run      --config C --trials DIR --out DIR   analyze trials end to end
     synth    --config C --out DIR                generate trials + ground truth
     oracle   --config C                          closed-form TE of the [synth] var1 process
-    validate --config C                          static config diagnostics
+    validate --config C                          check a config; print its diagnostics
     report   --events DIR --out DIR --config C   regenerate aggregates from saved outputs
 
 Exit codes: 0 success, 1 usage error, 2 data/config error.  Diagnostics and
@@ -153,10 +153,8 @@ def _var1_trials(settings) -> TrialSet:
     q = np.asarray(settings.q).reshape(2, 2)
     for i in range(settings.n_trials):
         spec = synth.Var1Spec(a=a, q=q, n=settings.n, seed=settings.seed + i, dt=settings.dt)
-        x, y = synth.gen_var1(spec)
-        series = TimeSeries(channels=("x", "y"),
-                            data=np.hstack([x.data, y.data]), dt=settings.dt)
-        trials.append(Trial(trial_id=f"t{i:03d}", scenario="var1", series=series))
+        trials.append(Trial(trial_id=f"t{i:03d}", scenario="var1",
+                            series=synth.gen_var1(spec)))
     return TrialSet(trials=tuple(trials))
 
 
@@ -194,14 +192,13 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    # A broken rule is a ConfigError from load_config: exit 2, named on stderr.
     cfg, _ = load_config(args.config, args.set)
     diags = pipeline.validate_config(cfg)
     for d in diags:
         print(f"{d.severity.upper()}: {d.message}")
-    n_errors = sum(1 for d in diags if d.severity == "error")
-    print(f"{'INVALID' if n_errors else 'OK'}: {n_errors} error(s), "
-          f"{sum(1 for d in diags if d.severity == 'warning')} warning(s)")
-    return 2 if n_errors else 0
+    print(f"OK: 0 error(s), {sum(d.severity == 'warning' for d in diags)} warning(s)")
+    return 0
 
 
 def _cmd_report(args) -> int:

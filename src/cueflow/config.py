@@ -5,18 +5,20 @@ Files use ``configparser`` sections ``[io]``, ``[embedding]``, ``[model]``,
 one-to-one onto a field of its section's dataclass, which holds the key's
 type, default and checks; unknown sections or keys are hard errors so typos
 never silently fall back to defaults.  Command-line overrides take the
-form ``section.key=value``.
+form ``section.key=value``.  Every rule is checked when the config is
+built, so a config that exists is one the pipeline accepts.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, Field, dataclass, field, fields
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .detector import DetectorConfig
-from .errors import ConfigError
+from .embedding import EmbeddingSpec
+from .errors import ConfigError, CueflowError
 from .models import MLP_GAUSSIAN, VAR_LINEAR, TrainConfig
 from .te import ENTROPY_DIFF, SRC2TGT, TE_MODES, TGT2SRC
 
@@ -36,6 +38,10 @@ class IoConfig:
     def __post_init__(self) -> None:
         if not self.target_channels or not self.source_channels:
             raise ConfigError("target_channels and source_channels must be non-empty")
+        for key in ("target_channels", "source_channels"):
+            names = getattr(self, key)
+            if len(set(names)) != len(names):
+                raise ConfigError(f"[io] {key} names a channel twice: {names}")
         if set(self.target_channels) & set(self.source_channels):
             raise ConfigError("target and source channels overlap")
         if not (math.isfinite(self.resample_hz) and self.resample_hz > 0):
@@ -97,18 +103,14 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DetectorSettings:
-    """Detector knobs minus the sample step, which follows from resample_hz."""
+    """Detector knobs minus the sample step, which follows from resample_hz;
+    :attr:`PipelineConfig.detector_config` joins the two and checks them."""
 
     alpha: float
     beta: float
     gamma: float = 3.0
     hp_cutoff_hz: float = 1.0
     skip_warmup: bool = True
-
-    def to_config(self, dt: float) -> DetectorConfig:
-        return DetectorConfig(alpha=self.alpha, beta=self.beta, dt=dt,
-                              gamma=self.gamma, hp_cutoff_hz=self.hp_cutoff_hz,
-                              skip_warmup=self.skip_warmup)
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,9 @@ class AggregateConfig:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"[aggregate] {name} must be positive and finite, got {v}")
-        if self.position_channels is not None and len(self.position_channels) != 2:
-            raise ConfigError("[aggregate] position_channels needs exactly 2 names")
+        if self.position_channels is not None and len(set(self.position_channels)) != 2:
+            raise ConfigError("[aggregate] position_channels needs exactly 2 names, "
+                              f"each once, got {self.position_channels}")
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,11 @@ class SynthSettings:
 
 @dataclass(frozen=True, kw_only=True)
 class PipelineConfig:
+    """The sections the pipeline reads.  Each checks its own keys; the rules
+    that need the sample step (``1/resample_hz``) are checked here, so a
+    config that builds, from a file, ``--set`` or code, is one every stage
+    accepts."""
+
     # One field per section, in the order sections are parsed and their
     # errors reported; kw_only lets a required section follow an optional one.
     io: IoConfig
@@ -176,11 +184,29 @@ class PipelineConfig:
                 f"[aggregate] bin_dt must be at least one sample "
                 f"(1/resample_hz = {self.dt!r} s), got {bin_dt!r}"
             )
+        # The embedding and detector rules need the sample step too: build
+        # what the run uses, and name the section of a rule it breaks.
+        for section, build in (("embedding", lambda: self.embedding_spec),
+                               ("detector", lambda: self.detector_config)):
+            try:
+                build()
+            except CueflowError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
 
     @property
     def dt(self) -> float:
         """Post-resampling sample step in seconds."""
         return 1.0 / self.io.resample_hz
+
+    @property
+    def embedding_spec(self) -> EmbeddingSpec:
+        """The ``[embedding]`` section on the analysis sample grid."""
+        return EmbeddingSpec(d=self.embedding.d, delta_s=self.embedding.delta_s, dt=self.dt)
+
+    @property
+    def detector_config(self) -> DetectorConfig:
+        """The ``[detector]`` section at the analysis sample step."""
+        return DetectorConfig(dt=self.dt, **asdict(self.detector))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Delay embedding of target/source series into one regression design block.
+"""Delay embedding of trials into one regression design block.
 
-A history vector at time t stacks the d past samples
-``[x(t - delta), x(t - 2*delta), ..., x(t - d*delta)]``; the current sample
-never appears in its own history.  Multichannel rows are concatenated whole,
-lag by lag, so channels vary fastest within each lag block.
+Each trial is one multichannel series; named channels of it play the
+target and the source.  A history vector at time t stacks the d past
+samples ``[x(t - delta), x(t - 2*delta), ..., x(t - d*delta)]``; the
+current sample never appears in its own history.  Multichannel rows are
+concatenated whole, lag by lag, so channels vary fastest within each lag
+block.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class EmbeddingSpec:
             raise DataFormatError(f"delta_s must be positive, got {self.delta_s}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise DataFormatError(f"dt must be positive, got {self.dt}")
-        stride = round(self.delta_s / self.dt)
+        ratio = self.delta_s / self.dt
+        stride = round(ratio) if np.isfinite(ratio) else 0
         if stride < 1 or abs(stride * self.dt - self.delta_s) > _LAG_RTOL * max(self.delta_s, self.dt):
             raise DataFormatError(
                 f"delta_s={self.delta_s} is not an integer multiple of dt={self.dt}"
@@ -93,43 +96,25 @@ class EmbeddedDataset:
         return self.design[:, 1:1 + self.target_cols]
 
 
-def history_rows(target: TimeSeries, source: TimeSeries, spec: EmbeddingSpec) -> int:
-    """Rows one trial's (target, source) pair gives :func:`embed`: ``N - d * stride``.
+def embed(series: list[TimeSeries], spec: EmbeddingSpec,
+          channels: tuple[tuple[str, ...], tuple[str, ...]]) -> EmbeddedDataset:
+    """Build aligned (targets, design) blocks from one series per trial.
 
-    Both series must share ``dt`` (1e-9 relative) and length, and be longer
-    than ``spec.horizon``; anything else is a :class:`DataFormatError`.
+    ``channels`` is the (target names, source names) pair: those channels
+    of each series, in that order, are read in place as the target and the
+    source.  Each series must be on the spec's sample step (1e-9 relative)
+    and longer than ``spec.horizon``, or this is a :class:`DataFormatError`.
+    A series of ``N`` samples gives ``N - d * stride`` rows, stacked in
+    series order: its first ``d * stride`` samples are consumed as history,
+    so no history row reaches across two trials.
     """
-    if abs(target.dt - spec.dt) > _LAG_RTOL * max(target.dt, spec.dt):
-        raise DataFormatError(f"target dt={target.dt} does not match spec dt={spec.dt}")
-    if abs(source.dt - target.dt) > _LAG_RTOL * max(source.dt, target.dt):
-        raise DataFormatError(f"source dt={source.dt} does not match target dt={target.dt}")
-    n = target.n_samples
-    if source.n_samples != n:
-        raise DataFormatError(
-            f"target has {n} samples but source has {source.n_samples}"
-        )
-    if n <= spec.horizon:
-        raise DataFormatError(
-            f"series too short to embed: need more than {spec.horizon} samples, got {n}"
-        )
-    return n - spec.horizon
-
-
-def embed(pairs: list[tuple[TimeSeries, TimeSeries]], spec: EmbeddingSpec,
-          channels: tuple[tuple[str, ...], tuple[str, ...]] | None = None) -> EmbeddedDataset:
-    """Build aligned (targets, design) blocks from one or more trials'
-    ``(target, source)`` series pairs, which share their channel counts.
-
-    ``channels``, a (target names, source names) pair, embeds only those
-    channels of each pair's target and source, in that order, read in
-    place; by default every channel of both is embedded.  Each pair gives
-    :func:`history_rows` rows, stacked in pair order: its first
-    ``d * stride`` samples are consumed as history, so no history row
-    reaches across two trials.
-    """
-    rows = [history_rows(target, source, spec) for target, source in pairs]
-    if channels is None:
-        channels = pairs[0][0].channels, pairs[0][1].channels
+    for ts in series:
+        if abs(ts.dt - spec.dt) > _LAG_RTOL * max(ts.dt, spec.dt):
+            raise DataFormatError(f"series dt={ts.dt} does not match spec dt={spec.dt}")
+        if ts.n_samples <= spec.horizon:
+            raise DataFormatError(f"series too short to embed: need more than "
+                                  f"{spec.horizon} samples, got {ts.n_samples}")
+    rows = [ts.n_samples - spec.horizon for ts in series]
     n_tgt, n_src = map(len, channels)
     # Every lag of every channel is written straight into its column of one
     # column-major block, so each column (and the target and source blocks)
@@ -139,21 +124,20 @@ def embed(pairs: list[tuple[TimeSeries, TimeSeries]], spec: EmbeddingSpec,
     times = np.empty(sum(rows))
     design[:, 0] = 1.0
     off, lo = spec.horizon, 0
-    for (target, source), n_rows in zip(pairs, rows):
+    for ts, n_rows in zip(series, rows):
         hi = lo + n_rows
-        tgt_idx, src_idx = ([series.channel_index(name) for name in names]
-                            for series, names in zip((target, source), channels))
-        np.concatenate([data[off - j * spec.stride: off - j * spec.stride + n_rows, c, None]
-                        for data, idx in ((target.data, tgt_idx), (source.data, src_idx))
+        tgt_idx, src_idx = ([ts.channel_index(name) for name in names] for names in channels)
+        np.concatenate([ts.data[off - j * spec.stride: off - j * spec.stride + n_rows, c, None]
+                        for idx in (tgt_idx, src_idx)
                         for j in range(1, spec.d + 1) for c in idx],
                        axis=1, out=design[lo:hi, 1:])
-        np.concatenate([target.data[off:, c, None] for c in tgt_idx], axis=1,
+        np.concatenate([ts.data[off:, c, None] for c in tgt_idx], axis=1,
                        out=targets[lo:hi])
-        # target.times[off:], t0 + k * dt, without its full-length temporaries
+        # ts.times[off:], t0 + k * dt, without its full-length temporaries
         t = times[lo:hi]
         t[:] = np.arange(off, off + n_rows)
-        t *= target.dt
-        t += target.t0
+        t *= ts.dt
+        t += ts.t0
         lo = hi
     return EmbeddedDataset(targets=targets, design=design, target_cols=spec.d * n_tgt,
                            times=times, spec=spec)

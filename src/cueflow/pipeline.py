@@ -18,8 +18,8 @@ import numpy as np
 from . import aggregate as agg
 from . import storage
 from .config import PipelineConfig
-from .detector import CueEvent, DetectorConfig, detect_trace, time_constants
-from .embedding import EmbeddedDataset, EmbeddingSpec, embed, history_rows
+from .detector import CueEvent, detect_trace, time_constants
+from .embedding import embed
 from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
                      predict_dataset)
@@ -59,42 +59,28 @@ class PreparedTrials(tuple):
     """Trials as analysed, in trial order: each one's series resampled to the
     analysis rate, then trimmed at its alignment point.
 
-    Built by :func:`prepare_trials`; :func:`fit_models` and :func:`run` take
-    nothing else, so a loaded :class:`TrialSet` is never analysed as it was
-    recorded.
+    Built by :func:`prepare_trials`, which checks them; :func:`fit_models`
+    and :func:`run` take nothing else and trust those checks, so a loaded
+    :class:`TrialSet` is never analysed as it was recorded.
     """
 
     __slots__ = ()
 
 
-def _embedding_spec(cfg: PipelineConfig) -> EmbeddingSpec:
-    return EmbeddingSpec(d=cfg.embedding.d, delta_s=cfg.embedding.delta_s, dt=cfg.dt)
-
-
 def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
-    """Every rule :func:`run` checks before fitting, as diagnostics; raises nothing.
+    """Notes and warnings on a config, as ``info`` and ``warning`` diagnostics.
 
-    The embedding spec and detector config are built here exactly as ``run``
-    builds them, so their own checks are the rules.
+    There are no errors to report: a config that breaks a rule raises a
+    :class:`ConfigError` when it is built, so it never gets here.
     """
-    out: list[Diagnostic] = []
-    try:
-        _embedding_spec(cfg)
-    except CueflowError as exc:
-        out.append(Diagnostic("error", f"[embedding] {exc}"))
-    try:
-        det = cfg.detector.to_config(cfg.dt)
-    except CueflowError as exc:
-        out.append(Diagnostic("error", f"[detector] {exc}"))
-    else:
-        tau_level, tau_trend = time_constants(det.alpha, det.beta, det.dt)
-        out.append(Diagnostic("info",
-                   f"threshold level time constant {tau_level:.4g} s, "
-                   f"trend time constant {tau_trend:.4g} s"))
-        if tau_trend > tau_level:
-            out.append(Diagnostic("warning",
-                       "trend smoother adapts more slowly than the level smoother "
-                       f"({tau_trend:.4g} s > {tau_level:.4g} s)"))
+    det = cfg.detector_config
+    tau_level, tau_trend = time_constants(det.alpha, det.beta, det.dt)
+    out = [Diagnostic("info", f"threshold level time constant {tau_level:.4g} s, "
+                              f"trend time constant {tau_trend:.4g} s")]
+    if tau_trend > tau_level:
+        out.append(Diagnostic("warning",
+                   "trend smoother adapts more slowly than the level smoother "
+                   f"({tau_trend:.4g} s > {tau_level:.4g} s)"))
     if cfg.model.kind == VAR_LINEAR and cfg.model.te_mode == ENTROPY_DIFF:
         out.append(Diagnostic("warning",
                    "[model] te_mode = entropy_diff with kind = var_linear gives a "
@@ -110,18 +96,37 @@ def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
 def prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> PreparedTrials:
     """Each trial resampled to the analysis rate and trimmed, in trial order.
 
+    The trials are checked here, once: the set is not empty, its one
+    channel schema holds every ``[io]`` and ``[aggregate]`` channel name,
+    each trim key names a trial and each prepared series is longer than
+    the embedding horizon; an error names the key or the trial.
+
     The prepared series share no array with ``trials``, so a caller that
     keeps only the result frees the loaded set once this returns.
     """
+    if len(trials) == 0:
+        raise PipelineError("no trials to analyze")
+    channels = trials.trials[0].series.channels
+    for key, names in (("[io] target_channels", cfg.io.target_channels),
+                       ("[io] source_channels", cfg.io.source_channels),
+                       ("[aggregate] position_channels", cfg.aggregate.position_channels or ())):
+        for name in names:
+            if name not in channels:
+                raise PipelineError(f"stage prepare: {key} names channel {name!r}, "
+                                    f"which the trials lack; they hold {list(channels)}")
     ids = {trial.trial_id for trial in trials}
     for key in trials.metadata:
         if key.startswith(TRIM_KEY_PREFIX) and key[len(TRIM_KEY_PREFIX):] not in ids:
             raise DataFormatError(f"metadata {key}: no trial with that id")
+    horizon = cfg.embedding_spec.horizon
     out = []
     for trial in trials:
         try:
             series = resample(trial.series, cfg.io.resample_hz)
             series = _apply_trim(series, trial.trial_id, trials.metadata)
+            if series.n_samples <= horizon:
+                raise DataFormatError(f"series too short to embed: need more than "
+                                      f"{horizon} samples, got {series.n_samples}")
         except CueflowError as exc:
             raise PipelineError(f"trial {trial.trial_id!r}, stage prepare: {exc}") from exc
         out.append(Trial(trial_id=trial.trial_id, scenario=trial.scenario, series=series))
@@ -141,32 +146,12 @@ def _direction_roles(cfg: PipelineConfig, direction: str) -> tuple[tuple[str, ..
     return cfg.io.source_channels, cfg.io.target_channels
 
 
-def _embed(group: list[Trial], cfg: PipelineConfig, spec: EmbeddingSpec,
-           direction: str) -> EmbeddedDataset:
-    """Embed the prepared trials of ``group`` for ``direction`` into one
-    block, each series' channels read in place; an error names the trial."""
-    roles = _direction_roles(cfg, direction)
-    for trial in group:
-        series = trial.series
-        try:
-            for names in roles:
-                for name in names:
-                    series.channel_index(name)
-                if len(set(names)) != len(names):
-                    raise DataFormatError(f"duplicate channel names: {names}")
-            history_rows(series, series, spec)
-        except CueflowError as exc:
-            raise PipelineError(
-                f"trial {trial.trial_id!r}, stage embed ({direction}): {exc}") from exc
-    return embed([(trial.series, trial.series) for trial in group], spec, roles)
-
-
-def _fit_pair(group: list[Trial], cfg: PipelineConfig,
-              spec: EmbeddingSpec, seed: int, scenario: str,
+def _fit_pair(group: list[Trial], cfg: PipelineConfig, seed: int, scenario: str,
               direction: str) -> DirectionModels:
     """Embed one scenario's trials for ``direction`` into one block and fit the pair."""
-    pooled = _embed(group, cfg, spec, direction)
     try:
+        pooled = embed([trial.series for trial in group], cfg.embedding_spec,
+                       _direction_roles(cfg, direction))
         if cfg.model.kind == VAR_LINEAR:
             base = fit_var(pooled, BASELINE)
             full = fit_var(pooled, AUGMENTED)
@@ -190,12 +175,11 @@ def fit_models(trials: PreparedTrials, cfg: PipelineConfig
     The mapping's keys are ``(scenario, direction)``.
     """
     _require_prepared(trials)
-    spec = _embedding_spec(cfg)
     by_scenario: dict[str, list[Trial]] = {}
     for trial in trials:
         by_scenario.setdefault(trial.scenario, []).append(trial)
     return {(scenario, direction):
-            _fit_pair(group, cfg, spec, cfg.io.seed + 4 * s_idx + 2 * d_idx, scenario, direction)
+            _fit_pair(group, cfg, cfg.io.seed + 4 * s_idx + 2 * d_idx, scenario, direction)
             for s_idx, (scenario, group) in enumerate(by_scenario.items())
             for d_idx, direction in enumerate(cfg.io.direction_list)}
 
@@ -216,18 +200,17 @@ def _apply_trim(series: TimeSeries, trial_id: str, metadata: dict[str, str]) -> 
 
 
 def _analyze_direction(trial: Trial, direction: str, cfg: PipelineConfig,
-                       spec: EmbeddingSpec, det_cfg: DetectorConfig, pair: DirectionModels,
-                       out: Path) -> list[CueEvent]:
+                       pair: DirectionModels, out: Path) -> list[CueEvent]:
     """Detect cues on one prepared trial in one direction and write its TE
     trace; only the events outlive the call."""
     try:
-        ds = _embed([trial], cfg, spec, direction)
+        ds = embed([trial.series], cfg.embedding_spec, _direction_roles(cfg, direction))
         times = ds.times
         te_raw = local_te(predict_dataset(pair.baseline, ds),
                           predict_dataset(pair.augmented, ds), ds.targets,
                           mode=cfg.model.te_mode)
         del ds  # detection needs the times and the TE alone
-        trace = detect_trace(direction, times, te_raw, det_cfg)
+        trace = detect_trace(direction, times, te_raw, cfg.detector_config)
     except CueflowError as exc:
         raise PipelineError(
             f"trial {trial.trial_id!r}, stage te ({direction}): {exc}"
@@ -236,12 +219,11 @@ def _analyze_direction(trial: Trial, direction: str, cfg: PipelineConfig,
     return trace.events
 
 
-def _analyze_trial(trial: Trial, cfg: PipelineConfig, spec: EmbeddingSpec,
-                   det_cfg: DetectorConfig, models, out: Path) -> TrialResult:
+def _analyze_trial(trial: Trial, cfg: PipelineConfig, models, out: Path) -> TrialResult:
     return TrialResult(
         trial_id=trial.trial_id, scenario=trial.scenario, t0=trial.series.t0,
         duration_s=trial.series.duration,
-        events={direction: _analyze_direction(trial, direction, cfg, spec, det_cfg,
+        events={direction: _analyze_direction(trial, direction, cfg,
                                               models[(trial.scenario, direction)], out)
                 for direction in cfg.io.direction_list})
 
@@ -259,17 +241,10 @@ def run(trials: PreparedTrials, cfg: PipelineConfig, out_dir) -> list[TrialResul
     from the written files, by the :func:`build_reports` that ``cueflow
     report`` uses, with the prepared series as positions."""
     _require_prepared(trials)
-    if len(trials) == 0:
-        raise PipelineError("no trials to analyze")
-    errors = [d for d in validate_config(cfg) if d.severity == "error"]
-    if errors:
-        raise PipelineError("invalid configuration: " + "; ".join(d.message for d in errors))
-    spec = _embedding_spec(cfg)
-    det_cfg = cfg.detector.to_config(cfg.dt)
     models = fit_models(trials, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results = [_analyze_trial(trial, cfg, spec, det_cfg, models, out) for trial in trials]
+    results = [_analyze_trial(trial, cfg, models, out) for trial in trials]
     write_run_dir(results, cfg, out)
     build_reports(out, out, cfg, {trial.trial_id: trial.series for trial in trials})
     return results
@@ -360,8 +335,17 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
             for trial_id, _, t0, duration in manifest:
                 hist_in.append(([replace(e, start_t=e.start_t - t0, end_t=e.end_t - t0)
                                  for e in by_key.get((trial_id, direction), [])], duration))
-            hist = agg.temporal_histogram(hist_in, cfg.aggregate.bin_dt,
-                                          direction=direction)
+            try:
+                hist = agg.temporal_histogram(hist_in, cfg.aggregate.bin_dt,
+                                              direction=direction)
+            except DataFormatError as exc:
+                if not manifest:
+                    raise
+                # Every event has passed _read_run_dir, so what failed is the
+                # bin count of the longest trial: name its manifest row.
+                path = events_dir / "manifest.csv"
+                row = max(range(len(manifest)), key=lambda i: manifest[i][3])
+                raise DataFormatError(f"{path}: row {file_row(path, row)}: {exc}") from None
             name = f"histogram_{direction}.csv"
             storage.write_histogram_csv(hist, out / name)
             written.append(name)

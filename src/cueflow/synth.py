@@ -69,8 +69,9 @@ class Var1Spec:
         object.__setattr__(self, "q", q)
 
 
-def gen_var1(spec: Var1Spec) -> tuple[TimeSeries, TimeSeries]:
-    """Simulate the pair, discarding a 1000-sample burn-in; returns (x, y)."""
+def gen_var1(spec: Var1Spec) -> TimeSeries:
+    """Simulate the pair, discarding a 1000-sample burn-in; returns one
+    series with channels ``x`` and ``y``, as one trial holds both agents."""
     rng = np.random.default_rng(spec.seed)
     chol = np.linalg.cholesky(spec.q)
     total = spec.n + _BURN_IN
@@ -78,10 +79,7 @@ def gen_var1(spec: Var1Spec) -> tuple[TimeSeries, TimeSeries]:
     z = np.zeros((total, 2))
     for t in range(1, total):
         z[t] = spec.a @ z[t - 1] + noise[t]
-    z = z[_BURN_IN:]
-    x = TimeSeries(channels=("x",), data=z[:, :1], dt=spec.dt)
-    y = TimeSeries(channels=("y",), data=z[:, 1:], dt=spec.dt)
-    return x, y
+    return TimeSeries(channels=("x", "y"), data=z[_BURN_IN:], dt=spec.dt)
 
 
 def stationary_cov(spec: Var1Spec) -> np.ndarray:

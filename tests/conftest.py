@@ -122,10 +122,7 @@ def var1_trial(trial_id: str, seed: int, n: int,
                scenario: str = "var1") -> tuple[Trial, Var1Spec]:
     """One coupled-pair draw packed into a two-channel trial."""
     spec = Var1Spec(a=COUPLED_A, q=IDENTITY_Q, n=n, dt=0.01, seed=seed)
-    x, y = gen_var1(spec)
-    series = TimeSeries(channels=("x", "y"),
-                        data=np.hstack([x.data, y.data]), dt=spec.dt)
-    return Trial(trial_id=trial_id, scenario=scenario, series=series), spec
+    return Trial(trial_id=trial_id, scenario=scenario, series=gen_var1(spec)), spec
 
 
 def var1_trial_set(*trials: Trial, metadata: dict | None = None) -> TrialSet:
@@ -143,9 +140,8 @@ def _var1_mean_te(spec: Var1Spec, reverse: bool = False) -> float:
     Embeds at d=1, fits baseline/augmented linear models, and averages the
     entropy-difference local TE.  ``reverse`` estimates x -> y instead.
     """
-    x, y = gen_var1(spec)
-    target, source = (y, x) if reverse else (x, y)
-    ds = embed([(target, source)], EmbeddingSpec(d=1, delta_s=spec.dt, dt=spec.dt))
+    roles = (("y",), ("x",)) if reverse else (("x",), ("y",))
+    ds = embed([gen_var1(spec)], EmbeddingSpec(d=1, delta_s=spec.dt, dt=spec.dt), roles)
     base = predict_dataset(fit_var(ds, BASELINE), ds)
     full = predict_dataset(fit_var(ds, AUGMENTED), ds)
     return float(np.mean(local_te(base, full, ds.targets)))

@@ -208,8 +208,7 @@ def _coupled_pair(seed, n=10_000):
     x[0] = rng.standard_normal()
     for t in range(1, n):
         x[t] = 0.5 * x[t - 1] + 0.5 * y[t - 1] + rng.standard_normal()
-    return (TimeSeries(channels=("x",), data=x, dt=1.0),
-            TimeSeries(channels=("y",), data=y, dt=1.0))
+    return TimeSeries(channels=("x", "y"), data=np.column_stack([x, y]), dt=1.0)
 
 
 def test_criterion_7_model_correctness():
@@ -217,9 +216,9 @@ def test_criterion_7_model_correctness():
     coefficient recovery."""
     grad_err = gradient_check()
 
-    tgt, src = _coupled_pair(seed=13)
+    roles = (("x",), ("y",))
     spec = EmbeddingSpec(d=1, delta_s=1.0, dt=1.0)
-    ds = embed([(tgt, src)], spec)
+    ds = embed([_coupled_pair(seed=13)], spec, roles)
     nll_var = fit_var(ds, AUGMENTED).train_report.final_nll
     nll_mlp = fit_mlp(ds, AUGMENTED, hidden=(), train=TrainConfig()
                       ).train_report.final_nll
@@ -231,10 +230,10 @@ def test_criterion_7_model_correctness():
     for t in range(1, phi_x.size):
         phi_x[t] = 0.9 * phi_x[t - 1] + rng.standard_normal()
     ar = TimeSeries(channels=("x",), data=phi_x, dt=1.0)
-    ar_coef = fit_var(embed([(ar, ar)], spec), BASELINE).params["coef"][0, 0]
+    ar_coef = fit_var(embed([ar], spec, (("x",), ("x",))), BASELINE).params["coef"][0, 0]
 
-    tgt7, src7 = _coupled_pair(seed=7)
-    pair_coef = fit_var(embed([(tgt7, src7)], spec), AUGMENTED).params["coef"][:, 0]
+    pair_coef = fit_var(embed([_coupled_pair(seed=7)], spec, roles),
+                        AUGMENTED).params["coef"][:, 0]
     coef_err = max(abs(ar_coef - 0.9), *np.abs(pair_coef - [0.5, 0.5]))
 
     ok = grad_err < 1e-4 and nll_gap < 0.01 and coef_err < 0.02

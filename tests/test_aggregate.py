@@ -61,6 +61,26 @@ class TestTemporalHistogram:
         with pytest.raises(DataFormatError):
             temporal_histogram([], bin_dt=1.0)
 
+    def test_more_bins_than_an_array_can_index_rejected(self):
+        with pytest.raises(DataFormatError, match=r"gives 1e\+300 bins, more than a numpy "
+                                                  r"array can index"):
+            temporal_histogram([([], 5.0), ([], 1e300)], bin_dt=1.0)
+
+    def test_more_bins_than_memory_holds_rejected(self, monkeypatch):
+        """A bin array numpy cannot allocate is the same named error; the
+        allocation is made to fail here instead of being tried."""
+        zeros = np.zeros
+
+        def failing(shape, *args, **kwargs):
+            if np.prod(shape) > 10**9:
+                raise MemoryError("no room")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", failing)
+        with pytest.raises(DataFormatError, match=r"gives 1e\+12 bins, more than memory "
+                                                  r"can hold"):
+            temporal_histogram([([], 1e12)], bin_dt=1.0)
+
 
 class TestSpatialGrid:
     def test_active_samples_count_into_cells(self):

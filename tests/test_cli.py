@@ -260,7 +260,7 @@ class TestRunFlow:
                      "--trials", str(trials_dir), "--out", str(run_dir)]) == 0
         capsys.readouterr()
         cfg, _ = load_config(cue_run_config)
-        det = cfg.detector.to_config(cfg.dt)
+        det = cfg.detector_config
 
         def bits(ev):
             return ev.direction, ev.start_t.hex(), ev.end_t.hex(), ev.peak_te.hex()
@@ -412,6 +412,25 @@ class TestBadInputExits2:
         assert "Traceback" not in err
         assert f"{trace}: te_raw value {value} at row 6 is not finite" in err
 
+
+    def test_huge_duration_under_report(self, cue_run_config, two_scenario_trials,
+                                        tmp_path, capsys):
+        """A manifest duration too long to histogram at ``bin_dt`` is named
+        by the manifest and its row, not a numpy traceback."""
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(run_dir)]) == 0
+        manifest = run_dir / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[1] = ",".join([*lines[1].split(",")[:3], "1e300"])
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--config", str(cue_run_config), "--events",
+                     str(run_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"{manifest}: row 1: bin_dt = 1.0 over duration_s 1e+300 gives 1e+300 bins, "
+                "more than a numpy array can index") in err
 
     def test_corrupt_run_directory_under_report(self, cue_run_config, two_scenario_trials,
                                                 tmp_path, capsys):
@@ -606,11 +625,30 @@ class TestValidateCommand:
         assert "threshold level time constant 1.995 s" in capsys.readouterr().out
 
     def test_inconsistent_config_exits_nonzero(self, var1_config, capsys):
+        """A broken rule stops the parse: it is named on stderr, as every
+        other config error is, and nothing reaches stdout."""
         assert main(["validate", "--config", str(var1_config),
                      "--set", "detector.hp_cutoff_hz=60"]) == 2
-        out = capsys.readouterr().out
-        assert "Nyquist" in out
-        assert out.splitlines()[-1] == "INVALID: 1 error(s), 0 warning(s)"
+        captured = capsys.readouterr()
+        assert "[detector] hp_cutoff_hz=60.0 must be below Nyquist" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("override", ["io.target_channels=x, x",
+                                          "io.source_channels=y, y"])
+    def test_a_channel_named_twice_in_one_role(self, var1_config, override, capsys):
+        assert main(["validate", "--config", str(var1_config), "--set", override]) == 2
+        key = override.split("=")[0].split(".")[1]
+        assert f"[io] {key} names a channel twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(
+        [*Path(__file__).resolve().parents[1].glob("presets/*.ini"),
+         *Path(__file__).resolve().parents[1].glob("perfbench/*.ini")]),
+        ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_every_shipped_config_validates(self, path, capsys):
+        """Every preset and benchmark workload config passes the parse-time
+        rules; read only."""
+        assert main(["validate", "--config", str(path)]) == 0
+        assert "OK: 0 error(s)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("override, named", [
         ("detector.gamma=-1", "[detector] gamma"),
@@ -643,8 +681,52 @@ class TestValidateCommand:
                      "detector.gamma=-1", "--trials", str(two_scenario_trials),
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
-        assert "invalid configuration: [detector] gamma must be positive" in err
-        assert not list((tmp_path / "run").iterdir())
+        assert "[detector] gamma must be positive" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override, named", [
+        ("detector.hp_cutoff_hz=5", "[detector] hp_cutoff_hz=5.0 must be below Nyquist"),
+        ("embedding.delta_s=0.15", "[embedding] delta_s=0.15 is not an integer multiple"),
+    ])
+    def test_run_rejects_a_bad_section_before_reading_trials(
+            self, cue_run_config, two_scenario_trials, tmp_path, capsys, monkeypatch,
+            override, named):
+        """The [detector] and [embedding] rules are checked at parse, so
+        ``run`` exits 2 before it reads a trial CSV or makes ``--out``."""
+        def no_load(*args, **kwargs):
+            raise AssertionError("trials were read")
+
+        monkeypatch.setattr(storage, "load_trial_dir", no_load)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cue_run_config), "--set", override,
+                     "--trials", str(two_scenario_trials),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
+        assert not (tmp_path / "run").exists()
+
+    def test_a_misspelled_position_channel_stops_run_and_report_at_prepare(
+            self, cue_run_config, two_scenario_trials, tmp_path, capsys):
+        """``run`` and ``report --trials`` check every configured channel
+        against the trials before any stage writes a file."""
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(run_dir)]) == 0
+        bad = ["--set", "aggregate.cell_size_m=0.25",
+               "--set", "aggregate.position_channels=px, follower_py"]
+        named = "[aggregate] position_channels names channel 'px', which the trials lack"
+        for argv, out in (
+                (["run", "--trials", str(two_scenario_trials)], tmp_path / "bad_run"),
+                (["report", "--events", str(run_dir), "--trials", str(two_scenario_trials)],
+                 tmp_path / "bad_rep")):
+            capsys.readouterr()
+            assert main([*argv, "--config", str(cue_run_config), *bad,
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert named in err
+            assert list(out.iterdir()) == []
 
     def test_run_rejects_a_sub_sample_bin_before_fitting(
             self, cue_run_config, two_scenario_trials, tmp_path, capsys,

@@ -10,8 +10,10 @@ from cueflow.config import (
     _SECTIONS,
     AggregateConfig,
     DetectorSettings,
+    EmbeddingConfig,
     IoConfig,
     ModelConfig,
+    PipelineConfig,
     SynthSettings,
     _reader,
     load_config,
@@ -28,7 +30,7 @@ resample_hz = 115
 
 [embedding]
 d = 4
-delta_s = 0.1
+delta_s = 0.1391304347826087
 
 [detector]
 alpha = 0.005
@@ -47,7 +49,7 @@ class TestParsing:
         assert cfg.io.directions == "both"
         assert cfg.io.seed == 0
         assert cfg.embedding.d == 4
-        assert cfg.embedding.delta_s == 0.1
+        assert cfg.embedding.delta_s == 0.1391304347826087
         assert cfg.model.kind == "var_linear"
         assert cfg.model.te_mode == "entropy_diff"
         assert cfg.model.hidden == (64, 64)
@@ -183,6 +185,9 @@ position_channels = px, py
         text = BASE + "\n[aggregate]\nposition_channels = px\n"
         with pytest.raises(ConfigError, match="exactly 2"):
             parse_config_text(text)
+        # One channel twice would lay every cue along the grid's diagonal.
+        with pytest.raises(ConfigError, match="exactly 2 names, each once"):
+            parse_config_text(text.replace("= px", "= px, px"))
 
 
 class TestOverrides:
@@ -313,7 +318,8 @@ class TestDerivedSettings:
         cfg, _ = parse_config_text(BASE)
         assert cfg.dt == pytest.approx(1.0 / 115.0, rel=1e-15)
         cfg200, _ = parse_config_text(BASE.replace("resample_hz = 115",
-                                                   "resample_hz = 200"))
+                                                   "resample_hz = 200"),
+                                      overrides=["embedding.delta_s=0.1"])
         assert cfg200.dt == 0.005
 
     def test_direction_list_expands_both(self):
@@ -329,8 +335,11 @@ class TestDerivedSettings:
         assert (tc.epochs, tc.learning_rate, tc.batch_size, tc.seed) == (7, 0.5, 32, 9)
 
     def test_detector_settings_build_configs(self):
-        settings = DetectorSettings(alpha=0.01, beta=0.05, gamma=2.0)
-        det = settings.to_config(dt=0.005)
+        cfg, _ = parse_config_text(BASE.replace("resample_hz = 115", "resample_hz = 200"),
+                                   overrides=["embedding.delta_s=0.1", "detector.alpha=0.01",
+                                              "detector.beta=0.05", "detector.gamma=2.0"])
+        assert cfg.detector == DetectorSettings(alpha=0.01, beta=0.05, gamma=2.0)
+        det = cfg.detector_config
         assert det.dt == 0.005
         assert (det.alpha, det.beta, det.gamma) == (0.01, 0.05, 2.0)
         assert det.skip_warmup is True
@@ -405,6 +414,25 @@ class TestSchema:
             AggregateConfig(position_channels=("px",))
         with pytest.raises(ConfigError, match="4 numbers"):
             SynthSettings(kind="var1", a=(0.5, 0.5))
+
+    @pytest.mark.parametrize("embedding, detector, named", [
+        (dict(d=4, delta_s=0.1), dict(alpha=0.01, beta=0.05, gamma=-1.0),
+         "[detector] gamma must be positive"),
+        (dict(d=4, delta_s=0.1), dict(alpha=0.01, beta=0.05, hp_cutoff_hz=100.0),
+         "[detector] hp_cutoff_hz=100.0 must be below Nyquist"),
+        (dict(d=4, delta_s=0.1234), dict(alpha=0.01, beta=0.05),
+         "[embedding] delta_s=0.1234 is not an integer multiple"),
+        (dict(d=4, delta_s=1e308), dict(alpha=0.01, beta=0.05),
+         "[embedding] delta_s=1e+308 is not an integer multiple"),
+    ])
+    def test_pipeline_config_built_in_code_checks_its_sample_step_rules(
+            self, embedding, detector, named):
+        """The rules that need 1/resample_hz hold for a config built in
+        code as for a parsed one: it does not build."""
+        io = IoConfig(target_channels=("x",), source_channels=("y",), resample_hz=200.0)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            PipelineConfig(io=io, embedding=EmbeddingConfig(**embedding),
+                           detector=DetectorSettings(**detector))
 
     @given(st.text())
     def test_arbitrary_text_raises_only_config_errors(self, text):

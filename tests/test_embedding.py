@@ -17,6 +17,19 @@ def series(data, dt=1.0, channels=None):
     return TimeSeries(channels=channels, data=data, dt=dt)
 
 
+def trial(target, source, dt=1.0):
+    """One series holding a target block then a source block, and the
+    (target names, source names) roles that embed them as such."""
+    blocks = [np.asarray(a, dtype=float).reshape(len(a), -1) for a in (target, source)]
+    roles = tuple(tuple(f"{p}{i}" for i in range(b.shape[1]))
+                  for p, b in zip("ts", blocks))
+    return TimeSeries(channels=roles[0] + roles[1], data=np.hstack(blocks), dt=dt), roles
+
+
+# A one-channel series as both its own target and its own source.
+SELF = (("c0",), ("c0",))
+
+
 def source_hist(ds):
     """Source history: the design columns after the intercept and the
     target history."""
@@ -43,9 +56,8 @@ class TestEmbeddingSpec:
 class TestEmbed:
     def test_hand_worked_example(self):
         """d=3 lags of [10..50] leave a single row predicting the last value."""
-        tgt = series([10.0, 20.0, 30.0, 40.0, 50.0])
-        src = series([1.0, 2.0, 3.0, 4.0, 5.0])
-        ds = embed([(tgt, src)], EmbeddingSpec(d=3, delta_s=1.0, dt=1.0))
+        ts, roles = trial([10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0])
+        ds = embed([ts], EmbeddingSpec(d=3, delta_s=1.0, dt=1.0), roles)
         assert ds.n_rows == 2
         np.testing.assert_array_equal(ds.targets, [[40.0], [50.0]])
         np.testing.assert_array_equal(ds.target_hist,
@@ -56,13 +68,13 @@ class TestEmbed:
 
     def test_order_one_is_a_single_lag(self):
         tgt = series([1.0, 2.0, 3.0])
-        ds = embed([(tgt, tgt)], EmbeddingSpec(d=1, delta_s=1.0, dt=1.0))
+        ds = embed([tgt], EmbeddingSpec(d=1, delta_s=1.0, dt=1.0), SELF)
         np.testing.assert_array_equal(ds.targets, [[2.0], [3.0]])
         np.testing.assert_array_equal(ds.target_hist, [[1.0], [2.0]])
 
     def test_stride_two(self):
         tgt = series([1.0, 2.0, 3.0, 4.0, 5.0])
-        ds = embed([(tgt, tgt)], EmbeddingSpec(d=2, delta_s=2.0, dt=1.0))
+        ds = embed([tgt], EmbeddingSpec(d=2, delta_s=2.0, dt=1.0), SELF)
         assert ds.n_rows == 1
         np.testing.assert_array_equal(ds.targets, [[5.0]])
         np.testing.assert_array_equal(ds.target_hist, [[3.0, 1.0]])
@@ -75,14 +87,15 @@ class TestEmbed:
             stride = int(rng.integers(1, 3))
             ts = series(rng.standard_normal(n))
             spec = EmbeddingSpec(d=d, delta_s=float(stride), dt=1.0)
-            assert embed([(ts, ts)], spec).n_rows == n - d * stride
+            assert embed([ts], spec, SELF).n_rows == n - d * stride
 
     def test_lag_columns_are_shifts_of_the_input(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(120)
         y = rng.standard_normal(120)
         spec = EmbeddingSpec(d=3, delta_s=2.0, dt=1.0)
-        ds = embed([(series(x), series(y))], spec)
+        ts, roles = trial(x, y)
+        ds = embed([ts], spec, roles)
         h = spec.horizon
         np.testing.assert_array_equal(ds.targets[:, 0], x[h:])
         for j in range(1, spec.d + 1):
@@ -97,8 +110,8 @@ class TestEmbed:
         n = 50
         x = np.zeros(n)
         x[30] = 1.0  # a single spike
-        ds = embed([(series(x), series(np.zeros(n)))],
-                   EmbeddingSpec(d=4, delta_s=1.0, dt=1.0))
+        ts, roles = trial(x, np.zeros(n))
+        ds = embed([ts], EmbeddingSpec(d=4, delta_s=1.0, dt=1.0), roles)
         row = 30 - ds.spec.horizon  # row whose target is the spike
         assert ds.targets[row, 0] == 1.0
         assert not ds.target_hist[row].any()
@@ -106,9 +119,8 @@ class TestEmbed:
     def test_multichannel_layout(self):
         """Within each lag, channels appear in series order (channels fastest)."""
         data = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
-        ds = embed([(series(data, channels=("a", "b")),
-                     series(data, channels=("a", "b")))],
-                   EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
+        ds = embed([series(data, channels=("a", "b"))],
+                   EmbeddingSpec(d=2, delta_s=1.0, dt=1.0), (("a", "b"), ("a", "b")))
         np.testing.assert_array_equal(ds.targets, [[3.0, 30.0], [4.0, 40.0]])
         np.testing.assert_array_equal(ds.target_hist,
                                       [[2.0, 20.0, 1.0, 10.0],
@@ -116,9 +128,8 @@ class TestEmbed:
 
     def test_joint_hist_concatenates_target_then_source(self):
         rng = np.random.default_rng(2)
-        ds = embed([(series(rng.standard_normal(30)),
-                     series(rng.standard_normal(30)))],
-                   EmbeddingSpec(d=2, delta_s=1.0, dt=1.0))
+        ts, roles = trial(rng.standard_normal(30), rng.standard_normal(30))
+        ds = embed([ts], EmbeddingSpec(d=2, delta_s=1.0, dt=1.0), roles)
         np.testing.assert_array_equal(ds.joint_hist,
                                       np.hstack([ds.target_hist, source_hist(ds)]))
 
@@ -126,9 +137,8 @@ class TestEmbed:
         """The joint, target and source histories are column views of one
         column-major design block whose column 0 is ones, not new copies."""
         rng = np.random.default_rng(3)
-        ds = embed([(series(rng.standard_normal((40, 2))),
-                     series(rng.standard_normal((40, 3))))],
-                   EmbeddingSpec(d=3, delta_s=2.0, dt=1.0))
+        ts, roles = trial(rng.standard_normal((40, 2)), rng.standard_normal((40, 3)))
+        ds = embed([ts], EmbeddingSpec(d=3, delta_s=2.0, dt=1.0), roles)
         assert ds.design.base is None
         assert ds.design.flags.f_contiguous and ds.targets.flags.f_contiguous
         assert (ds.design[:, 0] == 1.0).all()
@@ -142,26 +152,27 @@ class TestEmbed:
         """Embedding several trials at once stacks each trial's own rows in
         order: no history row reaches into the trial before it."""
         rng = np.random.default_rng(4)
-        pairs = [(series(rng.standard_normal((n, 2))), series(rng.standard_normal(n)))
-                 for n in (30, 12, 25)]
+        trials = [trial(rng.standard_normal((n, 2)), rng.standard_normal(n))[0]
+                  for n in (30, 12, 25)]
+        roles = (("t0", "t1"), ("s0",))
         spec = EmbeddingSpec(d=2, delta_s=2.0, dt=1.0)
-        pooled = embed(pairs, spec)
-        alone = [embed([pair], spec) for pair in pairs]
+        pooled = embed(trials, spec, roles)
+        alone = [embed([ts], spec, roles) for ts in trials]
         for name in ("targets", "design", "times"):
             assert (getattr(pooled, name).tobytes()
                     == np.concatenate([getattr(ds, name) for ds in alone]).tobytes())
 
     def test_named_channels_embed_as_their_selected_series(self):
         """Channels named out of several-channel series, in any order, give
-        the bytes that embedding the selected sub-series gives."""
+        the bytes that embedding the series of just those channels, in
+        role order, gives."""
         rng = np.random.default_rng(6)
-        pairs = [(s, s) for s in (series(rng.standard_normal((n, 4)),
-                                         channels=("a", "b", "c", "d"))
-                                  for n in (30, 17))]
+        trials = [series(rng.standard_normal((n, 4)), channels=("a", "b", "c", "d"))
+                  for n in (30, 17)]
         spec = EmbeddingSpec(d=3, delta_s=2.0, dt=1.0)
         tgt, src = ("c", "a"), ("d", "b")
-        got = embed(pairs, spec, (tgt, src))
-        want = embed([(s.select(tgt), s.select(src)) for s, _ in pairs], spec)
+        got = embed(trials, spec, (tgt, src))
+        want = embed([s.select(tgt + src) for s in trials], spec, (tgt, src))
         assert got.target_cols == want.target_cols == 3 * len(tgt)
         for name in ("targets", "design", "times"):
             a, b = getattr(got, name), getattr(want, name)
@@ -169,19 +180,14 @@ class TestEmbed:
             assert a.tobytes() == b.tobytes()
 
     def test_mismatched_dt_rejected(self):
-        with pytest.raises(DataFormatError):
-            embed([(series(np.zeros(10), dt=1.0), series(np.zeros(10), dt=0.5))],
-                  EmbeddingSpec(d=1, delta_s=1.0, dt=1.0))
-
-    def test_mismatched_length_rejected(self):
-        with pytest.raises(DataFormatError):
-            embed([(series(np.zeros(10)), series(np.zeros(11)))],
-                  EmbeddingSpec(d=1, delta_s=1.0, dt=1.0))
+        """A series off the spec's sample step is refused, whichever trial."""
+        spec = EmbeddingSpec(d=1, delta_s=1.0, dt=1.0)
+        with pytest.raises(DataFormatError, match="dt=0.5 does not match spec dt=1.0"):
+            embed([series(np.zeros(10)), series(np.zeros(10), dt=0.5)], spec, SELF)
 
     def test_series_shorter_than_horizon_rejected(self):
         with pytest.raises(DataFormatError):
-            embed([(series(np.zeros(4)), series(np.zeros(4)))],
-                  EmbeddingSpec(d=2, delta_s=2.0, dt=1.0))
+            embed([series(np.zeros(4))], EmbeddingSpec(d=2, delta_s=2.0, dt=1.0), SELF)
 
 
 class TestLagIdentities:
@@ -201,14 +207,14 @@ class TestLagIdentities:
         x = data.draw(arrays(np.float64, (n, n_tgt), elements=values), label="x")
         y = data.draw(arrays(np.float64, (n, n_src), elements=values), label="y")
         spec = EmbeddingSpec(d=d, delta_s=stride * dt, dt=dt)
-        target = series(x, dt=dt)
-        ds = embed([(target, series(y, dt=dt))], spec)
+        ts, roles = trial(x, y, dt=dt)
+        ds = embed([ts], spec, roles)
         h = spec.horizon
         assert (spec.stride, h, ds.n_rows) == (stride, d * stride, n - h)
         assert ds.target_hist.shape == (n - h, d * n_tgt)
         assert source_hist(ds).shape == (n - h, d * n_src)
         assert ds.targets.tobytes() == x[h:].tobytes()
-        assert ds.times.tobytes() == target.times[h:].tobytes()
+        assert ds.times.tobytes() == ts.times[h:].tobytes()
         for r in range(ds.n_rows):
             for j in range(1, d + 1):
                 lag = r + h - j * stride

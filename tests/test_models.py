@@ -31,13 +31,13 @@ def coupled_pair(seed, n=10_000):
     x[0] = rng.standard_normal()
     for t in range(1, n):
         x[t] = 0.5 * x[t - 1] + 0.5 * y[t - 1] + rng.standard_normal()
-    return (TimeSeries(channels=("x",), data=x, dt=1.0),
-            TimeSeries(channels=("y",), data=y, dt=1.0))
+    return TimeSeries(channels=("x", "y"), data=np.column_stack([x, y]), dt=1.0)
 
 
-def embed_pair(tgt, src=None, d=1):
-    src = tgt if src is None else src
-    return embed([(tgt, src)], EmbeddingSpec(d=d, delta_s=tgt.dt, dt=tgt.dt))
+def embed_pair(series, d=1, roles=(("x",), ("y",))):
+    """``series`` embedded with ``x`` as the target and ``y`` as the source
+    (or the given roles), lags one sample apart."""
+    return embed([series], EmbeddingSpec(d=d, delta_s=series.dt, dt=series.dt), roles)
 
 
 def slice_dataset(ds, rows):
@@ -93,7 +93,7 @@ class TestGaussianPredictions:
 class TestFitVar:
     def test_recovers_ar1_coefficient(self):
         """phi=0.9, n=1e4: the lag-1 coefficient and noise variance come back."""
-        ds = embed_pair(ar1_series(0.9, 10_000, seed=7))
+        ds = embed_pair(ar1_series(0.9, 10_000, seed=7), roles=(("x",), ("x",)))
         model = fit_var(ds, BASELINE)
         coef = model.params["coef"]
         assert coef.shape == (1, 1)
@@ -102,8 +102,7 @@ class TestFitVar:
 
     def test_augmented_fit_splits_coupled_sources(self):
         """Fitting on joint history recovers both coupling coefficients."""
-        tgt, src = coupled_pair(seed=7)
-        model = fit_var(embed_pair(tgt, src), AUGMENTED)
+        model = fit_var(embed_pair(coupled_pair(seed=7)), AUGMENTED)
         coef = model.params["coef"][:, 0]
         np.testing.assert_allclose(coef, [0.5, 0.5], atol=0.03)
 
@@ -169,8 +168,7 @@ class TestFitMlp:
     def test_zero_hidden_matches_linear_fit(self):
         """With no hidden layers the network is linear-Gaussian, so its final
         NLL lands within 1% of the closed-form least-squares fit."""
-        tgt, src = coupled_pair(seed=13)
-        ds = embed_pair(tgt, src)
+        ds = embed_pair(coupled_pair(seed=13))
         nll_var = fit_var(ds, AUGMENTED).train_report.final_nll
         mlp = fit_mlp(ds, AUGMENTED, hidden=(), train=TrainConfig())
         nll_mlp = mlp.train_report.final_nll
@@ -186,8 +184,8 @@ class TestFitMlp:
         x[0] = 0.0
         for t in range(1, n):
             x[t] = np.sin(x[t - 1]) + (0.1 + 0.5 * abs(y[t - 1])) * rng.standard_normal()
-        ds = embed_pair(TimeSeries(channels=("x",), data=x, dt=1.0),
-                        TimeSeries(channels=("y",), data=y, dt=1.0))
+        ds = embed_pair(TimeSeries(channels=("x", "y"), data=np.column_stack([x, y]),
+                                   dt=1.0))
         n_train = 4_000
         model = fit_mlp(slice_dataset(ds, slice(None, n_train)), AUGMENTED,
                         hidden=(64, 64), train=TrainConfig())
@@ -255,8 +253,7 @@ class TestFitMlp:
         the NLL the training objective gives on the stored layers."""
         import cueflow.models as models_module
 
-        tgt, src = coupled_pair(seed=2, n=600)
-        ds = embed_pair(tgt, src, d=2)
+        ds = embed_pair(coupled_pair(seed=2, n=600), d=2)
         calls = []
         nll_and_grads = models_module._nll_and_grads
 

@@ -1,5 +1,6 @@
 """Tests for pipeline orchestration: validation, runs, and run-dir products."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from cueflow.config import (
     ModelConfig,
     PipelineConfig,
 )
-from cueflow.errors import PipelineError
+from cueflow.errors import ConfigError, PipelineError
 from cueflow.pipeline import (
     build_reports,
     fit_models,
@@ -57,19 +58,16 @@ class TestValidateConfig:
         assert "trend time constant 0.09748 s" in diags[0].message
 
     def test_cutoff_at_nyquist_is_an_error(self):
-        cfg = make_config(resample_hz=2.0, delta_s=0.5,
-                          detector=dict(alpha=0.01, beta=0.05, hp_cutoff_hz=1.0))
-        severities = {d.severity for d in validate_config(cfg)}
-        assert "error" in severities
-        messages = " ".join(d.message for d in validate_config(cfg))
-        assert "Nyquist" in messages
+        """A broken rule is an error when the config is built, so no config
+        that validate_config sees breaks one."""
+        with pytest.raises(ConfigError, match=r"\[detector\] .*Nyquist"):
+            make_config(resample_hz=2.0, delta_s=0.5,
+                        detector=dict(alpha=0.01, beta=0.05, hp_cutoff_hz=1.0))
 
     def test_off_grid_embedding_step_is_an_error(self):
         # 0.1 s is not a whole number of 1/115 s samples.
-        cfg = make_config(resample_hz=115.0, delta_s=0.1)
-        errors = [d for d in validate_config(cfg) if d.severity == "error"]
-        assert len(errors) == 1
-        assert "not an integer multiple" in errors[0].message
+        with pytest.raises(ConfigError, match=r"\[embedding\] .*not an integer multiple"):
+            make_config(resample_hz=115.0, delta_s=0.1)
 
     def test_sluggish_trend_smoother_warns(self):
         cfg = make_config(detector=dict(alpha=0.05, beta=0.005))
@@ -81,12 +79,10 @@ class TestValidateConfig:
         warnings = [d for d in validate_config(cfg) if d.severity == "warning"]
         assert any("no spatial grid" in d.message for d in warnings)
 
-    def test_out_of_range_smoothing_becomes_a_diagnostic(self):
-        """Bad smoothing constants surface as an error entry, not an exception."""
-        cfg = make_config(detector=dict(alpha=1.5, beta=0.05),
-                          model=dict(te_mode="loglik_ratio"))
-        diags = validate_config(cfg)
-        assert [d.severity for d in diags] == ["error"]
+    def test_out_of_range_smoothing_is_an_error(self):
+        with pytest.raises(ConfigError, match=re.escape("[detector] alpha must lie in (0, 1)")):
+            make_config(detector=dict(alpha=1.5, beta=0.05),
+                        model=dict(te_mode="loglik_ratio"))
 
     @pytest.mark.parametrize("kind, te_mode, warns", [
         ("var_linear", "entropy_diff", True),
@@ -370,13 +366,15 @@ class TestRunErrors:
         with pytest.raises(PipelineError, match="no trials"):
             run_read_back(TrialSet(trials=()), make_config(), tmp_path)
 
-    def test_invalid_config_rejected_up_front(self, tmp_path):
-        trial, _ = var1_trial("t000", seed=0, n=500)
-        cfg = make_config(resample_hz=115.0, delta_s=0.1)
-        with pytest.raises(PipelineError, match="invalid configuration"):
-            run_read_back(var1_trial_set(trial), cfg, tmp_path)
+    def test_invalid_config_rejected_up_front(self):
+        """An off-grid embedding step is refused when the config is built,
+        before there is a config to run trials with."""
+        with pytest.raises(ConfigError, match="not an integer multiple"):
+            make_config(resample_hz=115.0, delta_s=0.1)
 
     def test_missing_channel_names_trial_and_stage(self, tmp_path):
+        """A configured channel the trials lack is named with its key when
+        the trials are prepared, before anything is fitted or written."""
         trial, _ = var1_trial("t000", seed=0, n=500)
         cfg = PipelineConfig(
             io=IoConfig(target_channels=("z",), source_channels=("y",),
@@ -385,8 +383,31 @@ class TestRunErrors:
             detector=DetectorSettings(alpha=0.01, beta=0.05),
         )
         with pytest.raises(PipelineError,
-                           match=r"trial 't000', stage embed \(src2tgt\)"):
+                           match=r"stage prepare: \[io\] target_channels names channel 'z'"):
             run_read_back(var1_trial_set(trial), cfg, tmp_path)
+        assert not tmp_path.joinpath("events.csv").exists()
+
+    def test_every_configured_channel_is_checked_at_prepare(self):
+        trials = var1_trial_set(var1_trial("t000", seed=0, n=500)[0])
+        cfg = make_config()
+        for bad, named in (
+                (replace(cfg, io=replace(cfg.io, source_channels=("y", "w"))),
+                 "[io] source_channels names channel 'w'"),
+                (make_config(aggregate=dict(cell_size_m=1.0, position_channels=("x", "py"))),
+                 "[aggregate] position_channels names channel 'py'")):
+            with pytest.raises(PipelineError, match=re.escape(
+                    f"stage prepare: {named}, which the trials lack; they hold ['x', 'y']")):
+                prepare_trials(trials, bad)
+
+    def test_a_trial_too_short_to_embed_is_named_at_prepare(self):
+        """Each prepared series must outlast the embedding horizon; here a
+        trim leaves t001 with 3 samples against a horizon of 4."""
+        trials = var1_trial_set(var1_trial("t000", seed=0, n=500)[0],
+                                var1_trial("t001", seed=1, n=500)[0],
+                                metadata={"trim_start_s.t001": "4.97"})
+        with pytest.raises(PipelineError, match=r"trial 't001', stage prepare: series too "
+                                                r"short to embed: need more than 4 samples, got 3"):
+            prepare_trials(trials, make_config(d=4))
 
 
 @pytest.fixture(scope="module")

@@ -32,22 +32,22 @@ class TestVar1Spec:
 
 class TestGenVar1:
     def test_decoupled_pair_is_white_with_unit_covariance(self):
-        x, y = gen_var1(spec(((0.0, 0.0), (0.0, 0.0)), n=10_000))
-        z = np.column_stack([x.data[:, 0], y.data[:, 0]])
-        np.testing.assert_allclose(np.cov(z.T), np.eye(2), atol=0.05)
+        z = gen_var1(spec(((0.0, 0.0), (0.0, 0.0)), n=10_000))
+        assert z.channels == ("x", "y")
+        np.testing.assert_allclose(np.cov(z.data.T), np.eye(2), atol=0.05)
 
     def test_driven_channel_reaches_stationary_variance(self):
         """Var(X) (1 - 0.25) = 0.25 Var(Y) + 1 with Var(Y) = 1, so 5/3."""
-        x, _ = gen_var1(spec(COUPLED, n=100_000, seed=3))
-        np.testing.assert_allclose(np.var(x.data[:, 0]), 5.0 / 3.0, rtol=0.05)
+        z = gen_var1(spec(COUPLED, n=100_000, seed=3))
+        np.testing.assert_allclose(np.var(z.data[:, z.channel_index("x")]), 5.0 / 3.0,
+                                   rtol=0.05)
         np.testing.assert_allclose(stationary_cov(spec(COUPLED))[0, 0],
                                    5.0 / 3.0, rtol=1e-12)
 
     def test_same_seed_reproduces_the_draw(self):
         a, b = gen_var1(spec(COUPLED, n=500, seed=9)), \
             gen_var1(spec(COUPLED, n=500, seed=9))
-        np.testing.assert_array_equal(a[0].data, b[0].data)
-        np.testing.assert_array_equal(a[1].data, b[1].data)
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 class TestStationaryCov:
