@@ -149,8 +149,7 @@ def spatial_grid(trials, cell_size_m: float, channels: tuple[str, str],
             active |= (t >= ev.start_t - 1e-9) & (t <= ev.end_t + 1e-9)
         # The grid is sized from these same positions, so every index is in range.
         cells = np.floor((xy[active] - origin) / cell_size_m).astype(int)
-        for ix, iy in cells:
-            counts[ix, iy] += 1
+        np.add.at(counts, (cells[:, 0], cells[:, 1]), 1)
     return CueGrid(origin=(float(origin[0]), float(origin[1])),
                    cell_size_m=float(cell_size_m), counts=counts, direction=direction)
 

@@ -102,13 +102,19 @@ def _out_dir(arg: str) -> Path:
     return out
 
 
+def _prepared_trials(trials_dir, cfg):
+    """The trials of ``trials_dir``, prepared under ``cfg``, with the configured
+    channels checked against its header before any trial body is parsed."""
+    pipeline.check_channels(storage.trial_dir_channels(trials_dir), cfg)
+    return pipeline.prepare_trials(storage.load_trial_dir(trials_dir), cfg)
+
+
 def _cmd_run(args) -> int:
     cfg, _ = load_config(args.config, args.set)
     out = _out_dir(args.out)
     # No name holds the loaded or the prepared trials: the loaded set is freed
     # once it is prepared, the prepared set once run returns its summaries.
-    results = pipeline.run(pipeline.prepare_trials(storage.load_trial_dir(args.trials), cfg),
-                           cfg, out)
+    results = pipeline.run(_prepared_trials(args.trials, cfg), cfg, out)
     n_events = sum(len(evs) for r in results for evs in r.events.values())
     print(f"analyzed {len(results)} trials; {n_events} cue events -> {out}")
     return 0
@@ -206,8 +212,8 @@ def _cmd_report(args) -> int:
     out = _out_dir(args.out)
     positions = None
     if args.trials is not None:
-        positions = {trial.trial_id: trial.series for trial in pipeline.prepare_trials(
-            storage.load_trial_dir(args.trials), cfg)}
+        positions = {trial.trial_id: trial.series
+                     for trial in _prepared_trials(args.trials, cfg)}
     written = pipeline.build_reports(args.events, out, cfg, positions)
     print(f"wrote {len(written)} aggregate file(s) -> {args.out}")
     return 0

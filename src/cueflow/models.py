@@ -11,7 +11,9 @@ emit a Gaussian over the current target sample.
 
 Baseline conditioning uses target history only; augmented conditioning
 appends the source history.  The entropy gap between the two is what the
-transfer-entropy layer consumes.
+transfer-entropy layer consumes, from a Cholesky factor of ``var_linear``'s
+shared covariance or ``mlp_gaussian``'s per-dimension variances.  The
+checks of these entropies and of the network's gradients live in the tests.
 """
 
 from __future__ import annotations
@@ -436,33 +438,3 @@ def predict_dataset(model: FittedModel, ds: EmbeddedDataset) -> GaussianPredicti
     """Convenience: predict on an embedded dataset's own rows, in order."""
     return predict(model, _design_rows(ds, model.conditioning))
 
-
-# ---------------------------------------------------------------------------
-# Verification
-# ---------------------------------------------------------------------------
-
-def gradient_check(hidden: tuple[int, ...] = (8,), input_dim: int = 3,
-                   output_dim: int = 2, n_rows: int = 16, seed: int = 0,
-                   step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference NLL gradients
-    on a small random batch drawn from ``seed``."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n_rows, input_dim))
-    y = rng.normal(size=(n_rows, output_dim))
-    layers = _init_layers(input_dim, output_dim, hidden, rng)
-    _, grads = _nll_and_grads(layers, x, y, output_dim)
-    worst = 0.0
-    for j, layer in enumerate(layers):
-        flat = layer.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + step
-            hi, _ = _nll_and_grads(layers, x, y, output_dim)
-            flat[k] = orig - step
-            lo, _ = _nll_and_grads(layers, x, y, output_dim)
-            flat[k] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            analytic = grads[j].ravel()[k]
-            err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
-            worst = max(worst, err)
-    return worst

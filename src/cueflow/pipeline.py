@@ -93,11 +93,23 @@ def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
     return out
 
 
+def check_channels(channels: tuple[str, ...], cfg: PipelineConfig) -> None:
+    """Check that the trials' schema ``channels`` holds every ``[io]`` and
+    ``[aggregate]`` channel name; an error names the key and the channel."""
+    for key, names in (("[io] target_channels", cfg.io.target_channels),
+                       ("[io] source_channels", cfg.io.source_channels),
+                       ("[aggregate] position_channels", cfg.aggregate.position_channels or ())):
+        for name in names:
+            if name not in channels:
+                raise PipelineError(f"stage prepare: {key} names channel {name!r}, "
+                                    f"which the trials lack; they hold {list(channels)}")
+
+
 def prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> PreparedTrials:
     """Each trial resampled to the analysis rate and trimmed, in trial order.
 
     The trials are checked here, once: the set is not empty, its one
-    channel schema holds every ``[io]`` and ``[aggregate]`` channel name,
+    channel schema holds every configured channel (:func:`check_channels`),
     each trim key names a trial and each prepared series is longer than
     the embedding horizon; an error names the key or the trial.
 
@@ -106,14 +118,7 @@ def prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> PreparedTrials:
     """
     if len(trials) == 0:
         raise PipelineError("no trials to analyze")
-    channels = trials.trials[0].series.channels
-    for key, names in (("[io] target_channels", cfg.io.target_channels),
-                       ("[io] source_channels", cfg.io.source_channels),
-                       ("[aggregate] position_channels", cfg.aggregate.position_channels or ())):
-        for name in names:
-            if name not in channels:
-                raise PipelineError(f"stage prepare: {key} names channel {name!r}, "
-                                    f"which the trials lack; they hold {list(channels)}")
+    check_channels(trials.trials[0].series.channels, cfg)
     ids = {trial.trial_id for trial in trials}
     for key in trials.metadata:
         if key.startswith(TRIM_KEY_PREFIX) and key[len(TRIM_KEY_PREFIX):] not in ids:

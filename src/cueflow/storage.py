@@ -22,8 +22,8 @@ import numpy as np
 from .aggregate import CueGrid, CueHistogram, PeakTeReport, WelchResult
 from .detector import CueEvent, DetectionTrace
 from .errors import DataFormatError
-from .timeseries import (Trial, TrialSet, load_csv, read_numeric_csv, text_errors,
-                         write_columns_csv, write_errors, write_trial_csv)
+from .timeseries import (Trial, TrialSet, load_csv, read_channels, read_numeric_csv,
+                         text_errors, write_columns_csv, write_errors, write_trial_csv)
 
 TE_HEADER = ["t", "te_raw", "cue"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
@@ -225,6 +225,22 @@ def read_report_csv(path) -> PeakTeReport:
 # Trial directories
 # ---------------------------------------------------------------------------
 
+def _trial_files(path) -> list[Path]:
+    """A directory's trial CSVs, in load order: every ``*.csv`` but ``truth.csv``."""
+    path = Path(path)
+    if not path.is_dir():
+        raise DataFormatError(f"{path} is not a directory")
+    files = [f for f in sorted(path.glob("*.csv")) if f.name != "truth.csv"]
+    if not files:
+        raise DataFormatError(f"{path}: no trial CSVs found")
+    return files
+
+
+def trial_dir_channels(path) -> tuple[str, ...]:
+    """A trial directory's one channel schema, from its first trial CSV's header alone."""
+    return read_channels(_trial_files(path)[0])
+
+
 def load_trial_dir(path) -> TrialSet:
     """Load every ``*.csv`` in a directory as one trial each.
 
@@ -234,22 +250,15 @@ def load_trial_dir(path) -> TrialSet:
     is reserved for the ground-truth table written next to synthetic trials
     and is skipped.
     """
-    path = Path(path)
-    if not path.is_dir():
-        raise DataFormatError(f"{path} is not a directory")
     trials = []
-    for f in sorted(path.glob("*.csv")):
-        if f.name == "truth.csv":
-            continue
+    for f in _trial_files(path):
         stem = f.stem
         scenario, _, trial_id = stem.partition("__")
         if not trial_id:
             scenario, trial_id = "", stem
         trials.append(Trial(trial_id=trial_id, scenario=scenario,
                             series=load_csv(f)))
-    if not trials:
-        raise DataFormatError(f"{path}: no trial CSVs found")
-    meta_file = path / "trials.meta"
+    meta_file = Path(path) / "trials.meta"
     metadata = _read_key_values(meta_file) if meta_file.exists() else {}
     return TrialSet(trials=tuple(trials), metadata=metadata)
 

@@ -186,16 +186,20 @@ def gen_cue_scenario(scenario: CueScenario
     theta = _leader_heading(times_in, scenario)
     target = _leader_heading(times_in - scenario.response_delay_s, scenario)
 
-    phi = np.empty(n_in)
-    phi[0] = target[0]
+    # The loop runs on Python floats (numpy's float64 arithmetic, bit for bit),
+    # read and written through memoryviews: no numpy scalar or list per sample.
+    track = np.empty(n_in)
+    out = memoryview(track)
+    phi = out[0] = target[0].item()
     phi_dot = 0.0
     w = _TRACK_OMEGA
-    for t in range(1, n_in):
-        acc = w * w * (target[t - 1] - phi[t - 1]) - 2.0 * w * phi_dot
+    for t, tgt in enumerate(memoryview(target)[:-1], start=1):
+        acc = w * w * (tgt - phi) - 2.0 * w * phi_dot
         phi_dot += acc * dt_in
-        phi[t] = phi[t - 1] + phi_dot * dt_in
+        phi = phi + phi_dot * dt_in
+        out[t] = phi
     theta = theta[::k]
-    phi = phi[::k]
+    phi = track[::k]
 
     leader_v = _SPEED * np.column_stack([np.cos(theta), np.sin(theta)])
     follower_v = _SPEED * np.column_stack([np.cos(phi), np.sin(phi)])

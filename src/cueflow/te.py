@@ -4,7 +4,8 @@ Transfer entropy here is the entropy a source's history removes from the
 target's next sample: the baseline model conditions on target history only,
 the full model adds source history, and their per-timestep gap is the local
 TE in nats.  Model-based differential entropies make individual values
-(and even means, under misspecification) legitimately negative.
+(and even means, under misspecification) legitimately negative.  Both
+modes read :class:`~cueflow.models.GaussianPredictions`'s entropies or densities.
 
 :func:`local_te` returns a plain float64 array, one value per embedded row;
 :class:`~cueflow.detector.DetectionTrace` carries it, with its times, after.
@@ -23,34 +24,6 @@ TGT2SRC = "tgt2src"
 ENTROPY_DIFF = "entropy_diff"
 LOGLIK_RATIO = "loglik_ratio"
 TE_MODES = (ENTROPY_DIFF, LOGLIK_RATIO)
-
-
-def gaussian_entropy(cov) -> float:
-    """Differential entropy of a Gaussian in nats: D/2*(1+ln 2*pi) + ln|Sigma|/2.
-
-    Accepts a scalar variance, a 1-D vector of per-dimension variances, or a
-    full covariance matrix.  Non-positive-definite input is rejected.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 0:
-        cov = cov[None]
-    if cov.ndim == 1:
-        if not (np.isfinite(cov).all() and (cov > 0).all()):
-            raise DataFormatError("variances must be positive and finite")
-        d = cov.size
-        logdet = float(np.sum(np.log(cov)))
-    elif cov.ndim == 2:
-        if cov.shape[0] != cov.shape[1]:
-            raise DataFormatError(f"covariance must be square, got {cov.shape}")
-        if not np.allclose(cov, cov.T, rtol=1e-10, atol=1e-12):
-            raise DataFormatError("covariance must be symmetric")
-        sign, logdet = np.linalg.slogdet(cov)
-        if sign <= 0:
-            raise DataFormatError("covariance must be positive definite")
-        d = cov.shape[0]
-    else:
-        raise DataFormatError(f"covariance must be at most 2-D, got shape {cov.shape}")
-    return 0.5 * d * (1.0 + np.log(2.0 * np.pi)) + 0.5 * float(logdet)
 
 
 def local_te(base: GaussianPredictions, full: GaussianPredictions,

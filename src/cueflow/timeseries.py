@@ -172,27 +172,33 @@ def text_errors(path):
         raise DataFormatError(f"{path}: {exc}") from None
 
 
-def read_numeric_csv(path, check_header) -> tuple[list[str], np.ndarray]:
+def _read_header(path: Path, fh) -> list[str]:
+    """The fields of the header line of ``fh``, open on ``path``."""
+    # Lines come from readline, not iteration, so that tell() works after.
+    header = next(csv.reader(iter(fh.readline, "")), None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    return header
+
+
+def read_numeric_csv(path, check_header) -> tuple[object, np.ndarray]:
     """Read a CSV of numbers under one header line.
 
     ``check_header`` receives the header's fields and raises
-    :class:`DataFormatError` if they are wrong.  Returns the header and the
-    body as a float array of shape ``(rows, len(header))``.  Blank lines are
+    :class:`DataFormatError` if they are wrong.  Returns what it returns and
+    the body as a float array of shape ``(rows, len(header))``.  Blank lines are
     skipped, ``#`` is not a comment and quoted numbers are accepted.  Every
     failure is a :class:`DataFormatError` naming the file; a bad row is named
     by its number, counting from 1 after the header, blank lines included.
     """
     path = Path(path)
     with text_errors(path), open(path, newline="") as fh:
-        # Lines come from readline, not iteration, so that tell() works.
-        header = next(csv.reader(iter(fh.readline, "")), None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        check_header(header)
+        header = _read_header(path, fh)
+        checked = check_header(header)
         body = fh.tell()
         # loadtxt warns on a body of blank lines only; csv.reader skips them.
         if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
-            return header, np.empty((0, len(header)))
+            return checked, np.empty((0, len(header)))
         fh.seek(body)
         try:
             data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
@@ -203,7 +209,7 @@ def read_numeric_csv(path, check_header) -> tuple[list[str], np.ndarray]:
             # loadtxt numbers rows its own way, so find the bad row again.
             fh.seek(body)
             _raise_bad_row(path, csv.reader(iter(fh.readline, "")), len(header))
-        return header, data
+        return checked, data
 
 
 def _raise_bad_row(path: Path, rows, n_fields: int) -> NoReturn:
@@ -246,6 +252,25 @@ def file_row(path: Path, index: int) -> int:
         return next(islice((i for i, row in enumerate(rows, start=1) if row), index, None))
 
 
+def _trial_channels(path: Path, header: list[str]) -> tuple[str, ...]:
+    """The channel names of a trial CSV's header ``t,<ch1>,...``, checked."""
+    header = [h.strip() for h in header]
+    if not header or header[0] != "t":
+        raise DataFormatError(f"{path}: first column must be 't', got {header[:1]}")
+    if len(header) < 2:
+        raise DataFormatError(f"{path}: no data channels in header")
+    if len(set(header[1:])) != len(header) - 1:
+        raise DataFormatError(f"{path}: duplicate channel names: {tuple(header[1:])}")
+    return tuple(header[1:])
+
+
+def read_channels(path) -> tuple[str, ...]:
+    """A trial CSV's channel names, from its header alone, checked as in :func:`load_csv`."""
+    path = Path(path)
+    with text_errors(path), open(path, newline="") as fh:
+        return _trial_channels(path, _read_header(path, fh))
+
+
 def load_csv(path) -> TimeSeries:
     """Load one trial CSV (``t,<ch1>,...``) into a :class:`TimeSeries`.
 
@@ -256,18 +281,7 @@ def load_csv(path) -> TimeSeries:
     resampling when they deviate from a uniform grid.
     """
     path = Path(path)
-
-    def check_header(header):
-        header = [h.strip() for h in header]
-        if not header or header[0] != "t":
-            raise DataFormatError(f"{path}: first column must be 't', got {header[:1]}")
-        if len(header) < 2:
-            raise DataFormatError(f"{path}: no data channels in header")
-        if len(set(header[1:])) != len(header) - 1:
-            raise DataFormatError(f"{path}: duplicate channel names: {tuple(header[1:])}")
-
-    header, arr = read_numeric_csv(path, check_header)
-    channels = tuple(h.strip() for h in header[1:])
+    channels, arr = read_numeric_csv(path, lambda header: _trial_channels(path, header))
     if arr.shape[0] < 2:
         raise DataFormatError(f"{path}: need at least two samples")
     # Views of the parsed block, which the series keeps instead of copies.

@@ -15,7 +15,8 @@ from cueflow import pipeline, storage
 from cueflow.config import (AggregateConfig, DetectorSettings, EmbeddingConfig,
                             IoConfig, ModelConfig, PipelineConfig)
 from cueflow.embedding import EmbeddingSpec, embed
-from cueflow.models import AUGMENTED, BASELINE, fit_var, predict_dataset
+from cueflow.models import (AUGMENTED, BASELINE, _init_layers, _nll_and_grads, fit_var,
+                            predict_dataset)
 from cueflow.synth import CueScenario, Var1Spec, gen_cue_scenario, gen_var1
 from cueflow.te import local_te
 from cueflow.timeseries import TimeSeries, Trial, TrialSet
@@ -162,3 +163,30 @@ def var1_sweep(var1_mean_te, coupling_spec):
     """Empirical mean TE at n=1e5 for coupling strengths 0.1 .. 0.7."""
     return {c: var1_mean_te(coupling_spec(c, 100_000, seed=17))
             for c in (0.1, 0.3, 0.5, 0.7)}
+
+
+def gradient_check(hidden: tuple[int, ...] = (8,), input_dim: int = 3,
+                   output_dim: int = 2, n_rows: int = 16, seed: int = 0,
+                   step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference NLL gradients
+    on a small random batch drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_rows, input_dim))
+    y = rng.normal(size=(n_rows, output_dim))
+    layers = _init_layers(input_dim, output_dim, hidden, rng)
+    _, grads = _nll_and_grads(layers, x, y, output_dim)
+    worst = 0.0
+    for j, layer in enumerate(layers):
+        flat = layer.ravel()
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + step
+            hi, _ = _nll_and_grads(layers, x, y, output_dim)
+            flat[k] = orig - step
+            lo, _ = _nll_and_grads(layers, x, y, output_dim)
+            flat[k] = orig
+            numeric = (hi - lo) / (2.0 * step)
+            analytic = grads[j].ravel()[k]
+            err = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
+            worst = max(worst, err)
+    return worst

@@ -16,13 +16,13 @@ from cueflow.aggregate import (CueGrid, CueHistogram, PeakTeReport,
 from cueflow.detector import (DetectorConfig, des_threshold, detect_trace, highpass,
                               time_constants)
 from cueflow.embedding import EmbeddingSpec, embed
-from cueflow.models import AUGMENTED, BASELINE, TrainConfig, fit_mlp, fit_var, gradient_check
+from cueflow.models import (AUGMENTED, BASELINE, GaussianPredictions, TrainConfig,
+                            fit_mlp, fit_var)
 from cueflow.synth import te_oracle_var1
-from cueflow.te import gaussian_entropy
 from cueflow.timeseries import TimeSeries
 
 from conftest import (E2E_CUE_T, E2E_ONSET_TOL, _coupling_spec, _var1_mean_te,
-                      run_read_back, var1_trial, var1_trial_set)
+                      gradient_check, run_read_back, var1_trial, var1_trial_set)
 
 
 def _criterion(n: int, ok: bool, details: str) -> None:
@@ -41,8 +41,19 @@ def _detector(gamma=3.0):
 
 
 def test_criterion_1_gaussian_entropy():
-    """Closed-form Gaussian entropy vs. an eigenvalue-sum route, plus the
-    three exact fixed points."""
+    """The Gaussian entropies the pipeline computes, in both representations,
+    vs. an eigenvalue-sum route, plus the three exact fixed points.
+
+    ``cov=`` is the Cholesky log-determinant of ``var_linear``'s shared
+    covariance; ``var=`` is ``mlp_gaussian``'s per-dimension route, fed the
+    eigenvalues."""
+
+    def by_cov(cov):
+        return float(GaussianPredictions(np.zeros((1, len(cov))), cov=cov).entropy()[0])
+
+    def by_var(var):
+        return float(GaussianPredictions(np.zeros((1, len(var))), var=var[None]).entropy()[0])
+
     start = time.perf_counter()
     rng = np.random.default_rng(0)
     worst = 0.0
@@ -50,15 +61,16 @@ def test_criterion_1_gaussian_entropy():
         d = int(rng.integers(1, 6))
         m = rng.standard_normal((d, d))
         cov = m @ m.T + 1e-3 * np.eye(d)
+        ev = np.linalg.eigvalsh(cov)
         ref = (0.5 * d * (1.0 + np.log(2.0 * np.pi))
-               + 0.5 * float(np.sum(np.log(np.linalg.eigvalsh(cov)))))
-        worst = max(worst, abs(gaussian_entropy(cov) - ref))
+               + 0.5 * float(np.sum(np.log(ev))))
+        worst = max(worst, abs(by_cov(cov) - ref), abs(by_var(ev) - ref))
     unit = 0.5 * (1.0 + np.log(2.0 * np.pi))
     fixed = max(
-        abs(gaussian_entropy(np.eye(1)) - unit),
-        abs(gaussian_entropy(np.eye(2)) - 2.0 * unit),
-        abs(gaussian_entropy(np.array([[np.exp(-2.0)]])) - (unit - 1.0)),
-    )
+        abs(h - want)
+        for cov, want in ((np.eye(1), unit), (np.eye(2), 2.0 * unit),
+                          (np.array([[np.exp(-2.0)]]), unit - 1.0))
+        for h in (by_cov(cov), by_var(np.diag(cov))))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-9 and fixed < 1e-12 and elapsed < 1.0
     _criterion(1, ok,

@@ -344,6 +344,24 @@ class TestBadInputExits2:
         assert code == 2
         assert "cue_scenario__t001.csv: not utf-8 text" in err
 
+    @pytest.mark.parametrize("header, named", [
+        (b"", "cue_scenario__t000.csv: empty file"),
+        (b"time,leader_vx\r\n", "cue_scenario__t000.csv: first column must be 't'"),
+        (b"t,leader_\xffvx\r\n", "cue_scenario__t000.csv: not utf-8 text"),
+    ])
+    def test_bad_header_of_the_first_trial(self, cue_config, tmp_path, capsys,
+                                           header, named):
+        """The first trial's header, which the configured channels are
+        checked against, is read with load_csv's checks."""
+        def corrupt(trials_dir):
+            first = trials_dir / "cue_scenario__t000.csv"
+            body = first.read_bytes().split(b"\n", 1)[1] if header else b""
+            first.write_bytes(header + body)
+
+        code, err = self.run_corrupted(corrupt, cue_config, tmp_path, capsys)
+        assert code == 2
+        assert named in err
+
     def test_non_numeric_trim_metadata(self, cue_config, tmp_path, capsys):
         def corrupt(trials_dir):
             (trials_dir / "trials.meta").write_text("trim_start_s.t000=abc\n")
@@ -707,12 +725,18 @@ class TestValidateCommand:
         assert not (tmp_path / "run").exists()
 
     def test_a_misspelled_position_channel_stops_run_and_report_at_prepare(
-            self, cue_run_config, two_scenario_trials, tmp_path, capsys):
+            self, cue_run_config, two_scenario_trials, tmp_path, capsys, monkeypatch):
         """``run`` and ``report --trials`` check every configured channel
-        against the trials before any stage writes a file."""
+        against the trial directory's header before any trial body is
+        parsed, so before any stage writes a file."""
         run_dir = tmp_path / "run"
         assert main(["run", "--config", str(cue_run_config), "--trials",
                      str(two_scenario_trials), "--out", str(run_dir)]) == 0
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("a trial body was parsed")
+
+        monkeypatch.setattr(storage, "load_csv", no_parse)
         bad = ["--set", "aggregate.cell_size_m=0.25",
                "--set", "aggregate.position_channels=px, follower_py"]
         named = "[aggregate] position_channels names channel 'px', which the trials lack"

@@ -10,8 +10,10 @@ from cueflow.errors import DataFormatError, TrainingDivergedError
 from cueflow.models import (AUGMENTED, BASELINE, VARIANCE_FLOOR, FittedModel,
                             GaussianPredictions, TrainConfig, _forward,
                             _gaussian_nll, _init_layers, _nll_and_grads, _Work,
-                            fit_mlp, fit_var, gradient_check, predict)
+                            fit_mlp, fit_var, predict)
 from cueflow.timeseries import TimeSeries
+
+from conftest import gradient_check
 
 
 def ar1_series(phi, n, seed, sigma=1.0):

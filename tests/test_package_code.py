@@ -1,0 +1,41 @@
+"""The package holds the code its stages and commands run.
+
+Every top-level function and class in ``src/cueflow`` is referenced by code
+(not by a string) in the package or in the benchmark harness, somewhere
+other than its own definition.  A helper only the tests call lives in the
+tests.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# The aggregate readers: criterion 8 round-trips every written format.
+ALLOWED = {"read_grid_csv", "read_histogram_csv", "read_report_csv"}
+
+
+def _references(tree: ast.AST):
+    """(name, node) for every name and attribute the code of ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def test_every_package_definition_is_referenced_outside_itself():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for folder in ("src/cueflow", "perfbench")
+             for path in sorted((ROOT / folder).glob("*.py"))}
+    references = [ref for tree in trees.values() for ref in _references(tree)]
+    unreferenced = []
+    for path, tree in trees.items():
+        if path.parent.name != "cueflow":
+            continue
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in ALLOWED):
+                own = set(map(id, ast.walk(node)))
+                if not any(name == node.name and id(ref) not in own
+                           for name, ref in references):
+                    unreferenced.append(f"{path.name}: {node.name}")
+    assert not unreferenced, unreferenced

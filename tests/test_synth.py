@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from cueflow import synth
 from cueflow.errors import DataFormatError
 from cueflow.synth import (X_TO_Y, Y_TO_X, CueScenario, Var1Spec,
                            gen_cue_scenario, gen_var1, stationary_cov,
@@ -172,6 +173,34 @@ class TestCueScenario:
         b = gen_cue_scenario(self.scenario(noise_sigma=0.2))
         np.testing.assert_array_equal(a[1].data, b[1].data)
         assert a[2] == b[2]
+
+    @staticmethod
+    def follower_heading_reference(scen):
+        """The follower's heading by the tracking loop on numpy arrays,
+        indexed once per sample, decimated as gen_cue_scenario does."""
+        k = max(1, int(round(synth._INNER_RATE_HZ / scen.rate_hz)))
+        dt_in = 1.0 / scen.rate_hz / k
+        n_in = int(round(scen.duration_s * scen.rate_hz)) * k + 1
+        target = synth._leader_heading(dt_in * np.arange(n_in) - scen.response_delay_s, scen)
+        phi = np.empty(n_in)
+        phi[0] = target[0]
+        phi_dot = 0.0
+        w = synth._TRACK_OMEGA
+        for t in range(1, n_in):
+            acc = w * w * (target[t - 1] - phi[t - 1]) - 2.0 * w * phi_dot
+            phi_dot += acc * dt_in
+            phi[t] = phi[t - 1] + phi_dot * dt_in
+        return phi[::k]
+
+    @pytest.mark.parametrize("rate_hz, duration_s", [(200.0, 120.0), (10.0, 60.0)])
+    def test_tracking_loop_is_bitwise_the_numpy_indexed_loop(self, rate_hz, duration_s):
+        scen = self.scenario(rate_hz=rate_hz, duration_s=duration_s,
+                             cue_times=(8.0, 40.0, 50.5), response_delay_s=0.05,
+                             amplitude=1.5)
+        _, follower, _ = gen_cue_scenario(scen)
+        phi = self.follower_heading_reference(scen)
+        want = synth._SPEED * np.column_stack([np.cos(phi), np.sin(phi)])
+        assert follower.data.tobytes() == want.tobytes()
 
 
 class TestEndToEndDetection:

@@ -4,7 +4,7 @@ import pytest
 
 from cueflow.errors import DataFormatError
 from cueflow.models import GaussianPredictions
-from cueflow.te import ENTROPY_DIFF, LOGLIK_RATIO, gaussian_entropy, local_te
+from cueflow.te import ENTROPY_DIFF, LOGLIK_RATIO, local_te
 
 
 def preds(mean, var=None, cov=None):
@@ -14,30 +14,46 @@ def preds(mean, var=None, cov=None):
     return GaussianPredictions(mean=mean, var=var)
 
 
+def cov_entropy(cov):
+    """Entropy of one Gaussian with full covariance ``cov`` (var_linear's route)."""
+    return preds(np.zeros((1, len(cov))), cov=cov).entropy()[0]
+
+
+def var_entropy(var):
+    """Entropy of one Gaussian with per-dimension variances ``var`` (mlp_gaussian's route)."""
+    var = np.atleast_1d(np.asarray(var, dtype=float))
+    return preds(np.zeros((1, var.size)), var=var[None]).entropy()[0]
+
+
 class TestGaussianEntropy:
+    """The entropies local TE takes its gap from, in both representations."""
+
     def test_scalar_unit_variance(self):
         # 0.5 * (1 + ln(2*pi))
-        np.testing.assert_allclose(gaussian_entropy(1.0), 1.4189385332046727,
-                                   rtol=0, atol=1e-12)
+        for h in (var_entropy(1.0), cov_entropy(np.eye(1))):
+            np.testing.assert_allclose(h, 1.4189385332046727, rtol=0, atol=1e-12)
 
     def test_identity_covariance_is_additive(self):
-        np.testing.assert_allclose(gaussian_entropy(np.eye(2)),
-                                   2.8378770664093453, rtol=0, atol=1e-12)
+        for h in (cov_entropy(np.eye(2)), var_entropy([1.0, 1.0])):
+            np.testing.assert_allclose(h, 2.8378770664093453, rtol=0, atol=1e-12)
 
     def test_small_variance_goes_negative(self):
         # variance 1/e^2 drops the entropy below 0.5
-        np.testing.assert_allclose(gaussian_entropy(np.exp(-2.0)),
-                                   0.4189385332046727, atol=1e-12)
+        for h in (var_entropy(np.exp(-2.0)), cov_entropy([[np.exp(-2.0)]])):
+            np.testing.assert_allclose(h, 0.4189385332046727, atol=1e-12)
 
     def test_scaling_shifts_by_half_d_log_k(self):
         rng = np.random.default_rng(0)
         for d in (1, 2, 4):
             a = rng.standard_normal((d, d))
             cov = a @ a.T + d * np.eye(d)
+            var = rng.uniform(0.5, 2.0, size=d)
             for k in (0.5, 2.0, 10.0):
                 np.testing.assert_allclose(
-                    gaussian_entropy(k * cov),
-                    gaussian_entropy(cov) + 0.5 * d * np.log(k),
+                    cov_entropy(k * cov), cov_entropy(cov) + 0.5 * d * np.log(k),
+                    atol=1e-10)
+                np.testing.assert_allclose(
+                    var_entropy(k * var), var_entropy(var) + 0.5 * d * np.log(k),
                     atol=1e-10)
 
     def test_matrix_route_agrees_with_eigenvalues(self):
@@ -49,15 +65,16 @@ class TestGaussianEntropy:
             cov = a @ a.T + 0.1 * np.eye(d)
             ev = np.linalg.eigvalsh(cov)
             expected = 0.5 * d * (1 + np.log(2 * np.pi)) + 0.5 * np.sum(np.log(ev))
-            np.testing.assert_allclose(gaussian_entropy(cov), expected, atol=1e-9)
+            np.testing.assert_allclose(cov_entropy(cov), expected, atol=1e-9)
+            np.testing.assert_allclose(var_entropy(ev), expected, atol=1e-9)
 
     def test_rejects_bad_covariances(self):
-        with pytest.raises(DataFormatError):
-            gaussian_entropy(-1.0)
-        with pytest.raises(DataFormatError):
-            gaussian_entropy(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
-        with pytest.raises(DataFormatError):
-            gaussian_entropy(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
+        with pytest.raises(DataFormatError, match="positive and finite"):
+            var_entropy(-1.0)
+        with pytest.raises(DataFormatError, match="positive definite"):
+            cov_entropy(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
+        with pytest.raises(DataFormatError, match="symmetric"):
+            cov_entropy(np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
 
 
 class TestLocalTe:
