@@ -12,9 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import CueEvent
 from .errors import DataFormatError
-from .timeseries import MAX_ARRAY_ITEMS, TimeSeries
+from .timeseries import MAX_ARRAY_ITEMS
 
 
 @dataclass(frozen=True)
@@ -75,17 +74,15 @@ def temporal_histogram(trials, bin_dt: float, direction: str = "") -> CueHistogr
 
     ``trials`` is a sequence of ``(events, duration_s)`` pairs; each trial
     contributes at most 1 to any bin however many of its events land there.
+    ``bin_dt`` is positive and finite (``config.AggregateConfig``); each
+    duration is positive and each event lies inside its trial, as
+    ``pipeline._read_run_dir`` checks of a run directory's rows.
     """
-    if not (bin_dt > 0 and math.isfinite(bin_dt)):
-        raise DataFormatError(f"bin_dt must be positive, got {bin_dt}")
     trials = list(trials)
     if not trials:
         raise DataFormatError("temporal_histogram needs at least one trial")
-    durations = [dur for _, dur in trials]
-    if min(durations) <= 0:
-        raise DataFormatError("trial durations must be positive")
     # In Python floats, so a duration huge next to bin_dt gives inf, not a warning.
-    longest = float(max(durations))
+    longest = float(max(dur for _, dur in trials))
     bins = longest / bin_dt
     too_many = f"bin_dt = {bin_dt} over duration_s {longest} gives {bins:.4g} bins"
     if not bins <= MAX_ARRAY_ITEMS:
@@ -93,13 +90,9 @@ def temporal_histogram(trials, bin_dt: float, direction: str = "") -> CueHistogr
     n_bins = math.ceil(bins)
     try:
         counts = np.zeros(n_bins, dtype=int)
-        for events, duration in trials:
+        for events, _ in trials:
             hit = np.zeros(n_bins, dtype=bool)
             for ev in events:
-                if ev.start_t < -1e-9 or ev.end_t > duration + 1e-9:
-                    raise DataFormatError(
-                        f"event [{ev.start_t}, {ev.end_t}] outside trial duration {duration}"
-                    )
                 hit[list(_bins_hit(ev.start_t, ev.end_t, bin_dt, n_bins))] = True
             counts += hit
     except MemoryError:
@@ -117,9 +110,8 @@ def spatial_grid(trials, cell_size_m: float, channels: tuple[str, str],
     ``floor((p - origin) / cell_size_m)``, where the origin is the
     componentwise minimum over all input positions padded by one cell, and
     the grid is sized to cover every sample (plus one pad cell per side).
+    ``cell_size_m`` is positive and finite (``config.AggregateConfig``).
     """
-    if not (cell_size_m > 0 and math.isfinite(cell_size_m)):
-        raise DataFormatError(f"cell_size_m must be positive, got {cell_size_m}")
     trials = list(trials)
     if not trials:
         raise DataFormatError("spatial_grid needs at least one trial")

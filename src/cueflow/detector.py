@@ -94,10 +94,9 @@ def time_constants(alpha: float, beta: float, dt: float) -> tuple[float, float]:
     """Equivalent exponential time constants (tau_level, tau_trend) in seconds.
 
     A smoothing rate r applied every dt decays history like exp(-dt/tau)
-    with tau = -dt / ln(1 - r).
+    with tau = -dt / ln(1 - r).  The rates lie in (0, 1), as
+    :class:`DetectorConfig` checks.
     """
-    if not (0.0 < alpha < 1.0 and 0.0 < beta < 1.0):
-        raise ConfigError("smoothing rates must lie in (0, 1)")
     return -dt / math.log(1.0 - alpha), -dt / math.log(1.0 - beta)
 
 
@@ -106,12 +105,10 @@ def highpass(te_raw: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
 
     x is ``te_raw``, and ``a = RC / (RC + dt)`` with ``RC = 1 / (2*pi*cutoff_hz)``.
     A constant input maps to exactly zero; a unit step jumps to ``a`` and
-    decays geometrically.  The cutoff must stay below the Nyquist rate.
+    decays geometrically.  ``cutoff_hz`` and ``dt`` are a
+    :class:`DetectorConfig`'s, which checks them: positive, and the cutoff
+    below the Nyquist rate.
     """
-    if not (cutoff_hz > 0 and dt > 0):
-        raise ConfigError("cutoff_hz and dt must be positive")
-    if cutoff_hz >= 0.5 / dt:
-        raise ConfigError(f"cutoff_hz={cutoff_hz} must be below Nyquist {0.5 / dt}")
     rc = 1.0 / (2.0 * math.pi * cutoff_hz)
     a = rc / (rc + dt)
     # Shifting by x_0 pins y_0 = 0 without altering later differences.  The

@@ -73,13 +73,6 @@ class EmbeddedDataset:
     design: np.ndarray
     target_cols: int
     times: np.ndarray
-    spec: EmbeddingSpec
-
-    def __post_init__(self) -> None:
-        n = self.targets.shape[0]
-        for name in ("design", "times"):
-            if getattr(self, name).shape[0] != n:
-                raise DataFormatError(f"{name} rows do not match targets rows")
 
     @property
     def n_rows(self) -> int:
@@ -102,18 +95,13 @@ def embed(series: list[TimeSeries], spec: EmbeddingSpec,
 
     ``channels`` is the (target names, source names) pair: those channels
     of each series, in that order, are read in place as the target and the
-    source.  Each series must be on the spec's sample step (1e-9 relative)
-    and longer than ``spec.horizon``, or this is a :class:`DataFormatError`.
-    A series of ``N`` samples gives ``N - d * stride`` rows, stacked in
-    series order: its first ``d * stride`` samples are consumed as history,
-    so no history row reaches across two trials.
+    source.  Each series is on the spec's sample step and longer than
+    ``spec.horizon``: ``pipeline.prepare_trials`` resamples every trial to
+    the step and names one too short to embed.  A series of ``N`` samples
+    gives ``N - d * stride`` rows, stacked in series order: its first
+    ``d * stride`` samples are consumed as history, so no history row
+    reaches across two trials.
     """
-    for ts in series:
-        if abs(ts.dt - spec.dt) > _LAG_RTOL * max(ts.dt, spec.dt):
-            raise DataFormatError(f"series dt={ts.dt} does not match spec dt={spec.dt}")
-        if ts.n_samples <= spec.horizon:
-            raise DataFormatError(f"series too short to embed: need more than "
-                                  f"{spec.horizon} samples, got {ts.n_samples}")
     rows = [ts.n_samples - spec.horizon for ts in series]
     n_tgt, n_src = map(len, channels)
     # Every lag of every channel is written straight into its column of one
@@ -140,4 +128,4 @@ def embed(series: list[TimeSeries], spec: EmbeddingSpec,
         t += ts.t0
         lo = hi
     return EmbeddedDataset(targets=targets, design=design, target_cols=spec.d * n_tgt,
-                           times=times, spec=spec)
+                           times=times)

@@ -34,14 +34,10 @@ def local_te(base: GaussianPredictions, full: GaussianPredictions,
     ignores the realized targets.  ``loglik_ratio`` scores the realized
     samples under both models, ln p_full(x_t) - ln p_base(x_t), which
     restores local variation when both models are homoscedastic.  Both runs
-    score the same embedded rows, in order, and each row gives one value.
+    score the same embedded rows, in order, so they match in length and
+    dimension, and each row gives one value.  ``mode`` is one of
+    :data:`TE_MODES`, as ``config.ModelConfig`` checks.
     """
-    if mode not in TE_MODES:
-        raise DataFormatError(f"unknown TE mode {mode!r}")
-    if len(base) != len(full):
-        raise DataFormatError(f"prediction runs differ in length: {len(base)} vs {len(full)}")
-    if base.dim != full.dim:
-        raise DataFormatError("prediction runs differ in dimension")
     if mode == ENTROPY_DIFF:
         te = base.entropy() - full.entropy()
     else:

@@ -53,10 +53,6 @@ class TestTemporalHistogram:
         hist = temporal_histogram([([], 3.2), ([], 7.5)], bin_dt=1.0)
         assert hist.counts.size == 8
 
-    def test_event_outside_duration_rejected(self):
-        with pytest.raises(DataFormatError):
-            temporal_histogram([([ev(4.0, 6.0)], 5.0)], bin_dt=1.0)
-
     def test_empty_input_rejected(self):
         with pytest.raises(DataFormatError):
             temporal_histogram([], bin_dt=1.0)

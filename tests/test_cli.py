@@ -705,12 +705,16 @@ class TestValidateCommand:
     @pytest.mark.parametrize("override, named", [
         ("detector.hp_cutoff_hz=5", "[detector] hp_cutoff_hz=5.0 must be below Nyquist"),
         ("embedding.delta_s=0.15", "[embedding] delta_s=0.15 is not an integer multiple"),
+        ("model.te_mode=other", "te_mode must be one of"),
+        ("detector.alpha=1", "[detector] alpha must lie in (0, 1)"),
+        ("aggregate.bin_dt=0", "[aggregate] bin_dt must be positive"),
+        ("aggregate.cell_size_m=-1", "[aggregate] cell_size_m must be positive"),
     ])
     def test_run_rejects_a_bad_section_before_reading_trials(
             self, cue_run_config, two_scenario_trials, tmp_path, capsys, monkeypatch,
             override, named):
-        """The [detector] and [embedding] rules are checked at parse, so
-        ``run`` exits 2 before it reads a trial CSV or makes ``--out``."""
+        """The section rules are checked at parse, and only there, so ``run``
+        exits 2 before it reads a trial CSV or makes ``--out``."""
         def no_load(*args, **kwargs):
             raise AssertionError("trials were read")
 

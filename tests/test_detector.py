@@ -75,12 +75,6 @@ class TestTimeConstants:
         assert round(tau_a, 1) == 0.5
         assert round(tau_b, 1) == 0.1
 
-    def test_rejects_rates_outside_unit_interval(self):
-        with pytest.raises(ConfigError):
-            time_constants(0.0, 0.5, dt=0.1)
-        with pytest.raises(ConfigError):
-            time_constants(0.5, 1.0, dt=0.1)
-
 
 class TestHighpass:
     def test_constant_input_maps_to_exactly_zero(self):
@@ -103,10 +97,6 @@ class TestHighpass:
         """The filter starts from the first sample, not from zero."""
         out = highpass(np.full(50, -4.0), cutoff_hz=1.0, dt=0.01)
         assert not out.any()
-
-    def test_cutoff_at_nyquist_rejected(self):
-        with pytest.raises(ConfigError):
-            highpass(np.zeros(10), cutoff_hz=50.0, dt=0.01)
 
     @pytest.mark.parametrize("cutoff_hz, rate_hz, n", [
         (0.5, 10.0, 1_200), (1.0, 115.0, 5_000), (1.0, 200.0, 24_000),

@@ -111,8 +111,9 @@ class TestEmbed:
         x = np.zeros(n)
         x[30] = 1.0  # a single spike
         ts, roles = trial(x, np.zeros(n))
-        ds = embed([ts], EmbeddingSpec(d=4, delta_s=1.0, dt=1.0), roles)
-        row = 30 - ds.spec.horizon  # row whose target is the spike
+        spec = EmbeddingSpec(d=4, delta_s=1.0, dt=1.0)
+        ds = embed([ts], spec, roles)
+        row = 30 - spec.horizon  # row whose target is the spike
         assert ds.targets[row, 0] == 1.0
         assert not ds.target_hist[row].any()
 
@@ -178,16 +179,6 @@ class TestEmbed:
             a, b = getattr(got, name), getattr(want, name)
             assert (a.shape, a.flags.f_contiguous) == (b.shape, b.flags.f_contiguous)
             assert a.tobytes() == b.tobytes()
-
-    def test_mismatched_dt_rejected(self):
-        """A series off the spec's sample step is refused, whichever trial."""
-        spec = EmbeddingSpec(d=1, delta_s=1.0, dt=1.0)
-        with pytest.raises(DataFormatError, match="dt=0.5 does not match spec dt=1.0"):
-            embed([series(np.zeros(10)), series(np.zeros(10), dt=0.5)], spec, SELF)
-
-    def test_series_shorter_than_horizon_rejected(self):
-        with pytest.raises(DataFormatError):
-            embed([series(np.zeros(4))], EmbeddingSpec(d=2, delta_s=2.0, dt=1.0), SELF)
 
 
 class TestLagIdentities:

@@ -44,17 +44,15 @@ def embed_pair(series, d=1, roles=(("x",), ("y",))):
 
 def slice_dataset(ds, rows):
     return EmbeddedDataset(targets=ds.targets[rows], design=ds.design[rows],
-                           target_cols=ds.target_cols, times=ds.times[rows],
-                           spec=ds.spec)
+                           target_cols=ds.target_cols, times=ds.times[rows])
 
 
-def history_dataset(targets, hist, target_cols, d):
+def history_dataset(targets, hist, target_cols):
     """A dataset over a given history block, laid out as ``embed`` lays it out:
     column-major, with a column of ones before the history."""
     design = np.asfortranarray(np.column_stack([np.ones(len(hist)), hist]))
     return EmbeddedDataset(targets=targets, design=design, target_cols=target_cols,
-                           times=np.arange(float(len(hist))),
-                           spec=EmbeddingSpec(d=d, delta_s=1.0, dt=1.0))
+                           times=np.arange(float(len(hist))))
 
 
 class TestGaussianPredictions:
@@ -111,7 +109,7 @@ class TestFitVar:
     def test_constant_target_hits_variance_floor(self):
         rng = np.random.default_rng(0)
         hist = rng.standard_normal((50, 2))
-        ds = history_dataset(np.full((50, 1), 3.0), hist, hist.shape[1], d=2)
+        ds = history_dataset(np.full((50, 1), 3.0), hist, hist.shape[1])
         model = fit_var(ds, BASELINE)
         preds = predict(model, hist)
         np.testing.assert_allclose(preds.mean, 3.0, rtol=0, atol=1e-9)
@@ -119,13 +117,13 @@ class TestFitVar:
                                    VARIANCE_FLOOR, rtol=1e-6)
 
     def test_too_few_rows_rejected(self):
-        ds = history_dataset(np.zeros((3, 1)), np.zeros((3, 4)), 4, d=4)
+        ds = history_dataset(np.zeros((3, 1)), np.zeros((3, 4)), 4)
         with pytest.raises(DataFormatError):
             fit_var(ds, BASELINE)
 
     def test_predict_affine_hand_check(self):
         model = FittedModel(kind="var_linear", conditioning="baseline",
-                            input_dim=1, output_dim=1,
+                            output_dim=1,
                             params={"intercept": np.array([1.0]),
                                     "coef": np.array([[2.0]]),
                                     "cov": np.array([[4.0]])})
@@ -200,7 +198,7 @@ class TestFitMlp:
     def test_fit_is_deterministic(self):
         rng = np.random.default_rng(3)
         ds = history_dataset(rng.standard_normal((200, 1)),
-                             rng.standard_normal((200, 3)), 3, d=3)
+                             rng.standard_normal((200, 3)), 3)
         a = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=20))
         b = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=20))
         for k in a.params:
@@ -214,7 +212,7 @@ class TestFitMlp:
         rng = np.random.default_rng(9)
         ds = history_dataset(rng.standard_normal((300, 2)),
                              np.hstack([rng.standard_normal((300, 3)),
-                                        rng.standard_normal((300, 3))]), 3, d=3)
+                                        rng.standard_normal((300, 3))]), 3)
         train = TrainConfig(epochs=15, batch_size=batch_size, seed=4)
         model = fit_mlp(ds, AUGMENTED, hidden=hidden, train=train)
         layers, n_iter = per_layer_adam(ds.joint_hist, ds.targets, hidden, train)
@@ -227,7 +225,7 @@ class TestFitMlp:
         """A constant target would drive log-variance to -inf; the clamp holds."""
         rng = np.random.default_rng(4)
         hist = rng.standard_normal((100, 2))
-        ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1], d=2)
+        ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1])
         model = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=50))
         preds = predict(model, hist)
         assert np.all(preds.var >= VARIANCE_FLOOR)
@@ -238,7 +236,7 @@ class TestFitMlp:
         rng = np.random.default_rng(6)
         ds = history_dataset(rng.standard_normal((120, 2)),
                              np.hstack([rng.standard_normal((120, 3)),
-                                        rng.standard_normal((120, 3))]), 3, d=3)
+                                        rng.standard_normal((120, 3))]), 3)
         model = fit_mlp(ds, AUGMENTED, hidden=(8, 4), train=TrainConfig(epochs=10))
         layers = [model.params[f"layer_{i}"] for i in range(6)]
         for q in layers:
@@ -279,7 +277,7 @@ class TestFitMlp:
         where exp(-lv) would overflow (and raise under the warning filter)."""
         rng = np.random.default_rng(4)
         hist = rng.standard_normal((100, 2))
-        ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1], d=2)
+        ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1])
         model = fit_mlp(ds, BASELINE, hidden=(64, 64), train=TrainConfig())
         xs = (hist - model.params["x_mean"]) / model.params["x_scale"]
         out, _ = _forward([model.params[f"layer_{i}"] for i in range(6)], xs)
@@ -292,7 +290,7 @@ class TestFitMlp:
         test run turns one into an error)."""
         rng = np.random.default_rng(5)
         ds = history_dataset(rng.standard_normal((300, 2)),
-                             rng.standard_normal((300, 4)), 4, d=2)
+                             rng.standard_normal((300, 4)), 4)
         with pytest.raises(TrainingDivergedError) as err:
             fit_mlp(ds, BASELINE, hidden=(16, 16),
                     train=TrainConfig(epochs=20, batch_size=64, learning_rate=1e3))
@@ -310,7 +308,7 @@ class TestFitMlp:
         n, batch, width = 712, 256, 64  # batches of 256, 256 and 200 rows
         # 24 inputs, so that an epoch's reshuffled rows are a larger block too.
         ds = history_dataset(rng.standard_normal((n, 2)),
-                             rng.standard_normal((n, 24)), 12, d=6)
+                             rng.standard_normal((n, 24)), 12)
         sizes, rises, level = [], [], []
         nll_and_grads = models_module._nll_and_grads
 

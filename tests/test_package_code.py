@@ -3,7 +3,7 @@
 Every top-level function and class in ``src/cueflow`` is referenced by code
 (not by a string) in the package or in the benchmark harness, somewhere
 other than its own definition.  A helper only the tests call lives in the
-tests.
+tests.  Every name a module imports is read in that module.
 """
 import ast
 from pathlib import Path
@@ -39,3 +39,24 @@ def test_every_package_definition_is_referenced_outside_itself():
                            for name, ref in references):
                     unreferenced.append(f"{path.name}: {node.name}")
     assert not unreferenced, unreferenced
+
+
+def _imported_names(tree: ast.AST):
+    """The names the imports of ``tree`` bind, but ``from __future__``'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_package_import_is_read():
+    unread = []
+    for path in sorted((ROOT / "src/cueflow").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        names = sorted(set(_imported_names(tree)) - read)
+        if names:
+            unread.append(f"{path.name}: {', '.join(names)}")
+    assert not unread, unread

@@ -409,6 +409,18 @@ class TestRunErrors:
                                                 r"short to embed: need more than 4 samples, got 3"):
             prepare_trials(trials, make_config(d=4))
 
+    @pytest.mark.parametrize("rate_hz", [100.0, 50.0, 115.0])
+    def test_every_prepared_series_is_on_the_embedding_step(self, rate_hz):
+        """``embed`` takes its series to be on the spec's step: prepare
+        resamples each trial to ``1/resample_hz``, the very float the spec
+        holds, trimmed or not."""
+        trials = var1_trial_set(var1_trial("t000", seed=0, n=500)[0],
+                                var1_trial("t001", seed=1, n=500)[0],
+                                metadata={"trim_start_s.t001": "1.0"})
+        cfg = make_config(resample_hz=rate_hz, delta_s=1.0 / rate_hz)
+        prepared = prepare_trials(trials, cfg)
+        assert [trial.series.dt for trial in prepared] == [cfg.embedding_spec.dt] * 2
+
 
 @pytest.fixture(scope="module")
 def study(tmp_path_factory):

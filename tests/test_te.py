@@ -131,17 +131,6 @@ class TestLocalTe:
                        preds(zeros, var=7.0 * var_f), zeros)
         np.testing.assert_allclose(te0, te1, atol=1e-12)
 
-    def test_length_mismatch_rejected(self):
-        base = preds(np.zeros((3, 1)), var=np.ones((3, 1)))
-        full = preds(np.zeros((4, 1)), var=np.ones((4, 1)))
-        with pytest.raises(DataFormatError):
-            local_te(base, full, np.zeros((3, 1)))
-
-    def test_unknown_mode_rejected(self):
-        base = preds(np.zeros((3, 1)), var=np.ones((3, 1)))
-        with pytest.raises(DataFormatError, match="unknown TE mode"):
-            local_te(base, base, np.zeros((3, 1)), mode="other")
-
     def test_non_finite_te_rejected(self):
         """An infinite prediction mean scores its realized sample at -inf."""
         mean = np.zeros((3, 1))
