@@ -172,7 +172,7 @@ def _cmd_synth(args) -> int:
     if settings.kind == "cue_scenario":
         trials, truths = _scenario_trials(settings)
         storage.write_rows(out / "truth.csv", ["trial", "start_t", "end_t"],
-                           ([t, repr(s), repr(e)] for t, s, e in truths), lineterminator="\n")
+                           ([t, repr(s), repr(e)] for t, s, e in truths))
     else:
         trials = _var1_trials(settings)
     storage.write_trial_dir(trials, out)

@@ -20,7 +20,7 @@ from .detector import DetectorConfig
 from .embedding import EmbeddingSpec
 from .errors import ConfigError, CueflowError
 from .models import MLP_GAUSSIAN, VAR_LINEAR, TrainConfig
-from .te import ENTROPY_DIFF, SRC2TGT, TE_MODES, TGT2SRC
+from .te import LOGLIK_RATIO, SRC2TGT, TE_MODES, TGT2SRC
 
 DIRECTION_CHOICES = ("both", SRC2TGT, TGT2SRC)
 MODEL_KINDS = (VAR_LINEAR, MLP_GAUSSIAN)
@@ -69,7 +69,7 @@ class EmbeddingConfig:
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str = VAR_LINEAR
-    te_mode: str = ENTROPY_DIFF
+    te_mode: str = LOGLIK_RATIO
     hidden: tuple[int, ...] = (64, 64)
     epochs: int = 200
     learning_rate: float = 1e-3

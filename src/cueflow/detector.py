@@ -76,11 +76,12 @@ class CueEvent:
 class DetectionTrace:
     """One direction's local TE, its cue mask and the events found on them.
 
-    The one record of a TE series from :func:`detect_trace` to file and back
-    (``storage.read_te_csv``).  The arrays are a TE trace CSV's columns; the
-    events go to ``events.csv``.  The filtered TE and the threshold are not
-    kept: :func:`highpass` and :func:`des_threshold` rebuild them bitwise
-    from ``te_raw``.
+    The in-memory output of :func:`detect_trace`.  A TE trace CSV holds
+    ``times`` and ``te_raw`` only, and the events go to ``events.csv``:
+    ``detect_trace(direction, t, te_raw, cfg)`` on a written trace's columns
+    (``storage.read_te_csv``) rebuilds the mask and the events bitwise, as
+    :func:`highpass` and :func:`des_threshold` rebuild the filtered TE and
+    the threshold, which are not kept either.
     """
 
     direction: str

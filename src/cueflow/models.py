@@ -125,7 +125,6 @@ class FittedModel:
     output_dim: int
     params: dict[str, np.ndarray]
     hidden: tuple[int, ...] = ()
-    seed: int = 0
     train_report: TrainReport = field(default=TrainReport(float("nan"), 0))
 
 
@@ -391,7 +390,6 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
         output_dim=d,
         params=params,
         hidden=tuple(hidden),
-        seed=train.seed,
         train_report=TrainReport(final_nll=final_nll, n_iter=step),
     )
 
@@ -404,14 +402,11 @@ def _mlp_layers(model: FittedModel) -> list[np.ndarray]:
 def predict(model: FittedModel, rows: np.ndarray) -> GaussianPredictions:
     """Predictive Gaussians for history rows, in original data units.
 
-    Every returned variance is clamped below by ``VARIANCE_FLOOR``.  The
-    rows have the columns of the model's training rows: the pipeline embeds
-    under one spec and channel roles for both, and :func:`predict_dataset`
-    picks the model's conditioning.
+    Every returned variance is clamped below by ``VARIANCE_FLOOR``.
+    ``rows`` is a 2-D float array with the columns of the model's training
+    rows: the pipeline embeds under one spec and channel roles for both, and
+    :func:`predict_dataset` picks the model's conditioning.
     """
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows[None, :]
     if model.kind == VAR_LINEAR:
         mean = model.params["intercept"] + rows @ model.params["coef"]
         return GaussianPredictions(mean=mean, cov=model.params["cov"])

@@ -272,7 +272,7 @@ def write_run_dir(results: list[TrialResult], cfg: PipelineConfig, out_dir) -> N
     storage.write_events_csv(all_events, out / "events.csv")
     storage.write_rows(out / "manifest.csv", MANIFEST_HEADER,
                        ([r.trial_id, r.scenario, repr(r.t0), repr(r.duration_s)]
-                        for r in results), lineterminator="\n")
+                        for r in results))
 
 
 def _read_run_dir(events_dir: Path):
@@ -379,7 +379,7 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
             te_map = {}
             for direction in cfg.io.direction_list:
                 path = events_dir / te_csv_name(trial_id, direction)
-                te_raw = storage.read_te_csv(path, direction).te_raw
+                _, te_raw = storage.read_te_csv(path)
                 bad = np.flatnonzero(~np.isfinite(te_raw))
                 if bad.size:
                     raise DataFormatError(f"{path}: te_raw value {te_raw[bad[0]]} at row "

@@ -1,9 +1,11 @@
 """CSV wire formats for analysis products.
 
-Formats (all comma-separated, header row first, floats written with
-shortest-round-trip ``repr`` so read-back is lossless):
+Formats (all comma-separated, header row first, lines ending in ``\\n``,
+floats written with shortest-round-trip ``repr`` so read-back is lossless):
 
-* TE trace, one file per trial and direction: ``t,te_raw,cue`` (cue is 0/1).
+* TE trace, one file per trial and direction: ``t,te_raw``.  The cue mask
+  and events are not stored here: ``detector.detect_trace`` rebuilds them
+  bitwise from these columns.
 * Events: ``trial,direction,start_t,end_t,peak_te``.
 * Grid: ``ix,iy,count`` for nonzero cells, plus a ``<path>.meta`` sidecar of
   ``key=value`` lines (origin_x, origin_y, cell_size_m, nx, ny, direction).
@@ -25,7 +27,7 @@ from .errors import DataFormatError
 from .timeseries import (Trial, TrialSet, load_csv, read_channels, read_numeric_csv,
                          text_errors, write_columns_csv, write_errors, write_trial_csv)
 
-TE_HEADER = ["t", "te_raw", "cue"]
+TE_HEADER = ["t", "te_raw"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
 REPORT_HEADER = ["direction", "n_a", "n_b", "t_stat", "p_value"]
 
@@ -72,16 +74,15 @@ def _read_key_values(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def write_te_csv(trace: DetectionTrace, path) -> None:
-    write_columns_csv(path, TE_HEADER, [trace.times, trace.te_raw, trace.cue.astype(np.int64)])
+    write_columns_csv(path, TE_HEADER, [trace.times, trace.te_raw])
 
 
-def read_te_csv(path, direction: str) -> DetectionTrace:
-    """Read a TE trace back; its events are stored in ``events.csv`` instead."""
+def read_te_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """A TE trace's ``(times, te_raw)`` float64 arrays, as written."""
     _, arr = read_numeric_csv(path, lambda header: _check_header(path, header, TE_HEADER))
     if arr.size == 0:
         raise DataFormatError(f"{path}: no samples")
-    return DetectionTrace(direction=direction, times=arr[:, 0], te_raw=arr[:, 1],
-                          cue=arr[:, 2] != 0.0)
+    return arr[:, 0], arr[:, 1]
 
 
 def _check_header(path, header: list[str], expected_header: list[str]) -> None:
@@ -91,10 +92,11 @@ def _check_header(path, header: list[str], expected_header: list[str]) -> None:
         )
 
 
-def write_rows(path, header: list[str], rows, lineterminator: str = "\r\n") -> None:
-    """Write ``header`` and ``rows`` through :func:`csv.writer`."""
+def write_rows(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` through :func:`csv.writer`, each line
+    ending in ``\\n``."""
     with write_errors(path), open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 

@@ -332,15 +332,16 @@ def write_errors(path):
 def write_columns_csv(path, header: list[str], columns) -> None:
     """Write ``header``, then row ``i`` of the equal-length 1-D arrays ``columns``.
 
-    The bytes are those ``csv.writer`` gives for rows of ``repr`` strings (no
-    number needs quoting, rows end in CRLF), so floats read back exactly.
-    Rows are formatted a block at a time, not a whole column's text at once.
+    The bytes are those ``csv.writer(fh, lineterminator="\\n")`` gives for
+    rows of ``repr`` strings (no number needs quoting), so floats read back
+    exactly.  Rows are formatted a block at a time, not a whole column's text
+    at once.
     """
     with write_errors(path), open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for lo in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
             text = [map(repr, col[lo:lo + _WRITE_BLOCK_ROWS].tolist()) for col in columns]
-            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:

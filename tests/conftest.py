@@ -14,6 +14,7 @@ import pytest
 from cueflow import pipeline, storage
 from cueflow.config import (AggregateConfig, DetectorSettings, EmbeddingConfig,
                             IoConfig, ModelConfig, PipelineConfig)
+from cueflow.detector import detect_trace
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.models import (AUGMENTED, BASELINE, _init_layers, _nll_and_grads, fit_var,
                             predict_dataset)
@@ -58,17 +59,21 @@ def _e2e_config() -> PipelineConfig:
 
 def run_read_back(trials: TrialSet, cfg: PipelineConfig, out_dir):
     """``pipeline.run`` of the prepared ``trials`` into ``out_dir``, then
-    every TE trace (times, te_raw and cue) read back from its file with
-    ``storage.read_te_csv``, carrying its direction's events.
+    every TE trace read back from its file with ``storage.read_te_csv`` and
+    its cue mask rebuilt by ``detect_trace``, carrying the run's events.
 
     Returns the run's trial summaries and, per trial in trial order, a dict
     of direction -> trace.
     """
     results = pipeline.run(pipeline.prepare_trials(trials, cfg), cfg, out_dir)
-    traces = [{direction: replace(
-                   storage.read_te_csv(Path(out_dir) / pipeline.te_csv_name(r.trial_id, direction),
-                                       direction=direction),
-                   events=events)
+
+    def read_back(trial_id, direction, events):
+        path = Path(out_dir) / pipeline.te_csv_name(trial_id, direction)
+        times, te_raw = storage.read_te_csv(path)
+        return replace(detect_trace(direction, times, te_raw, cfg.detector_config),
+                       events=events)
+
+    traces = [{direction: read_back(r.trial_id, direction, events)
                for direction, events in r.events.items()}
               for r in results]
     return results, traces

@@ -265,7 +265,8 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         io=IoConfig(target_channels=("x",), source_channels=("y",),
                     resample_hz=100.0),
         embedding=EmbeddingConfig(d=1, delta_s=0.01),
-        model=ModelConfig(kind="mlp_gaussian", hidden=(8,), epochs=30),
+        model=ModelConfig(kind="mlp_gaussian", te_mode="entropy_diff", hidden=(8,),
+                          epochs=30),
         detector=DetectorSettings(alpha=0.01, beta=0.05),
         aggregate=AggregateConfig(bin_dt=1.0),
     )
@@ -288,7 +289,8 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         0.05 * np.random.default_rng(5).standard_normal(400)
         + np.where(np.arange(400) // 100 == 2, 2.0, 0.0)), det)
     storage.write_te_csv(trace, tmp_path / "te.csv")
-    back = storage.read_te_csv(tmp_path / "te.csv", direction="src2tgt")
+    # The cue mask is not written: the detector rebuilds it from the trace.
+    back = detect_trace("src2tgt", *storage.read_te_csv(tmp_path / "te.csv"), det)
     te_err = max(
         float(np.nanmax(np.abs(back.te_raw - trace.te_raw))),
         float(np.nanmax(np.abs(

@@ -231,6 +231,52 @@ class TestRunFlow:
                     == (tmp_path / "cli" / name).read_bytes()), name
         assert f"analyzed {len(results)} trials" in capsys.readouterr().out
 
+    def test_no_written_file_holds_a_carriage_return(self, cue_run_config,
+                                                     two_scenario_trials, tmp_path, capsys):
+        """Every line cueflow writes ends in \\n alone: the synthetic trials
+        and truth table, and every file of a run directory and of its
+        ``report --trials`` rebuild, grids and sidecars included."""
+        grid = ["--set", "aggregate.cell_size_m=0.25",
+                "--set", "aggregate.position_channels=follower_px, follower_py"]
+        run_dir, rep_dir = tmp_path / "run", tmp_path / "rep"
+        assert main(["run", "--config", str(cue_run_config), *grid, "--trials",
+                     str(two_scenario_trials), "--out", str(run_dir)]) == 0
+        assert main(["report", "--config", str(cue_run_config), *grid, "--events",
+                     str(run_dir), "--trials", str(two_scenario_trials),
+                     "--out", str(rep_dir)]) == 0
+        capsys.readouterr()
+        files = [p for d in (two_scenario_trials, run_dir, rep_dir) for p in d.iterdir()]
+        names = {p.name for p in files}
+        assert {"truth.csv", "te_t000_src2tgt.csv", "events.csv", "manifest.csv",
+                "grid_src2tgt.csv.meta", "histogram_tgt2src.csv",
+                "peak_te_report.csv"} <= names
+        assert [p for p in files if b"\r" in p.read_bytes()] == []
+
+    def test_config_without_a_model_section_runs_loglik_ratio(self, cue_run_config,
+                                                              two_scenario_trials,
+                                                              tmp_path, capsys):
+        """The default [model] is var_linear with loglik_ratio: validate warns
+        of nothing, and a config with no [model] section writes the same
+        run directory as one that names both, events and peak-TE report
+        included."""
+        section = "[model]\nkind = var_linear\nte_mode = loglik_ratio\n\n"
+        assert section in CUE_RUN_INI
+        minimal = tmp_path / "minimal.ini"
+        minimal.write_text(CUE_RUN_INI.replace(section, ""))
+        assert main(["validate", "--config", str(minimal)]) == 0
+        assert "OK: 0 error(s), 0 warning(s)" in capsys.readouterr().out
+        for config, out_dir in ((minimal, "minimal"), (cue_run_config, "named")):
+            assert main(["run", "--config", str(config), "--trials",
+                         str(two_scenario_trials), "--out", str(tmp_path / out_dir)]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in (tmp_path / "named").iterdir())
+        assert "peak_te_report.csv" in names
+        assert sorted(p.name for p in (tmp_path / "minimal").iterdir()) == names
+        for name in names:
+            assert ((tmp_path / "minimal" / name).read_bytes()
+                    == (tmp_path / "named" / name).read_bytes()), name
+        assert storage.read_events_csv(tmp_path / "minimal" / "events.csv")
+
     def test_reruns_give_identical_outputs(self, cue_run_config, tmp_path, capsys):
         trials_dir = tmp_path / "trials"
         main(["synth", "--config", str(cue_run_config), "--out", str(trials_dir)])
@@ -249,7 +295,8 @@ class TestRunFlow:
                                                                  tmp_path, capsys):
         """Each TE trace holds what detection needs: the detector run under
         the run's [detector] section on a trace's t and te_raw gives its
-        written cue column and its trial's events.csv rows, bitwise."""
+        trial's events.csv rows, bitwise.  The cue mask is not written; this
+        run of the detector is what rebuilds it."""
         from cueflow.config import load_config
         from cueflow.detector import detect_trace
         from cueflow.pipeline import MANIFEST_HEADER, te_csv_name
@@ -274,10 +321,9 @@ class TestRunFlow:
         redetected = 0
         for trial_id in trial_ids:
             for direction in cfg.io.direction_list:
-                back = storage.read_te_csv(run_dir / te_csv_name(trial_id, direction),
-                                           direction=direction)
-                trace = detect_trace(direction, back.times, back.te_raw, det)
-                assert trace.cue.tobytes() == back.cue.tobytes()
+                times, te_raw = storage.read_te_csv(
+                    run_dir / te_csv_name(trial_id, direction))
+                trace = detect_trace(direction, times, te_raw, det)
                 assert ([bits(ev) for ev in trace.events]
                         == [bits(ev) for t, ev in written
                             if t == trial_id and ev.direction == direction])
@@ -419,9 +465,9 @@ class TestBadInputExits2:
                      str(two_scenario_trials), "--out", str(run_dir)]) == 0
         trace = run_dir / "te_t001_src2tgt.csv"
         lines = trace.read_text().splitlines(keepends=True)
-        t, _, cue = lines[5].split(",")
-        lines[5] = f"{t},{value},{cue}"
-        lines.insert(2, "\r\n")
+        t, _ = lines[5].split(",")
+        lines[5] = f"{t},{value}\n"
+        lines.insert(2, "\n")
         trace.write_text("".join(lines))
         capsys.readouterr()
         assert main(["report", "--config", str(cue_run_config), "--events",

@@ -51,7 +51,7 @@ class TestParsing:
         assert cfg.embedding.d == 4
         assert cfg.embedding.delta_s == 0.1391304347826087
         assert cfg.model.kind == "var_linear"
-        assert cfg.model.te_mode == "entropy_diff"
+        assert cfg.model.te_mode == "loglik_ratio"
         assert cfg.model.hidden == (64, 64)
         assert cfg.model.epochs == 200
         assert cfg.detector.alpha == 0.005

@@ -103,7 +103,8 @@ class TestRunOnCoupledVar:
         """A long coupled AR pair recovers the analytic TE in the driven
         direction and stays near zero in the reverse one."""
         trial, spec = var1_trial("t000", seed=0, n=100_000)
-        _, traces = run_read_back(var1_trial_set(trial), make_config(), tmp_path)
+        cfg = make_config(model=dict(te_mode="entropy_diff"))
+        _, traces = run_read_back(var1_trial_set(trial), cfg, tmp_path)
         fwd = float(np.mean(traces[0]["src2tgt"].te_raw))
         rev = float(np.mean(traces[0]["tgt2src"].te_raw))
         oracle = te_oracle_var1(spec)
@@ -134,7 +135,8 @@ class TestRunOnCoupledVar:
         """Linear models have one shared residual covariance, so the
         entropy-difference series cannot vary over time."""
         trial, _ = var1_trial("t000", seed=4, n=2000)
-        _, traces = run_read_back(var1_trial_set(trial), make_config(), tmp_path)
+        cfg = make_config(model=dict(te_mode="entropy_diff"))
+        _, traces = run_read_back(var1_trial_set(trial), cfg, tmp_path)
         te = traces[0]["src2tgt"].te_raw
         assert float(np.ptp(te)) == 0.0
 

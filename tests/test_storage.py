@@ -22,10 +22,14 @@ BLOCK = _WRITE_BLOCK_ROWS
 def write_te_csv_reference(trace, path):
     """The TE trace as csv.writer writes rows of repr() strings, one row at a time."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "te_raw", "cue"])
-        for t, te, cue in zip(trace.times, trace.te_raw, trace.cue):
-            writer.writerow([repr(float(t)), repr(float(te)), int(cue)])
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["t", "te_raw"])
+        for t, te in zip(trace.times, trace.te_raw):
+            writer.writerow([repr(float(t)), repr(float(te))])
+
+
+SAMPLE_CFG = DetectorConfig(alpha=0.05, beta=0.1, gamma=3.0, hp_cutoff_hz=1.0,
+                            dt=0.01, skip_warmup=False)
 
 
 def sample_trace():
@@ -34,22 +38,20 @@ def sample_trace():
     n = 400
     te = rng.standard_normal(n) * 0.05
     te[200:215] += 2.0
-    cfg = DetectorConfig(alpha=0.05, beta=0.1, gamma=3.0, hp_cutoff_hz=1.0,
-                         dt=0.01, skip_warmup=False)
-    return detect_trace("src2tgt", 0.01 * np.arange(n), te, cfg)
+    return detect_trace("src2tgt", 0.01 * np.arange(n), te, SAMPLE_CFG)
 
 
 class TestTeCsv:
     def test_round_trip_is_exact(self, tmp_path):
-        """Every trace field but the events (which events.csv holds) reads
-        back bitwise, so a field the CSV does not store fails here."""
+        """A trace file holds t and te_raw; the detector run on them rebuilds
+        every other trace field bitwise, so a field that is neither stored
+        nor rebuilt fails here."""
         trace = sample_trace()
+        assert trace.cue.any() and trace.events
         path = tmp_path / "te_t0_src2tgt.csv"
         write_te_csv(trace, path)
-        back = read_te_csv(path, direction=trace.direction)
+        back = detect_trace(trace.direction, *read_te_csv(path), SAMPLE_CFG)
         for f in dataclasses.fields(DetectionTrace):
-            if f.name == "events":
-                continue
             got, want = getattr(back, f.name), getattr(trace, f.name)
             if isinstance(want, np.ndarray):
                 assert isinstance(got, np.ndarray), f.name
@@ -57,15 +59,6 @@ class TestTeCsv:
                 assert got.tobytes() == want.tobytes(), f.name
             else:
                 assert got == want, f.name
-
-    def test_direction_is_the_callers(self, tmp_path):
-        """A trace file does not store its direction; the reader labels the
-        trace with the one it is given, and there is no default."""
-        path = tmp_path / "te_t0_tgt2src.csv"
-        write_te_csv(sample_trace(), path)
-        assert read_te_csv(path, "tgt2src").direction == "tgt2src"
-        with pytest.raises(TypeError):
-            read_te_csv(path)
 
     def test_bytes_match_csv_writer_of_repr(self, tmp_path):
         """Bulk formatting writes exactly what csv.writer writes for repr()
@@ -96,9 +89,9 @@ class TestTeCsv:
         write_te_csv(trace, path)
         write_te_csv_reference(trace, ref)
         assert path.read_bytes() == ref.read_bytes()
-        back = read_te_csv(path, "src2tgt")
-        for name in ("times", "te_raw", "cue"):
-            assert getattr(back, name).tobytes() == getattr(trace, name).tobytes(), name
+        times, te_raw = read_te_csv(path)
+        assert times.tobytes() == trace.times.tobytes()
+        assert te_raw.tobytes() == trace.te_raw.tobytes()
 
     def test_arrays_match_the_float_loop_bit_for_bit(self, tmp_path):
         """NaN, signed zero, subnormals, large magnitudes, quoted fields,
@@ -107,42 +100,49 @@ class TestTeCsv:
         import csv
 
         path = tmp_path / "te.csv"
-        path.write_bytes(b"t,te_raw,cue\r\n"
-                         b"-0.0,-0.0,0\r\n"
+        path.write_bytes(b"t,te_raw\r\n"
+                         b"-0.0,-0.0\r\n"
                          b"\r\n"
-                         b'5e-324,"1e16",1\r\n'
-                         b'"0.01",nan,"0"\r\n'
-                         b"0.015,-1e-05,1\r\n"
-                         b"0.02,1.7976931348623157e308,0\r\n"
+                         b'5e-324,"1e16"\r\n'
+                         b'"0.01",nan\r\n'
+                         b"0.015,-1e-05\r\n"
+                         b"0.02,1.7976931348623157e308\r\n"
                          b"\r\n\r\n")
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
             ref = np.array([[float(v) for v in row] for row in reader if row])
-        back = read_te_csv(path, "src2tgt")
-        for got, col in ((back.times, 0), (back.te_raw, 1)):
+        for got, col in zip(read_te_csv(path), (0, 1)):
             assert got.tobytes() == ref[:, col].tobytes()
-        np.testing.assert_array_equal(back.cue, ref[:, 2] != 0.0)
 
     def test_header_only_trace_is_an_error_without_warning(self, tmp_path):
         import warnings
 
         path = tmp_path / "te.csv"
-        path.write_text("t,te_raw,cue\n")
+        path.write_text("t,te_raw\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataFormatError, match="no samples"):
-                read_te_csv(path, "src2tgt")
+                read_te_csv(path)
 
     @pytest.mark.parametrize("row, match", [
-        ("0.0,1,2,3", "row 2 has 4 fields, expected 3"),
-        ("0.0,x,0", "numeric parse error at row 2"),
+        ("0.0,1,2", "row 2 has 3 fields, expected 2"),
+        ("0.0,x", "numeric parse error at row 2"),
     ])
     def test_bad_row_is_named(self, tmp_path, row, match):
         path = tmp_path / "te.csv"
-        path.write_text("t,te_raw,cue\n0.0,nan,0\n" + row + "\n")
+        path.write_text("t,te_raw\n0.0,nan\n" + row + "\n")
         with pytest.raises(DataFormatError, match=match):
-            read_te_csv(path, "src2tgt")
+            read_te_csv(path)
+
+    def test_trace_with_a_cue_column_is_an_error_naming_its_header(self, tmp_path):
+        """A trace written with the older ``t,te_raw,cue`` layout is refused
+        by its header, not read with a column dropped."""
+        path = tmp_path / "te.csv"
+        path.write_bytes(b"t,te_raw,cue\r\n0.0,0.5,1\r\n")
+        with pytest.raises(DataFormatError,
+                           match=r"te\.csv: header \['t', 'te_raw', 'cue'\] does not match"):
+            read_te_csv(path)
 
 
 class TestEventsCsv:

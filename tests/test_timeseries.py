@@ -24,10 +24,11 @@ def csv_float_rows(path):
 
 
 def write_trial_csv_reference(ts, path):
-    """write_trial_csv as it was, one csv.writer row of repr() strings at a time."""
+    """write_trial_csv as it was, one csv.writer row of repr() strings at a
+    time, each line ending in \\n."""
     times = ts.raw_times if ts.raw_times is not None else ts.times
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", *ts.channels])
         for t, row in zip(times, ts.data):
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
@@ -256,6 +257,26 @@ class TestLoadCsv:
             write_trial_csv_reference(ts, tmp_path / "ref.csv")
             assert ((tmp_path / "new.csv").read_bytes()
                     == (tmp_path / "ref.csv").read_bytes())
+
+    def test_crlf_trial_loads_as_its_lf_rows(self, tmp_path):
+        """A trial is written with \\n line ends.  The same rows with CRLF
+        line ends, as older recordings have them, load bitwise equal."""
+        rng = np.random.default_rng(3)
+        raw = np.cumsum(0.01 + 0.001 * rng.random(50))
+        ts = TimeSeries(channels=("a", "b"), data=rng.standard_normal((50, 2)),
+                        dt=0.0105, raw_times=raw)
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        write_trial_csv(ts, lf)
+        text = lf.read_bytes()
+        assert b"\r" not in text
+        crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+        a, b = load_csv(lf), load_csv(crlf)
+        assert b.raw_times is not None
+        assert a.channels == b.channels == ("a", "b")
+        for x, y in ((a.data, b.data), (a.raw_times, b.raw_times), (a.dt, b.dt),
+                     (a.t0, b.t0)):
+            assert same_bits(x, y)
+        assert same_bits(b.data, ts.data) and same_bits(b.raw_times, raw)
 
     @pytest.mark.parametrize("n", [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
                                    _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 3])
