@@ -115,7 +115,7 @@ class DetectorSettings:
 
 @dataclass(frozen=True)
 class AggregateConfig:
-    bin_dt: float | None = 1.0
+    bin_dt: float = 1.0
     cell_size_m: float | None = None
     position_channels: tuple[str, ...] | None = None
 
@@ -179,7 +179,7 @@ class PipelineConfig:
         # A bin finer than one sample holds nothing a sample-wide bin does
         # not, and bounds the histogram at one bin per analysed sample.
         bin_dt = self.aggregate.bin_dt
-        if bin_dt is not None and bin_dt < self.dt:
+        if bin_dt < self.dt:
             raise ConfigError(
                 f"[aggregate] bin_dt must be at least one sample "
                 f"(1/resample_hz = {self.dt!r} s), got {bin_dt!r}"

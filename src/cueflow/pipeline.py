@@ -335,25 +335,23 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
 
     written: list[str] = []
     for direction in cfg.io.direction_list:
-        if cfg.aggregate.bin_dt is not None:
-            hist_in = []
-            for trial_id, _, t0, duration in manifest:
-                hist_in.append(([replace(e, start_t=e.start_t - t0, end_t=e.end_t - t0)
-                                 for e in by_key.get((trial_id, direction), [])], duration))
-            try:
-                hist = agg.temporal_histogram(hist_in, cfg.aggregate.bin_dt,
-                                              direction=direction)
-            except DataFormatError as exc:
-                if not manifest:
-                    raise
-                # Every event has passed _read_run_dir, so what failed is the
-                # bin count of the longest trial: name its manifest row.
-                path = events_dir / "manifest.csv"
-                row = max(range(len(manifest)), key=lambda i: manifest[i][3])
-                raise DataFormatError(f"{path}: row {file_row(path, row)}: {exc}") from None
-            name = f"histogram_{direction}.csv"
-            storage.write_histogram_csv(hist, out / name)
-            written.append(name)
+        hist_in = []
+        for trial_id, _, t0, duration in manifest:
+            hist_in.append(([replace(e, start_t=e.start_t - t0, end_t=e.end_t - t0)
+                             for e in by_key.get((trial_id, direction), [])], duration))
+        try:
+            hist = agg.temporal_histogram(hist_in, cfg.aggregate.bin_dt, direction=direction)
+        except DataFormatError as exc:
+            if not manifest:
+                raise
+            # Every event has passed _read_run_dir, so what failed is the
+            # bin count of the longest trial: name its manifest row.
+            path = events_dir / "manifest.csv"
+            row = max(range(len(manifest)), key=lambda i: manifest[i][3])
+            raise DataFormatError(f"{path}: row {file_row(path, row)}: {exc}") from None
+        name = f"histogram_{direction}.csv"
+        storage.write_histogram_csv(hist, out / name)
+        written.append(name)
         if (cfg.aggregate.cell_size_m is not None
                 and cfg.aggregate.position_channels and positions is not None):
             grid_in = []

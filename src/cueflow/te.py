@@ -27,7 +27,7 @@ TE_MODES = (ENTROPY_DIFF, LOGLIK_RATIO)
 
 
 def local_te(base: GaussianPredictions, full: GaussianPredictions,
-             targets: np.ndarray, mode: str = ENTROPY_DIFF) -> np.ndarray:
+             targets: np.ndarray, mode: str) -> np.ndarray:
     """Per-timestep TE in nats from baseline/full predictions of the same rows.
 
     ``entropy_diff`` is the predictive-entropy gap H_base - H_full; it

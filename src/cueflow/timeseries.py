@@ -1,8 +1,9 @@
-"""Uniformly sampled multichannel time series, trial collections, and resampling.
+"""Multichannel time series, trial collections, and resampling.
 
 The on-disk trial format is a plain CSV with header ``t,<ch1>,<ch2>,...`` and
-strictly increasing timestamps.  Loading tolerates timestamp jitter; analysis
-code assumes a uniform grid, so jittered recordings are resampled before use.
+strictly increasing timestamps.  A loaded series keeps its recorded
+timestamps, jittered or not; analysis code assumes a uniform grid, so every
+recording is resampled from those timestamps before use.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .errors import CueflowError, DataFormatError
 
-_UNIFORM_RTOL = 1e-9
 _WRITE_BLOCK_ROWS = 4096
 # Items of 8 bytes numpy can index in one array; a longer one is a ValueError.
 MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8
@@ -26,7 +26,8 @@ MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A regularly sampled block of one or more named channels.
+    """A block of one or more named channels, sampled at recorded timestamps
+    or on the grid ``t0 + k*dt``.
 
     Parameters
     ----------
@@ -39,9 +40,10 @@ class TimeSeries:
     t0 : float
         Timestamp of the first sample.
     raw_times : ndarray or None
-        Original (possibly jittered) timestamps.  Kept only so that
-        :func:`resample` can interpolate from the true sample instants;
-        every other operation uses the uniform grid ``t0 + k*dt``.
+        Recorded timestamps, as :func:`load_csv` read them.  When kept they
+        are the series' :attr:`times`, so :func:`resample` interpolates from
+        the true sample instants; when None the series lies on the uniform
+        grid ``t0 + k*dt``.
     """
 
     channels: tuple[str, ...]
@@ -87,7 +89,9 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
-        """Uniform timestamp grid ``t0 + k*dt``."""
+        """The recorded timestamps when kept, else the grid ``t0 + k*dt``."""
+        if self.raw_times is not None:
+            return self.raw_times
         return self.t0 + self.dt * np.arange(self.n_samples)
 
     @property
@@ -276,9 +280,9 @@ def load_csv(path) -> TimeSeries:
 
     Channel names must be distinct, timestamps finite and strictly
     increasing, and values finite; a bad timestamp or value is named by its
-    row, counted as :func:`read_numeric_csv` counts.  ``dt`` is set to the
-    median successive difference and the raw timestamps are retained for
-    resampling when they deviate from a uniform grid.
+    row, counted as :func:`read_numeric_csv` counts.  The ``t`` column is
+    kept as ``raw_times``, whether or not it lies on a uniform grid, and
+    ``dt`` is set to its median successive difference.
     """
     path = Path(path)
     channels, arr = read_numeric_csv(path, lambda header: _trial_channels(path, header))
@@ -304,20 +308,12 @@ def load_csv(path) -> TimeSeries:
         row, col = np.argwhere(~np.isfinite(data))[0]
         raise DataFormatError(f"{path}: value {data[row, col]} in channel {channels[col]!r} "
                               f"at row {file_row(path, int(row))} is not finite")
-    # Deviation from the uniform grid t0 + k*dt.
-    dev = np.arange(len(t), dtype=float)
-    dev *= dt
-    dev += t[0]
-    dev -= t
-    raw = t if np.abs(dev, out=dev).max() > _UNIFORM_RTOL * max(dt, 1.0) else None
-    del dev
-    return TimeSeries(channels=channels, data=data, dt=dt, t0=float(t[0]), raw_times=raw)
+    return TimeSeries(channels=channels, data=data, dt=dt, t0=float(t[0]), raw_times=t)
 
 
 def write_trial_csv(ts: TimeSeries, path) -> None:
     """Write a trial CSV that :func:`load_csv` reads back losslessly."""
-    times = ts.raw_times if ts.raw_times is not None else ts.times
-    write_columns_csv(path, ["t", *ts.channels], [times, *ts.data.T])
+    write_columns_csv(path, ["t", *ts.channels], [ts.times, *ts.data.T])
 
 
 @contextmanager
@@ -347,13 +343,15 @@ def write_columns_csv(path, header: list[str], columns) -> None:
 def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:
     """Linearly interpolate onto a uniform grid at ``rate_hz``.
 
-    The grid starts at ``t0`` and covers the recorded span; no extrapolation
-    beyond the last sample.  Resampling a uniform series at its own rate is
-    an identity (within float rounding).
+    Interpolates from :attr:`TimeSeries.times`, the recorded timestamps of
+    a loaded series.  The grid ``t0 + k * (1/rate_hz)`` starts at ``t0`` and
+    covers the recorded span; no extrapolation beyond the last sample.  A
+    series whose timestamps are that grid comes back with every sample and
+    value bitwise, as interpolation at a recorded instant returns its value.
     """
     if not (np.isfinite(rate_hz) and rate_hz > 0):
         raise DataFormatError(f"rate_hz must be positive, got {rate_hz}")
-    src_t = ts.raw_times if ts.raw_times is not None else ts.times
+    src_t = ts.times
     t_end = float(src_t[-1])
     n_out = np.floor((t_end - ts.t0) * rate_hz + 1e-9) + 1
     if not n_out <= MAX_ARRAY_ITEMS:
@@ -372,7 +370,7 @@ def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:
 
 def trim_start(ts: TimeSeries, start_s: float) -> TimeSeries:
     """Drop samples before ``start_s`` (absolute time) and re-base the clock to 0."""
-    src_t = ts.raw_times if ts.raw_times is not None else ts.times
+    src_t = ts.times
     keep = src_t >= start_s - 1e-12
     if not keep.any():
         raise DataFormatError(f"trim at {start_s} s leaves no samples")

@@ -19,7 +19,7 @@ from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.models import (AUGMENTED, BASELINE, _init_layers, _nll_and_grads, fit_var,
                             predict_dataset)
 from cueflow.synth import CueScenario, Var1Spec, gen_cue_scenario, gen_var1
-from cueflow.te import local_te
+from cueflow.te import ENTROPY_DIFF, local_te
 from cueflow.timeseries import TimeSeries, Trial, TrialSet
 
 # End-to-end scenario constants, shared by the synth examples and the
@@ -150,7 +150,7 @@ def _var1_mean_te(spec: Var1Spec, reverse: bool = False) -> float:
     ds = embed([gen_var1(spec)], EmbeddingSpec(d=1, delta_s=spec.dt, dt=spec.dt), roles)
     base = predict_dataset(fit_var(ds, BASELINE), ds)
     full = predict_dataset(fit_var(ds, AUGMENTED), ds)
-    return float(np.mean(local_te(base, full, ds.targets)))
+    return float(np.mean(local_te(base, full, ds.targets, mode=ENTROPY_DIFF)))
 
 
 @pytest.fixture(scope="session")

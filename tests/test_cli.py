@@ -344,6 +344,21 @@ class TestRunFlow:
         assert rows[2].startswith("t000,cue_scenario,")
         assert (run_dir / "histogram_src2tgt.csv").exists()
 
+    def test_a_200hz_trial_keeps_its_full_duration(self, cue_run_config, tmp_path, capsys):
+        """A 120 s trial recorded at the analysis rate of 200 Hz is analysed
+        over its 24,001 recorded samples, so the manifest lists it at
+        120.0 s, not one sample short."""
+        rate = ["--set", "io.resample_hz=200", "--set", "synth.rate_hz=200"]
+        trials_dir, run_dir = tmp_path / "trials", tmp_path / "run"
+        assert main(["synth", "--config", str(cue_run_config), *rate,
+                     "--set", "synth.n_trials=1", "--set", "synth.duration_s=120",
+                     "--out", str(trials_dir)]) == 0
+        assert main(["run", "--config", str(cue_run_config), *rate,
+                     "--trials", str(trials_dir), "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        rows = (run_dir / "manifest.csv").read_text().splitlines()
+        assert rows == ["trial,scenario,t0,duration_s", "t000,cue_scenario,0.0,120.0"]
+
 
 class TestBadInputExits2:
     """A bad input file or metadata value is a data error, not a traceback."""

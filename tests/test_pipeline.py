@@ -24,7 +24,7 @@ from cueflow.pipeline import (
     validate_config,
 )
 from cueflow.synth import CueScenario, te_oracle_var1
-from cueflow.timeseries import TrialSet
+from cueflow.timeseries import TrialSet, read_numeric_csv
 
 from conftest import (E2E_CUE_T, E2E_RATE_HZ, _cue_trial, _e2e_config,
                       run_read_back, var1_trial, var1_trial_set)
@@ -422,6 +422,29 @@ class TestRunErrors:
         cfg = make_config(resample_hz=rate_hz, delta_s=1.0 / rate_hz)
         prepared = prepare_trials(trials, cfg)
         assert [trial.series.dt for trial in prepared] == [cfg.embedding_spec.dt] * 2
+
+
+class TestPrepareKeepsRecordedSamples:
+    @pytest.mark.parametrize("rate_hz", [200.0, 115.0, 10.0])
+    def test_trials_written_at_the_analysis_rate_keep_every_row(self, rate_hz, tmp_path):
+        """Trials that ``write_trial_dir`` wrote at ``resample_hz`` come out of
+        ``prepare_trials`` with every written row, timestamp and value bitwise:
+        resampling reads the recorded clock, which is the analysis grid."""
+        cfg = _e2e_config()
+        cfg = replace(cfg, io=replace(cfg.io, resample_hz=rate_hz),
+                      embedding=EmbeddingConfig(d=4, delta_s=1.0 / rate_hz))
+        scen = CueScenario(duration_s=12.0, cue_times=(8.0,), response_delay_s=0.05,
+                           amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=rate_hz)
+        storage.write_trial_dir(TrialSet(trials=tuple(
+            _cue_trial(f"t00{i}", "driven", replace(scen, seed=i)) for i in range(4))),
+            tmp_path)
+        prepared = prepare_trials(storage.load_trial_dir(tmp_path), cfg)
+        for trial in prepared:
+            rows = read_numeric_csv(tmp_path / f"driven__{trial.trial_id}.csv",
+                                    lambda header: None)[1]
+            assert trial.series.n_samples == rows.shape[0] == round(12.0 * rate_hz) + 1
+            assert trial.series.times.tobytes() == rows[:, 0].tobytes()
+            assert trial.series.data.tobytes() == np.ascontiguousarray(rows[:, 1:]).tobytes()
 
 
 @pytest.fixture(scope="module")

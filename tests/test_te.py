@@ -81,7 +81,7 @@ class TestLocalTe:
     def test_halved_variance_gives_half_log_two(self):
         base = preds(np.zeros((5, 1)), var=np.ones((5, 1)))
         full = preds(np.zeros((5, 1)), var=np.full((5, 1), 0.5))
-        te = local_te(base, full, np.zeros((5, 1)))
+        te = local_te(base, full, np.zeros((5, 1)), mode=ENTROPY_DIFF)
         np.testing.assert_allclose(te, 0.34657359027997264, rtol=0, atol=1e-12)
         assert te.dtype == np.float64 and te.shape == (5,)
 
@@ -113,11 +113,11 @@ class TestLocalTe:
         var_f = rng.uniform(0.1, 1.0, size=(30, 1))
         te0 = local_te(preds(np.zeros((30, 1)), var=var_b),
                        preds(np.zeros((30, 1)), var=var_f),
-                       np.zeros((30, 1)))
+                       np.zeros((30, 1)), mode=ENTROPY_DIFF)
         shift = rng.standard_normal((30, 1)) * 10
         te1 = local_te(preds(shift, var=var_b),
                        preds(-shift, var=var_f),
-                       np.zeros((30, 1)))
+                       np.zeros((30, 1)), mode=ENTROPY_DIFF)
         np.testing.assert_array_equal(te0, te1)
 
     def test_common_variance_scaling_cancels(self):
@@ -126,9 +126,10 @@ class TestLocalTe:
         var_b = rng.uniform(0.5, 2.0, size=(30, 2))
         var_f = rng.uniform(0.1, 1.0, size=(30, 2))
         zeros = np.zeros((30, 2))
-        te0 = local_te(preds(zeros, var=var_b), preds(zeros, var=var_f), zeros)
+        te0 = local_te(preds(zeros, var=var_b), preds(zeros, var=var_f), zeros,
+                       mode=ENTROPY_DIFF)
         te1 = local_te(preds(zeros, var=7.0 * var_b),
-                       preds(zeros, var=7.0 * var_f), zeros)
+                       preds(zeros, var=7.0 * var_f), zeros, mode=ENTROPY_DIFF)
         np.testing.assert_allclose(te0, te1, atol=1e-12)
 
     def test_non_finite_te_rejected(self):

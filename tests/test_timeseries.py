@@ -89,7 +89,7 @@ class TestLoadCsv:
         ts = load_csv(p)
         assert ts.channels == ("x", "y")
         assert ts.dt == pytest.approx(0.1)
-        assert ts.raw_times is None  # uniform grid detected
+        assert same_bits(ts.raw_times, [0.0, 0.1, 0.2])  # the written t column
         np.testing.assert_array_equal(ts.data[:, 0], [1.0, 2.0, 3.0])
 
     def test_dt_is_median_of_diffs(self, tmp_path):
@@ -162,6 +162,17 @@ class TestLoadCsv:
         np.testing.assert_array_equal(back.data, ts.data)
         np.testing.assert_allclose(back.times, ts.times, rtol=0, atol=1e-12)
         assert back.channels == ts.channels
+
+    @pytest.mark.parametrize("rate_hz", [200.0, 115.0, 10.0])
+    def test_rewriting_a_loaded_trial_gives_the_same_bytes(self, rate_hz, tmp_path):
+        """A trial cueflow wrote, loaded and written again, is the same file:
+        the recorded clock is written back, not a grid rebuilt from dt."""
+        rng = np.random.default_rng(5)
+        ts = make_series(rng.standard_normal((int(60 * rate_hz) + 1, 2)), dt=1.0 / rate_hz)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_trial_csv(ts, first)
+        write_trial_csv(load_csv(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_round_trip_keeps_jittered_times(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -315,8 +326,7 @@ class TestLoadCsv:
         back = load_csv(path)
         assert same_bits(back.data, values)
         assert same_bits(back.t0, times[0])
-        if back.raw_times is not None:
-            assert same_bits(back.raw_times, times)
+        assert same_bits(back.raw_times, times)
 
 
 class TestResample:
