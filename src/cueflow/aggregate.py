@@ -60,12 +60,9 @@ class PeakTeReport:
 
 def _bins_hit(start: float, end: float, bin_dt: float, n_bins: int) -> range:
     """Bin indices a cue interval [start, end) touches; instants count as points."""
-    if end > start:
-        lo = int(math.floor(start / bin_dt))
-        hi = int(math.ceil(end / bin_dt))  # exclusive; boundary-ending events stop short
-    else:
-        lo = int(math.floor(start / bin_dt))
-        hi = lo + 1
+    lo = int(math.floor(start / bin_dt))
+    # hi is exclusive; boundary-ending events stop short
+    hi = int(math.ceil(end / bin_dt)) if end > start else lo + 1
     return range(max(lo, 0), min(hi, n_bins))
 
 

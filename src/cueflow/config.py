@@ -4,27 +4,36 @@ Files use ``configparser`` sections ``[io]``, ``[embedding]``, ``[model]``,
 ``[detector]``, ``[aggregate]``, and optionally ``[synth]``.  Every key maps
 one-to-one onto a field of its section's dataclass, which holds the key's
 type, default and checks; unknown sections or keys are hard errors so typos
-never silently fall back to defaults.  Command-line overrides take the
+never silently fall back to defaults.  The ``[embedding]`` and
+``[detector]`` sections are the stage types themselves,
+:class:`~cueflow.embedding.EmbeddingSpec` and
+:class:`~cueflow.detector.DetectorConfig`, and ``fit_mlp`` reads the
+``[model]`` section's :class:`ModelConfig`.  Command-line overrides take the
 form ``section.key=value``.  Every rule is checked when the config is
-built, so a config that exists is one the pipeline accepts.
+built: each section's own when it is, and the three that need the sample
+step ``1/resample_hz`` when :class:`PipelineConfig` joins the sections.  So
+a config that exists is one the pipeline accepts.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, Field, asdict, dataclass, field, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 
 from .detector import DetectorConfig
 from .embedding import EmbeddingSpec
-from .errors import ConfigError, CueflowError
-from .models import MLP_GAUSSIAN, VAR_LINEAR, TrainConfig
+from .errors import ConfigError
+from .models import MLP_GAUSSIAN, VAR_LINEAR
 from .te import LOGLIK_RATIO, SRC2TGT, TE_MODES, TGT2SRC
 
 DIRECTION_CHOICES = ("both", SRC2TGT, TGT2SRC)
 MODEL_KINDS = (VAR_LINEAR, MLP_GAUSSIAN)
 SYNTH_KINDS = ("cue_scenario", "var1")
+# How far, relative to the larger of the two, delta_s may lie from a whole
+# number of sample steps.
+_LAG_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,12 +70,6 @@ class IoConfig:
 
 
 @dataclass(frozen=True)
-class EmbeddingConfig:
-    d: int
-    delta_s: float
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     kind: str = VAR_LINEAR
     te_mode: str = LOGLIK_RATIO
@@ -95,22 +98,6 @@ class ModelConfig:
                 f"[model] hidden needs at least one layer width, each at least 1, "
                 f"got {self.hidden}"
             )
-
-    def train_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, learning_rate=self.learning_rate,
-                           batch_size=self.batch_size, seed=seed)
-
-
-@dataclass(frozen=True)
-class DetectorSettings:
-    """Detector knobs minus the sample step, which follows from resample_hz;
-    :attr:`PipelineConfig.detector_config` joins the two and checks them."""
-
-    alpha: float
-    beta: float
-    gamma: float = 3.0
-    hp_cutoff_hz: float = 1.0
-    skip_warmup: bool = True
 
 
 @dataclass(frozen=True)
@@ -170,43 +157,38 @@ class PipelineConfig:
     # One field per section, in the order sections are parsed and their
     # errors reported; kw_only lets a required section follow an optional one.
     io: IoConfig
-    embedding: EmbeddingConfig
+    embedding: EmbeddingSpec
     model: ModelConfig = field(default_factory=ModelConfig)
-    detector: DetectorSettings
+    detector: DetectorConfig
     aggregate: AggregateConfig = field(default_factory=AggregateConfig)
 
     def __post_init__(self) -> None:
+        dt = self.dt
         # A bin finer than one sample holds nothing a sample-wide bin does
         # not, and bounds the histogram at one bin per analysed sample.
         bin_dt = self.aggregate.bin_dt
-        if bin_dt < self.dt:
+        if bin_dt < dt:
             raise ConfigError(
                 f"[aggregate] bin_dt must be at least one sample "
-                f"(1/resample_hz = {self.dt!r} s), got {bin_dt!r}"
+                f"(1/resample_hz = {dt!r} s), got {bin_dt!r}"
             )
-        # The embedding and detector rules need the sample step too: build
-        # what the run uses, and name the section of a rule it breaks.
-        for section, build in (("embedding", lambda: self.embedding_spec),
-                               ("detector", lambda: self.detector_config)):
-            try:
-                build()
-            except CueflowError as exc:
-                raise ConfigError(f"[{section}] {exc}") from None
+        # The lags are whole samples; a ratio too large for round() is none.
+        delta_s = self.embedding.delta_s
+        ratio = delta_s / dt
+        stride = round(ratio) if math.isfinite(ratio) else 0
+        if stride < 1 or abs(stride * dt - delta_s) > _LAG_RTOL * max(delta_s, dt):
+            raise ConfigError(
+                f"[embedding] delta_s={delta_s} is not an integer multiple of dt={dt}"
+            )
+        nyquist = 0.5 / dt
+        if self.detector.hp_cutoff_hz >= nyquist:
+            raise ConfigError(f"[detector] hp_cutoff_hz={self.detector.hp_cutoff_hz} "
+                              f"must be below Nyquist {nyquist}")
 
     @property
     def dt(self) -> float:
         """Post-resampling sample step in seconds."""
         return 1.0 / self.io.resample_hz
-
-    @property
-    def embedding_spec(self) -> EmbeddingSpec:
-        """The ``[embedding]`` section on the analysis sample grid."""
-        return EmbeddingSpec(d=self.embedding.d, delta_s=self.embedding.delta_s, dt=self.dt)
-
-    @property
-    def detector_config(self) -> DetectorConfig:
-        """The ``[detector]`` section at the analysis sample step."""
-        return DetectorConfig(dt=self.dt, **asdict(self.detector))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +198,8 @@ class PipelineConfig:
 # Each section's dataclass is its schema: the section's keys are the class's
 # fields, a key is required when its field has no default, and the field's
 # annotation picks the reader below.  A reader raises ValueError on bad text.
-_SECTIONS = {"io": IoConfig, "embedding": EmbeddingConfig, "model": ModelConfig,
-             "detector": DetectorSettings, "aggregate": AggregateConfig,
+_SECTIONS = {"io": IoConfig, "embedding": EmbeddingSpec, "model": ModelConfig,
+             "detector": DetectorConfig, "aggregate": AggregateConfig,
              "synth": SynthSettings}
 
 

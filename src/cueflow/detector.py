@@ -27,15 +27,18 @@ MIN_EVENT_SAMPLES = 2
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Smoothing rates, threshold width, high-pass cutoff, and sample step.
+    """The ``[detector]`` section: smoothing rates, threshold width and
+    high-pass cutoff.
 
     ``skip_warmup`` drops events that begin inside the first level
     time-constant of the series, where the smoother is still initializing.
+    The cutoff must also lie below the Nyquist rate of the sample step
+    ``1/resample_hz``: :class:`~cueflow.config.PipelineConfig` checks that
+    rule, since it needs the step.
     """
 
     alpha: float
     beta: float
-    dt: float
     gamma: float = 3.0
     hp_cutoff_hz: float = 1.0
     skip_warmup: bool = True
@@ -44,18 +47,12 @@ class DetectorConfig:
         for name in ("alpha", "beta"):
             v = getattr(self, name)
             if not (0.0 < v < 1.0):
-                raise ConfigError(f"{name} must lie in (0, 1), got {v}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+                raise ConfigError(f"[detector] {name} must lie in (0, 1), got {v}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+            raise ConfigError(f"[detector] gamma must be positive, got {self.gamma}")
         if not (math.isfinite(self.hp_cutoff_hz) and self.hp_cutoff_hz > 0):
-            raise ConfigError(f"hp_cutoff_hz must be positive, got {self.hp_cutoff_hz}")
-        nyquist = 0.5 / self.dt
-        if self.hp_cutoff_hz >= nyquist:
             raise ConfigError(
-                f"hp_cutoff_hz={self.hp_cutoff_hz} must be below Nyquist {nyquist}"
-            )
+                f"[detector] hp_cutoff_hz must be positive, got {self.hp_cutoff_hz}")
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,12 @@ class DetectionTrace:
 
     The in-memory output of :func:`detect_trace`.  A TE trace CSV holds
     ``times`` and ``te_raw`` only, and the events go to ``events.csv``:
-    ``detect_trace(direction, t, te_raw, cfg)`` on a written trace's columns
+    ``detect_trace(direction, t, te_raw, cfg, dt)`` on a written trace's columns
     (``storage.read_te_csv``) rebuilds the mask and the events bitwise, as
     :func:`highpass` and :func:`des_threshold` rebuild the filtered TE and
     the threshold, which are not kept either.
     """
 
-    direction: str
     times: np.ndarray
     te_raw: np.ndarray
     cue: np.ndarray
@@ -106,9 +102,10 @@ def highpass(te_raw: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
 
     x is ``te_raw``, and ``a = RC / (RC + dt)`` with ``RC = 1 / (2*pi*cutoff_hz)``.
     A constant input maps to exactly zero; a unit step jumps to ``a`` and
-    decays geometrically.  ``cutoff_hz`` and ``dt`` are a
-    :class:`DetectorConfig`'s, which checks them: positive, and the cutoff
-    below the Nyquist rate.
+    decays geometrically.  ``cutoff_hz`` is a :class:`DetectorConfig`'s and
+    ``dt`` the sample step ``1/resample_hz``; the checked
+    :class:`~cueflow.config.PipelineConfig` holding both has them positive,
+    and the cutoff below the Nyquist rate.
     """
     rc = 1.0 / (2.0 * math.pi * cutoff_hz)
     a = rc / (rc + dt)
@@ -166,9 +163,10 @@ def des_threshold(filtered: np.ndarray, cfg: DetectorConfig
 
 
 def detect_trace(direction: str, times: np.ndarray, te_raw: np.ndarray,
-                 cfg: DetectorConfig) -> DetectionTrace:
-    """Run the full detector on the local TE ``te_raw`` sampled at ``times``;
-    the returned trace shares both arrays.
+                 cfg: DetectorConfig, dt: float) -> DetectionTrace:
+    """Run the full detector on the local TE ``te_raw`` sampled at ``times``,
+    ``dt`` apart; the returned trace shares both arrays, and its events carry
+    ``direction``.
 
     The cue mask at t requires ``te_raw[t] > 0`` and the :func:`highpass`
     output to exceed its :func:`des_threshold` at t; maximal runs of the
@@ -180,14 +178,14 @@ def detect_trace(direction: str, times: np.ndarray, te_raw: np.ndarray,
     """
     if te_raw.size < 2:
         raise DataFormatError("detector needs at least two samples")
-    filtered = highpass(te_raw, cfg.hp_cutoff_hz, cfg.dt)
+    filtered = highpass(te_raw, cfg.hp_cutoff_hz, dt)
     _, _, threshold = des_threshold(filtered, cfg)
     with np.errstate(invalid="ignore"):
         mask = (te_raw > 0.0) & (filtered > threshold)
     events = []
     warmup_end = times[0]
     if cfg.skip_warmup:
-        warmup_end = times[0] + time_constants(cfg.alpha, cfg.beta, cfg.dt)[0]
+        warmup_end = times[0] + time_constants(cfg.alpha, cfg.beta, dt)[0]
     padded = np.concatenate([[False], mask, [False]])
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
     for lo, hi in zip(edges[::2], edges[1::2]):  # [lo, hi) in sample indices
@@ -201,5 +199,4 @@ def detect_trace(direction: str, times: np.ndarray, te_raw: np.ndarray,
             peak_te=float(np.max(te_raw[run])),
             direction=direction,
         ))
-    return DetectionTrace(direction=direction, times=times, te_raw=te_raw, cue=mask,
-                          events=events)
+    return DetectionTrace(times=times, te_raw=te_raw, cue=mask, events=events)

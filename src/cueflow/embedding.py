@@ -14,48 +14,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError
 from .timeseries import TimeSeries
-
-_LAG_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
-    """Embedding order ``d``, lag spacing ``delta_s`` (s), and sample step ``dt`` (s).
+    """The ``[embedding]`` section: embedding order ``d`` and lag spacing
+    ``delta_s`` (s).
 
-    ``delta_s`` must be an integer multiple of ``dt`` (to 1e-9 relative);
-    the integer ratio is exposed as :attr:`stride`.
+    The spacing is a whole number of samples of the series embedded, which
+    are on the step ``1/resample_hz``: :class:`~cueflow.config.PipelineConfig`
+    checks the rule, since it needs that step.
     """
 
     d: int
     delta_s: float
-    dt: float
 
     def __post_init__(self) -> None:
         if int(self.d) != self.d or self.d < 1:
-            raise DataFormatError(f"embedding order d must be a positive integer, got {self.d}")
+            raise ConfigError(
+                f"[embedding] embedding order d must be a positive integer, got {self.d}")
         if not (np.isfinite(self.delta_s) and self.delta_s > 0):
-            raise DataFormatError(f"delta_s must be positive, got {self.delta_s}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise DataFormatError(f"dt must be positive, got {self.dt}")
-        ratio = self.delta_s / self.dt
-        stride = round(ratio) if np.isfinite(ratio) else 0
-        if stride < 1 or abs(stride * self.dt - self.delta_s) > _LAG_RTOL * max(self.delta_s, self.dt):
-            raise DataFormatError(
-                f"delta_s={self.delta_s} is not an integer multiple of dt={self.dt}"
-            )
+            raise ConfigError(f"[embedding] delta_s must be positive, got {self.delta_s}")
         object.__setattr__(self, "d", int(self.d))
 
-    @property
-    def stride(self) -> int:
-        """Lag spacing in samples."""
-        return round(self.delta_s / self.dt)
+    def stride(self, dt: float) -> int:
+        """Lag spacing in samples of step ``dt``."""
+        return round(self.delta_s / dt)
 
-    @property
-    def horizon(self) -> int:
+    def horizon(self, dt: float) -> int:
         """Samples of history consumed before the first usable row: ``d * stride``."""
-        return self.d * self.stride
+        return self.d * self.stride(dt)
 
 
 @dataclass(frozen=True)
@@ -95,14 +85,15 @@ def embed(series: list[TimeSeries], spec: EmbeddingSpec,
 
     ``channels`` is the (target names, source names) pair: those channels
     of each series, in that order, are read in place as the target and the
-    source.  Each series is on the spec's sample step and longer than
-    ``spec.horizon``: ``pipeline.prepare_trials`` resamples every trial to
-    the step and names one too short to embed.  A series of ``N`` samples
-    gives ``N - d * stride`` rows, stacked in series order: its first
-    ``d * stride`` samples are consumed as history, so no history row
-    reaches across two trials.
+    source.  The lags are whole samples of each series' own step ``dt``,
+    and each series is longer than ``spec.horizon(dt)``:
+    ``pipeline.prepare_trials`` resamples every trial to ``1/resample_hz``,
+    of which ``delta_s`` is a checked multiple, and names one too short to
+    embed.  A series of ``N`` samples gives ``N - d * stride`` rows, stacked
+    in series order: its first ``d * stride`` samples are consumed as
+    history, so no history row reaches across two trials.
     """
-    rows = [ts.n_samples - spec.horizon for ts in series]
+    rows = [ts.n_samples - spec.horizon(ts.dt) for ts in series]
     n_tgt, n_src = map(len, channels)
     # Every lag of every channel is written straight into its column of one
     # column-major block, so each column (and the target and source blocks)
@@ -111,11 +102,12 @@ def embed(series: list[TimeSeries], spec: EmbeddingSpec,
     targets = np.empty((sum(rows), n_tgt), order="F")
     times = np.empty(sum(rows))
     design[:, 0] = 1.0
-    off, lo = spec.horizon, 0
+    lo = 0
     for ts, n_rows in zip(series, rows):
-        hi = lo + n_rows
+        hi, stride = lo + n_rows, spec.stride(ts.dt)
+        off = spec.d * stride
         tgt_idx, src_idx = ([ts.channel_index(name) for name in names] for names in channels)
-        np.concatenate([ts.data[off - j * spec.stride: off - j * spec.stride + n_rows, c, None]
+        np.concatenate([ts.data[off - j * stride: off - j * stride + n_rows, c, None]
                         for idx in (tgt_idx, src_idx)
                         for j in range(1, spec.d + 1) for c in idx],
                        axis=1, out=design[lo:hi, 1:])

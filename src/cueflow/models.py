@@ -183,16 +183,6 @@ def fit_var(ds: EmbeddedDataset, conditioning: str = BASELINE) -> FittedModel:
 # Heteroscedastic MLP
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Minibatch gradient-descent settings for :func:`fit_mlp`."""
-
-    epochs: int = 200
-    learning_rate: float = 1e-3
-    batch_size: int = 256
-    seed: int = 0
-
-
 def _init_layers(input_dim: int, output_dim: int, hidden, rng) -> list[np.ndarray]:
     sizes = [input_dim, *hidden, 2 * output_dim]
     layers: list[np.ndarray] = []
@@ -289,18 +279,19 @@ def _nll_and_grads(layers, x, y, output_dim, grads=None, work=None):
     return nll, grads
 
 
-def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
-            hidden: tuple[int, ...] = (64, 64),
-            train: TrainConfig | None = None) -> FittedModel:
+def fit_mlp(ds: EmbeddedDataset, conditioning: str, model, seed: int) -> FittedModel:
     """Train the heteroscedastic Gaussian network with Adam.
 
-    Inputs and targets are standardized internally (the stored scalers map
-    predictions back to original units), which keeps the default learning
-    rate usable across data scales.  Raises
+    ``model`` is the ``[model]`` section, a :class:`cueflow.config.ModelConfig`
+    (not imported here: ``config`` imports this module).  Its ``hidden``
+    layer widths shape the network; ``epochs``, ``learning_rate`` and
+    ``batch_size`` set the minibatch descent, whose initial weights and row
+    order follow from ``seed``.  Inputs and targets are standardized
+    internally (the stored scalers map predictions back to original units),
+    which keeps the default learning rate usable across data scales.  Raises
     :class:`~cueflow.errors.TrainingDivergedError` on a non-finite batch
     objective.
     """
-    train = train or TrainConfig()
     x_raw = _design_rows(ds, conditioning)
     y_raw = ds.targets
     n, p = x_raw.shape
@@ -317,13 +308,13 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     # as np.take copies any other layout before it gathers rows.
     x32, y32 = x.astype(np.float32, order="C"), y.astype(np.float32, order="C")
 
-    rng = np.random.default_rng(train.seed)
+    rng = np.random.default_rng(seed)
     # Layers and gradients (written by _nll_and_grads) are views into flat
     # buffers, so each Adam step is a few whole-buffer in-place operations.
     # They keep the elementwise order of the per-layer update
     #   w = w - lr * (m / c1) / (sqrt(v / c2) + eps)
     # so the trained weights are bitwise the same.
-    init = _init_layers(p, d, hidden, rng)
+    init = _init_layers(p, d, model.hidden, rng)
     flat = np.concatenate([q.ravel() for q in init]).astype(np.float32)
     grad = np.empty_like(flat)
     layers, grad_views, at = [], [], 0
@@ -335,7 +326,7 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     m_hat, v_hat = np.empty_like(flat), np.empty_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-    batch = max(1, min(train.batch_size, n))
+    batch = max(1, min(model.batch_size, n))
     # Each epoch's shuffled rows, and the work arrays of the full and the
     # short last batch, are allocated once; rng.shuffle of a fresh arange is
     # rng.permutation, so the order of the rows is unchanged.  np.take buffers
@@ -348,7 +339,7 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
     # A diverging run overflows exp and makes inf - inf on its way to the
     # non-finite NLL below, which is its one report.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(train.epochs):
+        for epoch in range(model.epochs):
             order[:] = rows
             rng.shuffle(order)
             np.take(x32, order, axis=0, out=x_epoch, mode="clip")
@@ -373,7 +364,7 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
                 np.divide(v, 1 - beta2**step, out=v_hat)
                 np.sqrt(v_hat, out=v_hat)
                 v_hat += eps
-                m_hat *= train.learning_rate
+                m_hat *= model.learning_rate
                 m_hat /= v_hat
                 flat -= m_hat
 
@@ -389,7 +380,7 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str = BASELINE,
         conditioning=conditioning,
         output_dim=d,
         params=params,
-        hidden=tuple(hidden),
+        hidden=tuple(model.hidden),
         train_report=TrainReport(final_nll=final_nll, n_iter=step),
     )
 

@@ -73,8 +73,7 @@ def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
     There are no errors to report: a config that breaks a rule raises a
     :class:`ConfigError` when it is built, so it never gets here.
     """
-    det = cfg.detector_config
-    tau_level, tau_trend = time_constants(det.alpha, det.beta, det.dt)
+    tau_level, tau_trend = time_constants(cfg.detector.alpha, cfg.detector.beta, cfg.dt)
     out = [Diagnostic("info", f"threshold level time constant {tau_level:.4g} s, "
                               f"trend time constant {tau_trend:.4g} s")]
     if tau_trend > tau_level:
@@ -123,7 +122,7 @@ def prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> PreparedTrials:
     for key in trials.metadata:
         if key.startswith(TRIM_KEY_PREFIX) and key[len(TRIM_KEY_PREFIX):] not in ids:
             raise DataFormatError(f"metadata {key}: no trial with that id")
-    horizon = cfg.embedding_spec.horizon
+    horizon = cfg.embedding.horizon(cfg.dt)
     out = []
     for trial in trials:
         try:
@@ -155,16 +154,14 @@ def _fit_pair(group: list[Trial], cfg: PipelineConfig, seed: int, scenario: str,
               direction: str) -> DirectionModels:
     """Embed one scenario's trials for ``direction`` into one block and fit the pair."""
     try:
-        pooled = embed([trial.series for trial in group], cfg.embedding_spec,
+        pooled = embed([trial.series for trial in group], cfg.embedding,
                        _direction_roles(cfg, direction))
         if cfg.model.kind == VAR_LINEAR:
             base = fit_var(pooled, BASELINE)
             full = fit_var(pooled, AUGMENTED)
         else:
-            base = fit_mlp(pooled, BASELINE, hidden=cfg.model.hidden,
-                           train=cfg.model.train_config(seed))
-            full = fit_mlp(pooled, AUGMENTED, hidden=cfg.model.hidden,
-                           train=cfg.model.train_config(seed + 1))
+            base = fit_mlp(pooled, BASELINE, cfg.model, seed)
+            full = fit_mlp(pooled, AUGMENTED, cfg.model, seed + 1)
     except CueflowError as exc:
         raise PipelineError(f"scenario {scenario!r}, stage fit ({direction}): {exc}") from exc
     logger.info("fitted scenario %r, direction %s (%s): baseline NLL %.6g, "
@@ -209,13 +206,13 @@ def _analyze_direction(trial: Trial, direction: str, cfg: PipelineConfig,
     """Detect cues on one prepared trial in one direction and write its TE
     trace; only the events outlive the call."""
     try:
-        ds = embed([trial.series], cfg.embedding_spec, _direction_roles(cfg, direction))
+        ds = embed([trial.series], cfg.embedding, _direction_roles(cfg, direction))
         times = ds.times
         te_raw = local_te(predict_dataset(pair.baseline, ds),
                           predict_dataset(pair.augmented, ds), ds.targets,
                           mode=cfg.model.te_mode)
         del ds  # detection needs the times and the TE alone
-        trace = detect_trace(direction, times, te_raw, cfg.detector_config)
+        trace = detect_trace(direction, times, te_raw, cfg.detector, cfg.dt)
     except CueflowError as exc:
         raise PipelineError(
             f"trial {trial.trial_id!r}, stage te ({direction}): {exc}"

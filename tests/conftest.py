@@ -5,16 +5,16 @@ so they run once per session and every module that needs them shares the
 result.
 """
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cueflow import pipeline, storage
-from cueflow.config import (AggregateConfig, DetectorSettings, EmbeddingConfig,
-                            IoConfig, ModelConfig, PipelineConfig)
-from cueflow.detector import detect_trace
+from cueflow.config import AggregateConfig, IoConfig, ModelConfig, PipelineConfig
+from cueflow.detector import DetectorConfig, detect_trace
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.models import (AUGMENTED, BASELINE, _init_layers, _nll_and_grads, fit_var,
                             predict_dataset)
@@ -47,12 +47,12 @@ def _e2e_config() -> PipelineConfig:
         io=IoConfig(target_channels=("follower_vx", "follower_vy"),
                     source_channels=("leader_vx", "leader_vy"),
                     resample_hz=E2E_RATE_HZ, directions="src2tgt", seed=0),
-        embedding=EmbeddingConfig(d=4, delta_s=0.1),
+        embedding=EmbeddingSpec(d=4, delta_s=0.1),
         model=ModelConfig(kind="mlp_gaussian", te_mode="entropy_diff",
                           hidden=(64, 64), epochs=200),
-        detector=DetectorSettings(alpha=1.0 - np.exp(-1.0 / 60.0),
-                                  beta=1.0 - np.exp(-1.0 / 10.0),
-                                  gamma=3.0, hp_cutoff_hz=0.5),
+        detector=DetectorConfig(alpha=1.0 - np.exp(-1.0 / 60.0),
+                                beta=1.0 - np.exp(-1.0 / 10.0),
+                                gamma=3.0, hp_cutoff_hz=0.5),
         aggregate=AggregateConfig(bin_dt=1.0),
     )
 
@@ -70,7 +70,7 @@ def run_read_back(trials: TrialSet, cfg: PipelineConfig, out_dir):
     def read_back(trial_id, direction, events):
         path = Path(out_dir) / pipeline.te_csv_name(trial_id, direction)
         times, te_raw = storage.read_te_csv(path)
-        return replace(detect_trace(direction, times, te_raw, cfg.detector_config),
+        return replace(detect_trace(direction, times, te_raw, cfg.detector, cfg.dt),
                        events=events)
 
     traces = [{direction: read_back(r.trial_id, direction, events)
@@ -147,7 +147,7 @@ def _var1_mean_te(spec: Var1Spec, reverse: bool = False) -> float:
     entropy-difference local TE.  ``reverse`` estimates x -> y instead.
     """
     roles = (("y",), ("x",)) if reverse else (("x",), ("y",))
-    ds = embed([gen_var1(spec)], EmbeddingSpec(d=1, delta_s=spec.dt, dt=spec.dt), roles)
+    ds = embed([gen_var1(spec)], EmbeddingSpec(d=1, delta_s=spec.dt), roles)
     base = predict_dataset(fit_var(ds, BASELINE), ds)
     full = predict_dataset(fit_var(ds, AUGMENTED), ds)
     return float(np.mean(local_te(base, full, ds.targets, mode=ENTROPY_DIFF)))
@@ -168,6 +168,14 @@ def var1_sweep(var1_mean_te, coupling_spec):
     """Empirical mean TE at n=1e5 for coupling strengths 0.1 .. 0.7."""
     return {c: var1_mean_te(coupling_spec(c, 100_000, seed=17))
             for c in (0.1, 0.3, 0.5, 0.7)}
+
+
+def mlp_model(hidden: tuple[int, ...], **train) -> SimpleNamespace:
+    """What ``fit_mlp`` reads of a ``[model]`` section: the ``hidden`` layer
+    widths and a :class:`ModelConfig`'s training keys, its defaults where
+    ``train`` names none.  ``hidden`` may be ``()``, a network without hidden
+    layers (linear-Gaussian), which the section itself refuses."""
+    return SimpleNamespace(**{**asdict(ModelConfig(**train)), "hidden": hidden})
 
 
 def gradient_check(hidden: tuple[int, ...] = (8,), input_dim: int = 3,

@@ -16,13 +16,13 @@ from cueflow.aggregate import (CueGrid, CueHistogram, PeakTeReport,
 from cueflow.detector import (DetectorConfig, des_threshold, detect_trace, highpass,
                               time_constants)
 from cueflow.embedding import EmbeddingSpec, embed
-from cueflow.models import (AUGMENTED, BASELINE, GaussianPredictions, TrainConfig,
-                            fit_mlp, fit_var)
+from cueflow.models import AUGMENTED, BASELINE, GaussianPredictions, fit_mlp, fit_var
 from cueflow.synth import te_oracle_var1
 from cueflow.timeseries import TimeSeries
 
 from conftest import (E2E_CUE_T, E2E_ONSET_TOL, _coupling_spec, _var1_mean_te,
-                      gradient_check, run_read_back, var1_trial, var1_trial_set)
+                      gradient_check, mlp_model, run_read_back, var1_trial,
+                      var1_trial_set)
 
 
 def _criterion(n: int, ok: bool, details: str) -> None:
@@ -30,14 +30,18 @@ def _criterion(n: int, ok: bool, details: str) -> None:
     assert ok, details
 
 
-def _te_series(values, dt=0.01):
+# The sample step of the detector tests' TE series.
+_DT = 0.01
+
+
+def _te_series(values, dt=_DT):
     """(direction, times, te_raw), as detect_trace takes them."""
     values = np.asarray(values, dtype=float)
     return "src2tgt", dt * np.arange(values.size), values
 
 
 def _detector(gamma=3.0):
-    return DetectorConfig(alpha=0.01, beta=0.05, dt=0.01, gamma=gamma)
+    return DetectorConfig(alpha=0.01, beta=0.05, gamma=gamma)
 
 
 def test_criterion_1_gaussian_entropy():
@@ -121,12 +125,12 @@ def test_criterion_4_detector_properties():
     """DC rejection, pulse localization, threshold-factor monotonicity, and
     sub-threshold quiescence."""
     start = time.perf_counter()
-    dc_events = sum(len(detect_trace(*_te_series(np.full(400, level)), _detector()).events)
+    dc_events = sum(len(detect_trace(*_te_series(np.full(400, level)), _detector(), _DT).events)
                     for level in (0.0, -1.0, 5.0))
 
     tt = 0.01 * np.arange(601)
     pulse = np.where((tt >= 2.0) & (tt < 2.3), 1.0, 0.0)
-    events = detect_trace(*_te_series(pulse), _detector()).events
+    events = detect_trace(*_te_series(pulse), _detector(), _DT).events
     pulse_ok = len(events) == 1 and abs(events[0].start_t - 2.0) <= 0.1
 
     mono_ok = True
@@ -134,7 +138,7 @@ def test_criterion_4_detector_properties():
     base += np.where((tt >= 4.0) & (tt < 4.2), 0.8, 0.0)
     for seed in range(10):
         noisy = base + 0.2 * np.random.default_rng(seed).standard_normal(601)
-        counts = [len(detect_trace(*_te_series(noisy), _detector(gamma=g)).events)
+        counts = [len(detect_trace(*_te_series(noisy), _detector(gamma=g), _DT).events)
                   for g in (1, 2, 3, 4, 5)]
         mono_ok &= counts == sorted(counts, reverse=True)
 
@@ -144,7 +148,7 @@ def test_criterion_4_detector_properties():
         1 for seed in range(20)
         if not detect_trace(*_te_series(
             weak + np.random.default_rng(seed).standard_normal(401)),
-            _detector(gamma=4.0)).events)
+            _detector(gamma=4.0), _DT).events)
     elapsed = time.perf_counter() - start
     ok = (dc_events == 0 and pulse_ok and mono_ok and quiet >= 18
           and elapsed < 30.0)
@@ -229,11 +233,10 @@ def test_criterion_7_model_correctness():
     grad_err = gradient_check()
 
     roles = (("x",), ("y",))
-    spec = EmbeddingSpec(d=1, delta_s=1.0, dt=1.0)
+    spec = EmbeddingSpec(d=1, delta_s=1.0)
     ds = embed([_coupled_pair(seed=13)], spec, roles)
     nll_var = fit_var(ds, AUGMENTED).train_report.final_nll
-    nll_mlp = fit_mlp(ds, AUGMENTED, hidden=(), train=TrainConfig()
-                      ).train_report.final_nll
+    nll_mlp = fit_mlp(ds, AUGMENTED, mlp_model(()), 0).train_report.final_nll
     nll_gap = abs(nll_mlp - nll_var) / abs(nll_var)
 
     rng = np.random.default_rng(7)
@@ -258,16 +261,14 @@ def test_criterion_7_model_correctness():
 def test_criterion_8_determinism_and_round_trips(tmp_path):
     """Identical seeds give bitwise-identical pipeline outputs, and every CSV
     format survives a write/read cycle."""
-    from cueflow.config import (AggregateConfig, DetectorSettings,
-                                EmbeddingConfig, IoConfig, ModelConfig,
-                                PipelineConfig)
+    from cueflow.config import AggregateConfig, IoConfig, ModelConfig, PipelineConfig
     cfg = PipelineConfig(
         io=IoConfig(target_channels=("x",), source_channels=("y",),
                     resample_hz=100.0),
-        embedding=EmbeddingConfig(d=1, delta_s=0.01),
+        embedding=EmbeddingSpec(d=1, delta_s=0.01),
         model=ModelConfig(kind="mlp_gaussian", te_mode="entropy_diff", hidden=(8,),
                           epochs=30),
-        detector=DetectorSettings(alpha=0.01, beta=0.05),
+        detector=DetectorConfig(alpha=0.01, beta=0.05),
         aggregate=AggregateConfig(bin_dt=1.0),
     )
     trials = var1_trial_set(var1_trial("t000", seed=5, n=600)[0])
@@ -283,14 +284,14 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
 
     def threshold(trace):
         """The threshold the detector compared, rebuilt from the trace's TE."""
-        return des_threshold(highpass(trace.te_raw, det.hp_cutoff_hz, det.dt), det)[2]
+        return des_threshold(highpass(trace.te_raw, det.hp_cutoff_hz, _DT), det)[2]
 
     trace = detect_trace(*_te_series(
         0.05 * np.random.default_rng(5).standard_normal(400)
-        + np.where(np.arange(400) // 100 == 2, 2.0, 0.0)), det)
+        + np.where(np.arange(400) // 100 == 2, 2.0, 0.0)), det, _DT)
     storage.write_te_csv(trace, tmp_path / "te.csv")
     # The cue mask is not written: the detector rebuilds it from the trace.
-    back = detect_trace("src2tgt", *storage.read_te_csv(tmp_path / "te.csv"), det)
+    back = detect_trace("src2tgt", *storage.read_te_csv(tmp_path / "te.csv"), det, _DT)
     te_err = max(
         float(np.nanmax(np.abs(back.te_raw - trace.te_raw))),
         float(np.nanmax(np.abs(

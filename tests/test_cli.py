@@ -307,7 +307,6 @@ class TestRunFlow:
                      "--trials", str(trials_dir), "--out", str(run_dir)]) == 0
         capsys.readouterr()
         cfg, _ = load_config(cue_run_config)
-        det = cfg.detector_config
 
         def bits(ev):
             return ev.direction, ev.start_t.hex(), ev.end_t.hex(), ev.peak_te.hex()
@@ -323,7 +322,7 @@ class TestRunFlow:
             for direction in cfg.io.direction_list:
                 times, te_raw = storage.read_te_csv(
                     run_dir / te_csv_name(trial_id, direction))
-                trace = detect_trace(direction, times, te_raw, det)
+                trace = detect_trace(direction, times, te_raw, cfg.detector, cfg.dt)
                 assert ([bits(ev) for ev in trace.events]
                         == [bits(ev) for t, ev in written
                             if t == trial_id and ev.direction == direction])

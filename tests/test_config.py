@@ -2,6 +2,7 @@
 
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,16 +10,17 @@ from hypothesis import given, settings, strategies as st
 from cueflow.config import (
     _SECTIONS,
     AggregateConfig,
-    DetectorSettings,
-    EmbeddingConfig,
     IoConfig,
     ModelConfig,
     PipelineConfig,
     SynthSettings,
     _reader,
+    _required,
     load_config,
     parse_config_text,
 )
+from cueflow.detector import DetectorConfig
+from cueflow.embedding import EmbeddingSpec
 from cueflow.errors import ConfigError
 from cueflow.te import SRC2TGT, TGT2SRC
 
@@ -328,22 +330,6 @@ class TestDerivedSettings:
         one, _ = parse_config_text(BASE, overrides=["io.directions=tgt2src"])
         assert one.io.direction_list == (TGT2SRC,)
 
-    def test_train_config_carries_seed(self):
-        model = ModelConfig(kind="mlp_gaussian", epochs=7,
-                            learning_rate=0.5, batch_size=32)
-        tc = model.train_config(seed=9)
-        assert (tc.epochs, tc.learning_rate, tc.batch_size, tc.seed) == (7, 0.5, 32, 9)
-
-    def test_detector_settings_build_configs(self):
-        cfg, _ = parse_config_text(BASE.replace("resample_hz = 115", "resample_hz = 200"),
-                                   overrides=["embedding.delta_s=0.1", "detector.alpha=0.01",
-                                              "detector.beta=0.05", "detector.gamma=2.0"])
-        assert cfg.detector == DetectorSettings(alpha=0.01, beta=0.05, gamma=2.0)
-        det = cfg.detector_config
-        assert det.dt == 0.005
-        assert (det.alpha, det.beta, det.gamma) == (0.01, 0.05, 2.0)
-        assert det.skip_warmup is True
-
     @pytest.mark.parametrize("key, bad", [
         ("epochs", "0"),
         ("learning_rate", "-1"),
@@ -409,6 +395,30 @@ class TestSchema:
                 except KeyError:
                     pytest.fail(f"[{section}] {f.name}: no reader for {f.type!r}")
 
+    def test_readme_table_names_every_key_and_marks_the_required_ones(self):
+        """The README's config table lists each section's keys, a key as
+        required exactly when its field has no default.  A key's row text
+        outside parentheses names it in backticks; the keys before
+        ``(required`` are the required ones.  ``[synth]`` lists only its
+        ``kind`` and calls the rest its generator fields."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = dict(re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", readme, re.MULTILINE))
+        assert rows.keys() == _SECTIONS.keys()
+
+        def names(text):
+            return set(re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", text)))
+
+        for section, cls in _SECTIONS.items():
+            row, keys = rows[section], {f.name for f in fields(cls)}
+            required = {f.name for f in fields(cls) if _required(f)}
+            if section == "synth":
+                row, generators, _ = row.partition(" plus generator fields")
+                assert generators
+                keys = required
+            head, marker, _ = row.partition("(required")
+            assert names(row) == keys, section
+            assert (names(head) if marker else set()) == required, section
+
     def test_configs_built_in_code_get_the_file_checks(self):
         with pytest.raises(ConfigError, match="exactly 2"):
             AggregateConfig(position_channels=("px",))
@@ -431,8 +441,8 @@ class TestSchema:
         code as for a parsed one: it does not build."""
         io = IoConfig(target_channels=("x",), source_channels=("y",), resample_hz=200.0)
         with pytest.raises(ConfigError, match=re.escape(named)):
-            PipelineConfig(io=io, embedding=EmbeddingConfig(**embedding),
-                           detector=DetectorSettings(**detector))
+            PipelineConfig(io=io, embedding=EmbeddingSpec(**embedding),
+                           detector=DetectorConfig(**detector))
 
     @given(st.text())
     def test_arbitrary_text_raises_only_config_errors(self, text):

@@ -6,21 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cueflow.config import IoConfig, PipelineConfig
 from cueflow.detector import (MIN_EVENT_SAMPLES, DetectorConfig, des_threshold,
                               detect_trace, highpass, time_constants)
+from cueflow.embedding import EmbeddingSpec
 from cueflow.errors import ConfigError, DataFormatError
 
-# What detect_trace takes, in its argument order.
+# What detect_trace takes before its config and sample step, in its argument order.
 Series = namedtuple("Series", ["direction", "times", "te_raw"])
+# The sample step of every series here.
+DT = 0.01
 
 
-def te_series(values, dt=0.01, direction="src2tgt"):
+def te_series(values, dt=DT, direction="src2tgt"):
     values = np.asarray(values, dtype=float)
     return Series(direction=direction, times=dt * np.arange(values.size), te_raw=values)
 
 
 def cfg_100hz(**kw):
-    base = dict(alpha=0.01, beta=0.05, dt=0.01, gamma=3.0)
+    base = dict(alpha=0.01, beta=0.05, gamma=3.0)
     base.update(kw)
     return DetectorConfig(**base)
 
@@ -44,15 +48,22 @@ class TestDetectorConfig:
                 cfg_100hz(beta=bad)
 
     def test_cutoff_must_stay_below_nyquist(self):
-        cfg_100hz(hp_cutoff_hz=49.0)
+        """The rule needs the sample step, so the whole config checks it."""
+        io = IoConfig(target_channels=("x",), source_channels=("y",), resample_hz=1 / DT)
+
+        def config(cutoff_hz):
+            return PipelineConfig(io=io, embedding=EmbeddingSpec(d=1, delta_s=DT),
+                                  detector=cfg_100hz(hp_cutoff_hz=cutoff_hz))
+
+        config(49.0)
         with pytest.raises(ConfigError):
-            cfg_100hz(hp_cutoff_hz=50.0)
+            config(50.0)
 
     def test_other_validation(self):
         with pytest.raises(ConfigError):
             cfg_100hz(gamma=0.0)
         with pytest.raises(ConfigError):
-            cfg_100hz(dt=-0.01)
+            cfg_100hz(hp_cutoff_hz=0.0)
 
 
 class TestTimeConstants:
@@ -140,7 +151,7 @@ class TestDesThreshold:
     def test_bitwise_equal_to_numpy_indexed_loop(self):
         rng = np.random.default_rng(7)
         values = rng.standard_normal(24_000) * 0.2 + 0.1
-        cfg = DetectorConfig(alpha=0.01, beta=0.05, dt=0.005, gamma=3.0)
+        cfg = DetectorConfig(alpha=0.01, beta=0.05, gamma=3.0)
         got = des_threshold(values, cfg)
         for out, ref in zip(got, des_threshold_reference(values, cfg)):
             assert out.tobytes() == ref.tobytes()
@@ -164,7 +175,7 @@ class TestDesThreshold:
 
     def test_ramp_recursion_reproduces_hand_computation(self):
         """Twenty steps of the level/trend/spread recursion on T_t = 0.1 t."""
-        cfg = DetectorConfig(alpha=0.2, beta=0.1, dt=0.1, gamma=3.0)
+        cfg = DetectorConfig(alpha=0.2, beta=0.1, gamma=3.0)
         mu, sigma, threshold = des_threshold(0.1 * np.arange(20.0), cfg)
         np.testing.assert_allclose(mu, self.RAMP_MU, rtol=0, atol=1e-12)
         np.testing.assert_allclose(threshold[1:], self.RAMP_THRESHOLD[1:],
@@ -174,7 +185,7 @@ class TestDesThreshold:
 
     def test_constant_input_is_a_fixed_point(self):
         mu, sigma, threshold = des_threshold(
-            np.full(100, 2.5), DetectorConfig(alpha=0.3, beta=0.2, dt=0.1, gamma=3.0))
+            np.full(100, 2.5), DetectorConfig(alpha=0.3, beta=0.2, gamma=3.0))
         np.testing.assert_allclose(mu, 2.5, atol=1e-12)
         np.testing.assert_allclose(sigma, 0.0, atol=1e-12)
         np.testing.assert_allclose(threshold[1:], 2.5, atol=1e-12)
@@ -183,13 +194,13 @@ class TestDesThreshold:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(50)
         mu, _, _ = des_threshold(
-            x, DetectorConfig(alpha=1.0 - 1e-9, beta=0.5, dt=0.1, gamma=3.0))
+            x, DetectorConfig(alpha=1.0 - 1e-9, beta=0.5, gamma=3.0))
         np.testing.assert_allclose(mu, x, atol=1e-6)
 
 
 def compared_series(series, cfg):
     """The high-passed TE and the threshold that detect_trace compares."""
-    filtered = highpass(series.te_raw, cfg.hp_cutoff_hz, cfg.dt)
+    filtered = highpass(series.te_raw, cfg.hp_cutoff_hz, DT)
     return filtered, des_threshold(filtered, cfg)[2]
 
 
@@ -197,13 +208,13 @@ class TestDetect:
     def test_constant_input_yields_no_events(self):
         for level in (0.0, -1.0, 5.0):
             series = te_series(np.full(500, level))
-            assert detect_trace(*series, cfg_100hz()).events == []
+            assert detect_trace(*series, cfg_100hz(), DT).events == []
 
     def test_rectangular_pulse_is_localized(self):
         """Amplitude-1 pulse over [2.0, 2.3) s on a zero baseline: exactly one
         event, starting on the pulse onset."""
         series = pulse_trace(6.0, 0.01, [(2.0, 2.3, 1.0)])
-        events = detect_trace(*series, cfg_100hz()).events
+        events = detect_trace(*series, cfg_100hz(), DT).events
         assert len(events) == 1
         ev = events[0]
         assert abs(ev.start_t - 2.0) <= 0.1
@@ -218,11 +229,11 @@ class TestDetect:
         the spike."""
         te = np.zeros(601)
         te[200] = 1.0
-        trace = detect_trace(*te_series(te), cfg_100hz())
+        trace = detect_trace(*te_series(te), cfg_100hz(), DT)
         assert trace.cue[200]
         assert trace.events == []
         te[201] = 1.0
-        events = detect_trace(*te_series(te), cfg_100hz()).events
+        events = detect_trace(*te_series(te), cfg_100hz(), DT).events
         assert len(events) == 1
         assert events[0].start_t == 2.0
         assert events[0].end_t == pytest.approx(2.01)
@@ -238,7 +249,7 @@ class TestDetect:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             series = te_series(base + rng.standard_normal(n))
-            quiet += len(detect_trace(*series, cfg).events) == 0
+            quiet += len(detect_trace(*series, cfg, DT).events) == 0
         assert quiet >= 18
 
     def test_event_count_shrinks_as_gamma_grows(self):
@@ -247,7 +258,7 @@ class TestDetect:
             noise = 0.2 * rng.standard_normal(601)
             series = pulse_trace(6.0, 0.01, [(2.0, 2.3, 1.0), (4.0, 4.2, 0.8)],
                                  noise=noise)
-            counts = [len(detect_trace(*series, cfg_100hz(gamma=g)).events)
+            counts = [len(detect_trace(*series, cfg_100hz(gamma=g), DT).events)
                       for g in (1.0, 2.0, 3.0, 4.0, 5.0)]
             assert counts == sorted(counts, reverse=True)
 
@@ -256,7 +267,7 @@ class TestDetect:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             series = te_series(rng.standard_normal(800))
-            events = detect_trace(*series, cfg).events
+            events = detect_trace(*series, cfg, DT).events
             t_lo, t_hi = series.times[0], series.times[-1]
             prev_end = -np.inf
             for ev in events:
@@ -269,8 +280,8 @@ class TestDetect:
         rng = np.random.default_rng(21)
         values = rng.standard_normal(500)
         cfg = cfg_100hz(gamma=2.0)
-        a = detect_trace(*te_series(values), cfg)
-        b = detect_trace(*te_series(values.copy()), cfg)
+        a = detect_trace(*te_series(values), cfg, DT)
+        b = detect_trace(*te_series(values.copy()), cfg, DT)
         for got, want in zip(compared_series(te_series(values), cfg),
                              compared_series(te_series(values.copy()), cfg)):
             np.testing.assert_array_equal(got, want)
@@ -284,8 +295,8 @@ class TestDetect:
         raw = 5.0 + 0.5 * np.abs(rng.standard_normal(400))
         raw[200:215] += 3.0
         cfg = cfg_100hz()
-        e1 = detect_trace(*te_series(raw), cfg).events
-        e2 = detect_trace(*te_series(raw + 100.0), cfg).events
+        e1 = detect_trace(*te_series(raw), cfg, DT).events
+        e2 = detect_trace(*te_series(raw + 100.0), cfg, DT).events
         assert [(e.start_t, e.end_t) for e in e1] == \
                [(e.start_t, e.end_t) for e in e2]
         assert len(e1) > 0
@@ -293,14 +304,14 @@ class TestDetect:
     def test_warmup_events_are_skipped_by_default(self):
         """tau_level is ~1 s here, so a pulse at 0.5 s is an init transient."""
         series = pulse_trace(6.0, 0.01, [(0.5, 0.7, 1.0)])
-        assert detect_trace(*series, cfg_100hz()).events == []
-        kept = detect_trace(*series, cfg_100hz(skip_warmup=False)).events
+        assert detect_trace(*series, cfg_100hz(), DT).events == []
+        kept = detect_trace(*series, cfg_100hz(skip_warmup=False), DT).events
         assert len(kept) == 1
         assert kept[0].start_t == 0.5
 
     def test_trace_carries_aligned_internals(self):
         series = pulse_trace(4.0, 0.01, [(2.0, 2.2, 1.0)])
-        trace = detect_trace(*series, cfg_100hz())
+        trace = detect_trace(*series, cfg_100hz(), DT)
         n = series.te_raw.size
         for arr in (trace.te_raw, *compared_series(series, cfg_100hz()), trace.cue):
             assert arr.shape == (n,)
@@ -309,7 +320,7 @@ class TestDetect:
 
     def test_too_short_series_rejected(self):
         with pytest.raises(DataFormatError):
-            detect_trace(*te_series(np.array([1.0])), cfg_100hz())
+            detect_trace(*te_series(np.array([1.0])), cfg_100hz(), DT)
 
 
 @st.composite
@@ -345,8 +356,8 @@ class TestDetectorProperties:
     def test_constant_input_filters_to_exact_zero(self, level, n, gamma, cutoff_hz):
         series = te_series(np.full(n, level))
         cfg = cfg_100hz(gamma=gamma, hp_cutoff_hz=cutoff_hz)
-        trace = detect_trace(*series, cfg)
-        assert not highpass(series.te_raw, cfg.hp_cutoff_hz, cfg.dt).any()
+        trace = detect_trace(*series, cfg, DT)
+        assert not highpass(series.te_raw, cfg.hp_cutoff_hz, DT).any()
         assert not trace.cue.any()
         assert trace.events == []
 
@@ -356,8 +367,8 @@ class TestDetectorProperties:
         """Shifting the input by a constant moves the filtered series only by
         rounding of the shifted input."""
         cfg = cfg_100hz()
-        plain = highpass(values, cfg.hp_cutoff_hz, cfg.dt)
-        shifted = highpass(values + offset, cfg.hp_cutoff_hz, cfg.dt)
+        plain = highpass(values, cfg.hp_cutoff_hz, DT)
+        shifted = highpass(values + offset, cfg.hp_cutoff_hz, DT)
         scale = 10.0 + abs(offset)
         np.testing.assert_allclose(shifted, plain, rtol=0, atol=1e-12 * scale)
 
@@ -368,7 +379,7 @@ class TestDetectorProperties:
         """mu and sigma do not depend on gamma and sigma >= 0, so the cue
         mask nests; without the warm-up rule so do the event samples."""
         low, high = (detect_trace(*te_series(values),
-                                  fast_cfg(gamma=g, skip_warmup=False))
+                                  fast_cfg(gamma=g, skip_warmup=False), DT)
                      for g in gammas)
         assert not (high.cue & ~low.cue).any()
 
@@ -384,7 +395,7 @@ class TestDetectorProperties:
     def test_events_are_maximal_cue_runs_of_min_length(self, values, gamma,
                                                        skip_warmup):
         trace = detect_trace(*te_series(values),
-                             fast_cfg(gamma=gamma, skip_warmup=skip_warmup))
+                             fast_cfg(gamma=gamma, skip_warmup=skip_warmup), DT)
         by_start = {trace.times[lo]: (lo, hi) for lo, hi in runs(trace.cue)}
         for ev in trace.events:
             lo, hi = by_start[ev.start_t]

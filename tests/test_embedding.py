@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cueflow.embedding import EmbeddingSpec, embed
-from cueflow.errors import DataFormatError
+from cueflow.errors import ConfigError
 from cueflow.timeseries import TimeSeries
 
 
@@ -38,26 +38,22 @@ def source_hist(ds):
 
 class TestEmbeddingSpec:
     def test_stride_and_horizon(self):
-        spec = EmbeddingSpec(d=4, delta_s=0.1, dt=0.01)
-        assert spec.stride == 10
-        assert spec.horizon == 40
-
-    def test_spacing_must_be_a_sample_multiple(self):
-        with pytest.raises(DataFormatError):
-            EmbeddingSpec(d=2, delta_s=0.15, dt=0.1)
+        spec = EmbeddingSpec(d=4, delta_s=0.1)
+        assert spec.stride(0.01) == 10
+        assert spec.horizon(0.01) == 40
 
     def test_order_must_be_a_positive_int(self):
-        with pytest.raises(DataFormatError):
-            EmbeddingSpec(d=0, delta_s=0.1, dt=0.1)
-        with pytest.raises(DataFormatError):
-            EmbeddingSpec(d=2.5, delta_s=0.1, dt=0.1)
+        with pytest.raises(ConfigError):
+            EmbeddingSpec(d=0, delta_s=0.1)
+        with pytest.raises(ConfigError):
+            EmbeddingSpec(d=2.5, delta_s=0.1)
 
 
 class TestEmbed:
     def test_hand_worked_example(self):
         """d=3 lags of [10..50] leave a single row predicting the last value."""
         ts, roles = trial([10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0])
-        ds = embed([ts], EmbeddingSpec(d=3, delta_s=1.0, dt=1.0), roles)
+        ds = embed([ts], EmbeddingSpec(d=3, delta_s=1.0), roles)
         assert ds.n_rows == 2
         np.testing.assert_array_equal(ds.targets, [[40.0], [50.0]])
         np.testing.assert_array_equal(ds.target_hist,
@@ -68,13 +64,13 @@ class TestEmbed:
 
     def test_order_one_is_a_single_lag(self):
         tgt = series([1.0, 2.0, 3.0])
-        ds = embed([tgt], EmbeddingSpec(d=1, delta_s=1.0, dt=1.0), SELF)
+        ds = embed([tgt], EmbeddingSpec(d=1, delta_s=1.0), SELF)
         np.testing.assert_array_equal(ds.targets, [[2.0], [3.0]])
         np.testing.assert_array_equal(ds.target_hist, [[1.0], [2.0]])
 
     def test_stride_two(self):
         tgt = series([1.0, 2.0, 3.0, 4.0, 5.0])
-        ds = embed([tgt], EmbeddingSpec(d=2, delta_s=2.0, dt=1.0), SELF)
+        ds = embed([tgt], EmbeddingSpec(d=2, delta_s=2.0), SELF)
         assert ds.n_rows == 1
         np.testing.assert_array_equal(ds.targets, [[5.0]])
         np.testing.assert_array_equal(ds.target_hist, [[3.0, 1.0]])
@@ -86,20 +82,20 @@ class TestEmbed:
             d = int(rng.integers(1, 4))
             stride = int(rng.integers(1, 3))
             ts = series(rng.standard_normal(n))
-            spec = EmbeddingSpec(d=d, delta_s=float(stride), dt=1.0)
+            spec = EmbeddingSpec(d=d, delta_s=float(stride))
             assert embed([ts], spec, SELF).n_rows == n - d * stride
 
     def test_lag_columns_are_shifts_of_the_input(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(120)
         y = rng.standard_normal(120)
-        spec = EmbeddingSpec(d=3, delta_s=2.0, dt=1.0)
+        spec = EmbeddingSpec(d=3, delta_s=2.0)
         ts, roles = trial(x, y)
         ds = embed([ts], spec, roles)
-        h = spec.horizon
+        h = spec.horizon(ts.dt)
         np.testing.assert_array_equal(ds.targets[:, 0], x[h:])
         for j in range(1, spec.d + 1):
-            shift = j * spec.stride
+            shift = j * spec.stride(ts.dt)
             np.testing.assert_array_equal(ds.target_hist[:, j - 1],
                                           x[h - shift:len(x) - shift])
             np.testing.assert_array_equal(source_hist(ds)[:, j - 1],
@@ -111,9 +107,9 @@ class TestEmbed:
         x = np.zeros(n)
         x[30] = 1.0  # a single spike
         ts, roles = trial(x, np.zeros(n))
-        spec = EmbeddingSpec(d=4, delta_s=1.0, dt=1.0)
+        spec = EmbeddingSpec(d=4, delta_s=1.0)
         ds = embed([ts], spec, roles)
-        row = 30 - spec.horizon  # row whose target is the spike
+        row = 30 - spec.horizon(ts.dt)  # row whose target is the spike
         assert ds.targets[row, 0] == 1.0
         assert not ds.target_hist[row].any()
 
@@ -121,7 +117,7 @@ class TestEmbed:
         """Within each lag, channels appear in series order (channels fastest)."""
         data = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0], [4.0, 40.0]])
         ds = embed([series(data, channels=("a", "b"))],
-                   EmbeddingSpec(d=2, delta_s=1.0, dt=1.0), (("a", "b"), ("a", "b")))
+                   EmbeddingSpec(d=2, delta_s=1.0), (("a", "b"), ("a", "b")))
         np.testing.assert_array_equal(ds.targets, [[3.0, 30.0], [4.0, 40.0]])
         np.testing.assert_array_equal(ds.target_hist,
                                       [[2.0, 20.0, 1.0, 10.0],
@@ -130,7 +126,7 @@ class TestEmbed:
     def test_joint_hist_concatenates_target_then_source(self):
         rng = np.random.default_rng(2)
         ts, roles = trial(rng.standard_normal(30), rng.standard_normal(30))
-        ds = embed([ts], EmbeddingSpec(d=2, delta_s=1.0, dt=1.0), roles)
+        ds = embed([ts], EmbeddingSpec(d=2, delta_s=1.0), roles)
         np.testing.assert_array_equal(ds.joint_hist,
                                       np.hstack([ds.target_hist, source_hist(ds)]))
 
@@ -139,7 +135,7 @@ class TestEmbed:
         column-major design block whose column 0 is ones, not new copies."""
         rng = np.random.default_rng(3)
         ts, roles = trial(rng.standard_normal((40, 2)), rng.standard_normal((40, 3)))
-        ds = embed([ts], EmbeddingSpec(d=3, delta_s=2.0, dt=1.0), roles)
+        ds = embed([ts], EmbeddingSpec(d=3, delta_s=2.0), roles)
         assert ds.design.base is None
         assert ds.design.flags.f_contiguous and ds.targets.flags.f_contiguous
         assert (ds.design[:, 0] == 1.0).all()
@@ -156,7 +152,7 @@ class TestEmbed:
         trials = [trial(rng.standard_normal((n, 2)), rng.standard_normal(n))[0]
                   for n in (30, 12, 25)]
         roles = (("t0", "t1"), ("s0",))
-        spec = EmbeddingSpec(d=2, delta_s=2.0, dt=1.0)
+        spec = EmbeddingSpec(d=2, delta_s=2.0)
         pooled = embed(trials, spec, roles)
         alone = [embed([ts], spec, roles) for ts in trials]
         for name in ("targets", "design", "times"):
@@ -170,7 +166,7 @@ class TestEmbed:
         rng = np.random.default_rng(6)
         trials = [series(rng.standard_normal((n, 4)), channels=("a", "b", "c", "d"))
                   for n in (30, 17)]
-        spec = EmbeddingSpec(d=3, delta_s=2.0, dt=1.0)
+        spec = EmbeddingSpec(d=3, delta_s=2.0)
         tgt, src = ("c", "a"), ("d", "b")
         got = embed(trials, spec, (tgt, src))
         want = embed([s.select(tgt + src) for s in trials], spec, (tgt, src))
@@ -197,11 +193,11 @@ class TestLagIdentities:
         values = st.floats(allow_nan=False, allow_infinity=False)
         x = data.draw(arrays(np.float64, (n, n_tgt), elements=values), label="x")
         y = data.draw(arrays(np.float64, (n, n_src), elements=values), label="y")
-        spec = EmbeddingSpec(d=d, delta_s=stride * dt, dt=dt)
+        spec = EmbeddingSpec(d=d, delta_s=stride * dt)
         ts, roles = trial(x, y, dt=dt)
         ds = embed([ts], spec, roles)
-        h = spec.horizon
-        assert (spec.stride, h, ds.n_rows) == (stride, d * stride, n - h)
+        h = spec.horizon(dt)
+        assert (spec.stride(dt), h, ds.n_rows) == (stride, d * stride, n - h)
         assert ds.target_hist.shape == (n - h, d * n_tgt)
         assert source_hist(ds).shape == (n - h, d * n_src)
         assert ds.targets.tobytes() == x[h:].tobytes()

@@ -8,12 +8,12 @@ import pytest
 from cueflow.embedding import EmbeddedDataset, EmbeddingSpec, embed
 from cueflow.errors import DataFormatError, TrainingDivergedError
 from cueflow.models import (AUGMENTED, BASELINE, VARIANCE_FLOOR, FittedModel,
-                            GaussianPredictions, TrainConfig, _forward,
+                            GaussianPredictions, _forward,
                             _gaussian_nll, _init_layers, _nll_and_grads, _Work,
                             fit_mlp, fit_var, predict)
 from cueflow.timeseries import TimeSeries
 
-from conftest import gradient_check
+from conftest import gradient_check, mlp_model
 
 
 def ar1_series(phi, n, seed, sigma=1.0):
@@ -39,7 +39,7 @@ def coupled_pair(seed, n=10_000):
 def embed_pair(series, d=1, roles=(("x",), ("y",))):
     """``series`` embedded with ``x`` as the target and ``y`` as the source
     (or the given roles), lags one sample apart."""
-    return embed([series], EmbeddingSpec(d=d, delta_s=series.dt, dt=series.dt), roles)
+    return embed([series], EmbeddingSpec(d=d, delta_s=series.dt), roles)
 
 
 def slice_dataset(ds, rows):
@@ -132,7 +132,7 @@ class TestFitVar:
         np.testing.assert_allclose(preds.cov, [[4.0]])
 
 
-def per_layer_adam(x_raw, y_raw, hidden, train):
+def per_layer_adam(x_raw, y_raw, train, seed):
     """Reference training loop: Adam applied to each layer array in turn, in
     float32 like :func:`fit_mlp`, on the out-of-place reference backprop;
     the layers come back as float64."""
@@ -142,8 +142,8 @@ def per_layer_adam(x_raw, y_raw, hidden, train):
     y_scale = np.maximum(y_raw.std(axis=0), 1e-12)
     x = ((x_raw - x_raw.mean(axis=0)) / x_scale).astype(np.float32)
     y = ((y_raw - y_raw.mean(axis=0)) / y_scale).astype(np.float32)
-    rng = np.random.default_rng(train.seed)
-    layers = [q.astype(np.float32) for q in _init_layers(p, d, hidden, rng)]
+    rng = np.random.default_rng(seed)
+    layers = [q.astype(np.float32) for q in _init_layers(p, d, train.hidden, rng)]
     m = [np.zeros_like(q) for q in layers]
     v = [np.zeros_like(q) for q in layers]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -170,7 +170,7 @@ class TestFitMlp:
         NLL lands within 1% of the closed-form least-squares fit."""
         ds = embed_pair(coupled_pair(seed=13))
         nll_var = fit_var(ds, AUGMENTED).train_report.final_nll
-        mlp = fit_mlp(ds, AUGMENTED, hidden=(), train=TrainConfig())
+        mlp = fit_mlp(ds, AUGMENTED, mlp_model(()), 0)
         nll_mlp = mlp.train_report.final_nll
         assert abs(nll_mlp - nll_var) / abs(nll_var) < 0.01
 
@@ -188,7 +188,7 @@ class TestFitMlp:
                                    dt=1.0))
         n_train = 4_000
         model = fit_mlp(slice_dataset(ds, slice(None, n_train)), AUGMENTED,
-                        hidden=(64, 64), train=TrainConfig())
+                        mlp_model((64, 64)), 0)
         preds = predict(model, ds.joint_hist[n_train:])
         sd = np.sqrt(preds.var[:, 0])
         abs_y = np.abs(ds.joint_hist[n_train:, 1])
@@ -199,8 +199,8 @@ class TestFitMlp:
         rng = np.random.default_rng(3)
         ds = history_dataset(rng.standard_normal((200, 1)),
                              rng.standard_normal((200, 3)), 3)
-        a = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=20))
-        b = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=20))
+        a = fit_mlp(ds, BASELINE, mlp_model((8,), epochs=20), 0)
+        b = fit_mlp(ds, BASELINE, mlp_model((8,), epochs=20), 0)
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
         assert a.train_report == b.train_report
@@ -213,9 +213,9 @@ class TestFitMlp:
         ds = history_dataset(rng.standard_normal((300, 2)),
                              np.hstack([rng.standard_normal((300, 3)),
                                         rng.standard_normal((300, 3))]), 3)
-        train = TrainConfig(epochs=15, batch_size=batch_size, seed=4)
-        model = fit_mlp(ds, AUGMENTED, hidden=hidden, train=train)
-        layers, n_iter = per_layer_adam(ds.joint_hist, ds.targets, hidden, train)
+        train = mlp_model(hidden, epochs=15, batch_size=batch_size)
+        model = fit_mlp(ds, AUGMENTED, train, 4)
+        layers, n_iter = per_layer_adam(ds.joint_hist, ds.targets, train, 4)
         assert model.train_report.n_iter == n_iter
         for i, ref in enumerate(layers):
             assert model.params[f"layer_{i}"].tobytes() == ref.tobytes()
@@ -226,7 +226,7 @@ class TestFitMlp:
         rng = np.random.default_rng(4)
         hist = rng.standard_normal((100, 2))
         ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1])
-        model = fit_mlp(ds, BASELINE, hidden=(8,), train=TrainConfig(epochs=50))
+        model = fit_mlp(ds, BASELINE, mlp_model((8,), epochs=50), 0)
         preds = predict(model, hist)
         assert np.all(preds.var >= VARIANCE_FLOOR)
 
@@ -237,7 +237,7 @@ class TestFitMlp:
         ds = history_dataset(rng.standard_normal((120, 2)),
                              np.hstack([rng.standard_normal((120, 3)),
                                         rng.standard_normal((120, 3))]), 3)
-        model = fit_mlp(ds, AUGMENTED, hidden=(8, 4), train=TrainConfig(epochs=10))
+        model = fit_mlp(ds, AUGMENTED, mlp_model((8, 4), epochs=10), 0)
         layers = [model.params[f"layer_{i}"] for i in range(6)]
         for q in layers:
             assert q.dtype == np.float64
@@ -262,7 +262,7 @@ class TestFitMlp:
             return nll_and_grads(*args, **kwargs)
 
         monkeypatch.setattr(models_module, "_nll_and_grads", counting)
-        model = fit_mlp(ds, AUGMENTED, hidden=(16, 16), train=TrainConfig(epochs=5))
+        model = fit_mlp(ds, AUGMENTED, mlp_model((16, 16), epochs=5), 0)
         assert len(calls) == model.train_report.n_iter
         p = model.params
         x = (ds.joint_hist - p["x_mean"]) / p["x_scale"]
@@ -278,7 +278,7 @@ class TestFitMlp:
         rng = np.random.default_rng(4)
         hist = rng.standard_normal((100, 2))
         ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1])
-        model = fit_mlp(ds, BASELINE, hidden=(64, 64), train=TrainConfig())
+        model = fit_mlp(ds, BASELINE, mlp_model((64, 64)), 0)
         xs = (hist - model.params["x_mean"]) / model.params["x_scale"]
         out, _ = _forward([model.params[f"layer_{i}"] for i in range(6)], xs)
         lv = out[:, 1:]
@@ -292,8 +292,8 @@ class TestFitMlp:
         ds = history_dataset(rng.standard_normal((300, 2)),
                              rng.standard_normal((300, 4)), 4)
         with pytest.raises(TrainingDivergedError) as err:
-            fit_mlp(ds, BASELINE, hidden=(16, 16),
-                    train=TrainConfig(epochs=20, batch_size=64, learning_rate=1e3))
+            fit_mlp(ds, BASELINE,
+                    mlp_model((16, 16), epochs=20, batch_size=64, learning_rate=1e3), 0)
         assert re.fullmatch(r"non-finite NLL at epoch \d+, step \d+", str(err.value))
 
     def test_epochs_after_the_first_allocate_no_batch_sized_block(self, monkeypatch):
@@ -324,8 +324,8 @@ class TestFitMlp:
         monkeypatch.setattr(models_module, "_nll_and_grads", traced)
         tracemalloc.start()
         try:
-            model = fit_mlp(ds, AUGMENTED, hidden=(width, width),
-                            train=TrainConfig(epochs=4, batch_size=batch))
+            model = fit_mlp(ds, AUGMENTED,
+                            mlp_model((width, width), epochs=4, batch_size=batch), 0)
         finally:
             tracemalloc.stop()
         assert model.train_report.n_iter == 12

@@ -7,14 +7,9 @@ import numpy as np
 import pytest
 
 from cueflow import storage
-from cueflow.config import (
-    AggregateConfig,
-    DetectorSettings,
-    EmbeddingConfig,
-    IoConfig,
-    ModelConfig,
-    PipelineConfig,
-)
+from cueflow.config import AggregateConfig, IoConfig, ModelConfig, PipelineConfig
+from cueflow.detector import DetectorConfig
+from cueflow.embedding import EmbeddingSpec
 from cueflow.errors import ConfigError, PipelineError
 from cueflow.pipeline import (
     build_reports,
@@ -41,9 +36,9 @@ def make_config(*, directions="both", d=1, delta_s=0.01, resample_hz=100.0,
     return PipelineConfig(
         io=IoConfig(target_channels=("x",), source_channels=("y",),
                     resample_hz=resample_hz, directions=directions, seed=seed),
-        embedding=EmbeddingConfig(d=d, delta_s=delta_s),
+        embedding=EmbeddingSpec(d=d, delta_s=delta_s),
         model=ModelConfig(**(model or {})),
-        detector=DetectorSettings(**(detector or dict(alpha=0.01, beta=0.05))),
+        detector=DetectorConfig(**(detector or dict(alpha=0.01, beta=0.05))),
         aggregate=AggregateConfig(**(aggregate or {})),
     )
 
@@ -121,9 +116,9 @@ class TestRunOnCoupledVar:
         swapped_cfg = PipelineConfig(
             io=IoConfig(target_channels=("y",), source_channels=("x",),
                         resample_hz=100.0),
-            embedding=EmbeddingConfig(d=2, delta_s=0.01),
+            embedding=EmbeddingSpec(d=2, delta_s=0.01),
             model=ModelConfig(**model),
-            detector=DetectorSettings(alpha=0.01, beta=0.05),
+            detector=DetectorConfig(alpha=0.01, beta=0.05),
             aggregate=AggregateConfig(),
         )
         _, swapped = run_read_back(trials, swapped_cfg, tmp_path / "swapped")
@@ -381,8 +376,8 @@ class TestRunErrors:
         cfg = PipelineConfig(
             io=IoConfig(target_channels=("z",), source_channels=("y",),
                         resample_hz=100.0),
-            embedding=EmbeddingConfig(d=1, delta_s=0.01),
-            detector=DetectorSettings(alpha=0.01, beta=0.05),
+            embedding=EmbeddingSpec(d=1, delta_s=0.01),
+            detector=DetectorConfig(alpha=0.01, beta=0.05),
         )
         with pytest.raises(PipelineError,
                            match=r"stage prepare: \[io\] target_channels names channel 'z'"):
@@ -421,7 +416,7 @@ class TestRunErrors:
                                 metadata={"trim_start_s.t001": "1.0"})
         cfg = make_config(resample_hz=rate_hz, delta_s=1.0 / rate_hz)
         prepared = prepare_trials(trials, cfg)
-        assert [trial.series.dt for trial in prepared] == [cfg.embedding_spec.dt] * 2
+        assert [trial.series.dt for trial in prepared] == [cfg.dt] * 2
 
 
 class TestPrepareKeepsRecordedSamples:
@@ -432,7 +427,7 @@ class TestPrepareKeepsRecordedSamples:
         resampling reads the recorded clock, which is the analysis grid."""
         cfg = _e2e_config()
         cfg = replace(cfg, io=replace(cfg.io, resample_hz=rate_hz),
-                      embedding=EmbeddingConfig(d=4, delta_s=1.0 / rate_hz))
+                      embedding=EmbeddingSpec(d=4, delta_s=1.0 / rate_hz))
         scen = CueScenario(duration_s=12.0, cue_times=(8.0,), response_delay_s=0.05,
                            amplitude=1.5, noise_sigma=0.2, seed=0, rate_hz=rate_hz)
         storage.write_trial_dir(TrialSet(trials=tuple(

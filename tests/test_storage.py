@@ -29,7 +29,8 @@ def write_te_csv_reference(trace, path):
 
 
 SAMPLE_CFG = DetectorConfig(alpha=0.05, beta=0.1, gamma=3.0, hp_cutoff_hz=1.0,
-                            dt=0.01, skip_warmup=False)
+                            skip_warmup=False)
+SAMPLE_DT = 0.01
 
 
 def sample_trace():
@@ -38,7 +39,7 @@ def sample_trace():
     n = 400
     te = rng.standard_normal(n) * 0.05
     te[200:215] += 2.0
-    return detect_trace("src2tgt", 0.01 * np.arange(n), te, SAMPLE_CFG)
+    return detect_trace("src2tgt", SAMPLE_DT * np.arange(n), te, SAMPLE_CFG, SAMPLE_DT)
 
 
 class TestTeCsv:
@@ -50,7 +51,7 @@ class TestTeCsv:
         assert trace.cue.any() and trace.events
         path = tmp_path / "te_t0_src2tgt.csv"
         write_te_csv(trace, path)
-        back = detect_trace(trace.direction, *read_te_csv(path), SAMPLE_CFG)
+        back = detect_trace("src2tgt", *read_te_csv(path), SAMPLE_CFG, SAMPLE_DT)
         for f in dataclasses.fields(DetectionTrace):
             got, want = getattr(back, f.name), getattr(trace, f.name)
             if isinstance(want, np.ndarray):
@@ -66,8 +67,7 @@ class TestTeCsv:
         special = [float("nan"), -0.0, 1e-5, 1e16, 5e-324, 0.1, -2.5, 123456789.125]
         te = np.array(special + [-x for x in special])
         n = te.size
-        trace = DetectionTrace(direction="src2tgt", times=0.005 * np.arange(n),
-                               te_raw=te, cue=np.arange(n) % 3 == 0)
+        trace = DetectionTrace(times=0.005 * np.arange(n), te_raw=te, cue=np.arange(n) % 3 == 0)
         path = tmp_path / "te.csv"
         write_te_csv(trace, path)
         ref = tmp_path / "ref.csv"
@@ -83,8 +83,7 @@ class TestTeCsv:
         te = rng.standard_normal(n)
         te[0] = -0.0
         te[1:2] = np.nan
-        trace = DetectionTrace(direction="src2tgt", times=0.005 * np.arange(n),
-                               te_raw=te, cue=rng.random(n) < 0.3)
+        trace = DetectionTrace(times=0.005 * np.arange(n), te_raw=te, cue=rng.random(n) < 0.3)
         path, ref = tmp_path / "te.csv", tmp_path / "ref.csv"
         write_te_csv(trace, path)
         write_te_csv_reference(trace, ref)
