@@ -22,7 +22,11 @@ from cueflow.config import (
 from cueflow.detector import DetectorConfig
 from cueflow.embedding import EmbeddingSpec
 from cueflow.errors import ConfigError
+from cueflow.models import AUGMENTED, BASELINE, fit_var
+from cueflow.pipeline import fit_models, prepare_trials
 from cueflow.te import SRC2TGT, TGT2SRC
+
+from conftest import var1_trial, var1_trial_set
 
 BASE = """\
 [io]
@@ -37,6 +41,24 @@ delta_s = 0.1391304347826087
 [detector]
 alpha = 0.005
 beta = 0.01
+"""
+
+# One target and one source channel at the 100 Hz of conftest's VAR(1) trials,
+# fitted in one direction.
+VAR1_INI = """\
+[io]
+target_channels = x
+source_channels = y
+resample_hz = 100
+directions = src2tgt
+
+[embedding]
+d = 1
+delta_s = 0.01
+
+[detector]
+alpha = 0.01
+beta = 0.05
 """
 
 
@@ -329,6 +351,39 @@ class TestDerivedSettings:
         assert cfg.io.direction_list == (SRC2TGT, TGT2SRC)
         one, _ = parse_config_text(BASE, overrides=["io.directions=tgt2src"])
         assert one.io.direction_list == (TGT2SRC,)
+
+    def test_train_config_carries_seed(self, monkeypatch):
+        """The parsed [model] section is what fit_mlp reads, and each fit of
+        the pair gets its seed from [io] seed."""
+        import cueflow.pipeline as pipeline_module
+
+        cfg, _ = parse_config_text(VAR1_INI, overrides=[
+            "io.seed=9", "model.kind=mlp_gaussian", "model.epochs=7",
+            "model.learning_rate=0.5", "model.batch_size=32"])
+        assert (cfg.model.epochs, cfg.model.learning_rate,
+                cfg.model.batch_size) == (7, 0.5, 32)
+        calls = []
+
+        def recording(ds, conditioning, model, seed):
+            calls.append((conditioning, model, seed))
+            return fit_var(ds, conditioning)
+
+        monkeypatch.setattr(pipeline_module, "fit_mlp", recording)
+        trial, _ = var1_trial("t000", seed=3, n=200)
+        fit_models(prepare_trials(var1_trial_set(trial), cfg), cfg)
+        assert calls == [(BASELINE, cfg.model, 9), (AUGMENTED, cfg.model, 10)]
+
+    def test_detector_settings_build_configs(self):
+        """[embedding] and [detector] parse straight into the stage types,
+        which take the sample step from the whole config."""
+        cfg, _ = parse_config_text(BASE.replace("resample_hz = 115", "resample_hz = 200"),
+                                   overrides=["embedding.delta_s=0.1", "detector.alpha=0.01",
+                                              "detector.beta=0.05", "detector.gamma=2.0"])
+        assert cfg.detector == DetectorConfig(alpha=0.01, beta=0.05, gamma=2.0)
+        assert cfg.embedding == EmbeddingSpec(d=4, delta_s=0.1)
+        assert cfg.dt == 0.005
+        assert cfg.embedding.stride(cfg.dt) == 20
+        assert cfg.detector.skip_warmup is True
 
     @pytest.mark.parametrize("key, bad", [
         ("epochs", "0"),

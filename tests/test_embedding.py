@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cueflow.config import IoConfig, PipelineConfig
+from cueflow.detector import DetectorConfig
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.errors import ConfigError
 from cueflow.timeseries import TimeSeries
@@ -41,6 +43,18 @@ class TestEmbeddingSpec:
         spec = EmbeddingSpec(d=4, delta_s=0.1)
         assert spec.stride(0.01) == 10
         assert spec.horizon(0.01) == 40
+
+    def test_spacing_must_be_a_sample_multiple(self):
+        """The spacing rule needs the sample step, so the whole config checks
+        it: 0.15 s is no whole number of 0.1 s samples, 0.2 s is two."""
+        io = IoConfig(target_channels=("x",), source_channels=("y",), resample_hz=10.0)
+        detector = DetectorConfig(alpha=0.01, beta=0.05)
+        with pytest.raises(ConfigError, match="not an integer multiple"):
+            PipelineConfig(io=io, embedding=EmbeddingSpec(d=2, delta_s=0.15),
+                           detector=detector)
+        cfg = PipelineConfig(io=io, embedding=EmbeddingSpec(d=2, delta_s=0.2),
+                             detector=detector)
+        assert cfg.embedding.stride(cfg.dt) == 2
 
     def test_order_must_be_a_positive_int(self):
         with pytest.raises(ConfigError):
