@@ -8,8 +8,9 @@ Subcommands::
     validate --config C                          check a config; print its diagnostics
     report   --events DIR --out DIR --config C   regenerate aggregates from saved outputs
 
-Exit codes: 0 success, 1 usage error, 2 data/config error.  Diagnostics and
-progress go to stderr (``--verbose`` raises verbosity); results to stdout.
+Exit codes: 0 success, 1 usage error, 2 data/config error or an allocation
+that fails.  Diagnostics and progress go to stderr (``--verbose`` raises
+verbosity); results to stdout.
 Every ``--set section.key=value`` overrides one config key.
 """
 
@@ -236,6 +237,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except CueflowError as exc:
         logger.error("%s", exc)
+        return 2
+    except MemoryError as exc:
+        # numpy names the size it could not allocate; the command is named here.
+        logger.error("%s: out of memory: %s", args.command,
+                     str(exc) or "an allocation failed")
         return 2
 
 

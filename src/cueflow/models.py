@@ -18,7 +18,7 @@ checks of these entropies and of the network's gradients live in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,7 +110,9 @@ class GaussianPredictions:
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Final mean NLL (nats/sample, original units) and optimizer step count."""
+    """Optimizer step count and the fitted model's mean NLL on its fit rows
+    (nats per sample, original units): the ``predict`` Gaussians, variance
+    floor included, scored on the rows the model was fit to."""
 
     final_nll: float
     n_iter: int
@@ -225,11 +227,12 @@ def _forward(layers, x, work=None):
     return out, acts
 
 
-def _gaussian_nll(lv, r2_iv, terms=None, term_rows=None):
-    """Mean Gaussian NLL from log-variances and squared residuals over
-    variances, summed in float64 (in ``terms`` and ``term_rows`` when given).
-    Equal, bitwise, to ``0.5 * np.mean(np.sum(log(2 pi) + lv + r2_iv, axis=1))``
-    without the Python layers of np.mean and np.sum."""
+def _gaussian_nll(lv, r2_iv, terms, term_rows):
+    """A training batch's mean Gaussian NLL, in standardized units, from
+    log-variances and squared residuals over variances, summed in float64
+    in ``terms`` and ``term_rows``.  Equal, bitwise, to
+    ``0.5 * np.mean(np.sum(log(2 pi) + lv + r2_iv, axis=1))`` without the
+    Python layers of np.mean and np.sum."""
     terms = np.add(_LOG_2PI, lv, out=terms)
     terms += r2_iv
     return 0.5 * (np.add.reduce(np.add.reduce(terms, axis=1, out=term_rows))
@@ -288,7 +291,9 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str, model, seed: int) -> FittedM
     ``batch_size`` set the minibatch descent, whose initial weights and row
     order follow from ``seed``.  Inputs and targets are standardized
     internally (the stored scalers map predictions back to original units),
-    which keeps the default learning rate usable across data scales.  Raises
+    which keeps the default learning rate usable across data scales.  The
+    reported ``final_nll`` is the returned model's mean NLL on ``ds`` as
+    :func:`predict_dataset` scores it, variance floor included.  Raises
     :class:`~cueflow.errors.TrainingDivergedError` on a non-finite batch
     objective.
     """
@@ -301,12 +306,11 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str, model, seed: int) -> FittedM
 
     x_mean, x_scale = x_raw.mean(axis=0), np.maximum(x_raw.std(axis=0), _SCALE_FLOOR)
     y_mean, y_scale = y_raw.mean(axis=0), np.maximum(y_raw.std(axis=0), _SCALE_FLOOR)
-    x = (x_raw - x_mean) / x_scale
-    y = (y_raw - y_mean) / y_scale
     # Training runs in float32, about 3x faster per step than float64; the
     # stored layers, predictions and the reported NLL are float64.  C order,
     # as np.take copies any other layout before it gathers rows.
-    x32, y32 = x.astype(np.float32, order="C"), y.astype(np.float32, order="C")
+    x32 = ((x_raw - x_mean) / x_scale).astype(np.float32, order="C")
+    y32 = ((y_raw - y_mean) / y_scale).astype(np.float32, order="C")
 
     rng = np.random.default_rng(seed)
     # Layers and gradients (written by _nll_and_grads) are views into flat
@@ -368,21 +372,12 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str, model, seed: int) -> FittedM
                 m_hat /= v_hat
                 flat -= m_hat
 
-    layers = [q.astype(np.float64) for q in layers]
-    out, _ = _forward(layers, x)
-    lv = out[:, d:]
-    final_nll = _gaussian_nll(lv, (y - out[:, :d])**2 * np.exp(-lv))
-    final_nll = float(final_nll + np.sum(np.log(y_scale)))  # back to original units
-    params = {f"layer_{i}": q for i, q in enumerate(layers)}
+    params = {f"layer_{i}": q.astype(np.float64) for i, q in enumerate(layers)}
     params.update(x_mean=x_mean, x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)
-    return FittedModel(
-        kind=MLP_GAUSSIAN,
-        conditioning=conditioning,
-        output_dim=d,
-        params=params,
-        hidden=tuple(model.hidden),
-        train_report=TrainReport(final_nll=final_nll, n_iter=step),
-    )
+    fitted = FittedModel(kind=MLP_GAUSSIAN, conditioning=conditioning, output_dim=d,
+                         params=params, hidden=tuple(model.hidden))
+    final_nll = -np.mean(predict_dataset(fitted, ds).log_density(y_raw))
+    return replace(fitted, train_report=TrainReport(final_nll=float(final_nll), n_iter=step))
 
 
 def _mlp_layers(model: FittedModel) -> list[np.ndarray]:

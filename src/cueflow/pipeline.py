@@ -32,6 +32,12 @@ Diagnostic = namedtuple("Diagnostic", ["severity", "message"])
 
 TRIM_KEY_PREFIX = "trim_start_s."
 MANIFEST_HEADER = ["trial", "scenario", "t0", "duration_s"]
+# An augmented fit's NLL above its baseline's by more than this many nats per
+# sample is flagged: the augmented model sees a superset of the baseline's
+# inputs, so it should fit no worse.  Far above rounding: nested linear fits
+# on a null scenario differ by under 1e-12, and two fits on the variance floor
+# tie.
+NLL_TIE_NATS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -164,9 +170,15 @@ def _fit_pair(group: list[Trial], cfg: PipelineConfig, seed: int, scenario: str,
             full = fit_mlp(pooled, AUGMENTED, cfg.model, seed + 1)
     except CueflowError as exc:
         raise PipelineError(f"scenario {scenario!r}, stage fit ({direction}): {exc}") from exc
+    base_nll, full_nll = base.train_report.final_nll, full.train_report.final_nll
     logger.info("fitted scenario %r, direction %s (%s): baseline NLL %.6g, "
                 "augmented NLL %.6g", scenario, direction, cfg.model.kind,
-                base.train_report.final_nll, full.train_report.final_nll)
+                base_nll, full_nll)
+    if full_nll > base_nll + NLL_TIE_NATS:
+        logger.warning("scenario %r, direction %s (%s): the augmented fit's NLL "
+                       "%.6g is above the baseline's %.6g, although it sees the "
+                       "baseline's inputs too", scenario, direction, cfg.model.kind,
+                       full_nll, base_nll)
     return DirectionModels(baseline=base, augmented=full)
 
 

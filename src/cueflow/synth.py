@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError
-from .timeseries import TimeSeries
+from .timeseries import MAX_ARRAY_ITEMS, TimeSeries
 
 Y_TO_X = "y_to_x"
 X_TO_Y = "x_to_y"
@@ -55,6 +55,8 @@ class Var1Spec:
         q = np.asarray(self.q, dtype=float)
         if a.shape != (2, 2) or q.shape != (2, 2):
             raise DataFormatError("A and Q must be 2x2")
+        if not (np.isfinite(a).all() and np.isfinite(q).all()):
+            raise DataFormatError("A and Q must be finite")
         if not np.allclose(q, q.T, rtol=1e-10, atol=1e-12):
             raise DataFormatError("Q must be symmetric")
         if np.any(np.linalg.eigvalsh(q) <= 0):
@@ -138,6 +140,14 @@ class CueScenario:
             raise DataFormatError(f"duration_s must be positive, got {self.duration_s}")
         if not (self.rate_hz > 0 and math.isfinite(self.rate_hz)):
             raise DataFormatError(f"rate_hz must be positive, got {self.rate_hz}")
+        # gen_cue_scenario's (n - 1) * k + 1 tracking-loop samples, in Python
+        # floats, which overflow to inf where the ints would not fit an array.
+        n_inner = (float(np.rint(self.duration_s * self.rate_hz))
+                   * max(1.0, float(np.rint(_INNER_RATE_HZ / self.rate_hz))) + 1.0)
+        if not n_inner <= MAX_ARRAY_ITEMS:
+            raise DataFormatError(
+                f"duration_s = {self.duration_s} at rate_hz = {self.rate_hz} gives "
+                f"{n_inner:.4g} tracking-loop samples, more than a numpy array can index")
         if self.response_delay_s < 0:
             raise DataFormatError("response_delay_s must be non-negative")
         if self.noise_sigma < 0:

@@ -642,6 +642,58 @@ class TestUnwritableOutputExits2:
         assert f"cannot write {out / blocked}: " in err
 
 
+class TestImpossibleSizesExit2:
+    """A size that asks numpy for far more memory than any machine has ends
+    the command with exit code 2 and one error line naming it, not a
+    traceback.  Every size here fails at once: each asks for tens of TiB."""
+
+    def assert_one_error_line(self, capsys, command):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"ERROR cueflow.cli: {command}: out of memory: "
+                                    "Unable to allocate ")
+
+    def test_synth_at_a_huge_rate(self, cue_config, tmp_path, capsys):
+        assert main(["synth", "--config", str(cue_config), "--set", "synth.rate_hz=1e12",
+                     "--out", str(tmp_path / "trials")]) == 2
+        self.assert_one_error_line(capsys, "synth")
+
+    def test_synth_of_a_huge_var1_draw(self, var1_config, tmp_path, capsys):
+        assert main(["synth", "--config", str(var1_config),
+                     "--set", "synth.n=10000000000000",
+                     "--out", str(tmp_path / "trials")]) == 2
+        self.assert_one_error_line(capsys, "synth")
+
+    @pytest.mark.parametrize("overrides", [
+        ["io.resample_hz=1e12", "embedding.delta_s=1"],
+        ["model.kind=mlp_gaussian", "model.hidden=1000000000000"],
+    ])
+    def test_run(self, cue_run_config, two_scenario_trials, tmp_path, capsys,
+                 overrides):
+        capsys.readouterr()
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(two_scenario_trials), "--out", str(tmp_path / "run"),
+                     *sets]) == 2
+        self.assert_one_error_line(capsys, "run")
+
+
+class TestSynthInputsExit2:
+    """A var1 matrix that no series can be made from is named where it
+    enters, with exit code 2."""
+
+    @pytest.mark.parametrize("command", ["synth", "oracle"])
+    def test_non_finite_var1_matrix(self, var1_config, tmp_path, capsys, command):
+        out = ["--out", str(tmp_path / "trials")] if command == "synth" else []
+        assert main([command, "--config", str(var1_config),
+                     "--set", "synth.a=0.5,0.5,0,nan", *out]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "A and Q must be finite" in err
+
+
 class TestSynthCommand:
     def test_cue_scenario_writes_truth_and_loadable_trials(self, cue_config,
                                                            tmp_path, capsys):
@@ -853,6 +905,14 @@ class TestArraysTooLargeToIndexExit2:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err
+
+    def test_synth(self, cue_config, tmp_path, capsys):
+        assert main(["synth", "--config", str(cue_config), "--set", "synth.duration_s=1e300",
+                     "--out", str(tmp_path / "trials")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("duration_s = 1e+300 at rate_hz = 10.0 gives 1e+302 tracking-loop "
+                "samples, more than a numpy array can index") in err
 
 
 class TestStartUp:

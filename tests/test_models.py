@@ -10,7 +10,7 @@ from cueflow.errors import DataFormatError, TrainingDivergedError
 from cueflow.models import (AUGMENTED, BASELINE, VARIANCE_FLOOR, FittedModel,
                             GaussianPredictions, _forward,
                             _gaussian_nll, _init_layers, _nll_and_grads, _Work,
-                            fit_mlp, fit_var, predict)
+                            fit_mlp, fit_var, predict, predict_dataset)
 from cueflow.timeseries import TimeSeries
 
 from conftest import gradient_check, mlp_model
@@ -164,6 +164,37 @@ def per_layer_adam(x_raw, y_raw, train, seed):
     return [q.astype(np.float64) for q in layers], step
 
 
+class TestFinalNll:
+    """A fit reports the NLL of the model the pipeline applies."""
+
+    @pytest.mark.parametrize("kind", ["var_linear", "mlp_gaussian"])
+    @pytest.mark.parametrize("conditioning", [BASELINE, AUGMENTED])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_is_the_mean_predict_nll_on_the_fit_rows(self, kind, conditioning,
+                                                     constant):
+        """``final_nll`` is ``-mean(log_density)`` of the fitted model's
+        ``predict_dataset`` Gaussians on its own rows, to 1e-12 relative (the
+        closed-form linear NLL) or exactly (the network), on a two-dimensional
+        target that varies or is constant.  A constant target drives the
+        network's variances far below ``VARIANCE_FLOOR``, and the reported NLL
+        is the floored model's: not below 0.5 * d * (ln 2 pi + ln 1e-8)."""
+        rng = np.random.default_rng(12)
+        hist = rng.standard_normal((240, 6))
+        targets = (np.full((240, 2), -1.5) if constant
+                   else hist[:, :2] @ [[0.6, 0.1], [0.0, 0.4]]
+                   + 0.3 * rng.standard_normal((240, 2)))
+        ds = history_dataset(targets, hist, 3)
+        if kind == "var_linear":
+            model = fit_var(ds, conditioning)
+        else:
+            model = fit_mlp(ds, conditioning, mlp_model((8,), epochs=30), 3)
+        nll = -np.mean(predict_dataset(model, ds).log_density(ds.targets))
+        if constant:
+            bound = 0.5 * 2 * (np.log(2.0 * np.pi) + np.log(VARIANCE_FLOOR))
+            assert model.train_report.final_nll >= bound - 1e-12 * abs(bound)
+        assert model.train_report.final_nll == pytest.approx(nll, rel=1e-12, abs=0)
+
+
 class TestFitMlp:
     def test_zero_hidden_matches_linear_fit(self):
         """With no hidden layers the network is linear-Gaussian, so its final
@@ -249,8 +280,9 @@ class TestFitMlp:
         assert model.train_report.final_nll == float(nll + np.sum(np.log(p["y_scale"])))
 
     def test_final_nll_needs_no_backward_pass(self, monkeypatch):
-        """The final NLL comes from a forward pass alone, bitwise equal to
-        the NLL the training objective gives on the stored layers."""
+        """Training calls the objective once per step, and the final NLL is
+        the fitted model's own: the mean NLL of its predict Gaussians on the
+        rows it was fit to, with no further backward pass."""
         import cueflow.models as models_module
 
         ds = embed_pair(coupled_pair(seed=2, n=600), d=2)
@@ -264,12 +296,8 @@ class TestFitMlp:
         monkeypatch.setattr(models_module, "_nll_and_grads", counting)
         model = fit_mlp(ds, AUGMENTED, mlp_model((16, 16), epochs=5), 0)
         assert len(calls) == model.train_report.n_iter
-        p = model.params
-        x = (ds.joint_hist - p["x_mean"]) / p["x_scale"]
-        y = (ds.targets - p["y_mean"]) / p["y_scale"]
-        layers = [p[f"layer_{i}"] for i in range(6)]
-        nll, _ = nll_and_grads(layers, x, y, 1)
-        assert model.train_report.final_nll == float(nll + np.sum(np.log(p["y_scale"])))
+        nll = -np.mean(predict_dataset(model, ds).log_density(ds.targets))
+        assert model.train_report.final_nll == float(nll)
 
     def test_constant_target_keeps_float32_exp_in_range(self):
         """A constant target drives log-variance down for the whole run; at
@@ -426,15 +454,14 @@ class TestGradients:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 2, 3, 9])
     def test_gaussian_nll_is_the_mean_of_row_sums_bitwise(self, dtype, d):
-        """Summed without np.mean and np.sum, into given arrays or new ones,
-        the NLL is bitwise the np.mean(np.sum(...)) form, in float64 for a
+        """Summed without np.mean and np.sum, into the given arrays, the NLL
+        is bitwise the np.mean(np.sum(...)) form, in float64 for a
         float32 batch too, on a log-variance view of an output block."""
         rng = np.random.default_rng(d)
         out = (3.0 * rng.normal(size=(300, 2 * d))).astype(dtype)
         lv = out[:, d:]
         r2_iv = rng.exponential(size=(300, d)).astype(dtype)
         ref = 0.5 * np.mean(np.sum(np.log(2.0 * np.pi) + lv + r2_iv, axis=1))
-        for nll in (_gaussian_nll(lv, r2_iv),
-                    _gaussian_nll(lv, r2_iv, np.empty((300, d)), np.empty(300))):
-            assert nll.dtype == np.float64
-            assert nll.tobytes() == ref.tobytes()
+        nll = _gaussian_nll(lv, r2_iv, np.empty((300, d)), np.empty(300))
+        assert nll.dtype == np.float64
+        assert nll.tobytes() == ref.tobytes()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cueflow import storage
+from cueflow import pipeline, storage
 from cueflow.config import AggregateConfig, IoConfig, ModelConfig, PipelineConfig
 from cueflow.detector import DetectorConfig
 from cueflow.embedding import EmbeddingSpec
@@ -235,6 +235,55 @@ def two_trial_200hz_scenario():
     rows = sum(trial.series.n_samples - horizon for trial in prepared)
     width = cfg.embedding.d * (len(cfg.io.target_channels) + len(cfg.io.source_channels))
     return cfg, prepared, rows, width
+
+
+class TestNestedFitCheck:
+    """An augmented fit sees a superset of its baseline's inputs, so a pair
+    whose augmented NLL is above the baseline's by more than rounding is
+    logged as one warning; a tie is not."""
+
+    @staticmethod
+    def fit_null_pairs(kind, caplog):
+        """Both directions fitted on two 20 s null trials at 10 Hz, whose
+        leader keeps one heading: its velocity is constant."""
+        trials = var1_trial_set(*(
+            _cue_trial(f"n{i}", "null",
+                       CueScenario(duration_s=20.0, cue_times=(), response_delay_s=0.05,
+                                   amplitude=1.5, noise_sigma=0.2, seed=seed,
+                                   rate_hz=E2E_RATE_HZ))
+            for i, seed in enumerate((300, 301))))
+        cfg = _e2e_config()
+        cfg = replace(cfg, io=replace(cfg.io, directions="both"),
+                      model=replace(cfg.model, kind=kind, te_mode="loglik_ratio"))
+        with caplog.at_level("INFO", logger="cueflow"):
+            pairs = fit_models(prepare_trials(trials, cfg), cfg)
+        nlls = {direction: (pair.baseline.train_report.final_nll,
+                            pair.augmented.train_report.final_nll)
+                for (_, direction), pair in pairs.items()}
+        return nlls, [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+    def test_a_worse_augmented_fit_is_flagged(self, caplog):
+        """The null src2tgt network pair ends with the augmented NLL above the
+        baseline's: one warning names the scenario, direction, model kind and
+        both NLLs.  The tgt2src pair, whose target is the constant leader,
+        sits on the variance floor in both fits and ties."""
+        nlls, warnings = self.fit_null_pairs("mlp_gaussian", caplog)
+        base, full = nlls["src2tgt"]
+        assert full > base + pipeline.NLL_TIE_NATS
+        assert warnings == [
+            f"scenario 'null', direction src2tgt (mlp_gaussian): the augmented "
+            f"fit's NLL {full:.6g} is above the baseline's {base:.6g}, although "
+            "it sees the baseline's inputs too"]
+        base, full = nlls["tgt2src"]
+        assert abs(full - base) <= pipeline.NLL_TIE_NATS
+
+    def test_tied_linear_fits_are_not_flagged(self, caplog):
+        """Nested linear fits on a null scenario tie to within 1e-11 nats,
+        far inside the tolerance, in both directions, and nothing is flagged."""
+        nlls, warnings = self.fit_null_pairs("var_linear", caplog)
+        assert warnings == []
+        for base, full in nlls.values():
+            assert abs(full - base) < 1e-11
 
 
 class TestFitMemory:

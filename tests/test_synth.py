@@ -1,4 +1,6 @@
 """Synthetic generators and the closed-form VAR transfer-entropy oracle."""
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ class TestVar1Spec:
             spec(((0.5, 0.0), (0.0, 0.5)), q=((1.0, 0.0), (0.0, 0.0)))
         with pytest.raises(DataFormatError):
             spec(((0.5, 0.0), (0.0, 0.5)), q=((1.0, 0.5), (0.4, 1.0)))
+
+    @pytest.mark.parametrize("a, q", [
+        (((0.5, 0.5), (0.0, np.nan)), ((1.0, 0.0), (0.0, 1.0))),
+        (((0.5, 0.0), (0.0, 0.5)), ((1.0, 0.0), (0.0, np.inf))),
+    ])
+    def test_non_finite_matrices_rejected(self, a, q):
+        with pytest.raises(DataFormatError, match="A and Q must be finite"):
+            spec(a, q=q)
 
 
 class TestGenVar1:
@@ -129,6 +139,13 @@ class TestCueScenario:
             self.scenario(noise_sigma=-1.0)
         with pytest.raises(DataFormatError):
             self.scenario(duration_s=0.0)
+
+    @pytest.mark.parametrize("duration_s, rate_hz, samples", [
+        (1e300, 10.0, "1e+302"), (1e17, 1e3, "1e+20"), (1e300, 1e300, "inf")])
+    def test_sample_count_beyond_any_array_rejected(self, duration_s, rate_hz, samples):
+        with pytest.raises(DataFormatError, match=f"gives {re.escape(samples)} "
+                                                  "tracking-loop samples"):
+            self.scenario(duration_s=duration_s, cue_times=(), rate_hz=rate_hz)
 
     def test_shapes_and_rate(self):
         leader, follower, truth = gen_cue_scenario(self.scenario())
