@@ -6,7 +6,8 @@ Subcommands::
     synth    --config C --out DIR                generate trials + ground truth
     oracle   --config C                          closed-form TE of the [synth] var1 process
     validate --config C                          check a config; print its diagnostics
-    report   --events DIR --out DIR --config C   regenerate aggregates from saved outputs
+    report   --events DIR --out DIR --config C [--trials DIR]
+                                                 regenerate aggregates from saved outputs
 
 Exit codes: 0 success, 1 usage error, 2 data/config error or an allocation
 that fails.  Diagnostics and progress go to stderr (``--verbose`` raises

@@ -24,7 +24,7 @@ from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
                      predict_dataset)
 from .te import ENTROPY_DIFF, SRC2TGT, TGT2SRC, local_te
-from .timeseries import TimeSeries, Trial, TrialSet, file_row, resample, trim_start
+from .timeseries import TimeSeries, Trial, TrialSet, resample, trim_start
 
 logger = logging.getLogger("cueflow")
 
@@ -301,7 +301,7 @@ def _read_run_dir(events_dir: Path):
         if trial_id in spans or duration <= 0:
             problem = (f"trial {trial_id!r} is listed again" if trial_id in spans
                        else f"duration_s {duration} is not positive")
-            raise DataFormatError(f"{path}: row {file_row(path, i)}: {problem}")
+            raise DataFormatError(f"{path}: row {storage.file_row(path, i)}: {problem}")
         spans[trial_id] = (t0, duration)
 
     path = events_dir / "events.csv"
@@ -320,7 +320,7 @@ def _read_run_dir(events_dir: Path):
         else:
             by_key.setdefault((trial_id, ev.direction), []).append(ev)
             continue
-        raise DataFormatError(f"{path}: row {file_row(path, i)}: {problem}")
+        raise DataFormatError(f"{path}: row {storage.file_row(path, i)}: {problem}")
     return manifest, by_key
 
 
@@ -357,7 +357,8 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
             # bin count of the longest trial: name its manifest row.
             path = events_dir / "manifest.csv"
             row = max(range(len(manifest)), key=lambda i: manifest[i][3])
-            raise DataFormatError(f"{path}: row {file_row(path, row)}: {exc}") from None
+            raise DataFormatError(
+                f"{path}: row {storage.file_row(path, row)}: {exc}") from None
         name = f"histogram_{direction}.csv"
         storage.write_histogram_csv(hist, out / name)
         written.append(name)
@@ -376,23 +377,13 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
             storage.write_grid_csv(grid, out / name)
             written.append(name)
 
-    scenarios = []
-    for _, scenario, _, _ in manifest:
-        if scenario not in scenarios:
-            scenarios.append(scenario)
+    scenarios = list(dict.fromkeys(scenario for _, scenario, _, _ in manifest))
     if len(scenarios) == 2:
         groups: dict[str, list[dict[str, np.ndarray]]] = {s: [] for s in scenarios}
         for trial_id, scenario, _, _ in manifest:
-            te_map = {}
-            for direction in cfg.io.direction_list:
-                path = events_dir / te_csv_name(trial_id, direction)
-                _, te_raw = storage.read_te_csv(path)
-                bad = np.flatnonzero(~np.isfinite(te_raw))
-                if bad.size:
-                    raise DataFormatError(f"{path}: te_raw value {te_raw[bad[0]]} at row "
-                                          f"{file_row(path, int(bad[0]))} is not finite")
-                te_map[direction] = te_raw
-            groups[scenario].append(te_map)
+            groups[scenario].append({
+                direction: storage.read_te_csv(events_dir / te_csv_name(trial_id, direction))[1]
+                for direction in cfg.io.direction_list})
         if min(len(g) for g in groups.values()) >= 2:
             report = agg.peak_te_study(groups[scenarios[0]], groups[scenarios[1]])
             storage.write_report_csv(report, out / "peak_te_report.csv")

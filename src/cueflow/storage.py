@@ -1,8 +1,12 @@
-"""CSV wire formats for analysis products.
+"""Every cueflow file format, read and written.
 
 Formats (all comma-separated, header row first, lines ending in ``\\n``,
 floats written with shortest-round-trip ``repr`` so read-back is lossless):
 
+* Trial, one file per trial, stem ``<scenario>__<trial_id>``:
+  ``t,<ch1>,<ch2>,...`` with distinct channel names and at least two rows,
+  ``t`` strictly increasing and kept as the recorded clock, jittered or
+  not.  An optional ``trials.meta`` of ``key=value`` lines sits beside them.
 * TE trace, one file per trial and direction: ``t,te_raw``.  The cue mask
   and events are not stored here: ``detector.detect_trace`` rebuilds them
   bitwise from these columns.
@@ -11,25 +15,33 @@ floats written with shortest-round-trip ``repr`` so read-back is lossless):
   ``key=value`` lines (origin_x, origin_y, cell_size_m, nx, ny, direction).
 * Histogram: ``bin,t_start,count`` plus a sidecar (bin_dt, n_trials, direction).
 * Group report: ``direction,n_a,n_b,t_stat,p_value``.
+
+Every number read from a file is checked once, by the reader that parses
+it: a field that is not a number, or a float that is not finite, is a
+:class:`DataFormatError` naming the file, the column and the row, rows
+counted from 1 after the header with blank lines included.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .aggregate import CueGrid, CueHistogram, PeakTeReport, WelchResult
 from .detector import CueEvent, DetectionTrace
-from .errors import DataFormatError
-from .timeseries import (Trial, TrialSet, load_csv, read_channels, read_numeric_csv,
-                         text_errors, write_columns_csv, write_errors, write_trial_csv)
+from .errors import CueflowError, DataFormatError
+from .timeseries import TimeSeries, Trial, TrialSet
 
 TE_HEADER = ["t", "te_raw"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
 REPORT_HEADER = ["direction", "n_a", "n_b", "t_stat", "p_value"]
+_WRITE_BLOCK_ROWS = 4096
 
 
 def _fmt(x: float) -> str:
@@ -70,19 +82,119 @@ def _read_key_values(path) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# TE traces
+# CSV tables
 # ---------------------------------------------------------------------------
 
-def write_te_csv(trace: DetectionTrace, path) -> None:
-    write_columns_csv(path, TE_HEADER, [trace.times, trace.te_raw])
+@contextmanager
+def text_errors(path):
+    """Turn a missing or unreadable file, an undecodable byte or a CSV syntax
+    error met while reading ``path`` into a :class:`DataFormatError` naming
+    the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not {exc.encoding} text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
-def read_te_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """A TE trace's ``(times, te_raw)`` float64 arrays, as written."""
-    _, arr = read_numeric_csv(path, lambda header: _check_header(path, header, TE_HEADER))
-    if arr.size == 0:
-        raise DataFormatError(f"{path}: no samples")
-    return arr[:, 0], arr[:, 1]
+@contextmanager
+def write_errors(path):
+    """Turn an OSError met while writing ``path`` into a CueflowError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CueflowError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _read_header(path: Path, fh) -> list[str]:
+    """The fields of the header line of ``fh``, open on ``path``."""
+    # Lines come from readline, not iteration, so that tell() works after.
+    header = next(csv.reader(iter(fh.readline, "")), None)
+    if header is None:
+        raise DataFormatError(f"{path}: empty file")
+    return header
+
+
+def read_numeric_csv(path, check_header) -> tuple[object, np.ndarray]:
+    """Read a CSV of numbers under one header line.
+
+    ``check_header`` receives the header's fields and raises
+    :class:`DataFormatError` if they are wrong.  Returns what it returns and
+    the body as a float array of shape ``(rows, len(header))``.  Blank lines are
+    skipped, ``#`` is not a comment and quoted numbers are accepted.  Every
+    failure is a :class:`DataFormatError` naming the file.  A bad row is
+    named by its number, counting from 1 after the header, blank lines
+    included; the first value that is not finite by its column and row.
+    """
+    path = Path(path)
+    with text_errors(path), open(path, newline="") as fh:
+        header = _read_header(path, fh)
+        checked = check_header(header)
+        body = fh.tell()
+        # loadtxt warns on a body of blank lines only; csv.reader skips them.
+        if not any(line.strip("\r\n") for line in iter(fh.readline, "")):
+            return checked, np.empty((0, len(header)))
+        fh.seek(body)
+        try:
+            data = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                              quotechar='"', ndmin=2)
+        except ValueError:
+            data = None
+        if data is None or data.shape[1] != len(header):
+            # loadtxt numbers rows its own way, so find the bad row again.
+            fh.seek(body)
+            _raise_bad_row(path, csv.reader(iter(fh.readline, "")), len(header))
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
+        raise DataFormatError(f"{path}: {header[col].strip()} value {data[row, col]} at row "
+                              f"{file_row(path, int(row))} is not finite")
+    return checked, data
+
+
+def _raise_bad_row(path: Path, rows, n_fields: int) -> NoReturn:
+    """Raise for the first of ``rows`` that has the wrong width or a non-number."""
+    for i, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if len(row) != n_fields:
+            raise DataFormatError(
+                f"{path}: row {i} has {len(row)} fields, expected {n_fields}"
+            )
+        try:
+            for v in row:
+                float(v)
+        except ValueError:
+            raise DataFormatError(f"{path}: numeric parse error at row {i}") from None
+    # float() takes a few spellings numpy's parser does not, such as "1_0".
+    raise DataFormatError(f"{path}: a number is not in plain decimal notation")
+
+
+def file_row(path: Path, index: int) -> int:
+    """The row of ``path`` that :func:`read_numeric_csv` parsed as body row
+    ``index`` (from 0), numbered as it names rows: from 1 after the header,
+    blank lines included."""
+    with text_errors(path), open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        return next(islice((i for i, row in enumerate(rows, start=1) if row), index, None))
+
+
+def write_columns_csv(path, header: list[str], columns) -> None:
+    """Write ``header``, then row ``i`` of the equal-length 1-D arrays ``columns``.
+
+    The bytes are those ``csv.writer(fh, lineterminator="\\n")`` gives for
+    rows of ``repr`` strings (no number needs quoting), so floats read back
+    exactly.  Rows are formatted a block at a time, not a whole column's text
+    at once.
+    """
+    with write_errors(path), open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(columns[0]), _WRITE_BLOCK_ROWS):
+            text = [map(repr, col[lo:lo + _WRITE_BLOCK_ROWS].tolist()) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*text))) + "\n")
 
 
 def _check_header(path, header: list[str], expected_header: list[str]) -> None:
@@ -109,14 +221,9 @@ def read_rows(path, expected_header: list[str], types) -> list[tuple]:
     1 after the header, blank lines included.
     """
     with text_errors(path), open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        _check_header(path, header, expected_header)
+        _check_header(path, _read_header(path, fh), expected_header)
         out = []
-        for i, row in enumerate(reader, start=1):
+        for i, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
             if len(row) != len(expected_header):
@@ -130,6 +237,22 @@ def read_rows(path, expected_header: list[str], types) -> list[tuple]:
                     raise DataFormatError(f"{path}: {name} value {v} at row {i} is not finite")
             out.append(values)
     return out
+
+
+# ---------------------------------------------------------------------------
+# TE traces
+# ---------------------------------------------------------------------------
+
+def write_te_csv(trace: DetectionTrace, path) -> None:
+    write_columns_csv(path, TE_HEADER, [trace.times, trace.te_raw])
+
+
+def read_te_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """A TE trace's ``(times, te_raw)`` float64 arrays, as written."""
+    _, arr = read_numeric_csv(path, lambda header: _check_header(path, header, TE_HEADER))
+    if arr.size == 0:
+        raise DataFormatError(f"{path}: no samples")
+    return arr[:, 0], arr[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +347,63 @@ def read_report_csv(path) -> PeakTeReport:
 
 
 # ---------------------------------------------------------------------------
-# Trial directories
+# Trials
 # ---------------------------------------------------------------------------
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array without NaNs, bitwise, partitioning
+    ``a`` in place; np.median copies ``a`` and checks for NaNs with numpy.ma,
+    whose import is a large share of a short run's start-up."""
+    h = a.size // 2
+    if a.size % 2:
+        a.partition(h)
+        return float(a[h])
+    a.partition((h - 1, h))
+    return float((a[h - 1] + a[h]) / 2)
+
+
+def _trial_channels(path: Path, header: list[str]) -> tuple[str, ...]:
+    """The channel names of a trial CSV's header ``t,<ch1>,...``, checked."""
+    header = [h.strip() for h in header]
+    if not header or header[0] != "t":
+        raise DataFormatError(f"{path}: first column must be 't', got {header[:1]}")
+    if len(header) < 2:
+        raise DataFormatError(f"{path}: no data channels in header")
+    if len(set(header[1:])) != len(header) - 1:
+        raise DataFormatError(f"{path}: duplicate channel names: {tuple(header[1:])}")
+    return tuple(header[1:])
+
+
+def load_csv(path) -> TimeSeries:
+    """Load one trial CSV (``t,<ch1>,...``) into a :class:`TimeSeries`.
+
+    Channel names must be distinct and timestamps strictly increasing; a
+    bad timestamp is named by its row, counted as :func:`read_numeric_csv`
+    counts, which has already refused a value that is not finite.  The ``t``
+    column is kept as ``raw_times``, whether or not it lies on a uniform
+    grid, and ``dt`` is set to its median successive difference.
+    """
+    path = Path(path)
+    channels, arr = read_numeric_csv(path, lambda header: _trial_channels(path, header))
+    if arr.shape[0] < 2:
+        raise DataFormatError(f"{path}: need at least two samples")
+    # Views of the parsed block, which the series keeps instead of copies;
+    # the one temporary column is dropped before the series checks its data.
+    t = arr[:, 0]
+    diffs = np.diff(t)
+    bad = np.flatnonzero(diffs <= 0)
+    if bad.size:
+        raise DataFormatError(f"{path}: timestamps not strictly increasing at row "
+                              f"{file_row(path, int(bad[0]) + 1)}")
+    dt = _median(diffs)
+    del diffs
+    return TimeSeries(channels=channels, data=arr[:, 1:], dt=dt, raw_times=t)
+
+
+def write_trial_csv(ts: TimeSeries, path) -> None:
+    """Write a trial CSV that :func:`load_csv` reads back losslessly."""
+    write_columns_csv(path, ["t", *ts.channels], [ts.times, *ts.data.T])
+
 
 def _trial_files(path) -> list[Path]:
     """A directory's trial CSVs, in load order: every ``*.csv`` but ``truth.csv``."""
@@ -239,8 +417,11 @@ def _trial_files(path) -> list[Path]:
 
 
 def trial_dir_channels(path) -> tuple[str, ...]:
-    """A trial directory's one channel schema, from its first trial CSV's header alone."""
-    return read_channels(_trial_files(path)[0])
+    """A trial directory's one channel schema, from its first trial CSV's
+    header alone, checked as in :func:`load_csv`."""
+    first = _trial_files(path)[0]
+    with text_errors(first), open(first, newline="") as fh:
+        return _trial_channels(first, _read_header(first, fh))
 
 
 def load_trial_dir(path) -> TrialSet:
@@ -258,8 +439,7 @@ def load_trial_dir(path) -> TrialSet:
         scenario, _, trial_id = stem.partition("__")
         if not trial_id:
             scenario, trial_id = "", stem
-        trials.append(Trial(trial_id=trial_id, scenario=scenario,
-                            series=load_csv(f)))
+        trials.append(Trial(trial_id=trial_id, scenario=scenario, series=load_csv(f)))
     meta_file = Path(path) / "trials.meta"
     metadata = _read_key_values(meta_file) if meta_file.exists() else {}
     return TrialSet(trials=tuple(trials), metadata=metadata)

@@ -3,7 +3,8 @@
 Every top-level function and class in ``src/cueflow`` is referenced by code
 (not by a string) in the package or in the benchmark harness, somewhere
 other than its own definition.  A helper only the tests call lives in the
-tests.  Every name a module imports is read in that module.
+tests.  Every name a module imports is read in that module.  Only
+``storage`` and ``config`` touch files.
 """
 import ast
 from pathlib import Path
@@ -11,6 +12,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # The aggregate readers: criterion 8 round-trips every written format.
 ALLOWED = {"read_grid_csv", "read_histogram_csv", "read_report_csv"}
+# storage owns every data format; config reads the INI file it parses.
+FILE_MODULES = {"storage.py", "config.py"}
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "loadtxt"}
 
 
 def _references(tree: ast.AST):
@@ -60,3 +64,20 @@ def test_every_package_import_is_read():
         if names:
             unread.append(f"{path.name}: {', '.join(names)}")
     assert not unread, unread
+
+
+def test_only_storage_and_config_touch_files():
+    """A file read or written anywhere else would be a second place that
+    knows a format: no other module calls ``open``, ``read_text``,
+    ``write_text``, ``read_bytes``, ``write_bytes`` or ``np.loadtxt``."""
+    calls = []
+    for path in sorted((ROOT / "src/cueflow").glob("*.py")):
+        if path.name in FILE_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in FILE_CALLS:
+                    calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert not calls, calls

@@ -19,7 +19,8 @@ from cueflow.pipeline import (
     validate_config,
 )
 from cueflow.synth import CueScenario, te_oracle_var1
-from cueflow.timeseries import TrialSet, read_numeric_csv
+from cueflow.storage import read_numeric_csv
+from cueflow.timeseries import TrialSet
 
 from conftest import (E2E_CUE_T, E2E_RATE_HZ, _cue_trial, _e2e_config,
                       run_read_back, var1_trial, var1_trial_set)

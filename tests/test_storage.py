@@ -1,6 +1,7 @@
 """CSV persistence round-trips for traces, events, aggregates, and trial dirs."""
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import pytest
 from cueflow.aggregate import CueGrid, CueHistogram, WelchResult, PeakTeReport
 from cueflow.detector import CueEvent, DetectionTrace, DetectorConfig, detect_trace
 from cueflow.errors import CueflowError, DataFormatError
-from cueflow.storage import (load_trial_dir, read_events_csv, read_grid_csv,
-                             read_histogram_csv, read_report_csv, read_te_csv,
-                             write_events_csv, write_grid_csv,
+from cueflow.storage import (_WRITE_BLOCK_ROWS, load_trial_dir, read_events_csv,
+                             read_grid_csv, read_histogram_csv, read_report_csv,
+                             read_te_csv, write_events_csv, write_grid_csv,
                              write_histogram_csv, write_report_csv,
                              write_te_csv, write_trial_dir)
-from cueflow.timeseries import _WRITE_BLOCK_ROWS, TimeSeries, Trial, TrialSet
+from cueflow.timeseries import TimeSeries, Trial, TrialSet
 
 
 BLOCK = _WRITE_BLOCK_ROWS
@@ -77,25 +78,32 @@ class TestTeCsv:
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
     def test_block_boundaries_keep_the_bytes(self, tmp_path, n):
         """Rows are formatted a block at a time; at every length around the
-        block size the file holds the csv.writer bytes and reads back
-        bitwise, with a signed zero and a NaN."""
+        block size the file holds the csv.writer bytes, with a signed zero
+        and with or without a NaN.  The reader refuses the NaN by its row,
+        and the trace without it reads back bitwise."""
         rng = np.random.default_rng(n)
         te = rng.standard_normal(n)
         te[0] = -0.0
-        te[1:2] = np.nan
-        trace = DetectionTrace(times=0.005 * np.arange(n), te_raw=te, cue=rng.random(n) < 0.3)
+        with_nan = te.copy()
+        with_nan[1:2] = np.nan
+        cue = rng.random(n) < 0.3
         path, ref = tmp_path / "te.csv", tmp_path / "ref.csv"
-        write_te_csv(trace, path)
-        write_te_csv_reference(trace, ref)
-        assert path.read_bytes() == ref.read_bytes()
+        for te_raw in (with_nan, te):
+            trace = DetectionTrace(times=0.005 * np.arange(n), te_raw=te_raw, cue=cue)
+            write_te_csv(trace, path)
+            write_te_csv_reference(trace, ref)
+            assert path.read_bytes() == ref.read_bytes()
+            if np.isnan(te_raw).any():
+                with pytest.raises(DataFormatError, match="te_raw value nan at row 2 is not"):
+                    read_te_csv(path)
         times, te_raw = read_te_csv(path)
         assert times.tobytes() == trace.times.tobytes()
         assert te_raw.tobytes() == trace.te_raw.tobytes()
 
     def test_arrays_match_the_float_loop_bit_for_bit(self, tmp_path):
-        """NaN, signed zero, subnormals, large magnitudes, quoted fields,
-        blank lines and CRLF line ends read back as csv.reader + float()
-        read them."""
+        """Signed zero, subnormals, large magnitudes, quoted fields, blank
+        lines and CRLF line ends read back as csv.reader + float() read
+        them."""
         import csv
 
         path = tmp_path / "te.csv"
@@ -103,7 +111,7 @@ class TestTeCsv:
                          b"-0.0,-0.0\r\n"
                          b"\r\n"
                          b'5e-324,"1e16"\r\n'
-                         b'"0.01",nan\r\n'
+                         b'"0.01",-1e-310\r\n'
                          b"0.015,-1e-05\r\n"
                          b"0.02,1.7976931348623157e308\r\n"
                          b"\r\n\r\n")
@@ -141,6 +149,16 @@ class TestTeCsv:
         path.write_bytes(b"t,te_raw,cue\r\n0.0,0.5,1\r\n")
         with pytest.raises(DataFormatError,
                            match=r"te\.csv: header \['t', 'te_raw', 'cue'\] does not match"):
+            read_te_csv(path)
+
+    def test_non_finite_value_is_refused_by_the_reader(self, tmp_path):
+        """The reader itself names the file, the column and the row of a
+        value that is not finite, the blank line before it counted."""
+        path = tmp_path / "te.csv"
+        path.write_text("t,te_raw\n0.0,0.5\n\n0.005,inf\n0.01,0.25\n")
+        with pytest.raises(DataFormatError,
+                           match=rf"^{re.escape(str(path))}: te_raw value inf at row 3 "
+                                 "is not finite$"):
             read_te_csv(path)
 
 

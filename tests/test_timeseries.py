@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cueflow.errors import DataFormatError
-from cueflow.timeseries import (_WRITE_BLOCK_ROWS, TimeSeries, Trial, TrialSet,
-                                _median, load_csv, read_numeric_csv, resample, trim_start,
-                                write_trial_csv)
+from cueflow.storage import (_WRITE_BLOCK_ROWS, _median, load_csv, read_numeric_csv,
+                             write_trial_csv)
+from cueflow.timeseries import TimeSeries, Trial, TrialSet, resample, trim_start
 
 
 def csv_float_rows(path):
@@ -77,6 +77,22 @@ class TestTimeSeries:
             ts = make_series([1.0, 2.0])
             ts.channel_index("missing")
 
+    def test_recorded_series_starts_at_its_first_timestamp(self):
+        """A recorded series has one clock: its t0 is its first timestamp,
+        so the resampled grid starts there and holds the recorded samples."""
+        ts = TimeSeries(("x",), [1.0, 2.0, 3.0], dt=0.1, raw_times=[0.5, 0.6, 0.7])
+        assert ts.t0 == 0.5
+        out = resample(ts, 10.0)
+        assert out.n_samples == 3 and out.t0 == 0.5
+        np.testing.assert_allclose(out.times, [0.5, 0.6, 0.7], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data[:, 0], [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
+
+    def test_t0_that_disagrees_with_the_recorded_clock_is_an_error(self):
+        assert TimeSeries(("x",), [1.0, 2.0], dt=0.1, t0=0.5, raw_times=[0.5, 0.6]).t0 == 0.5
+        with pytest.raises(DataFormatError,
+                           match="t0 = 0.0 disagrees with the first recorded timestamp 0.5"):
+            TimeSeries(("x",), [1.0, 2.0], dt=0.1, t0=0.0, raw_times=[0.5, 0.6])
+
 
 class TestLoadCsv:
     def write(self, tmp_path, text, name="trial.csv"):
@@ -98,6 +114,15 @@ class TestLoadCsv:
         ts = load_csv(self.write(tmp_path, "t,x\n" + rows + "\n"))
         assert ts.dt == pytest.approx(0.1)
         assert ts.raw_times is not None  # jitter kept for resampling
+
+    def test_duration_is_the_recorded_span(self, tmp_path):
+        """With one sample dropped the recording spans 0.6 s, not the
+        0.4 s that dt times the sample count gives; a grid series keeps
+        dt * (n - 1)."""
+        rows = "\n".join(f"{t},{i}" for i, t in enumerate((0.0, 0.1, 0.2, 0.3, 0.6)))
+        ts = load_csv(self.write(tmp_path, "t,x\n" + rows + "\n"))
+        assert ts.duration == 0.6
+        assert make_series(np.zeros(5), dt=0.1).duration == 0.1 * 4
 
     def test_median_is_np_median_bitwise(self):
         """Odd and even lengths, ties, and spreads over many magnitudes."""
@@ -126,10 +151,10 @@ class TestLoadCsv:
                            ((0.0, 1.0, "-inf", 3.0), 3)):
             body = "".join(f"{t},{i}\n" for i, t in enumerate(times))
             p = self.write(tmp_path, "t,x\n" + body)
-            with pytest.raises(DataFormatError, match=rf"{p.name}: timestamp \S+ at row {row} "):
+            with pytest.raises(DataFormatError, match=rf"{p.name}: t value \S+ at row {row} "):
                 load_csv(p)
         for body, match in (("0,1\n\n1,2\n1,3\n", "timestamps not strictly increasing at row 4"),
-                            ("0,1\n\n\nnan,2\n1,3\n", "timestamp nan at row 4 is not finite")):
+                            ("0,1\n\n\nnan,2\n1,3\n", "t value nan at row 4 is not finite")):
             p = self.write(tmp_path, "t,x\n" + body)
             with pytest.raises(DataFormatError, match=f"{p.name}: {match}"):
                 load_csv(p)
@@ -218,9 +243,9 @@ class TestLoadCsv:
         ("0.0,1,2\n0.1,2,3\n", "row 1 has 3 fields, expected 2"),
         ("0.0,1\n  \n0.1,2\n", "row 2 has 1 fields, expected 2"),
         ("0.0,1_0\n0.1,2\n", "trial.csv: a number is not in plain decimal"),
-        ("0.0,1\n\n0.1,nan\n", "trial.csv: value nan in channel 'x' at row 3 is not finite"),
-        ("0.0,inf\n0.1,2\n", "trial.csv: value inf in channel 'x' at row 1 is not finite"),
-        ("0.0,1\n0.1,2\n0.2,-inf\n", "trial.csv: value -inf in channel 'x' at row 3 "),
+        ("0.0,1\n\n0.1,nan\n", "trial.csv: x value nan at row 3 is not finite"),
+        ("0.0,inf\n0.1,2\n", "trial.csv: x value inf at row 1 is not finite"),
+        ("0.0,1\n0.1,2\n0.2,-inf\n", "trial.csv: x value -inf at row 3 "),
     ])
     def test_bad_body_names_the_file_and_row(self, tmp_path, body, match):
         with pytest.raises(DataFormatError, match=match):
