@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .timeseries import TimeSeries
+from .timeseries import TimeSeries, grid_times
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,7 @@ def embed(series: list[TimeSeries], spec: EmbeddingSpec,
                        axis=1, out=design[lo:hi, 1:])
         np.concatenate([ts.data[off:, c, None] for c in tgt_idx], axis=1,
                        out=targets[lo:hi])
-        # ts.times[off:], t0 + k * dt, without its full-length temporaries
-        t = times[lo:hi]
-        t[:] = np.arange(off, off + n_rows)
-        t *= ts.dt
-        t += ts.t0
+        grid_times(ts.t0, ts.dt, np.arange(off, off + n_rows), out=times[lo:hi])
         lo = hi
     return EmbeddedDataset(targets=targets, design=design, target_cols=spec.d * n_tgt,
                            times=times)

@@ -66,18 +66,24 @@ def _read_meta(path) -> dict[str, str]:
 
 
 def _read_key_values(path) -> dict[str, str]:
-    """``key=value`` lines (blank lines skipped) of a sidecar or ``trials.meta``."""
+    """``key=value`` lines (blank lines skipped) of a sidecar or ``trials.meta``.
+
+    A key given twice is an error naming the file, the line (from 1) and
+    the key, not a silent choice of one value.
+    """
     with text_errors(path):
         text = Path(path).read_text()
     out: dict[str, str] = {}
-    for line in text.splitlines():
+    for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         if "=" not in line:
             raise DataFormatError(f"{path}: malformed line {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k in out:
+            raise DataFormatError(f"{path}: line {i} repeats key {k!r}")
+        out[k] = v
     return out
 
 

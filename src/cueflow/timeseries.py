@@ -17,10 +17,29 @@ from .errors import DataFormatError
 MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8
 
 
+def grid_times(t0: float, dt: float, k: int | np.ndarray,
+               out: np.ndarray | None = None) -> float | np.ndarray:
+    """Instants ``k`` (an int or an int array) of the uniform grid from ``t0``
+    at step ``dt``: ``t0 + k / rate`` with ``rate = 1 / dt``, written into
+    ``out`` when given.
+
+    Every grid instant in cueflow is computed here, so a resampled series
+    and the rows embedded from it share their clock bitwise.  For each rate
+    in use (10, 200, 1000 Hz and the like) ``1 / (1 / rate)`` is ``rate``
+    again, so ``k / rate`` is the correctly rounded quotient: the instant a
+    decimal stamp such as ``0.6`` reads as, where ``k * dt`` would give
+    ``0.6000000000000001``.  At a rate where that identity fails (49 Hz)
+    an instant is within 1 ulp of ``k * dt``.
+    """
+    t = np.divide(k, 1.0 / dt, out=out)
+    t += t0
+    return t
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A block of one or more named channels, sampled at recorded timestamps
-    or on the grid ``t0 + k*dt``.
+    or on the uniform grid of :func:`grid_times`.
 
     Parameters
     ----------
@@ -35,10 +54,11 @@ class TimeSeries:
         else 0.0 unless given.  A ``t0`` that disagrees with ``raw_times[0]``
         is an error, so a recorded series has one clock.
     raw_times : ndarray or None
-        Recorded timestamps, as :func:`storage.load_csv` read them.  When
-        kept they are the series' :attr:`times`, so :func:`resample`
-        interpolates from the true sample instants; when None the series
-        lies on the uniform grid ``t0 + k*dt``.
+        Recorded timestamps, as :func:`storage.load_csv` read them: finite
+        and strictly increasing.  When kept they are the series'
+        :attr:`times`, so :func:`resample` interpolates from the true sample
+        instants; when None the series lies on the uniform grid of
+        :func:`grid_times` from ``t0`` at step ``dt``.
     """
 
     channels: tuple[str, ...]
@@ -71,6 +91,14 @@ class TimeSeries:
             raw = np.asarray(self.raw_times, dtype=float)
             if raw.shape != (data.shape[0],):
                 raise DataFormatError("raw_times length must match data rows")
+            bad = np.flatnonzero(~np.isfinite(raw))
+            if bad.size:
+                raise DataFormatError(f"raw_times value {raw[bad[0]]} at index "
+                                      f"{bad[0]} is not finite")
+            bad = np.flatnonzero(np.diff(raw) <= 0)
+            if bad.size:
+                raise DataFormatError(f"raw_times not strictly increasing at index "
+                                      f"{bad[0] + 1}")
             if self.t0 is not None and t0 != raw[0]:
                 raise DataFormatError(f"t0 = {t0} disagrees with the first recorded "
                                       f"timestamp {raw[0]}")
@@ -90,18 +118,19 @@ class TimeSeries:
 
     @property
     def times(self) -> np.ndarray:
-        """The recorded timestamps when kept, else the grid ``t0 + k*dt``."""
+        """The recorded timestamps when kept, else the series' grid instants."""
         if self.raw_times is not None:
             return self.raw_times
-        return self.t0 + self.dt * np.arange(self.n_samples)
+        return grid_times(self.t0, self.dt, np.arange(self.n_samples))
 
     @property
     def duration(self) -> float:
         """Span from the first to the last sample, in seconds: the recorded
-        span when the timestamps are kept, else ``dt * (n_samples - 1)``."""
+        span when the timestamps are kept, else the last sample's grid
+        offset ``(n_samples - 1) / rate``."""
         if self.raw_times is not None:
             return float(self.raw_times[-1] - self.raw_times[0])
-        return self.dt * (self.n_samples - 1)
+        return float(grid_times(0.0, self.dt, self.n_samples - 1))
 
     def channel_index(self, name: str) -> int:
         try:
@@ -163,11 +192,12 @@ def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:
     """Linearly interpolate onto a uniform grid at ``rate_hz``.
 
     Interpolates from :attr:`TimeSeries.times`, the recorded timestamps of
-    a loaded series.  The grid ``t0 + k * (1/rate_hz)`` starts at the first
-    sample, ``t0``, and covers the recorded span; no extrapolation beyond the
-    last sample.  A series whose timestamps are that grid comes back with
-    every sample and value bitwise, as interpolation at a recorded instant
-    returns its value.
+    a loaded series, at the instants ``t0 + k / rate_hz`` of
+    :func:`grid_times`: from the first sample, ``t0``, over the recorded
+    span, with no extrapolation beyond the last sample.  A series whose
+    timestamps are those instants, such as a recording at ``rate_hz`` from
+    ``t0 = 0`` stamped in decimals, comes back with every sample and value
+    bitwise, as interpolation at a recorded instant returns its value.
     """
     if not (np.isfinite(rate_hz) and rate_hz > 0):
         raise DataFormatError(f"rate_hz must be positive, got {rate_hz}")
@@ -180,7 +210,7 @@ def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:
             "more than a numpy array can index")
     n_out = int(n_out)
     new_dt = 1.0 / rate_hz
-    new_t = ts.t0 + new_dt * np.arange(n_out)
+    new_t = grid_times(ts.t0, new_dt, np.arange(n_out))
     out = np.column_stack([np.interp(new_t, src_t, ts.data[:, j])
                            for j in range(ts.n_channels)])
     return TimeSeries(channels=ts.channels, data=out, dt=new_dt, t0=ts.t0)

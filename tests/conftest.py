@@ -120,6 +120,15 @@ def null_run(e2e_config, tmp_path_factory):
     return _timed_run(trials, e2e_config, tmp_path_factory.mktemp("null_run"))
 
 
+def write_decimal_trial(path, rate_hz: float, n: int = 2401, seed: int = 0) -> None:
+    """A one-channel trial CSV of ``n`` rows at ``rate_hz``, stamped in
+    decimals as recorders write them (``%.6f`` of ``k / rate_hz``), with
+    random values written as their ``repr``."""
+    values = np.random.default_rng(seed).standard_normal(n)
+    path.write_text("t,x\n" + "".join(f"{k / rate_hz:.6f},{v!r}\n"
+                                       for k, v in enumerate(values.tolist())))
+
+
 COUPLED_A = ((0.5, 0.5), (0.0, 0.0))
 IDENTITY_Q = ((1.0, 0.0), (0.0, 1.0))
 

@@ -430,6 +430,15 @@ class TestBadInputExits2:
         assert code == 2
         assert "trim_start_s.t000='abc' is not a finite number" in err
 
+    def test_repeated_trim_key(self, cue_config, tmp_path, capsys):
+        def corrupt(trials_dir):
+            (trials_dir / "trials.meta").write_text("trim_start_s.t000=1.0\n"
+                                                    "trim_start_s.t000=2.0\n")
+
+        code, err = self.run_corrupted(corrupt, cue_config, tmp_path, capsys)
+        assert code == 2
+        assert "trials.meta: line 2 repeats key 'trim_start_s.t000'" in err
+
     def test_trim_key_for_an_unknown_trial(self, cue_config, tmp_path, capsys):
         def corrupt(trials_dir):
             (trials_dir / "trials.meta").write_text("trim_start_s.t009=1.0\n")

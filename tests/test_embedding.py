@@ -8,7 +8,9 @@ from cueflow.config import IoConfig, PipelineConfig
 from cueflow.detector import DetectorConfig
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.errors import ConfigError
-from cueflow.timeseries import TimeSeries
+from cueflow.storage import load_csv
+from cueflow.timeseries import TimeSeries, resample
+from conftest import write_decimal_trial
 
 
 def series(data, dt=1.0, channels=None):
@@ -189,6 +191,24 @@ class TestEmbed:
             a, b = getattr(got, name), getattr(want, name)
             assert (a.shape, a.flags.f_contiguous) == (b.shape, b.flags.f_contiguous)
             assert a.tobytes() == b.tobytes()
+
+
+class TestRowTimes:
+    @pytest.mark.parametrize("rate_hz", [10.0, 200.0, 49.0])
+    def test_rows_keep_the_prepared_clock(self, rate_hz, tmp_path):
+        """The row times are the prepared series' instants from the horizon
+        on, bitwise, at any rate; a decimal-stamped recording at 10 or
+        200 Hz keeps its own stamps through resampling and embedding."""
+        path = tmp_path / "trial.csv"
+        write_decimal_trial(path, rate_hz, n=600)
+        loaded = load_csv(path)
+        prepared = resample(loaded, rate_hz)
+        spec = EmbeddingSpec(d=3, delta_s=0.1)
+        horizon = spec.horizon(prepared.dt)
+        times = embed([prepared, prepared], spec, (("x",), ("x",))).times
+        assert times.tobytes() == np.tile(prepared.times[horizon:], 2).tobytes()
+        if rate_hz != 49.0:
+            assert times[:600 - horizon].tobytes() == loaded.times[horizon:].tobytes()
 
 
 class TestLagIdentities:

@@ -302,6 +302,32 @@ class TestTrialDir:
         assert [t.trial_id for t in back] == ["walk01"]
 
 
+class TestRepeatedKeys:
+    """A ``key=value`` file that gives a key twice is refused, naming the
+    file, the line and the key, not read as its last value."""
+
+    def test_trial_metadata(self, tmp_path):
+        d = tmp_path / "trials"
+        d.mkdir()
+        (d / "walk01.csv").write_text("t,x\n0.0,1.0\n0.1,2.0\n")
+        (d / "trials.meta").write_text("trim_start_s.walk01=1.0\n\n"
+                                       "trim_start_s.walk01 = 2.0\n")
+        with pytest.raises(DataFormatError, match=r"trials\.meta: line 3 repeats key "
+                                                  r"'trim_start_s\.walk01'"):
+            load_trial_dir(d)
+
+    def test_sidecar(self, tmp_path):
+        hist = CueHistogram(bin_dt=0.5, counts=np.array([0, 3]), n_trials=3,
+                            direction="src2tgt")
+        path = tmp_path / "histogram.csv"
+        write_histogram_csv(hist, path)
+        meta = tmp_path / "histogram.csv.meta"
+        meta.write_text(meta.read_text() + "bin_dt=0.25\n")
+        with pytest.raises(DataFormatError,
+                           match=r"histogram\.csv\.meta: line 4 repeats key 'bin_dt'"):
+            read_histogram_csv(path)
+
+
 class TestUndecodableBytes:
     """A byte that is not text, in any file storage reads, names the file."""
 

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from cueflow.errors import DataFormatError
 from cueflow.storage import (_WRITE_BLOCK_ROWS, _median, load_csv, read_numeric_csv,
                              write_trial_csv)
-from cueflow.timeseries import TimeSeries, Trial, TrialSet, resample, trim_start
+from cueflow.timeseries import TimeSeries, Trial, TrialSet, grid_times, resample, trim_start
+from conftest import write_decimal_trial
 
 
 def csv_float_rows(path):
@@ -86,6 +87,19 @@ class TestTimeSeries:
         assert out.n_samples == 3 and out.t0 == 0.5
         np.testing.assert_allclose(out.times, [0.5, 0.6, 0.7], rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data[:, 0], [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("raw, match", [
+        ([np.nan, 0.6, 0.7], "raw_times value nan at index 0 is not finite"),
+        ([0.5, np.inf, 0.7], "raw_times value inf at index 1 is not finite"),
+        ([0.7, 0.6, 0.5], "raw_times not strictly increasing at index 1"),
+        ([0.5, 0.6, 0.6], "raw_times not strictly increasing at index 2"),
+    ])
+    def test_bad_recorded_times_are_named_where_the_series_is_built(self, raw, match):
+        """Recorded times that are not finite, or do not increase, are
+        refused when the series is built, naming the cause and the first bad
+        index, not later by resample under a cause they do not have."""
+        with pytest.raises(DataFormatError, match=match):
+            TimeSeries(("x",), [1.0, 2.0, 3.0], dt=0.1, raw_times=raw)
 
     def test_t0_that_disagrees_with_the_recorded_clock_is_an_error(self):
         assert TimeSeries(("x",), [1.0, 2.0], dt=0.1, t0=0.5, raw_times=[0.5, 0.6]).t0 == 0.5
@@ -288,7 +302,7 @@ class TestLoadCsv:
         data = np.column_stack([special, special[::-1]])
         for ts in (TimeSeries(channels=("a,b", 'q"uote'), data=data, dt=0.1),
                    TimeSeries(channels=("x", "y"), data=data, dt=1.0,
-                              raw_times=np.cumsum(special[::-1]) + np.arange(7.0))):
+                              raw_times=np.sort(special))):
             write_trial_csv(ts, tmp_path / "new.csv")
             write_trial_csv_reference(ts, tmp_path / "ref.csv")
             assert ((tmp_path / "new.csv").read_bytes()
@@ -393,6 +407,53 @@ class TestResample:
     def test_bad_rate(self):
         with pytest.raises(DataFormatError):
             resample(make_series([0.0, 1.0]), 0.0)
+
+
+class TestGridTimes:
+    @pytest.mark.parametrize("rate_hz", [10, 20, 25, 30, 50, 60, 90, 100, 115, 120,
+                                         200, 250, 500, 1000])
+    def test_instants_are_the_correctly_rounded_quotients(self, rate_hz):
+        k = np.arange(100_001)
+        assert same_bits(grid_times(0.0, 1.0 / rate_hz, k), [i / rate_hz for i in k.tolist()])
+
+    def test_other_rates_stay_within_one_ulp_of_the_product(self):
+        k = np.arange(100_001)
+        for rate_hz in (49, 93, 117):
+            dt = 1.0 / rate_hz
+            got, product = grid_times(0.0, dt, k), dt * k
+            assert not same_bits(got, product)
+            assert (np.abs(got - product) <= np.spacing(product)).all()
+
+    def test_scalar_and_out_forms_agree(self):
+        k = np.arange(7, 40)
+        out = np.empty(k.size)
+        assert grid_times(0.25, 0.005, k, out=out) is out
+        assert same_bits(out, grid_times(0.25, 0.005, k))
+        assert same_bits([grid_times(0.25, 0.005, int(i)) for i in k], out)
+
+
+class TestDecimalStampedTrials:
+    """A recording at the analysis rate, stamped in decimals, lies on the
+    resampling grid: resampling at its own rate keeps every row and value."""
+
+    @pytest.mark.parametrize("rate_hz", [10.0, 200.0])
+    def test_resampling_at_the_recorded_rate_keeps_every_value(self, rate_hz, tmp_path):
+        path = tmp_path / "trial.csv"
+        write_decimal_trial(path, rate_hz)
+        loaded = load_csv(path)
+        out = resample(loaded, rate_hz)
+        assert out.n_samples == loaded.n_samples == 2401
+        assert same_bits(out.times, loaded.times)
+        assert same_bits(out.data, loaded.data)
+
+    def test_synthetic_trial_stamps_are_the_decimal_instants(self, tmp_path):
+        """A series on the grid writes its instants as ``k / rate``: ``0.6``,
+        not ``0.6000000000000001``."""
+        write_trial_csv(make_series(np.zeros(2401), dt=0.1), tmp_path / "grid.csv")
+        stamps = [row.split(",")[0] for row in
+                  (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+        assert stamps == [repr(k / 10) for k in range(2401)]
+        assert stamps[6] == "0.6"
 
 
 class TestTrimStart:
