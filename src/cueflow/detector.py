@@ -74,8 +74,10 @@ class DetectionTrace:
     """One direction's local TE, its cue mask and the events found on them.
 
     The in-memory output of :func:`detect_trace`.  A TE trace CSV holds
-    ``times`` and ``te_raw`` only, and the events go to ``events.csv``:
-    ``detect_trace(direction, t, te_raw, cfg, dt)`` on a written trace's columns
+    ``te_raw`` only, and the events go to ``events.csv``.  ``times`` is
+    rebuilt by ``pipeline.trace_times`` from the trial's ``t0`` in
+    ``manifest.csv``, the config and the trace's length; then
+    ``detect_trace(direction, times, te_raw, cfg, dt)`` on a written trace
     (``storage.read_te_csv``) rebuilds the mask and the events bitwise, as
     :func:`highpass` and :func:`des_threshold` rebuild the filtered TE and
     the threshold, which are not kept either.

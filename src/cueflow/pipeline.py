@@ -24,7 +24,7 @@ from .errors import CueflowError, DataFormatError, PipelineError
 from .models import (AUGMENTED, BASELINE, VAR_LINEAR, FittedModel, fit_mlp, fit_var,
                      predict_dataset)
 from .te import ENTROPY_DIFF, SRC2TGT, TGT2SRC, local_te
-from .timeseries import TimeSeries, Trial, TrialSet, resample, trim_start
+from .timeseries import TimeSeries, Trial, TrialSet, grid_times, resample, trim_start
 
 logger = logging.getLogger("cueflow")
 
@@ -219,12 +219,12 @@ def _analyze_direction(trial: Trial, direction: str, cfg: PipelineConfig,
     trace; only the events outlive the call."""
     try:
         ds = embed([trial.series], cfg.embedding, _direction_roles(cfg, direction))
-        times = ds.times
         te_raw = local_te(predict_dataset(pair.baseline, ds),
                           predict_dataset(pair.augmented, ds), ds.targets,
                           mode=cfg.model.te_mode)
-        del ds  # detection needs the times and the TE alone
-        trace = detect_trace(direction, times, te_raw, cfg.detector, cfg.dt)
+        del ds  # detection needs the TE alone, with the instants a reader rebuilds
+        trace = detect_trace(direction, trace_times(trial.series.t0, te_raw.size, cfg),
+                             te_raw, cfg.detector, cfg.dt)
     except CueflowError as exc:
         raise PipelineError(
             f"trial {trial.trial_id!r}, stage te ({direction}): {exc}"
@@ -270,6 +270,15 @@ def run(trials: PreparedTrials, cfg: PipelineConfig, out_dir) -> list[TrialResul
 
 def te_csv_name(trial_id: str, direction: str) -> str:
     return f"te_{trial_id}_{direction}.csv"
+
+
+def trace_times(t0: float, n_rows: int, cfg: PipelineConfig) -> np.ndarray:
+    """The instants of the ``n_rows`` rows of a TE trace written under
+    ``cfg``, for the trial whose prepared series starts at ``t0`` (its
+    ``manifest.csv`` entry): the grid instants from the embedding horizon
+    on, bitwise the times :func:`embed` gives the trace's rows."""
+    horizon = cfg.embedding.horizon(cfg.dt)
+    return grid_times(t0, cfg.dt, np.arange(horizon, horizon + n_rows))
 
 
 def write_run_dir(results: list[TrialResult], cfg: PipelineConfig, out_dir) -> None:
@@ -330,19 +339,20 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
 
     :func:`run` calls this on its own directory, with its prepared series
     as ``positions``; ``cueflow report`` calls it on a saved one.  Reads
-    ``manifest.csv``, ``events.csv`` and the per-trial TE traces under
-    ``events_dir`` and writes histogram/grid/peak-TE products into
-    ``out_dir``.  A non-finite number in a table or trace, or a table row
-    that disagrees with the others (see :func:`_read_run_dir`), is an error
-    naming its file and row.  The trace formats round-trip losslessly, so
-    this reproduces a run directory's own aggregates byte for byte.
-    Returns the names of the files written."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    ``manifest.csv`` and ``events.csv`` under ``events_dir`` and, when
+    the manifest lists two scenarios of at least two trials each, their
+    TE traces for the peak-TE report; then writes histogram/grid/peak-TE
+    products into ``out_dir``.  A non-finite number in a table or trace,
+    or a table row that disagrees with the others (see
+    :func:`_read_run_dir`), is an error naming its file and row.  Every
+    input is read and checked before the first file is written, so a
+    call that raises writes nothing.  The trace formats round-trip
+    losslessly, so this reproduces a run directory's own aggregates byte
+    for byte.  Returns the names of the files written."""
     events_dir = Path(events_dir)
     manifest, by_key = _read_run_dir(events_dir)
 
-    written: list[str] = []
+    products = []
     for direction in cfg.io.direction_list:
         hist_in = []
         for trial_id, _, t0, duration in manifest:
@@ -359,9 +369,7 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
             row = max(range(len(manifest)), key=lambda i: manifest[i][3])
             raise DataFormatError(
                 f"{path}: row {storage.file_row(path, row)}: {exc}") from None
-        name = f"histogram_{direction}.csv"
-        storage.write_histogram_csv(hist, out / name)
-        written.append(name)
+        products.append((f"histogram_{direction}.csv", storage.write_histogram_csv, hist))
         if (cfg.aggregate.cell_size_m is not None
                 and cfg.aggregate.position_channels and positions is not None):
             grid_in = []
@@ -373,19 +381,20 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
             grid = agg.spatial_grid(grid_in, cfg.aggregate.cell_size_m,
                                     channels=tuple(cfg.aggregate.position_channels),
                                     direction=direction)
-            name = f"grid_{direction}.csv"
-            storage.write_grid_csv(grid, out / name)
-            written.append(name)
+            products.append((f"grid_{direction}.csv", storage.write_grid_csv, grid))
 
-    scenarios = list(dict.fromkeys(scenario for _, scenario, _, _ in manifest))
-    if len(scenarios) == 2:
-        groups: dict[str, list[dict[str, np.ndarray]]] = {s: [] for s in scenarios}
-        for trial_id, scenario, _, _ in manifest:
-            groups[scenario].append({
-                direction: storage.read_te_csv(events_dir / te_csv_name(trial_id, direction))[1]
-                for direction in cfg.io.direction_list})
-        if min(len(g) for g in groups.values()) >= 2:
-            report = agg.peak_te_study(groups[scenarios[0]], groups[scenarios[1]])
-            storage.write_report_csv(report, out / "peak_te_report.csv")
-            written.append("peak_te_report.csv")
-    return written
+    groups: dict[str, list[str]] = {}
+    for trial_id, scenario, _, _ in manifest:
+        groups.setdefault(scenario, []).append(trial_id)
+    if len(groups) == 2 and min(len(ids) for ids in groups.values()) >= 2:
+        report = agg.peak_te_study(*(
+            [{direction: storage.read_te_csv(events_dir / te_csv_name(trial_id, direction))
+              for direction in cfg.io.direction_list} for trial_id in ids]
+            for ids in groups.values()))
+        products.append(("peak_te_report.csv", storage.write_report_csv, report))
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write, product in products:
+        write(product, out / name)
+    return [name for name, _, _ in products]

@@ -7,9 +7,11 @@ floats written with shortest-round-trip ``repr`` so read-back is lossless):
   ``t,<ch1>,<ch2>,...`` with distinct channel names and at least two rows,
   ``t`` strictly increasing and kept as the recorded clock, jittered or
   not.  An optional ``trials.meta`` of ``key=value`` lines sits beside them.
-* TE trace, one file per trial and direction: ``t,te_raw``.  The cue mask
-  and events are not stored here: ``detector.detect_trace`` rebuilds them
-  bitwise from these columns.
+* TE trace, one file per trial and direction: ``te_raw`` alone, one row per
+  embedded sample.  Its instants are not stored: ``pipeline.trace_times``
+  rebuilds them bitwise from the trial's ``t0`` in ``manifest.csv`` and the
+  run's config.  Nor are the cue mask and events: ``detector.detect_trace``
+  rebuilds them bitwise from those instants and this column.
 * Events: ``trial,direction,start_t,end_t,peak_te``.
 * Grid: ``ix,iy,count`` for nonzero cells, plus a ``<path>.meta`` sidecar of
   ``key=value`` lines (origin_x, origin_y, cell_size_m, nx, ny, direction).
@@ -38,7 +40,7 @@ from .detector import CueEvent, DetectionTrace
 from .errors import CueflowError, DataFormatError
 from .timeseries import TimeSeries, Trial, TrialSet
 
-TE_HEADER = ["t", "te_raw"]
+TE_HEADER = ["te_raw"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
 REPORT_HEADER = ["direction", "n_a", "n_b", "t_stat", "p_value"]
 _WRITE_BLOCK_ROWS = 4096
@@ -250,15 +252,16 @@ def read_rows(path, expected_header: list[str], types) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 def write_te_csv(trace: DetectionTrace, path) -> None:
-    write_columns_csv(path, TE_HEADER, [trace.times, trace.te_raw])
+    """Write ``trace.te_raw`` as a TE trace; ``trace.times`` is not stored."""
+    write_columns_csv(path, TE_HEADER, [trace.te_raw])
 
 
-def read_te_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """A TE trace's ``(times, te_raw)`` float64 arrays, as written."""
+def read_te_csv(path) -> np.ndarray:
+    """A TE trace's ``te_raw`` float64 array, as written."""
     _, arr = read_numeric_csv(path, lambda header: _check_header(path, header, TE_HEADER))
     if arr.size == 0:
         raise DataFormatError(f"{path}: no samples")
-    return arr[:, 0], arr[:, 1]
+    return arr[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -59,17 +59,21 @@ def _e2e_config() -> PipelineConfig:
 
 def run_read_back(trials: TrialSet, cfg: PipelineConfig, out_dir):
     """``pipeline.run`` of the prepared ``trials`` into ``out_dir``, then
-    every TE trace read back from its file with ``storage.read_te_csv`` and
-    its cue mask rebuilt by ``detect_trace``, carrying the run's events.
+    every TE trace read back from its file with ``storage.read_te_csv``, its
+    instants rebuilt by ``pipeline.trace_times`` from the trial's ``t0`` in
+    the run's ``manifest.csv``, and its cue mask by ``detect_trace``,
+    carrying the run's events.
 
     Returns the run's trial summaries and, per trial in trial order, a dict
     of direction -> trace.
     """
     results = pipeline.run(pipeline.prepare_trials(trials, cfg), cfg, out_dir)
+    t0s = {trial_id: t0 for trial_id, _, t0, _ in storage.read_rows(
+        Path(out_dir) / "manifest.csv", pipeline.MANIFEST_HEADER, (str, str, float, float))}
 
     def read_back(trial_id, direction, events):
-        path = Path(out_dir) / pipeline.te_csv_name(trial_id, direction)
-        times, te_raw = storage.read_te_csv(path)
+        te_raw = storage.read_te_csv(Path(out_dir) / pipeline.te_csv_name(trial_id, direction))
+        times = pipeline.trace_times(t0s[trial_id], te_raw.size, cfg)
         return replace(detect_trace(direction, times, te_raw, cfg.detector, cfg.dt),
                        events=events)
 

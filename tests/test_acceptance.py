@@ -290,8 +290,9 @@ def test_criterion_8_determinism_and_round_trips(tmp_path):
         0.05 * np.random.default_rng(5).standard_normal(400)
         + np.where(np.arange(400) // 100 == 2, 2.0, 0.0)), det, _DT)
     storage.write_te_csv(trace, tmp_path / "te.csv")
-    # The cue mask is not written: the detector rebuilds it from the trace.
-    back = detect_trace("src2tgt", *storage.read_te_csv(tmp_path / "te.csv"), det, _DT)
+    # Neither the instants nor the cue mask is written: the trace's grid
+    # gives the first, and the detector rebuilds the second from the TE.
+    back = detect_trace(*_te_series(storage.read_te_csv(tmp_path / "te.csv")), det, _DT)
     te_err = max(
         float(np.nanmax(np.abs(back.te_raw - trace.te_raw))),
         float(np.nanmax(np.abs(

@@ -293,13 +293,14 @@ class TestRunFlow:
 
     def test_written_traces_redetect_to_their_cues_and_events(self, cue_run_config,
                                                                  tmp_path, capsys):
-        """Each TE trace holds what detection needs: the detector run under
-        the run's [detector] section on a trace's t and te_raw gives its
-        trial's events.csv rows, bitwise.  The cue mask is not written; this
-        run of the detector is what rebuilds it."""
+        """Each TE trace holds what detection needs with the manifest: the
+        detector run under the run's [detector] section on a trace's te_raw,
+        at the instants trace_times rebuilds from the trial's manifest t0,
+        gives its trial's events.csv rows, bitwise.  The cue mask is not
+        written; this run of the detector is what rebuilds it."""
         from cueflow.config import load_config
         from cueflow.detector import detect_trace
-        from cueflow.pipeline import MANIFEST_HEADER, te_csv_name
+        from cueflow.pipeline import MANIFEST_HEADER, te_csv_name, trace_times
 
         trials_dir, run_dir = tmp_path / "trials", tmp_path / "run"
         main(["synth", "--config", str(cue_run_config), "--out", str(trials_dir)])
@@ -312,16 +313,16 @@ class TestRunFlow:
             return ev.direction, ev.start_t.hex(), ev.end_t.hex(), ev.peak_te.hex()
 
         written = storage.read_events_csv(run_dir / "events.csv")
-        trial_ids = [row[0] for row in storage.read_rows(
-            run_dir / "manifest.csv", MANIFEST_HEADER, (str, str, float, float))]
-        names = {te_csv_name(trial_id, direction) for trial_id in trial_ids
+        t0s = {row[0]: row[2] for row in storage.read_rows(
+            run_dir / "manifest.csv", MANIFEST_HEADER, (str, str, float, float))}
+        names = {te_csv_name(trial_id, direction) for trial_id in t0s
                  for direction in cfg.io.direction_list}
         assert {p.name for p in run_dir.glob("te_*.csv")} == names
         redetected = 0
-        for trial_id in trial_ids:
+        for trial_id, t0 in t0s.items():
             for direction in cfg.io.direction_list:
-                times, te_raw = storage.read_te_csv(
-                    run_dir / te_csv_name(trial_id, direction))
+                te_raw = storage.read_te_csv(run_dir / te_csv_name(trial_id, direction))
+                times = trace_times(t0, te_raw.size, cfg)
                 trace = detect_trace(direction, times, te_raw, cfg.detector, cfg.dt)
                 assert ([bits(ev) for ev in trace.events]
                         == [bits(ev) for t, ev in written
@@ -488,8 +489,7 @@ class TestBadInputExits2:
                      str(two_scenario_trials), "--out", str(run_dir)]) == 0
         trace = run_dir / "te_t001_src2tgt.csv"
         lines = trace.read_text().splitlines(keepends=True)
-        t, _ = lines[5].split(",")
-        lines[5] = f"{t},{value}\n"
+        lines[5] = f"{value}\n"
         lines.insert(2, "\n")
         trace.write_text("".join(lines))
         capsys.readouterr()
@@ -596,6 +596,57 @@ class TestMissingFilesExit2:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert f"cannot use --out {out} as a directory" in err
+
+
+class TestReportReadsBeforeWriting:
+    """``report`` reads a trace only for the peak-TE report it will write,
+    and reads every input before its first file, so a report that exits 2
+    leaves ``--out`` as it found it."""
+
+    def run_dir(self, cue_run_config, trials_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cue_run_config), "--trials",
+                     str(trials_dir), "--out", str(run_dir)]) == 0
+        return run_dir
+
+    def test_traces_without_a_report_due_are_not_read(self, cue_run_config,
+                                                      two_scenario_trials, tmp_path,
+                                                      capsys):
+        """With one null trial no peak-TE report is due, so its trace is
+        not needed: the report builds the histograms without it."""
+        (two_scenario_trials / "null__t003.csv").unlink()
+        run_dir = self.run_dir(cue_run_config, two_scenario_trials, tmp_path)
+        (run_dir / "te_t002_src2tgt.csv").unlink()
+        capsys.readouterr()
+        assert main(["report", "--config", str(cue_run_config), "--events",
+                     str(run_dir), "--out", str(tmp_path / "rep")]) == 0
+        assert sorted(p.name for p in (tmp_path / "rep").iterdir()) == [
+            "histogram_src2tgt.csv", "histogram_src2tgt.csv.meta",
+            "histogram_tgt2src.csv", "histogram_tgt2src.csv.meta"]
+        for rebuilt in (tmp_path / "rep").iterdir():
+            assert rebuilt.read_bytes() == (run_dir / rebuilt.name).read_bytes()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda trace: trace.unlink(), "cannot read {trace}"),
+        (lambda trace: trace.write_text("t,te_raw\n" + "".join(
+            f"{k / 10!r},{v}" for k, v in enumerate(trace.read_text().splitlines(True)[1:]))),
+         "{trace}: header ['t', 'te_raw'] does not match ['te_raw']"),
+    ], ids=["missing", "t_column"])
+    def test_a_failed_report_writes_nothing(self, cue_run_config, two_scenario_trials,
+                                            tmp_path, capsys, corrupt, message):
+        """A trace the peak-TE report needs that is gone, or that holds the
+        older ``t,te_raw`` layout, stops the report with exit code 2 naming
+        the file (and the header), before any histogram is written."""
+        run_dir = self.run_dir(cue_run_config, two_scenario_trials, tmp_path)
+        trace = run_dir / "te_t003_tgt2src.csv"
+        corrupt(trace)
+        capsys.readouterr()
+        assert main(["report", "--config", str(cue_run_config), "--events",
+                     str(run_dir), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message.format(trace=trace) in err
+        assert list((tmp_path / "rep").iterdir()) == []
 
 
 class TestPartialRun:

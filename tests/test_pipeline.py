@@ -9,13 +9,14 @@ import pytest
 from cueflow import pipeline, storage
 from cueflow.config import AggregateConfig, IoConfig, ModelConfig, PipelineConfig
 from cueflow.detector import DetectorConfig
-from cueflow.embedding import EmbeddingSpec
+from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.errors import ConfigError, PipelineError
 from cueflow.pipeline import (
     build_reports,
     fit_models,
     prepare_trials,
     run,
+    trace_times,
     validate_config,
 )
 from cueflow.synth import CueScenario, te_oracle_var1
@@ -467,6 +468,26 @@ class TestRunErrors:
         cfg = make_config(resample_hz=rate_hz, delta_s=1.0 / rate_hz)
         prepared = prepare_trials(trials, cfg)
         assert [trial.series.dt for trial in prepared] == [cfg.dt] * 2
+
+
+class TestTraceTimes:
+    @pytest.mark.parametrize("rate_hz", [10.0, 49.0, 115.0, 200.0])
+    def test_equal_the_times_embed_gives_the_rows(self, rate_hz):
+        """A trace's instants, rebuilt from its trial's t0 as manifest.csv
+        prints it, the config and the trace's length, are bitwise those
+        embed stamps on the trial's rows, on a trial trimmed off the grid
+        as on one that is not."""
+        trials = var1_trial_set(var1_trial("t000", seed=0, n=500)[0],
+                                var1_trial("t001", seed=1, n=500)[0],
+                                metadata={"trim_start_s.t001": "1.0025"})
+        cfg = make_config(d=2, delta_s=2.0 / rate_hz, resample_hz=rate_hz)
+        prepared = prepare_trials(trials, cfg)
+        assert prepared[0].series.t0 == 0.0 and 0.0 < prepared[1].series.t0 < cfg.dt
+        for trial in prepared:
+            want = embed([trial.series], cfg.embedding, (("x",), ("y",))).times
+            got = trace_times(float(repr(trial.series.t0)), want.size, cfg)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestPrepareKeepsRecordedSamples:

@@ -14,7 +14,7 @@ from cueflow.storage import (_WRITE_BLOCK_ROWS, load_trial_dir, read_events_csv,
                              read_te_csv, write_events_csv, write_grid_csv,
                              write_histogram_csv, write_report_csv,
                              write_te_csv, write_trial_dir)
-from cueflow.timeseries import TimeSeries, Trial, TrialSet
+from cueflow.timeseries import TimeSeries, Trial, TrialSet, grid_times
 
 
 BLOCK = _WRITE_BLOCK_ROWS
@@ -24,14 +24,20 @@ def write_te_csv_reference(trace, path):
     """The TE trace as csv.writer writes rows of repr() strings, one row at a time."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "te_raw"])
-        for t, te in zip(trace.times, trace.te_raw):
-            writer.writerow([repr(float(t)), repr(float(te))])
+        writer.writerow(["te_raw"])
+        for te in trace.te_raw:
+            writer.writerow([repr(float(te))])
 
 
 SAMPLE_CFG = DetectorConfig(alpha=0.05, beta=0.1, gamma=3.0, hp_cutoff_hz=1.0,
                             skip_warmup=False)
 SAMPLE_DT = 0.01
+
+
+def sample_times(n):
+    """The instants of an ``n``-row trace from 0 at ``SAMPLE_DT``, as
+    ``pipeline.trace_times`` rebuilds a written trace's on the grid."""
+    return grid_times(0.0, SAMPLE_DT, np.arange(n))
 
 
 def sample_trace():
@@ -40,19 +46,21 @@ def sample_trace():
     n = 400
     te = rng.standard_normal(n) * 0.05
     te[200:215] += 2.0
-    return detect_trace("src2tgt", SAMPLE_DT * np.arange(n), te, SAMPLE_CFG, SAMPLE_DT)
+    return detect_trace("src2tgt", sample_times(n), te, SAMPLE_CFG, SAMPLE_DT)
 
 
 class TestTeCsv:
     def test_round_trip_is_exact(self, tmp_path):
-        """A trace file holds t and te_raw; the detector run on them rebuilds
-        every other trace field bitwise, so a field that is neither stored
-        nor rebuilt fails here."""
+        """A trace file holds te_raw; the detector run on it at the trace's
+        grid instants rebuilds every other trace field bitwise, so a field
+        that is neither stored nor rebuilt fails here."""
         trace = sample_trace()
         assert trace.cue.any() and trace.events
         path = tmp_path / "te_t0_src2tgt.csv"
         write_te_csv(trace, path)
-        back = detect_trace("src2tgt", *read_te_csv(path), SAMPLE_CFG, SAMPLE_DT)
+        te_raw = read_te_csv(path)
+        back = detect_trace("src2tgt", sample_times(te_raw.size), te_raw, SAMPLE_CFG,
+                            SAMPLE_DT)
         for f in dataclasses.fields(DetectionTrace):
             got, want = getattr(back, f.name), getattr(trace, f.name)
             if isinstance(want, np.ndarray):
@@ -62,13 +70,22 @@ class TestTeCsv:
             else:
                 assert got == want, f.name
 
+    def test_file_is_te_raw_then_one_repr_per_line(self, tmp_path):
+        """The instants are not written: the file is the header ``te_raw``
+        and then each value's repr on a line of its own."""
+        trace = sample_trace()
+        path = tmp_path / "te.csv"
+        write_te_csv(trace, path)
+        assert path.read_bytes() == ("te_raw\n" + "".join(
+            f"{v!r}\n" for v in trace.te_raw.tolist())).encode()
+
     def test_bytes_match_csv_writer_of_repr(self, tmp_path):
         """Bulk formatting writes exactly what csv.writer writes for repr()
         fields, NaN, signed zero, subnormals and large magnitudes included."""
         special = [float("nan"), -0.0, 1e-5, 1e16, 5e-324, 0.1, -2.5, 123456789.125]
         te = np.array(special + [-x for x in special])
         n = te.size
-        trace = DetectionTrace(times=0.005 * np.arange(n), te_raw=te, cue=np.arange(n) % 3 == 0)
+        trace = DetectionTrace(times=sample_times(n), te_raw=te, cue=np.arange(n) % 3 == 0)
         path = tmp_path / "te.csv"
         write_te_csv(trace, path)
         ref = tmp_path / "ref.csv"
@@ -89,56 +106,54 @@ class TestTeCsv:
         cue = rng.random(n) < 0.3
         path, ref = tmp_path / "te.csv", tmp_path / "ref.csv"
         for te_raw in (with_nan, te):
-            trace = DetectionTrace(times=0.005 * np.arange(n), te_raw=te_raw, cue=cue)
+            trace = DetectionTrace(times=sample_times(n), te_raw=te_raw, cue=cue)
             write_te_csv(trace, path)
             write_te_csv_reference(trace, ref)
             assert path.read_bytes() == ref.read_bytes()
             if np.isnan(te_raw).any():
                 with pytest.raises(DataFormatError, match="te_raw value nan at row 2 is not"):
                     read_te_csv(path)
-        times, te_raw = read_te_csv(path)
-        assert times.tobytes() == trace.times.tobytes()
-        assert te_raw.tobytes() == trace.te_raw.tobytes()
+        back = read_te_csv(path)
+        assert (back.dtype, back.shape) == (trace.te_raw.dtype, trace.te_raw.shape)
+        assert back.tobytes() == trace.te_raw.tobytes()
 
     def test_arrays_match_the_float_loop_bit_for_bit(self, tmp_path):
         """Signed zero, subnormals, large magnitudes, quoted fields, blank
         lines and CRLF line ends read back as csv.reader + float() read
         them."""
-        import csv
-
         path = tmp_path / "te.csv"
-        path.write_bytes(b"t,te_raw\r\n"
-                         b"-0.0,-0.0\r\n"
+        path.write_bytes(b"te_raw\r\n"
+                         b"-0.0\r\n"
                          b"\r\n"
-                         b'5e-324,"1e16"\r\n'
-                         b'"0.01",-1e-310\r\n'
-                         b"0.015,-1e-05\r\n"
-                         b"0.02,1.7976931348623157e308\r\n"
+                         b'"1e16"\r\n'
+                         b"5e-324\r\n"
+                         b"-1e-310\r\n"
+                         b"-1e-05\r\n"
+                         b"1.7976931348623157e308\r\n"
                          b"\r\n\r\n")
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            ref = np.array([[float(v) for v in row] for row in reader if row])
-        for got, col in zip(read_te_csv(path), (0, 1)):
-            assert got.tobytes() == ref[:, col].tobytes()
+            ref = np.array([float(row[0]) for row in reader if row])
+        assert read_te_csv(path).tobytes() == ref.tobytes()
 
     def test_header_only_trace_is_an_error_without_warning(self, tmp_path):
         import warnings
 
         path = tmp_path / "te.csv"
-        path.write_text("t,te_raw\n")
+        path.write_text("te_raw\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataFormatError, match="no samples"):
                 read_te_csv(path)
 
     @pytest.mark.parametrize("row, match", [
-        ("0.0,1,2", "row 2 has 3 fields, expected 2"),
-        ("0.0,x", "numeric parse error at row 2"),
+        ("0.0,1", "row 2 has 2 fields, expected 1"),
+        ("x", "numeric parse error at row 2"),
     ])
     def test_bad_row_is_named(self, tmp_path, row, match):
         path = tmp_path / "te.csv"
-        path.write_text("t,te_raw\n0.0,nan\n" + row + "\n")
+        path.write_text("te_raw\nnan\n" + row + "\n")
         with pytest.raises(DataFormatError, match=match):
             read_te_csv(path)
 
@@ -155,7 +170,7 @@ class TestTeCsv:
         """The reader itself names the file, the column and the row of a
         value that is not finite, the blank line before it counted."""
         path = tmp_path / "te.csv"
-        path.write_text("t,te_raw\n0.0,0.5\n\n0.005,inf\n0.01,0.25\n")
+        path.write_text("te_raw\n0.5\n\ninf\n0.25\n")
         with pytest.raises(DataFormatError,
                            match=rf"^{re.escape(str(path))}: te_raw value inf at row 3 "
                                  "is not finite$"):
