@@ -33,7 +33,7 @@ import numpy as np
 
 from . import pipeline, storage
 from .config import load_config
-from .errors import ConfigError, CueflowError
+from .errors import ConfigError, CueflowError, DataFormatError
 from .timeseries import TimeSeries, Trial, TrialSet
 
 logger = logging.getLogger("cueflow.cli")
@@ -55,8 +55,8 @@ def _build_parser() -> _Parser:
                      description="Directed-information cue detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
+    def common(p):
+        p.add_argument("--config", required=True,
                        help="pipeline config file (INI sections)")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override one config key (repeatable)")
@@ -122,48 +122,46 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _scenario_trials(settings) -> tuple[TrialSet, list[tuple[str, float, float]]]:
+def _synth_spec(settings, i: int):
+    """Trial ``i``'s ``CueScenario`` or ``Var1Spec`` under the ``[synth]``
+    section ``settings``, seeded ``seed + i``: ``synth`` and ``oracle`` apply
+    its rules alike, and a broken one is a ConfigError naming ``[synth]``."""
     # synth is imported where it is used, so run, report and validate start without it.
     from . import synth
 
-    trials = []
-    truths = []
-    for i in range(settings.n_trials):
-        scen = synth.CueScenario(
-            duration_s=settings.duration_s,
-            cue_times=settings.cue_times,
-            response_delay_s=settings.response_delay_s,
-            amplitude=settings.amplitude,
-            noise_sigma=settings.noise_sigma,
-            seed=settings.seed + i,
-            rate_hz=settings.rate_hz,
-        )
-        leader, follower, truth = synth.gen_cue_scenario(scen)
-        dt = leader.dt
-        # Integrated follower position, so spatial aggregation has coordinates.
-        pos = np.cumsum(follower.data, axis=0) * dt
-        data = np.hstack([leader.data, follower.data, pos])
-        series = TimeSeries(
-            channels=(*leader.channels, *follower.channels,
-                      "follower_px", "follower_py"),
-            data=data, dt=dt)
-        trial_id = f"t{i:03d}"
-        trials.append(Trial(trial_id=trial_id, scenario="cue_scenario", series=series))
-        truths.extend((trial_id, s, e) for s, e in truth)
-    return TrialSet(trials=tuple(trials)), truths
+    try:
+        if settings.kind == "cue_scenario":
+            return synth.CueScenario(
+                duration_s=settings.duration_s, cue_times=settings.cue_times,
+                response_delay_s=settings.response_delay_s, amplitude=settings.amplitude,
+                noise_sigma=settings.noise_sigma, seed=settings.seed + i,
+                rate_hz=settings.rate_hz)
+        return synth.Var1Spec(a=np.asarray(settings.a).reshape(2, 2),
+                              q=np.asarray(settings.q).reshape(2, 2),
+                              n=settings.n, seed=settings.seed + i, dt=settings.dt)
+    except DataFormatError as exc:
+        raise ConfigError(f"[synth] {exc}") from None
 
 
-def _var1_trials(settings) -> TrialSet:
+def _synth_trials(settings) -> tuple[TrialSet, list[tuple[str, float, float]]]:
+    """The trials ``cueflow synth`` writes, and a cue scenario's truth rows."""
     from . import synth
 
-    trials = []
-    a = np.asarray(settings.a).reshape(2, 2)
-    q = np.asarray(settings.q).reshape(2, 2)
+    trials, truths = [], []
     for i in range(settings.n_trials):
-        spec = synth.Var1Spec(a=a, q=q, n=settings.n, seed=settings.seed + i, dt=settings.dt)
-        trials.append(Trial(trial_id=f"t{i:03d}", scenario="var1",
-                            series=synth.gen_var1(spec)))
-    return TrialSet(trials=tuple(trials))
+        spec, trial_id = _synth_spec(settings, i), f"t{i:03d}"
+        if settings.kind == "var1":
+            series = synth.gen_var1(spec)
+        else:
+            leader, follower, truth = synth.gen_cue_scenario(spec)
+            # Integrated follower position, so spatial aggregation has coordinates.
+            pos = np.cumsum(follower.data, axis=0) * leader.dt
+            series = TimeSeries(channels=(*leader.channels, *follower.channels,
+                                          "follower_px", "follower_py"),
+                                data=np.hstack([leader.data, follower.data, pos]), dt=leader.dt)
+            truths.extend((trial_id, s, e) for s, e in truth)
+        trials.append(Trial(trial_id=trial_id, scenario=settings.kind, series=series))
+    return TrialSet(trials=tuple(trials)), truths
 
 
 def _cmd_synth(args) -> int:
@@ -171,12 +169,10 @@ def _cmd_synth(args) -> int:
     if settings is None:
         raise ConfigError("config has no [synth] section")
     out = _out_dir(args.out)
+    trials, truths = _synth_trials(settings)
     if settings.kind == "cue_scenario":
-        trials, truths = _scenario_trials(settings)
         storage.write_rows(out / "truth.csv", ["trial", "start_t", "end_t"],
                            ([t, repr(s), repr(e)] for t, s, e in truths))
-    else:
-        trials = _var1_trials(settings)
     storage.write_trial_dir(trials, out)
     print(f"wrote {len(trials)} trials -> {out}")
     return 0
@@ -190,9 +186,7 @@ def _cmd_oracle(args) -> int:
         raise ConfigError(f"oracle requires [synth] kind=var1, got {settings.kind!r}")
     from . import synth
 
-    spec = synth.Var1Spec(a=np.asarray(settings.a).reshape(2, 2),
-                          q=np.asarray(settings.q).reshape(2, 2),
-                          n=max(settings.n, 2), seed=settings.seed, dt=settings.dt)
+    spec = _synth_spec(settings, 0)
     for direction in (synth.Y_TO_X, synth.X_TO_Y):
         te = synth.te_oracle_var1(spec, direction)
         print(f"te[{direction}] = {te!r} nats")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .timeseries import TimeSeries, grid_times
+from .timeseries import TimeSeries
 
 
 @dataclass(frozen=True)
@@ -56,17 +56,14 @@ class EmbeddedDataset:
     design : (T, 1 + d*Dx + d*Dy) column-major design block: ones in column
         0 (the intercept), then past target samples (lags delta..d*delta) in
         the next ``target_cols`` columns, then past source samples, same lags
-    times : (T,) timestamps of the target rows
+    target_cols : the number of target-history columns, ``d * Dx``
+
+    A row's instant is not stored: ``pipeline.trace_times`` gives it.
     """
 
     targets: np.ndarray
     design: np.ndarray
     target_cols: int
-    times: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return self.targets.shape[0]
 
     @property
     def joint_hist(self) -> np.ndarray:
@@ -100,7 +97,6 @@ def embed(series: list[TimeSeries], spec: EmbeddingSpec,
     # is contiguous, and only views of the series are taken.
     design = np.empty((sum(rows), 1 + spec.d * (n_tgt + n_src)), order="F")
     targets = np.empty((sum(rows), n_tgt), order="F")
-    times = np.empty(sum(rows))
     design[:, 0] = 1.0
     lo = 0
     for ts, n_rows in zip(series, rows):
@@ -113,7 +109,5 @@ def embed(series: list[TimeSeries], spec: EmbeddingSpec,
                        axis=1, out=design[lo:hi, 1:])
         np.concatenate([ts.data[off:, c, None] for c in tgt_idx], axis=1,
                        out=targets[lo:hi])
-        grid_times(ts.t0, ts.dt, np.arange(off, off + n_rows), out=times[lo:hi])
         lo = hi
-    return EmbeddedDataset(targets=targets, design=design, target_cols=spec.d * n_tgt,
-                           times=times)
+    return EmbeddedDataset(targets=targets, design=design, target_cols=spec.d * n_tgt)

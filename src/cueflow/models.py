@@ -120,13 +120,15 @@ class TrainReport:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A trained predictor plus everything needed to reapply it."""
+    """A trained predictor plus everything needed to reapply it.  ``params``
+    holds ``intercept``, ``coef`` and ``cov`` (``var_linear``), or the float64
+    ``layers`` ``[W0, b0, W1, b1, ...]`` in the trainer's order and the
+    ``x_mean``, ``x_scale``, ``y_mean`` and ``y_scale`` standardizers."""
 
     kind: str
     conditioning: str
     output_dim: int
-    params: dict[str, np.ndarray]
-    hidden: tuple[int, ...] = ()
+    params: dict[str, np.ndarray | list[np.ndarray]]
     train_report: TrainReport = field(default=TrainReport(float("nan"), 0))
 
 
@@ -372,17 +374,12 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str, model, seed: int) -> FittedM
                 m_hat /= v_hat
                 flat -= m_hat
 
-    params = {f"layer_{i}": q.astype(np.float64) for i, q in enumerate(layers)}
-    params.update(x_mean=x_mean, x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)
+    params = dict(layers=[q.astype(np.float64) for q in layers], x_mean=x_mean,
+                  x_scale=x_scale, y_mean=y_mean, y_scale=y_scale)
     fitted = FittedModel(kind=MLP_GAUSSIAN, conditioning=conditioning, output_dim=d,
-                         params=params, hidden=tuple(model.hidden))
+                         params=params)
     final_nll = -np.mean(predict_dataset(fitted, ds).log_density(y_raw))
     return replace(fitted, train_report=TrainReport(final_nll=float(final_nll), n_iter=step))
-
-
-def _mlp_layers(model: FittedModel) -> list[np.ndarray]:
-    n_layers = 2 * (len(model.hidden) + 1)
-    return [model.params[f"layer_{i}"] for i in range(n_layers)]
 
 
 def predict(model: FittedModel, rows: np.ndarray) -> GaussianPredictions:
@@ -397,7 +394,7 @@ def predict(model: FittedModel, rows: np.ndarray) -> GaussianPredictions:
         mean = model.params["intercept"] + rows @ model.params["coef"]
         return GaussianPredictions(mean=mean, cov=model.params["cov"])
     xs = (rows - model.params["x_mean"]) / model.params["x_scale"]
-    out, _ = _forward(_mlp_layers(model), xs)
+    out, _ = _forward(model.params["layers"], xs)
     mu, lv = out[:, :model.output_dim], out[:, model.output_dim:]
     mean = model.params["y_mean"] + model.params["y_scale"] * mu
     var = np.maximum(model.params["y_scale"] ** 2 * np.exp(lv), VARIANCE_FLOOR)

@@ -115,8 +115,10 @@ def prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> PreparedTrials:
 
     The trials are checked here, once: the set is not empty, its one
     channel schema holds every configured channel (:func:`check_channels`),
-    each trim key names a trial and each prepared series is longer than
-    the embedding horizon; an error names the key or the trial.
+    each metadata key ``trim_start_s.<trial>`` names a trial and holds a
+    finite number of seconds, at which that trial is trimmed once
+    resampled, and each prepared series is longer than the embedding
+    horizon; an error names the key or the trial.
 
     The prepared series share no array with ``trials``, so a caller that
     keeps only the result frees the loaded set once this returns.
@@ -125,15 +127,28 @@ def prepare_trials(trials: TrialSet, cfg: PipelineConfig) -> PreparedTrials:
         raise PipelineError("no trials to analyze")
     check_channels(trials.trials[0].series.channels, cfg)
     ids = {trial.trial_id for trial in trials}
-    for key in trials.metadata:
-        if key.startswith(TRIM_KEY_PREFIX) and key[len(TRIM_KEY_PREFIX):] not in ids:
+    starts: dict[str, float] = {}
+    for key, value in trials.metadata.items():
+        if not key.startswith(TRIM_KEY_PREFIX):
+            continue
+        trial_id = key[len(TRIM_KEY_PREFIX):]
+        if trial_id not in ids:
             raise DataFormatError(f"metadata {key}: no trial with that id")
+        try:
+            start_s = float(value)
+        except ValueError:
+            start_s = float("nan")
+        if not np.isfinite(start_s):
+            raise PipelineError(f"trial {trial_id!r}, stage prepare: metadata "
+                                f"{key}={value!r} is not a finite number of seconds")
+        starts[trial_id] = start_s
     horizon = cfg.embedding.horizon(cfg.dt)
     out = []
     for trial in trials:
         try:
             series = resample(trial.series, cfg.io.resample_hz)
-            series = _apply_trim(series, trial.trial_id, trials.metadata)
+            if trial.trial_id in starts:
+                series = trim_start(series, starts[trial.trial_id])
             if series.n_samples <= horizon:
                 raise DataFormatError(f"series too short to embed: need more than "
                                       f"{horizon} samples, got {series.n_samples}")
@@ -196,21 +211,6 @@ def fit_models(trials: PreparedTrials, cfg: PipelineConfig
             _fit_pair(group, cfg, cfg.io.seed + 4 * s_idx + 2 * d_idx, scenario, direction)
             for s_idx, (scenario, group) in enumerate(by_scenario.items())
             for d_idx, direction in enumerate(cfg.io.direction_list)}
-
-
-def _apply_trim(series: TimeSeries, trial_id: str, metadata: dict[str, str]) -> TimeSeries:
-    key = TRIM_KEY_PREFIX + trial_id
-    if key not in metadata:
-        return series
-    try:
-        start_s = float(metadata[key])
-    except ValueError:
-        start_s = float("nan")
-    if not np.isfinite(start_s):
-        raise DataFormatError(
-            f"metadata {key}={metadata[key]!r} is not a finite number of seconds"
-        )
-    return trim_start(series, start_s)
 
 
 def _analyze_direction(trial: Trial, direction: str, cfg: PipelineConfig,
@@ -276,7 +276,8 @@ def trace_times(t0: float, n_rows: int, cfg: PipelineConfig) -> np.ndarray:
     """The instants of the ``n_rows`` rows of a TE trace written under
     ``cfg``, for the trial whose prepared series starts at ``t0`` (its
     ``manifest.csv`` entry): the grid instants from the embedding horizon
-    on, bitwise the times :func:`embed` gives the trace's rows."""
+    on, bitwise the prepared series' ``times[horizon:]``.  This is the one
+    place a trace row's instant is computed."""
     horizon = cfg.embedding.horizon(cfg.dt)
     return grid_times(t0, cfg.dt, np.arange(horizon, horizon + n_rows))
 

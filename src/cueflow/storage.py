@@ -336,7 +336,8 @@ def read_histogram_csv(path) -> CueHistogram:
     rows = read_rows(path, ["bin", "t_start", "count"], (int, float, int))
     for i, (b, _, _) in enumerate(rows):
         if b != i:
-            raise DataFormatError(f"{path}: row {i + 1} holds bin {b}, expected {i}")
+            raise DataFormatError(
+                f"{path}: row {file_row(path, i)} holds bin {b}, expected {i}")
     counts = np.array([c for _, _, c in rows], dtype=int)
     return CueHistogram(bin_dt=bin_dt, counts=counts, n_trials=n_trials,
                         direction=meta.get("direction", ""))

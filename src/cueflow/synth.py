@@ -148,10 +148,11 @@ class CueScenario:
             raise DataFormatError(
                 f"duration_s = {self.duration_s} at rate_hz = {self.rate_hz} gives "
                 f"{n_inner:.4g} tracking-loop samples, more than a numpy array can index")
-        if self.response_delay_s < 0:
-            raise DataFormatError("response_delay_s must be non-negative")
-        if self.noise_sigma < 0:
-            raise DataFormatError("noise_sigma must be non-negative")
+        for name in ("response_delay_s", "noise_sigma"):
+            if not 0 <= (value := getattr(self, name)) < math.inf:
+                raise DataFormatError(f"{name} must be non-negative and finite, got {value}")
+        if not math.isfinite(self.amplitude):
+            raise DataFormatError(f"amplitude must be finite, got {self.amplitude}")
         cues = tuple(float(c) for c in self.cue_times)
         for c in cues:
             if not 0.0 <= c <= self.duration_s:

@@ -17,23 +17,19 @@ from .errors import DataFormatError
 MAX_ARRAY_ITEMS = np.iinfo(np.intp).max // 8
 
 
-def grid_times(t0: float, dt: float, k: int | np.ndarray,
-               out: np.ndarray | None = None) -> float | np.ndarray:
+def grid_times(t0: float, dt: float, k: int | np.ndarray) -> float | np.ndarray:
     """Instants ``k`` (an int or an int array) of the uniform grid from ``t0``
-    at step ``dt``: ``t0 + k / rate`` with ``rate = 1 / dt``, written into
-    ``out`` when given.
+    at step ``dt``: ``t0 + k / rate`` with ``rate = 1 / dt``.
 
     Every grid instant in cueflow is computed here, so a resampled series
-    and the rows embedded from it share their clock bitwise.  For each rate
-    in use (10, 200, 1000 Hz and the like) ``1 / (1 / rate)`` is ``rate``
-    again, so ``k / rate`` is the correctly rounded quotient: the instant a
-    decimal stamp such as ``0.6`` reads as, where ``k * dt`` would give
-    ``0.6000000000000001``.  At a rate where that identity fails (49 Hz)
-    an instant is within 1 ulp of ``k * dt``.
+    and its TE traces' rows (``pipeline.trace_times``) share their clock
+    bitwise.  For each rate in use (10, 200, 1000 Hz and the like)
+    ``1 / (1 / rate)`` is ``rate`` again, so ``k / rate`` is the correctly
+    rounded quotient: the instant a decimal stamp such as ``0.6`` reads as,
+    where ``k * dt`` would give ``0.6000000000000001``.  At a rate where
+    that identity fails (49 Hz) an instant is within 1 ulp of ``k * dt``.
     """
-    t = np.divide(k, 1.0 / dt, out=out)
-    t += t0
-    return t
+    return np.divide(k, 1.0 / dt) + t0
 
 
 @dataclass(frozen=True)

@@ -741,8 +741,37 @@ class TestImpossibleSizesExit2:
 
 
 class TestSynthInputsExit2:
-    """A var1 matrix that no series can be made from is named where it
-    enters, with exit code 2."""
+    """A ``[synth]`` setting that no series can be made from is named where
+    it enters, with exit code 2; ``synth`` and ``oracle`` apply one set of
+    rules."""
+
+    def assert_named(self, capsys, message):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"ERROR cueflow.cli: [synth] {message}" in err
+
+    @pytest.mark.parametrize("command", ["synth", "oracle"])
+    def test_single_sample_var1_draw(self, var1_config, tmp_path, capsys, command):
+        out = ["--out", str(tmp_path / "trials")] if command == "synth" else []
+        assert main([command, "--config", str(var1_config),
+                     "--set", "synth.n=1", *out]) == 2
+        self.assert_named(capsys, "n must be at least 2, got 1")
+
+    def test_broken_cue_rule_names_the_section(self, cue_config, tmp_path, capsys):
+        assert main(["synth", "--config", str(cue_config), "--set", "synth.cue_times=99",
+                     "--out", str(tmp_path / "trials")]) == 2
+        self.assert_named(capsys, "cue time 99.0 outside [0, ")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("amplitude", "nan", "amplitude must be finite, got nan"),
+        ("response_delay_s", "nan", "response_delay_s must be non-negative and finite"),
+        ("noise_sigma", "inf", "noise_sigma must be non-negative and finite"),
+    ])
+    def test_non_finite_cue_setting(self, cue_config, tmp_path, capsys, key, value,
+                                    message):
+        assert main(["synth", "--config", str(cue_config), "--set", f"synth.{key}={value}",
+                     "--out", str(tmp_path / "trials")]) == 2
+        self.assert_named(capsys, message)
 
     @pytest.mark.parametrize("command", ["synth", "oracle"])
     def test_non_finite_var1_matrix(self, var1_config, tmp_path, capsys, command):

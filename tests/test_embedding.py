@@ -8,9 +8,7 @@ from cueflow.config import IoConfig, PipelineConfig
 from cueflow.detector import DetectorConfig
 from cueflow.embedding import EmbeddingSpec, embed
 from cueflow.errors import ConfigError
-from cueflow.storage import load_csv
-from cueflow.timeseries import TimeSeries, resample
-from conftest import write_decimal_trial
+from cueflow.timeseries import TimeSeries
 
 
 def series(data, dt=1.0, channels=None):
@@ -70,13 +68,11 @@ class TestEmbed:
         """d=3 lags of [10..50] leave a single row predicting the last value."""
         ts, roles = trial([10.0, 20.0, 30.0, 40.0, 50.0], [1.0, 2.0, 3.0, 4.0, 5.0])
         ds = embed([ts], EmbeddingSpec(d=3, delta_s=1.0), roles)
-        assert ds.n_rows == 2
         np.testing.assert_array_equal(ds.targets, [[40.0], [50.0]])
         np.testing.assert_array_equal(ds.target_hist,
                                       [[30.0, 20.0, 10.0], [40.0, 30.0, 20.0]])
         np.testing.assert_array_equal(source_hist(ds),
                                       [[3.0, 2.0, 1.0], [4.0, 3.0, 2.0]])
-        np.testing.assert_array_equal(ds.times, [3.0, 4.0])
 
     def test_order_one_is_a_single_lag(self):
         tgt = series([1.0, 2.0, 3.0])
@@ -87,7 +83,6 @@ class TestEmbed:
     def test_stride_two(self):
         tgt = series([1.0, 2.0, 3.0, 4.0, 5.0])
         ds = embed([tgt], EmbeddingSpec(d=2, delta_s=2.0), SELF)
-        assert ds.n_rows == 1
         np.testing.assert_array_equal(ds.targets, [[5.0]])
         np.testing.assert_array_equal(ds.target_hist, [[3.0, 1.0]])
 
@@ -99,7 +94,7 @@ class TestEmbed:
             stride = int(rng.integers(1, 3))
             ts = series(rng.standard_normal(n))
             spec = EmbeddingSpec(d=d, delta_s=float(stride))
-            assert embed([ts], spec, SELF).n_rows == n - d * stride
+            assert embed([ts], spec, SELF).targets.shape == (n - d * stride, 1)
 
     def test_lag_columns_are_shifts_of_the_input(self):
         rng = np.random.default_rng(1)
@@ -171,7 +166,7 @@ class TestEmbed:
         spec = EmbeddingSpec(d=2, delta_s=2.0)
         pooled = embed(trials, spec, roles)
         alone = [embed([ts], spec, roles) for ts in trials]
-        for name in ("targets", "design", "times"):
+        for name in ("targets", "design"):
             assert (getattr(pooled, name).tobytes()
                     == np.concatenate([getattr(ds, name) for ds in alone]).tobytes())
 
@@ -187,28 +182,10 @@ class TestEmbed:
         got = embed(trials, spec, (tgt, src))
         want = embed([s.select(tgt + src) for s in trials], spec, (tgt, src))
         assert got.target_cols == want.target_cols == 3 * len(tgt)
-        for name in ("targets", "design", "times"):
+        for name in ("targets", "design"):
             a, b = getattr(got, name), getattr(want, name)
             assert (a.shape, a.flags.f_contiguous) == (b.shape, b.flags.f_contiguous)
             assert a.tobytes() == b.tobytes()
-
-
-class TestRowTimes:
-    @pytest.mark.parametrize("rate_hz", [10.0, 200.0, 49.0])
-    def test_rows_keep_the_prepared_clock(self, rate_hz, tmp_path):
-        """The row times are the prepared series' instants from the horizon
-        on, bitwise, at any rate; a decimal-stamped recording at 10 or
-        200 Hz keeps its own stamps through resampling and embedding."""
-        path = tmp_path / "trial.csv"
-        write_decimal_trial(path, rate_hz, n=600)
-        loaded = load_csv(path)
-        prepared = resample(loaded, rate_hz)
-        spec = EmbeddingSpec(d=3, delta_s=0.1)
-        horizon = spec.horizon(prepared.dt)
-        times = embed([prepared, prepared], spec, (("x",), ("x",))).times
-        assert times.tobytes() == np.tile(prepared.times[horizon:], 2).tobytes()
-        if rate_hz != 49.0:
-            assert times[:600 - horizon].tobytes() == loaded.times[horizon:].tobytes()
 
 
 class TestLagIdentities:
@@ -217,7 +194,7 @@ class TestLagIdentities:
     def test_every_cell_is_the_input_sample_its_lag_names(self, data):
         """Row r, lag j, channel c of a history block holds sample
         ``r + horizon - j*stride`` of channel c; the target row holds sample
-        ``r + horizon`` and keeps its time stamp."""
+        ``r + horizon``."""
         d = data.draw(st.integers(1, 5), label="d")
         stride = data.draw(st.integers(1, 4), label="stride")
         dt = data.draw(st.sampled_from([0.005, 0.01, 0.1, 1.0]), label="dt")
@@ -231,12 +208,11 @@ class TestLagIdentities:
         ts, roles = trial(x, y, dt=dt)
         ds = embed([ts], spec, roles)
         h = spec.horizon(dt)
-        assert (spec.stride(dt), h, ds.n_rows) == (stride, d * stride, n - h)
+        assert (spec.stride(dt), h, len(ds.targets)) == (stride, d * stride, n - h)
         assert ds.target_hist.shape == (n - h, d * n_tgt)
         assert source_hist(ds).shape == (n - h, d * n_src)
         assert ds.targets.tobytes() == x[h:].tobytes()
-        assert ds.times.tobytes() == ts.times[h:].tobytes()
-        for r in range(ds.n_rows):
+        for r in range(n - h):
             for j in range(1, d + 1):
                 lag = r + h - j * stride
                 assert (ds.target_hist[r, (j - 1) * n_tgt:j * n_tgt].tobytes()

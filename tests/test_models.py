@@ -44,15 +44,14 @@ def embed_pair(series, d=1, roles=(("x",), ("y",))):
 
 def slice_dataset(ds, rows):
     return EmbeddedDataset(targets=ds.targets[rows], design=ds.design[rows],
-                           target_cols=ds.target_cols, times=ds.times[rows])
+                           target_cols=ds.target_cols)
 
 
 def history_dataset(targets, hist, target_cols):
     """A dataset over a given history block, laid out as ``embed`` lays it out:
     column-major, with a column of ones before the history."""
     design = np.asfortranarray(np.column_stack([np.ones(len(hist)), hist]))
-    return EmbeddedDataset(targets=targets, design=design, target_cols=target_cols,
-                           times=np.arange(float(len(hist))))
+    return EmbeddedDataset(targets=targets, design=design, target_cols=target_cols)
 
 
 class TestGaussianPredictions:
@@ -232,8 +231,11 @@ class TestFitMlp:
                              rng.standard_normal((200, 3)), 3)
         a = fit_mlp(ds, BASELINE, mlp_model((8,), epochs=20), 0)
         b = fit_mlp(ds, BASELINE, mlp_model((8,), epochs=20), 0)
-        for k in a.params:
-            np.testing.assert_array_equal(a.params[k], b.params[k])
+        assert a.params.keys() == b.params.keys()
+        assert len(a.params["layers"]) == len(b.params["layers"])
+        for p, q in [*zip(a.params["layers"], b.params["layers"]),
+                     *((a.params[k], b.params[k]) for k in a.params if k != "layers")]:
+            np.testing.assert_array_equal(p, q)
         assert a.train_report == b.train_report
 
     @pytest.mark.parametrize("hidden, batch_size", [((16, 8), 64), ((), 256)])
@@ -248,9 +250,10 @@ class TestFitMlp:
         model = fit_mlp(ds, AUGMENTED, train, 4)
         layers, n_iter = per_layer_adam(ds.joint_hist, ds.targets, train, 4)
         assert model.train_report.n_iter == n_iter
-        for i, ref in enumerate(layers):
-            assert model.params[f"layer_{i}"].tobytes() == ref.tobytes()
-            assert model.params[f"layer_{i}"].base is None
+        assert len(model.params["layers"]) == len(layers)
+        for got, ref in zip(model.params["layers"], layers):
+            assert got.tobytes() == ref.tobytes()
+            assert got.base is None
 
     def test_predicted_variance_never_below_floor(self):
         """A constant target would drive log-variance to -inf; the clamp holds."""
@@ -269,7 +272,8 @@ class TestFitMlp:
                              np.hstack([rng.standard_normal((120, 3)),
                                         rng.standard_normal((120, 3))]), 3)
         model = fit_mlp(ds, AUGMENTED, mlp_model((8, 4), epochs=10), 0)
-        layers = [model.params[f"layer_{i}"] for i in range(6)]
+        layers = model.params["layers"]
+        assert len(layers) == 6
         for q in layers:
             assert q.dtype == np.float64
             assert np.array_equal(q.astype(np.float32).astype(np.float64), q)
@@ -308,7 +312,7 @@ class TestFitMlp:
         ds = history_dataset(np.zeros((100, 1)), hist, hist.shape[1])
         model = fit_mlp(ds, BASELINE, mlp_model((64, 64)), 0)
         xs = (hist - model.params["x_mean"]) / model.params["x_scale"]
-        out, _ = _forward([model.params[f"layer_{i}"] for i in range(6)], xs)
+        out, _ = _forward(model.params["layers"], xs)
         lv = out[:, 1:]
         assert lv.min() > -0.5 * np.log(np.finfo(np.float32).max)
 

@@ -2,9 +2,10 @@
 
 Every top-level function and class in ``src/cueflow`` is referenced by code
 (not by a string) in the package or in the benchmark harness, somewhere
-other than its own definition.  A helper only the tests call lives in the
-tests.  Every name a module imports is read in that module.  Only
-``storage`` and ``config`` touch files.
+other than its own definition, and every field and property of its classes
+is read there.  A helper only the tests call lives in the tests.  Every
+name a module imports is read in that module.  Only ``storage`` and
+``config`` touch files.
 """
 import ast
 from pathlib import Path
@@ -12,6 +13,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # The aggregate readers: criterion 8 round-trips every written format.
 ALLOWED = {"read_grid_csv", "read_histogram_csv", "read_report_csv"}
+# Read or built by acceptance criterion 8 alone: it compares a redetected
+# trace's cue mask, and builds a WelchResult whose dof the report file drops.
+ALLOWED_FIELDS = {"DetectionTrace.cue", "WelchResult.dof"}
 # storage owns every data format; config reads the INI file it parses.
 FILE_MODULES = {"storage.py", "config.py"}
 FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "loadtxt"}
@@ -26,10 +30,15 @@ def _references(tree: ast.AST):
             yield node.attr, node
 
 
+def _trees() -> dict[Path, ast.Module]:
+    """The parsed modules of the package and of the benchmark harness."""
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for folder in ("src/cueflow", "perfbench")
+            for path in sorted((ROOT / folder).glob("*.py"))}
+
+
 def test_every_package_definition_is_referenced_outside_itself():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for folder in ("src/cueflow", "perfbench")
-             for path in sorted((ROOT / folder).glob("*.py"))}
+    trees = _trees()
     references = [ref for tree in trees.values() for ref in _references(tree)]
     unreferenced = []
     for path, tree in trees.items():
@@ -43,6 +52,38 @@ def test_every_package_definition_is_referenced_outside_itself():
                            for name, ref in references):
                     unreferenced.append(f"{path.name}: {node.name}")
     assert not unreferenced, unreferenced
+
+
+def _is_property(node: ast.AST) -> bool:
+    return (isinstance(node, ast.FunctionDef)
+            and any(getattr(d, "id", None) == "property" for d in node.decorator_list))
+
+
+def test_every_field_and_property_is_read():
+    """Every annotated field and every property of a class in ``src/cueflow``
+    is read as an attribute (``x.name``) in the package or the harness.
+    The check matches by name alone, so a field that shares its name with
+    one that is read, such as ``.times``, passes it."""
+    trees = _trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != "cueflow":
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                elif _is_property(node):
+                    name = node.name
+                else:
+                    continue
+                if name not in read and f"{cls.name}.{name}" not in ALLOWED_FIELDS:
+                    unread.append(f"{path.name}: {cls.name}.{name}")
+    assert not unread, unread
 
 
 def _imported_names(tree: ast.AST):

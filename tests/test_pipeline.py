@@ -21,10 +21,10 @@ from cueflow.pipeline import (
 )
 from cueflow.synth import CueScenario, te_oracle_var1
 from cueflow.storage import read_numeric_csv
-from cueflow.timeseries import TrialSet
+from cueflow.timeseries import TrialSet, resample
 
 from conftest import (E2E_CUE_T, E2E_RATE_HZ, _cue_trial, _e2e_config,
-                      run_read_back, var1_trial, var1_trial_set)
+                      run_read_back, var1_trial, var1_trial_set, write_decimal_trial)
 
 
 def positions(trials, cfg):
@@ -410,7 +410,7 @@ class TestRunErrors:
         assert not (tmp_path / "run").exists()
 
     def test_empty_trial_set_rejected(self, tmp_path):
-        from cueflow.timeseries import TrialSet
+        from cueflow.timeseries import TrialSet, resample
         with pytest.raises(PipelineError, match="no trials"):
             run_read_back(TrialSet(trials=()), make_config(), tmp_path)
 
@@ -472,22 +472,41 @@ class TestRunErrors:
 
 class TestTraceTimes:
     @pytest.mark.parametrize("rate_hz", [10.0, 49.0, 115.0, 200.0])
-    def test_equal_the_times_embed_gives_the_rows(self, rate_hz):
+    def test_equal_the_prepared_times_of_the_embedded_rows(self, rate_hz):
         """A trace's instants, rebuilt from its trial's t0 as manifest.csv
-        prints it, the config and the trace's length, are bitwise those
-        embed stamps on the trial's rows, on a trial trimmed off the grid
-        as on one that is not."""
+        prints it, the config and the number of rows embed gives, are bitwise
+        the prepared series' instants from the embedding horizon on, on a
+        trial trimmed off the grid as on one that is not."""
         trials = var1_trial_set(var1_trial("t000", seed=0, n=500)[0],
                                 var1_trial("t001", seed=1, n=500)[0],
                                 metadata={"trim_start_s.t001": "1.0025"})
         cfg = make_config(d=2, delta_s=2.0 / rate_hz, resample_hz=rate_hz)
         prepared = prepare_trials(trials, cfg)
         assert prepared[0].series.t0 == 0.0 and 0.0 < prepared[1].series.t0 < cfg.dt
+        horizon = cfg.embedding.horizon(cfg.dt)
         for trial in prepared:
-            want = embed([trial.series], cfg.embedding, (("x",), ("y",))).times
-            got = trace_times(float(repr(trial.series.t0)), want.size, cfg)
+            n_rows = len(embed([trial.series], cfg.embedding, (("x",), ("y",))).targets)
+            want = trial.series.times[horizon:]
+            got = trace_times(float(repr(trial.series.t0)), n_rows, cfg)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("rate_hz", [10.0, 49.0, 115.0, 200.0])
+    def test_keep_the_prepared_clock_of_a_recording(self, rate_hz, tmp_path):
+        """On a decimal-stamped recording the instants are the resampled
+        series' from the horizon on, bitwise, at any rate; at 10 or 200 Hz
+        they are the recording's own stamps."""
+        path = tmp_path / "trial.csv"
+        write_decimal_trial(path, rate_hz, n=600)
+        loaded = storage.load_csv(path)
+        prepared = resample(loaded, rate_hz)
+        cfg = make_config(d=3, delta_s=2.0 / rate_hz, resample_hz=rate_hz)
+        horizon = cfg.embedding.horizon(cfg.dt)
+        n_rows = len(embed([prepared], cfg.embedding, (("x",), ("x",))).targets)
+        times = trace_times(prepared.t0, n_rows, cfg)
+        assert times.tobytes() == prepared.times[horizon:].tobytes()
+        if rate_hz in (10.0, 200.0):
+            assert times.tobytes() == loaded.times[horizon:].tobytes()
 
 
 class TestPrepareKeepsRecordedSamples:

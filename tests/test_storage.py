@@ -428,6 +428,13 @@ class TestBadRows:
             read_histogram_csv(path)
         assert str(info.value) == f"{path}: {message}"
 
+    def test_histogram_bin_after_a_blank_line_names_its_file_row(self, tmp_path):
+        path, _ = self.written(tmp_path, "histogram")
+        path.write_text("bin,t_start,count\n\n0,0.0,1\n5,1.0,2\n")
+        with pytest.raises(DataFormatError) as info:
+            read_histogram_csv(path)
+        assert str(info.value) == f"{path}: row 3 holds bin 5, expected 1"
+
 
 class TestUnwritableFiles:
     """A file a writer cannot create, here because a directory holds its

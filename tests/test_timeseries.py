@@ -424,12 +424,10 @@ class TestGridTimes:
             assert not same_bits(got, product)
             assert (np.abs(got - product) <= np.spacing(product)).all()
 
-    def test_scalar_and_out_forms_agree(self):
+    def test_scalar_and_array_forms_agree(self):
         k = np.arange(7, 40)
-        out = np.empty(k.size)
-        assert grid_times(0.25, 0.005, k, out=out) is out
-        assert same_bits(out, grid_times(0.25, 0.005, k))
-        assert same_bits([grid_times(0.25, 0.005, int(i)) for i in k], out)
+        assert same_bits([grid_times(0.25, 0.005, int(i)) for i in k],
+                         grid_times(0.25, 0.005, k))
 
 
 class TestDecimalStampedTrials:
