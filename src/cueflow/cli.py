@@ -168,6 +168,9 @@ def _cmd_synth(args) -> int:
     _, settings = load_config(args.config, args.set)
     if settings is None:
         raise ConfigError("config has no [synth] section")
+    # Trials differ only in seed, so the first spec checks every rule of
+    # [synth] before --out is created.
+    _synth_spec(settings, 0)
     out = _out_dir(args.out)
     trials, truths = _synth_trials(settings)
     if settings.kind == "cue_scenario":

@@ -114,6 +114,10 @@ class AggregateConfig:
         if self.position_channels is not None and len(set(self.position_channels)) != 2:
             raise ConfigError("[aggregate] position_channels needs exactly 2 names, "
                               f"each once, got {self.position_channels}")
+        # Either key alone would ask for a spatial grid that run cannot build.
+        if (self.cell_size_m is None) != (self.position_channels is None):
+            raise ConfigError("[aggregate] cell_size_m and position_channels "
+                              "must be set together, or neither")
 
 
 @dataclass(frozen=True)
@@ -203,15 +207,6 @@ _SECTIONS = {"io": IoConfig, "embedding": EmbeddingSpec, "model": ModelConfig,
              "synth": SynthSettings}
 
 
-def _bool(raw: str) -> bool:
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(raw)
-
-
 def _list(item):
     return lambda raw: tuple(item(s.strip()) for s in raw.split(",") if s.strip())
 
@@ -221,7 +216,6 @@ _READERS = {
     "str": (str, "text"),
     "int": (int, "an integer"),
     "float": (float, "a number"),
-    "bool": (_bool, "a boolean"),
     "tuple[str, ...]": (_list(str), "comma-separated names"),
     "tuple[int, ...]": (_list(int), "comma-separated integers"),
     "tuple[float, ...]": (_list(float), "comma-separated numbers"),

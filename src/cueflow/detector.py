@@ -5,10 +5,10 @@ filter (DC and slow trends carry no cue information), then compared against
 a double-exponential-smoothing (Holt) threshold that adapts its level,
 trend, and spread estimates online.  Samples where both the raw TE is
 positive and the filtered TE exceeds the threshold are cue-positive; a run
-of at least :data:`MIN_EVENT_SAMPLES` consecutive cue-positive samples forms
-a cue event.  Cues are episodic, so a real flow keeps crossing while the
-source change is inside the embedding window, whereas the per-sample jitter
-of local TE crosses alone.
+of at least :data:`MIN_EVENT_SAMPLES` consecutive cue-positive samples that
+starts after the threshold's warm-up forms a cue event.  Cues are episodic,
+so a real flow keeps crossing while the source change is inside the
+embedding window, whereas the per-sample jitter of local TE crosses alone.
 """
 
 from __future__ import annotations
@@ -30,18 +30,18 @@ class DetectorConfig:
     """The ``[detector]`` section: smoothing rates, threshold width and
     high-pass cutoff.
 
-    ``skip_warmup`` drops events that begin inside the first level
-    time-constant of the series, where the smoother is still initializing.
-    The cutoff must also lie below the Nyquist rate of the sample step
-    ``1/resample_hz``: :class:`~cueflow.config.PipelineConfig` checks that
-    rule, since it needs the step.
+    The level rate also sets the warm-up: :func:`detect_trace` drops every
+    event that begins inside the first level time constant of the series,
+    where the smoother is still initializing.  The cutoff must also lie
+    below the Nyquist rate of the sample step ``1/resample_hz``:
+    :class:`~cueflow.config.PipelineConfig` checks that rule, since it needs
+    the step.
     """
 
     alpha: float
     beta: float
     gamma: float = 3.0
     hp_cutoff_hz: float = 1.0
-    skip_warmup: bool = True
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta"):
@@ -174,9 +174,9 @@ def detect_trace(direction: str, times: np.ndarray, te_raw: np.ndarray,
     output to exceed its :func:`des_threshold` at t; maximal runs of the
     mask at least :data:`MIN_EVENT_SAMPLES` long become :class:`CueEvent`
     records whose ``peak_te`` is the raw-TE maximum inside the run.
-    Shorter runs stay in the ``cue`` mask but give no event.  With
-    ``skip_warmup`` set, events starting inside the first level
-    time-constant are discarded as initialization transients.
+    Shorter runs stay in the ``cue`` mask but give no event, and so do runs
+    that start inside the first level time constant (:func:`time_constants`),
+    which are initialization transients of the smoother.
     """
     if te_raw.size < 2:
         raise DataFormatError("detector needs at least two samples")
@@ -185,14 +185,12 @@ def detect_trace(direction: str, times: np.ndarray, te_raw: np.ndarray,
     with np.errstate(invalid="ignore"):
         mask = (te_raw > 0.0) & (filtered > threshold)
     events = []
-    warmup_end = times[0]
-    if cfg.skip_warmup:
-        warmup_end = times[0] + time_constants(cfg.alpha, cfg.beta, dt)[0]
+    warmup_end = times[0] + time_constants(cfg.alpha, cfg.beta, dt)[0]
     padded = np.concatenate([[False], mask, [False]])
     edges = np.flatnonzero(np.diff(padded.astype(np.int8)))
     for lo, hi in zip(edges[::2], edges[1::2]):  # [lo, hi) in sample indices
         start_t = float(times[lo])
-        if hi - lo < MIN_EVENT_SAMPLES or (cfg.skip_warmup and start_t < warmup_end):
+        if hi - lo < MIN_EVENT_SAMPLES or start_t < warmup_end:
             continue
         run = slice(lo, hi)
         events.append(CueEvent(

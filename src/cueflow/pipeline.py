@@ -91,10 +91,6 @@ def validate_config(cfg: PipelineConfig) -> list[Diagnostic]:
                    "[model] te_mode = entropy_diff with kind = var_linear gives a "
                    "constant TE trace (the covariance does not vary over time), "
                    "so no cue event can be detected; use loglik_ratio"))
-    if cfg.aggregate.cell_size_m is not None and cfg.aggregate.position_channels is None:
-        out.append(Diagnostic("warning",
-                   "cell_size_m is set but position_channels is not; "
-                   "no spatial grid will be produced"))
     return out
 
 
@@ -371,8 +367,7 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
             raise DataFormatError(
                 f"{path}: row {storage.file_row(path, row)}: {exc}") from None
         products.append((f"histogram_{direction}.csv", storage.write_histogram_csv, hist))
-        if (cfg.aggregate.cell_size_m is not None
-                and cfg.aggregate.position_channels and positions is not None):
+        if cfg.aggregate.cell_size_m is not None and positions is not None:
             grid_in = []
             for trial_id, _, _, _ in manifest:
                 if trial_id not in positions:

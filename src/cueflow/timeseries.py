@@ -213,12 +213,14 @@ def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:
 
 
 def trim_start(ts: TimeSeries, start_s: float) -> TimeSeries:
-    """Drop samples before ``start_s`` (absolute time) and re-base the clock to 0."""
+    """Drop samples before ``start_s`` (absolute time) and re-base the clock to 0.
+
+    ``ts`` lies on its uniform grid, as :func:`resample` returns it: the
+    pipeline trims only resampled series, so recorded timestamps are not kept.
+    """
     src_t = ts.times
     keep = src_t >= start_s - 1e-12
     if not keep.any():
         raise DataFormatError(f"trim at {start_s} s leaves no samples")
-    kept_t = src_t[keep] - start_s
-    raw = kept_t if ts.raw_times is not None else None
     return TimeSeries(channels=ts.channels, data=ts.data[keep], dt=ts.dt,
-                      t0=float(kept_t[0]), raw_times=raw)
+                      t0=float(src_t[keep][0] - start_s))

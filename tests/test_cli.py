@@ -800,14 +800,19 @@ class TestSynthCommand:
             "follower_px", "follower_py")
         assert trials.trials[0].series.data.shape == (101, 6)
 
-    def test_negative_seed_exits_2_before_writing(self, cue_config, tmp_path,
-                                                  capsys):
+    @pytest.mark.parametrize("override, named", [
+        ("synth.seed=-1", "[synth] seed must be non-negative"),
+        ("synth.amplitude=nan", "[synth] amplitude must be finite"),
+    ])
+    def test_a_bad_spec_exits_2_before_writing(self, cue_config, tmp_path, capsys,
+                                               override, named):
+        """A rule of the section (seed) or of the generator (amplitude)."""
         out_dir = tmp_path / "trials"
-        assert main(["synth", "--config", str(cue_config), "--set", "synth.seed=-1",
+        assert main(["synth", "--config", str(cue_config), "--set", override,
                      "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert "[synth] seed must be non-negative" in err
+        assert named in err
         assert not out_dir.exists()
 
     def test_synth_needs_a_synth_section(self, var1_config, tmp_path):
@@ -867,7 +872,7 @@ class TestValidateCommand:
         """Every preset and benchmark workload config passes the parse-time
         rules; read only."""
         assert main(["validate", "--config", str(path)]) == 0
-        assert "OK: 0 error(s)" in capsys.readouterr().out
+        assert "OK: 0 error(s), 0 warning(s)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("override, named", [
         ("detector.gamma=-1", "[detector] gamma"),
@@ -878,6 +883,10 @@ class TestValidateCommand:
         ("aggregate.bin_dt=1e-300", "[aggregate] bin_dt"),
         ("aggregate.bin_dt=0.009", "[aggregate] bin_dt"),
         ("aggregate.cell_size_m=0", "[aggregate] cell_size_m"),
+        ("aggregate.cell_size_m=0.5", "[aggregate] cell_size_m and position_channels"),
+        ("aggregate.position_channels=px, py",
+         "[aggregate] cell_size_m and position_channels"),
+        ("detector.skip_warmup=no", "unknown key 'skip_warmup' in [detector]"),
         ("io.seed=-1", "[io] seed"),
     ])
     def test_every_rule_of_run_is_checked(self, var1_config, override, named,
@@ -910,6 +919,8 @@ class TestValidateCommand:
         ("detector.alpha=1", "[detector] alpha must lie in (0, 1)"),
         ("aggregate.bin_dt=0", "[aggregate] bin_dt must be positive"),
         ("aggregate.cell_size_m=-1", "[aggregate] cell_size_m must be positive"),
+        ("aggregate.cell_size_m=0.5",
+         "[aggregate] cell_size_m and position_channels must be set together"),
     ])
     def test_run_rejects_a_bad_section_before_reading_trials(
             self, cue_run_config, two_scenario_trials, tmp_path, capsys, monkeypatch,

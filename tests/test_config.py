@@ -81,7 +81,6 @@ class TestParsing:
         assert cfg.detector.alpha == 0.005
         assert cfg.detector.gamma == 3.0
         assert cfg.detector.hp_cutoff_hz == 1.0
-        assert cfg.detector.skip_warmup is True
         assert cfg.aggregate.bin_dt == 1.0
         assert cfg.aggregate.cell_size_m is None
         assert cfg.aggregate.position_channels is None
@@ -112,7 +111,6 @@ alpha = 0.01
 beta = 0.05
 gamma = 2.5
 hp_cutoff_hz = 0.5
-skip_warmup = no
 
 [aggregate]
 bin_dt = 0.5
@@ -129,7 +127,6 @@ position_channels = px, py
         assert cfg.model.learning_rate == 0.01
         assert cfg.model.batch_size == 64
         assert cfg.detector.gamma == 2.5
-        assert cfg.detector.skip_warmup is False
         assert cfg.aggregate.bin_dt == 0.5
         assert cfg.aggregate.cell_size_m == 0.25
         assert cfg.aggregate.position_channels == ("px", "py")
@@ -177,11 +174,6 @@ position_channels = px, py
     def test_non_integer_rejected(self):
         text = BASE.replace("d = 4", "d = 4.5")
         with pytest.raises(ConfigError, match="expected an integer"):
-            parse_config_text(text)
-
-    def test_bad_boolean_rejected(self):
-        text = BASE + "skip_warmup = maybe\n"
-        with pytest.raises(ConfigError, match="expected a boolean"):
             parse_config_text(text)
 
     def test_malformed_file_reports_origin(self):
@@ -383,7 +375,6 @@ class TestDerivedSettings:
         assert cfg.embedding == EmbeddingSpec(d=4, delta_s=0.1)
         assert cfg.dt == 0.005
         assert cfg.embedding.stride(cfg.dt) == 20
-        assert cfg.detector.skip_warmup is True
 
     @pytest.mark.parametrize("key, bad", [
         ("epochs", "0"),

@@ -1,4 +1,5 @@
 """Cue detector: high-pass filter, adaptive DES threshold, event extraction."""
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -301,13 +302,15 @@ class TestDetect:
                [(e.start_t, e.end_t) for e in e2]
         assert len(e1) > 0
 
-    def test_warmup_events_are_skipped_by_default(self):
-        """tau_level is ~1 s here, so a pulse at 0.5 s is an init transient."""
+    def test_warmup_events_are_skipped(self):
+        """tau_level is ~1 s here, so a pulse at 0.5 s is an init transient;
+        the same pulse at 1.5 s is an event."""
         series = pulse_trace(6.0, 0.01, [(0.5, 0.7, 1.0)])
         assert detect_trace(*series, cfg_100hz(), DT).events == []
-        kept = detect_trace(*series, cfg_100hz(skip_warmup=False), DT).events
+        later = pulse_trace(6.0, 0.01, [(1.5, 1.7, 1.0)])
+        kept = detect_trace(*later, cfg_100hz(), DT).events
         assert len(kept) == 1
-        assert kept[0].start_t == 0.5
+        assert kept[0].start_t == 1.5
 
     def test_trace_carries_aligned_internals(self):
         series = pulse_trace(4.0, 0.01, [(2.0, 2.2, 1.0)])
@@ -341,6 +344,16 @@ def te_values(draw):
 def fast_cfg(**kw):
     """Level time constant ~10 samples, so the warm-up rule leaves room."""
     return cfg_100hz(alpha=0.1, beta=0.2, **kw)
+
+
+# fast_cfg's warm-up, the first level time constant, in whole samples.
+WARMUP_SAMPLES = math.ceil(time_constants(0.1, 0.2, DT)[0] / DT)
+
+
+def past_warmup(values):
+    """``values`` after ``WARMUP_SAMPLES`` zeros.  A zero is never a cue
+    sample, so every cue run starts past fast_cfg's warm-up."""
+    return np.concatenate([np.zeros(WARMUP_SAMPLES), values])
 
 
 def runs(mask):
@@ -377,9 +390,8 @@ class TestDetectorProperties:
                                                max_size=2, unique=True).map(sorted))
     def test_a_larger_gamma_only_removes_cue_samples(self, values, gammas):
         """mu and sigma do not depend on gamma and sigma >= 0, so the cue
-        mask nests; without the warm-up rule so do the event samples."""
-        low, high = (detect_trace(*te_series(values),
-                                  fast_cfg(gamma=g, skip_warmup=False), DT)
+        mask nests; with every cue run past the warm-up so do the event samples."""
+        low, high = (detect_trace(*te_series(past_warmup(values)), fast_cfg(gamma=g), DT)
                      for g in gammas)
         assert not (high.cue & ~low.cue).any()
 
@@ -391,11 +403,9 @@ class TestDetectorProperties:
         assert covered(high) <= covered(low)
 
     @settings(max_examples=80, deadline=None)
-    @given(values=te_values(), gamma=st.floats(0.1, 5.0), skip_warmup=st.booleans())
-    def test_events_are_maximal_cue_runs_of_min_length(self, values, gamma,
-                                                       skip_warmup):
-        trace = detect_trace(*te_series(values),
-                             fast_cfg(gamma=gamma, skip_warmup=skip_warmup), DT)
+    @given(values=te_values(), gamma=st.floats(0.1, 5.0))
+    def test_events_are_maximal_cue_runs_of_min_length(self, values, gamma):
+        trace = detect_trace(*te_series(past_warmup(values)), fast_cfg(gamma=gamma), DT)
         by_start = {trace.times[lo]: (lo, hi) for lo, hi in runs(trace.cue)}
         for ev in trace.events:
             lo, hi = by_start[ev.start_t]
@@ -404,6 +414,5 @@ class TestDetectorProperties:
             assert trace.cue[lo:hi].all()
             assert (trace.te_raw[lo:hi] > 0).all()
             assert ev.peak_te == trace.te_raw[lo:hi].max()
-        if not skip_warmup:
-            assert len(trace.events) == sum(hi - lo >= MIN_EVENT_SAMPLES
-                                            for lo, hi in runs(trace.cue))
+        assert len(trace.events) == sum(hi - lo >= MIN_EVENT_SAMPLES
+                                        for lo, hi in runs(trace.cue))

@@ -71,10 +71,14 @@ class TestValidateConfig:
         warnings = [d for d in validate_config(cfg) if d.severity == "warning"]
         assert any("adapts more slowly" in d.message for d in warnings)
 
-    def test_cell_size_without_positions_warns(self):
-        cfg = make_config(aggregate=dict(cell_size_m=0.5))
-        warnings = [d for d in validate_config(cfg) if d.severity == "warning"]
-        assert any("no spatial grid" in d.message for d in warnings)
+    @pytest.mark.parametrize("aggregate", [dict(cell_size_m=0.5),
+                                           dict(position_channels=("x", "y"))])
+    def test_a_half_set_spatial_grid_is_an_error(self, aggregate):
+        """Either key alone asks for a grid that cannot be built, so the
+        config is refused when built instead of running without one."""
+        with pytest.raises(ConfigError, match=re.escape(
+                "[aggregate] cell_size_m and position_channels must be set together")):
+            make_config(aggregate=aggregate)
 
     def test_out_of_range_smoothing_is_an_error(self):
         with pytest.raises(ConfigError, match=re.escape("[detector] alpha must lie in (0, 1)")):

@@ -29,8 +29,7 @@ def write_te_csv_reference(trace, path):
             writer.writerow([repr(float(te))])
 
 
-SAMPLE_CFG = DetectorConfig(alpha=0.05, beta=0.1, gamma=3.0, hp_cutoff_hz=1.0,
-                            skip_warmup=False)
+SAMPLE_CFG = DetectorConfig(alpha=0.05, beta=0.1, gamma=3.0, hp_cutoff_hz=1.0)
 SAMPLE_DT = 0.01
 
 
