@@ -296,7 +296,8 @@ def _read_run_dir(events_dir: Path):
     A trial is listed once, with a positive duration.  An event's trial is
     listed, its direction is ``src2tgt`` or ``tgt2src``, and it lies within
     its trial's ``[t0, t0 + duration_s]`` (to 1e-9 s), ending no earlier
-    than it starts.  A row that breaks a rule is an error naming its file
+    than it starts.  The bounds are absolute instants, as the events are:
+    ``t0 + duration_s`` is bitwise the last instant of the trial's traces.  A row that breaks a rule is an error naming its file
     and row."""
     path = events_dir / "manifest.csv"
     if not path.exists():
@@ -320,7 +321,7 @@ def _read_run_dir(events_dir: Path):
             problem = f"direction {ev.direction!r} is neither {SRC2TGT} nor {TGT2SRC}"
         elif ev.end_t < ev.start_t:
             problem = f"end_t {ev.end_t} is before start_t {ev.start_t}"
-        elif ev.start_t - span[0] < -1e-9 or ev.end_t - span[0] > span[1] + 1e-9:
+        elif ev.start_t < span[0] - 1e-9 or ev.end_t > span[0] + span[1] + 1e-9:
             problem = (f"event [{ev.start_t}, {ev.end_t}] is outside trial {trial_id!r}, "
                        f"which spans [{span[0]}, {span[0] + span[1]}]")
         else:

@@ -5,8 +5,10 @@ floats written with shortest-round-trip ``repr`` so read-back is lossless):
 
 * Trial, one file per trial, stem ``<scenario>__<trial_id>``:
   ``t,<ch1>,<ch2>,...`` with distinct channel names and at least two rows,
-  ``t`` strictly increasing and kept as the recorded clock, jittered or
-  not.  An optional ``trials.meta`` of ``key=value`` lines sits beside them.
+  ``t`` strictly increasing from any start, jittered or not, and loaded as
+  a :class:`~cueflow.timeseries.Recording` that keeps it until resampled.
+  The trials of a directory have distinct ids and one channel schema.  An
+  optional ``trials.meta`` of ``key=value`` lines sits beside them.
 * TE trace, one file per trial and direction: ``te_raw`` alone, one row per
   embedded sample.  Its instants are not stored: ``pipeline.trace_times``
   rebuilds them bitwise from the trial's ``t0`` in ``manifest.csv`` and the
@@ -38,7 +40,7 @@ import numpy as np
 from .aggregate import CueGrid, CueHistogram, PeakTeReport, WelchResult
 from .detector import CueEvent, DetectionTrace
 from .errors import CueflowError, DataFormatError
-from .timeseries import TimeSeries, Trial, TrialSet
+from .timeseries import Recording, TimeSeries, Trial, TrialSet
 
 TE_HEADER = ["te_raw"]
 EVENTS_HEADER = ["trial", "direction", "start_t", "end_t", "peak_te"]
@@ -360,18 +362,6 @@ def read_report_csv(path) -> PeakTeReport:
 # Trials
 # ---------------------------------------------------------------------------
 
-def _median(a: np.ndarray) -> float:
-    """``np.median`` of a 1-D float array without NaNs, bitwise, partitioning
-    ``a`` in place; np.median copies ``a`` and checks for NaNs with numpy.ma,
-    whose import is a large share of a short run's start-up."""
-    h = a.size // 2
-    if a.size % 2:
-        a.partition(h)
-        return float(a[h])
-    a.partition((h - 1, h))
-    return float((a[h - 1] + a[h]) / 2)
-
-
 def _trial_channels(path: Path, header: list[str]) -> tuple[str, ...]:
     """The channel names of a trial CSV's header ``t,<ch1>,...``, checked."""
     header = [h.strip() for h in header]
@@ -384,33 +374,30 @@ def _trial_channels(path: Path, header: list[str]) -> tuple[str, ...]:
     return tuple(header[1:])
 
 
-def load_csv(path) -> TimeSeries:
-    """Load one trial CSV (``t,<ch1>,...``) into a :class:`TimeSeries`.
+def load_csv(path) -> Recording:
+    """Load one trial CSV (``t,<ch1>,...``) into a :class:`Recording`.
 
-    Channel names must be distinct and timestamps strictly increasing; a
-    bad timestamp is named by its row, counted as :func:`read_numeric_csv`
-    counts, which has already refused a value that is not finite.  The ``t``
-    column is kept as ``raw_times``, whether or not it lies on a uniform
-    grid, and ``dt`` is set to its median successive difference.
+    Channel names must be distinct, there must be at least two rows and
+    timestamps must be strictly increasing; a bad timestamp is named by its
+    row, counted as :func:`read_numeric_csv` counts, which has already
+    refused a value that is not finite.  The ``t`` column is kept as the
+    recording's ``times``, whether or not it lies on a uniform grid and
+    wherever it starts.
     """
     path = Path(path)
     channels, arr = read_numeric_csv(path, lambda header: _trial_channels(path, header))
     if arr.shape[0] < 2:
         raise DataFormatError(f"{path}: need at least two samples")
-    # Views of the parsed block, which the series keeps instead of copies;
-    # the one temporary column is dropped before the series checks its data.
+    # Views of the parsed block, which the recording keeps instead of copies.
     t = arr[:, 0]
-    diffs = np.diff(t)
-    bad = np.flatnonzero(diffs <= 0)
+    bad = np.flatnonzero(np.diff(t) <= 0)
     if bad.size:
         raise DataFormatError(f"{path}: timestamps not strictly increasing at row "
                               f"{file_row(path, int(bad[0]) + 1)}")
-    dt = _median(diffs)
-    del diffs
-    return TimeSeries(channels=channels, data=arr[:, 1:], dt=dt, raw_times=t)
+    return Recording(channels=channels, data=arr[:, 1:], times=t)
 
 
-def write_trial_csv(ts: TimeSeries, path) -> None:
+def write_trial_csv(ts: TimeSeries | Recording, path) -> None:
     """Write a trial CSV that :func:`load_csv` reads back losslessly."""
     write_columns_csv(path, ["t", *ts.channels], [ts.times, *ts.data.T])
 
@@ -441,15 +428,26 @@ def load_trial_dir(path) -> TrialSet:
     label; plain stems get scenario "".  An optional ``trials.meta`` file of
     ``key=value`` lines populates :attr:`TrialSet.metadata`.  ``truth.csv``
     is reserved for the ground-truth table written next to synthetic trials
-    and is skipped.
+    and is skipped.  Trial ids are distinct and every trial has the first
+    one's channels: a file that breaks either rule is an error naming it
+    and the earlier file it clashes with.
     """
-    trials = []
+    trials, files = [], {}
     for f in _trial_files(path):
         stem = f.stem
         scenario, _, trial_id = stem.partition("__")
         if not trial_id:
             scenario, trial_id = "", stem
-        trials.append(Trial(trial_id=trial_id, scenario=scenario, series=load_csv(f)))
+        if trial_id in files:
+            raise DataFormatError(f"{f}: trial id {trial_id!r} is also that of "
+                                  f"{files[trial_id]}")
+        series = load_csv(f)
+        if trials and series.channels != trials[0].series.channels:
+            first = files[trials[0].trial_id]
+            raise DataFormatError(f"{f}: channels {series.channels} differ from "
+                                  f"{first}'s {trials[0].series.channels}")
+        files[trial_id] = f
+        trials.append(Trial(trial_id=trial_id, scenario=scenario, series=series))
     meta_file = Path(path) / "trials.meta"
     metadata = _read_key_values(meta_file) if meta_file.exists() else {}
     return TrialSet(trials=tuple(trials), metadata=metadata)

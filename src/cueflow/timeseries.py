@@ -1,8 +1,8 @@
 """Multichannel time series, trial collections, and resampling.
 
-A recorded series keeps its timestamps, jittered or not; analysis code
-assumes a uniform grid, so every recording is resampled from those
-timestamps before use.
+A loaded trial is a :class:`Recording`, which keeps its timestamps,
+jittered or not; analysis code reads only :class:`TimeSeries` on a
+uniform grid, which :func:`resample` builds from those timestamps.
 """
 
 from __future__ import annotations
@@ -33,9 +33,25 @@ def grid_times(t0: float, dt: float, k: int | np.ndarray) -> float | np.ndarray:
 
 
 @dataclass(frozen=True)
+class Recording:
+    """A trial as recorded: named channels sampled at their own timestamps.
+
+    :func:`storage.load_csv` is its one producer, and it has checked every
+    rule: distinct channel names, at least two rows, finite values and
+    ``times`` strictly increasing, jittered or not, from any start (a
+    Unix-epoch clock included).  Analysis reads a recording only through
+    :func:`resample`, which puts it on a grid.
+    """
+
+    channels: tuple[str, ...]
+    data: np.ndarray
+    times: np.ndarray
+
+
+@dataclass(frozen=True)
 class TimeSeries:
-    """A block of one or more named channels, sampled at recorded timestamps
-    or on the uniform grid of :func:`grid_times`.
+    """A block of one or more named channels on the uniform grid of
+    :func:`grid_times` from ``t0`` at step ``dt``.
 
     Parameters
     ----------
@@ -44,24 +60,15 @@ class TimeSeries:
     data : ndarray, shape (n, len(channels))
         Sample values; must be finite.
     dt : float
-        Nominal sample spacing in seconds (> 0).
-    t0 : float or None
-        Timestamp of the first sample: ``raw_times[0]`` when those are kept,
-        else 0.0 unless given.  A ``t0`` that disagrees with ``raw_times[0]``
-        is an error, so a recorded series has one clock.
-    raw_times : ndarray or None
-        Recorded timestamps, as :func:`storage.load_csv` read them: finite
-        and strictly increasing.  When kept they are the series'
-        :attr:`times`, so :func:`resample` interpolates from the true sample
-        instants; when None the series lies on the uniform grid of
-        :func:`grid_times` from ``t0`` at step ``dt``.
+        Sample spacing in seconds (> 0).
+    t0 : float
+        Instant of the first sample.
     """
 
     channels: tuple[str, ...]
     data: np.ndarray
     dt: float
-    t0: float | None = None
-    raw_times: np.ndarray | None = None
+    t0: float = 0.0
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=float)
@@ -82,25 +89,7 @@ class TimeSeries:
             raise DataFormatError("non-finite values in time series data")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise DataFormatError(f"dt must be positive and finite, got {self.dt}")
-        t0 = 0.0 if self.t0 is None else float(self.t0)
-        if self.raw_times is not None:
-            raw = np.asarray(self.raw_times, dtype=float)
-            if raw.shape != (data.shape[0],):
-                raise DataFormatError("raw_times length must match data rows")
-            bad = np.flatnonzero(~np.isfinite(raw))
-            if bad.size:
-                raise DataFormatError(f"raw_times value {raw[bad[0]]} at index "
-                                      f"{bad[0]} is not finite")
-            bad = np.flatnonzero(np.diff(raw) <= 0)
-            if bad.size:
-                raise DataFormatError(f"raw_times not strictly increasing at index "
-                                      f"{bad[0] + 1}")
-            if self.t0 is not None and t0 != raw[0]:
-                raise DataFormatError(f"t0 = {t0} disagrees with the first recorded "
-                                      f"timestamp {raw[0]}")
-            t0 = float(raw[0])
-            object.__setattr__(self, "raw_times", raw)
-        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "channels", channels)
 
@@ -109,23 +98,14 @@ class TimeSeries:
         return self.data.shape[0]
 
     @property
-    def n_channels(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def times(self) -> np.ndarray:
-        """The recorded timestamps when kept, else the series' grid instants."""
-        if self.raw_times is not None:
-            return self.raw_times
+        """The series' grid instants."""
         return grid_times(self.t0, self.dt, np.arange(self.n_samples))
 
     @property
     def duration(self) -> float:
-        """Span from the first to the last sample, in seconds: the recorded
-        span when the timestamps are kept, else the last sample's grid
-        offset ``(n_samples - 1) / rate``."""
-        if self.raw_times is not None:
-            return float(self.raw_times[-1] - self.raw_times[0])
+        """Span from the first to the last sample, in seconds: the last
+        sample's grid offset ``(n_samples - 1) / rate``."""
         return float(grid_times(0.0, self.dt, self.n_samples - 1))
 
     def channel_index(self, name: str) -> int:
@@ -144,16 +124,18 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class Trial:
-    """One recorded trial: an id, a scenario label, and its time series."""
+    """One trial: an id, a scenario label, and its series, a
+    :class:`Recording` as loaded or a :class:`TimeSeries` once resampled."""
 
     trial_id: str
     scenario: str
-    series: TimeSeries
+    series: TimeSeries | Recording
 
 
 @dataclass(frozen=True)
 class TrialSet:
-    """A collection of trials sharing one channel schema.
+    """A collection of trials sharing one channel schema under distinct ids,
+    as :func:`storage.load_trial_dir` checks them.
 
     ``metadata`` carries free-form string annotations.  The key
     ``trim_start_s.<trial_id>`` marks an alignment point: the pipeline drops
@@ -164,19 +146,6 @@ class TrialSet:
     trials: tuple[Trial, ...]
     metadata: dict[str, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        trials = tuple(self.trials)
-        ids = [t.trial_id for t in trials]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise DataFormatError(f"duplicate trial ids: {dupes}")
-        schemas = {t.series.channels for t in trials}
-        if len(schemas) > 1:
-            raise DataFormatError(
-                f"trials disagree on channel schema: {sorted(schemas)}"
-            )
-        object.__setattr__(self, "trials", trials)
-
     def __len__(self) -> int:
         return len(self.trials)
 
@@ -184,39 +153,41 @@ class TrialSet:
         return iter(self.trials)
 
 
-def resample(ts: TimeSeries, rate_hz: float) -> TimeSeries:
+def resample(ts: TimeSeries | Recording, rate_hz: float) -> TimeSeries:
     """Linearly interpolate onto a uniform grid at ``rate_hz``.
 
-    Interpolates from :attr:`TimeSeries.times`, the recorded timestamps of
-    a loaded series, at the instants ``t0 + k / rate_hz`` of
-    :func:`grid_times`: from the first sample, ``t0``, over the recorded
-    span, with no extrapolation beyond the last sample.  A series whose
-    timestamps are those instants, such as a recording at ``rate_hz`` from
-    ``t0 = 0`` stamped in decimals, comes back with every sample and value
-    bitwise, as interpolation at a recorded instant returns its value.
+    Interpolates from ``ts.times``, a :class:`Recording`'s timestamps or a
+    :class:`TimeSeries`' grid instants, at the instants ``t0 + k / rate_hz``
+    of :func:`grid_times` from the first sample, ``t0 = times[0]``, over the
+    recorded span, with no extrapolation beyond the last sample.  A series
+    whose timestamps are those instants, from any ``t0`` (a Unix-epoch clock
+    included), comes back with every sample and value bitwise, as
+    interpolation at a recorded instant returns its value.
     """
     if not (np.isfinite(rate_hz) and rate_hz > 0):
         raise DataFormatError(f"rate_hz must be positive, got {rate_hz}")
     src_t = ts.times
-    t_end = float(src_t[-1])
-    n_out = np.floor((t_end - ts.t0) * rate_hz + 1e-9) + 1
+    t0, t_end = float(src_t[0]), float(src_t[-1])
+    n_out = np.floor((t_end - t0) * rate_hz + 1e-9) + 1
     if not n_out <= MAX_ARRAY_ITEMS:
         raise DataFormatError(
-            f"resample_hz = {rate_hz} gives {n_out:.4g} samples over {t_end - ts.t0} s, "
+            f"resample_hz = {rate_hz} gives {n_out:.4g} samples over {t_end - t0} s, "
             "more than a numpy array can index")
     n_out = int(n_out)
     new_dt = 1.0 / rate_hz
-    new_t = grid_times(ts.t0, new_dt, np.arange(n_out))
-    out = np.column_stack([np.interp(new_t, src_t, ts.data[:, j])
-                           for j in range(ts.n_channels)])
-    return TimeSeries(channels=ts.channels, data=out, dt=new_dt, t0=ts.t0)
+    # The span loses bits to rounding far from 0 (1e-7 s at epoch scale), so
+    # the last grid instant is counted on the grid itself.
+    if grid_times(t0, new_dt, n_out) <= t_end:
+        n_out += 1
+    new_t = grid_times(t0, new_dt, np.arange(n_out))
+    out = np.column_stack([np.interp(new_t, src_t, column) for column in ts.data.T])
+    return TimeSeries(channels=ts.channels, data=out, dt=new_dt, t0=t0)
 
 
 def trim_start(ts: TimeSeries, start_s: float) -> TimeSeries:
     """Drop samples before ``start_s`` (absolute time) and re-base the clock to 0.
 
-    ``ts`` lies on its uniform grid, as :func:`resample` returns it: the
-    pipeline trims only resampled series, so recorded timestamps are not kept.
+    ``ts`` lies on its uniform grid, as :func:`resample` returns it.
     """
     src_t = ts.times
     keep = src_t >= start_s - 1e-12

@@ -147,7 +147,7 @@ class TestRunFlow:
         loaded = storage.load_trial_dir(trials_dir)
         # Resampled at their own rate, the trials keep at most their rows.
         prepared_bytes = sum(trial.series.data.nbytes for trial in loaded)
-        block = min(trial.series.n_samples * (trial.series.n_channels + 1) * 8
+        block = min(trial.series.data.shape[0] * (trial.series.data.shape[1] + 1) * 8
                     for trial in loaded)
         del loaded
         levels = []
@@ -565,6 +565,21 @@ class TestBadInputExits2:
             err = capsys.readouterr().err
             assert (code, "Traceback" in err) == (2, False), (name, fields, err)
             assert f"{case_dir / name}: {message}" in err, (name, fields, err)
+
+    def test_event_ending_on_the_last_instant_of_an_epoch_stamped_trial(
+            self, cue_run_config, tmp_path, capsys):
+        """An event that ends on its trial's last instant lies within the
+        trial, also where ``t0 + duration_s`` is far from 0 and the span
+        ``end_t - t0`` rounds past ``duration_s``, as on a Unix-epoch clock."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.csv").write_text("trial,scenario,t0,duration_s\n"
+                                              "t1,s,1700144159.613,143.055\n")
+        (run_dir / "events.csv").write_text("trial,direction,start_t,end_t,peak_te\n"
+                                            "t1,src2tgt,1700144302.658,1700144302.668,1.0\n")
+        code = main(["report", "--config", str(cue_run_config), "--events", str(run_dir),
+                     "--out", str(tmp_path / "rep")])
+        assert code == 0, capsys.readouterr().err
 
 
 class TestMissingFilesExit2:

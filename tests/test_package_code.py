@@ -107,18 +107,32 @@ def test_every_package_import_is_read():
     assert not unread, unread
 
 
-def test_only_storage_and_config_touch_files():
-    """A file read or written anywhere else would be a second place that
-    knows a format: no other module calls ``open``, ``read_text``,
-    ``write_text``, ``read_bytes``, ``write_bytes`` or ``np.loadtxt``."""
+def _calls_outside(modules: set[str], names: set[str]) -> list[str]:
+    """``file:line: name`` for each call of one of ``names`` in a package
+    module other than ``modules``."""
     calls = []
     for path in sorted((ROOT / "src/cueflow").glob("*.py")):
-        if path.name in FILE_MODULES:
+        if path.name in modules:
             continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in FILE_CALLS:
+                if name in names:
                     calls.append(f"{path.name}:{node.lineno}: {name}")
+    return calls
+
+
+def test_only_storage_and_config_touch_files():
+    """A file read or written anywhere else would be a second place that
+    knows a format: no other module calls ``open``, ``read_text``,
+    ``write_text``, ``read_bytes``, ``write_bytes`` or ``np.loadtxt``."""
+    calls = _calls_outside(FILE_MODULES, FILE_CALLS)
+    assert not calls, calls
+
+
+def test_only_storage_builds_a_recording():
+    """A ``Recording`` checks nothing itself: ``storage.load_csv``, which
+    checks every rule of a recorded trial, is the one module that builds it."""
+    calls = _calls_outside({"storage.py"}, {"Recording"})
     assert not calls, calls

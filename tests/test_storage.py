@@ -315,6 +315,22 @@ class TestTrialDir:
         back = load_trial_dir(d)
         assert [t.trial_id for t in back] == ["walk01"]
 
+    @pytest.mark.parametrize("files, message", [
+        ({"x__t1.csv": "t,a\n0,1\n1,2\n", "y__t1.csv": "t,a\n0,1\n1,2\n"},
+         "{d}/y__t1.csv: trial id 't1' is also that of {d}/x__t1.csv"),
+        ({"s__t1.csv": "t,a,b\n0,1,2\n1,2,3\n", "s__t2.csv": "t,a,c\n0,1,2\n1,2,3\n"},
+         "{d}/s__t2.csv: channels ('a', 'c') differ from {d}/s__t1.csv's ('a', 'b')"),
+    ], ids=["repeated_id", "other_channels"])
+    def test_a_clash_between_trials_names_both_files(self, tmp_path, files, message):
+        """Two files of one trial id, or a file whose channels differ from
+        the first file's, is an error naming it and the earlier file."""
+        d = tmp_path / "trials"
+        d.mkdir()
+        for name, text in files.items():
+            (d / name).write_text(text)
+        with pytest.raises(DataFormatError, match=re.escape(message.format(d=d))):
+            load_trial_dir(d)
+
 
 class TestRepeatedKeys:
     """A ``key=value`` file that gives a key twice is refused, naming the

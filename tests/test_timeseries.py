@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cueflow.errors import DataFormatError
-from cueflow.storage import (_WRITE_BLOCK_ROWS, _median, load_csv, read_numeric_csv,
-                             write_trial_csv)
-from cueflow.timeseries import TimeSeries, Trial, TrialSet, grid_times, resample, trim_start
+from cueflow.storage import _WRITE_BLOCK_ROWS, load_csv, read_numeric_csv, write_trial_csv
+from cueflow.timeseries import Recording, TimeSeries, grid_times, resample, trim_start
 from conftest import write_decimal_trial
 
 
@@ -27,11 +26,10 @@ def csv_float_rows(path):
 def write_trial_csv_reference(ts, path):
     """write_trial_csv as it was, one csv.writer row of repr() strings at a
     time, each line ending in \\n."""
-    times = ts.raw_times if ts.raw_times is not None else ts.times
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", *ts.channels])
-        for t, row in zip(times, ts.data):
+        for t, row in zip(ts.times, ts.data):
             writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
 
 
@@ -52,12 +50,13 @@ class TestTimeSeries:
     def test_one_dimensional_data_becomes_a_column(self):
         ts = make_series([1.0, 2.0, 3.0])
         assert ts.data.shape == (3, 1)
-        assert ts.n_samples == 3 and ts.n_channels == 1
+        assert ts.n_samples == 3
 
     def test_times_and_duration(self):
         ts = make_series(np.zeros(5), dt=0.5, t0=2.0)
         np.testing.assert_allclose(ts.times, [2.0, 2.5, 3.0, 3.5, 4.0])
         assert ts.duration == 2.0
+        assert make_series(np.zeros(5), dt=0.1).duration == 0.1 * 4
 
     def test_values_and_select_preserve_order(self):
         data = np.arange(6.0).reshape(3, 2)
@@ -79,33 +78,13 @@ class TestTimeSeries:
             ts.channel_index("missing")
 
     def test_recorded_series_starts_at_its_first_timestamp(self):
-        """A recorded series has one clock: its t0 is its first timestamp,
-        so the resampled grid starts there and holds the recorded samples."""
-        ts = TimeSeries(("x",), [1.0, 2.0, 3.0], dt=0.1, raw_times=[0.5, 0.6, 0.7])
-        assert ts.t0 == 0.5
-        out = resample(ts, 10.0)
+        """A recording has one clock: resampled, it starts at its first
+        timestamp, so the grid holds the recorded samples."""
+        rec = Recording(("x",), np.array([[1.0], [2.0], [3.0]]), np.array([0.5, 0.6, 0.7]))
+        out = resample(rec, 10.0)
         assert out.n_samples == 3 and out.t0 == 0.5
         np.testing.assert_allclose(out.times, [0.5, 0.6, 0.7], rtol=0, atol=1e-12)
         np.testing.assert_allclose(out.data[:, 0], [1.0, 2.0, 3.0], rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("raw, match", [
-        ([np.nan, 0.6, 0.7], "raw_times value nan at index 0 is not finite"),
-        ([0.5, np.inf, 0.7], "raw_times value inf at index 1 is not finite"),
-        ([0.7, 0.6, 0.5], "raw_times not strictly increasing at index 1"),
-        ([0.5, 0.6, 0.6], "raw_times not strictly increasing at index 2"),
-    ])
-    def test_bad_recorded_times_are_named_where_the_series_is_built(self, raw, match):
-        """Recorded times that are not finite, or do not increase, are
-        refused when the series is built, naming the cause and the first bad
-        index, not later by resample under a cause they do not have."""
-        with pytest.raises(DataFormatError, match=match):
-            TimeSeries(("x",), [1.0, 2.0, 3.0], dt=0.1, raw_times=raw)
-
-    def test_t0_that_disagrees_with_the_recorded_clock_is_an_error(self):
-        assert TimeSeries(("x",), [1.0, 2.0], dt=0.1, t0=0.5, raw_times=[0.5, 0.6]).t0 == 0.5
-        with pytest.raises(DataFormatError,
-                           match="t0 = 0.0 disagrees with the first recorded timestamp 0.5"):
-            TimeSeries(("x",), [1.0, 2.0], dt=0.1, t0=0.0, raw_times=[0.5, 0.6])
 
 
 class TestLoadCsv:
@@ -117,35 +96,10 @@ class TestLoadCsv:
     def test_basic_parse(self, tmp_path):
         p = self.write(tmp_path, "t,x,y\n0.0,1.0,4.0\n0.1,2.0,5.0\n0.2,3.0,6.0\n")
         ts = load_csv(p)
+        assert isinstance(ts, Recording)
         assert ts.channels == ("x", "y")
-        assert ts.dt == pytest.approx(0.1)
-        assert same_bits(ts.raw_times, [0.0, 0.1, 0.2])  # the written t column
+        assert same_bits(ts.times, [0.0, 0.1, 0.2])  # the written t column
         np.testing.assert_array_equal(ts.data[:, 0], [1.0, 2.0, 3.0])
-
-    def test_dt_is_median_of_diffs(self, tmp_path):
-        # one dropped sample: diffs 0.1, 0.1, 0.1, 0.3 -> median 0.1
-        rows = "\n".join(f"{t},{i}" for i, t in enumerate((0.0, 0.1, 0.2, 0.3, 0.6)))
-        ts = load_csv(self.write(tmp_path, "t,x\n" + rows + "\n"))
-        assert ts.dt == pytest.approx(0.1)
-        assert ts.raw_times is not None  # jitter kept for resampling
-
-    def test_duration_is_the_recorded_span(self, tmp_path):
-        """With one sample dropped the recording spans 0.6 s, not the
-        0.4 s that dt times the sample count gives; a grid series keeps
-        dt * (n - 1)."""
-        rows = "\n".join(f"{t},{i}" for i, t in enumerate((0.0, 0.1, 0.2, 0.3, 0.6)))
-        ts = load_csv(self.write(tmp_path, "t,x\n" + rows + "\n"))
-        assert ts.duration == 0.6
-        assert make_series(np.zeros(5), dt=0.1).duration == 0.1 * 4
-
-    def test_median_is_np_median_bitwise(self):
-        """Odd and even lengths, ties, and spreads over many magnitudes."""
-        rng = np.random.default_rng(12)
-        for n in range(1, 451):
-            a = rng.exponential(size=n) * 10.0 ** rng.integers(-6, 6, size=n)
-            if n % 3 == 0:
-                a = np.round(a, 1)  # many equal values
-            assert _median(a).hex() == float(np.median(a)).hex()
 
     def test_non_increasing_timestamps_name_the_row(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0.0,1\n0.2,2\n0.1,3\n")
@@ -153,11 +107,10 @@ class TestLoadCsv:
             load_csv(p)
 
     def test_nan_timestamp_names_the_row(self, tmp_path):
-        """A NaN or infinite timestamp is named with its row.  Without the
-        check a NaN after the middle difference would leave dt finite and
-        the NaN unnoticed, and an infinite first or last timestamp would
-        only fail in resampling, naming neither file nor row.  Rows are
-        those of the file, blank lines included."""
+        """A NaN or infinite timestamp is named with its row where the file
+        is read: a recording is not checked again, and an infinite first or
+        last timestamp would only fail in resampling, naming neither file
+        nor row.  Rows are those of the file, blank lines included."""
         for times, row in (((0.0, 0.1, 0.2, 0.3, "nan"), 5),
                            ((0.0, 1.0, 2.0, "inf"), 4),
                            (("-inf", 1.0, 2.0, 3.0), 1),
@@ -217,12 +170,11 @@ class TestLoadCsv:
         rng = np.random.default_rng(4)
         raw = np.sort(rng.uniform(0.0, 5.0, size=30))
         raw[0], raw[-1] = 0.0, 5.0
-        ts = TimeSeries(channels=("x",), data=rng.standard_normal(30),
-                        dt=float(np.median(np.diff(raw))), raw_times=raw)
+        rec = Recording(channels=("x",), data=rng.standard_normal((30, 1)), times=raw)
         path = tmp_path / "jitter.csv"
-        write_trial_csv(ts, path)
+        write_trial_csv(rec, path)
         back = load_csv(path)
-        np.testing.assert_array_equal(back.raw_times, raw)
+        np.testing.assert_array_equal(back.times, raw)
 
     def test_arrays_match_the_float_loop_bit_for_bit(self, tmp_path):
         """Signed zero, subnormals, large magnitudes, quoted fields, blank
@@ -239,8 +191,7 @@ class TestLoadCsv:
         ref = csv_float_rows(p)
         ts = load_csv(p)
         assert same_bits(ts.data, ref[:, 1:])
-        assert same_bits(ts.t0, ref[0, 0])
-        assert same_bits(ts.raw_times, ref[:, 0])
+        assert same_bits(ts.times, ref[:, 0])
         assert same_bits(read_numeric_csv(p, lambda header: None)[1], ref)
 
     def test_header_only_file_gives_no_numpy_warning(self, tmp_path):
@@ -301,8 +252,7 @@ class TestLoadCsv:
         special = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, 1.7976931348623157e308]
         data = np.column_stack([special, special[::-1]])
         for ts in (TimeSeries(channels=("a,b", 'q"uote'), data=data, dt=0.1),
-                   TimeSeries(channels=("x", "y"), data=data, dt=1.0,
-                              raw_times=np.sort(special))):
+                   Recording(channels=("x", "y"), data=data, times=np.sort(special))):
             write_trial_csv(ts, tmp_path / "new.csv")
             write_trial_csv_reference(ts, tmp_path / "ref.csv")
             assert ((tmp_path / "new.csv").read_bytes()
@@ -313,20 +263,17 @@ class TestLoadCsv:
         line ends, as older recordings have them, load bitwise equal."""
         rng = np.random.default_rng(3)
         raw = np.cumsum(0.01 + 0.001 * rng.random(50))
-        ts = TimeSeries(channels=("a", "b"), data=rng.standard_normal((50, 2)),
-                        dt=0.0105, raw_times=raw)
+        rec = Recording(channels=("a", "b"), data=rng.standard_normal((50, 2)), times=raw)
         lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
-        write_trial_csv(ts, lf)
+        write_trial_csv(rec, lf)
         text = lf.read_bytes()
         assert b"\r" not in text
         crlf.write_bytes(text.replace(b"\n", b"\r\n"))
         a, b = load_csv(lf), load_csv(crlf)
-        assert b.raw_times is not None
         assert a.channels == b.channels == ("a", "b")
-        for x, y in ((a.data, b.data), (a.raw_times, b.raw_times), (a.dt, b.dt),
-                     (a.t0, b.t0)):
+        for x, y in ((a.data, b.data), (a.times, b.times)):
             assert same_bits(x, y)
-        assert same_bits(b.data, ts.data) and same_bits(b.raw_times, raw)
+        assert same_bits(b.data, rec.data) and same_bits(b.times, raw)
 
     @pytest.mark.parametrize("n", [1, _WRITE_BLOCK_ROWS - 1, _WRITE_BLOCK_ROWS,
                                    _WRITE_BLOCK_ROWS + 1, 2 * _WRITE_BLOCK_ROWS + 3])
@@ -356,16 +303,15 @@ class TestLoadCsv:
                                   elements=st.floats(allow_nan=False,
                                                      allow_infinity=False)),
                            label="values")
-        ts = TimeSeries(channels=tuple(f"c{i}" for i in range(n_ch)), data=values,
-                        dt=1.0, raw_times=times)
+        rec = Recording(channels=tuple(f"c{i}" for i in range(n_ch)), data=values,
+                        times=times)
         path = tmp_path_factory.mktemp("rt") / "trial.csv"
-        write_trial_csv(ts, path)
+        write_trial_csv(rec, path)
         assert same_bits(read_numeric_csv(path, lambda header: None)[1],
                          np.column_stack([times, values]))
         back = load_csv(path)
         assert same_bits(back.data, values)
-        assert same_bits(back.t0, times[0])
-        assert same_bits(back.raw_times, times)
+        assert same_bits(back.times, times)
 
 
 class TestResample:
@@ -391,13 +337,24 @@ class TestResample:
 
     def test_jittered_series_lands_on_uniform_grid(self):
         raw = np.array([0.0, 0.09, 0.21, 0.3])
-        ts = TimeSeries(channels=("x",), data=np.array([0.0, 0.9, 2.1, 3.0]),
-                        dt=0.1, raw_times=raw)
-        out = resample(ts, 10.0)
-        assert out.raw_times is None
+        rec = Recording(channels=("x",), data=np.array([[0.0], [0.9], [2.1], [3.0]]),
+                        times=raw)
+        out = resample(rec, 10.0)
+        assert isinstance(out, TimeSeries)
         np.testing.assert_allclose(out.times, [0.0, 0.1, 0.2, 0.3], atol=1e-12)
         # the input is y = 10 * t, so interpolation recovers the line
         np.testing.assert_allclose(out.data[:, 0], [0.0, 1.0, 2.0, 3.0], atol=1e-12)
+
+    def test_epoch_stamped_grid_recording_keeps_every_sample(self):
+        """Far from 0 the recorded span rounds short of the grid's: a
+        recording at 200 Hz stamped on its grid instants from a Unix-epoch
+        t0 comes back whole, not one sample short."""
+        rng = np.random.default_rng(8)
+        times = grid_times(1700383368.881, 0.005, np.arange(2323))
+        rec = Recording(channels=("x", "y"), data=rng.standard_normal((2323, 2)), times=times)
+        out = resample(rec, 200.0)
+        assert out.n_samples == 2323
+        assert same_bits(out.times, times) and same_bits(out.data, rec.data)
 
     def test_no_extrapolation_past_last_sample(self):
         ts = make_series([0.0, 1.0], dt=1.0)
@@ -440,7 +397,7 @@ class TestDecimalStampedTrials:
         write_decimal_trial(path, rate_hz)
         loaded = load_csv(path)
         out = resample(loaded, rate_hz)
-        assert out.n_samples == loaded.n_samples == 2401
+        assert out.n_samples == len(loaded.times) == 2401
         assert same_bits(out.times, loaded.times)
         assert same_bits(out.data, loaded.data)
 
@@ -465,19 +422,3 @@ class TestTrimStart:
     def test_trim_past_end_is_an_error(self):
         with pytest.raises(DataFormatError):
             trim_start(make_series([1.0, 2.0], dt=1.0), 10.0)
-
-
-class TestTrialSet:
-    def trial(self, tid, scenario="s", channels=("x",)):
-        return Trial(trial_id=tid, scenario=scenario,
-                     series=make_series(np.zeros((3, len(channels))),
-                                        channels=channels))
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(DataFormatError, match="duplicate"):
-            TrialSet(trials=(self.trial("a"), self.trial("a")))
-
-    def test_mixed_schemas_rejected(self):
-        with pytest.raises(DataFormatError, match="schema"):
-            TrialSet(trials=(self.trial("a"),
-                             self.trial("b", channels=("x", "y"))))
