@@ -297,8 +297,8 @@ def _read_run_dir(events_dir: Path):
     listed, its direction is ``src2tgt`` or ``tgt2src``, and it lies within
     its trial's ``[t0, t0 + duration_s]`` (to 1e-9 s), ending no earlier
     than it starts.  The bounds are absolute instants, as the events are:
-    ``t0 + duration_s`` is bitwise the last instant of the trial's traces.  A row that breaks a rule is an error naming its file
-    and row."""
+    ``t0 + duration_s`` is bitwise the last instant of the trial's traces.
+    A row that breaks a rule is an error naming its file and row."""
     path = events_dir / "manifest.csv"
     if not path.exists():
         raise DataFormatError(f"missing manifest {path}")

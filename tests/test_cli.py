@@ -13,6 +13,7 @@ import pytest
 import cueflow
 from cueflow import storage
 from cueflow.cli import main
+from cueflow.timeseries import TimeSeries
 
 VAR1_INI = """\
 [io]
@@ -359,6 +360,32 @@ class TestRunFlow:
         rows = (run_dir / "manifest.csv").read_text().splitlines()
         assert rows == ["trial,scenario,t0,duration_s", "t000,cue_scenario,0.0,120.0"]
 
+    def test_epoch_stamped_trials_run_to_their_last_instant(self, cue_run_config, tmp_path,
+                                                            capsys):
+        """Two 200 Hz trials stamped from a Unix-epoch t0, with a cue so
+        near the end that an event ends on a trial's last instant, run
+        through to every aggregate and keep their full 30.005 s."""
+        settings = [f"--set={s}" for s in (
+            "io.resample_hz=200", "io.directions=both", "synth.rate_hz=200",
+            "synth.n_trials=2", "synth.duration_s=30.005", "synth.cue_times=8.0, 29.78",
+            "detector.alpha=0.01", "detector.beta=0.05", "detector.hp_cutoff_hz=1.0")]
+        trials_dir, run_dir = tmp_path / "trials", tmp_path / "run"
+        assert main(["synth", "--config", str(cue_run_config), *settings,
+                     "--out", str(trials_dir)]) == 0
+        for f in trials_dir.glob("cue_scenario__*.csv"):
+            rec = storage.load_csv(f)
+            storage.write_trial_csv(TimeSeries(rec.channels, rec.data, dt=0.005,
+                                               t0=1700085649.167), f)
+        code = main(["run", "--config", str(cue_run_config), *settings,
+                     "--trials", str(trials_dir), "--out", str(run_dir)])
+        assert code == 0, capsys.readouterr().err
+        rows = (run_dir / "manifest.csv").read_text().splitlines()
+        assert rows[1:] == [f"t00{i},cue_scenario,1700085649.167,30.005" for i in (0, 1)]
+        last = repr(1700085649.167 + 30.005)
+        assert any(line.split(",")[3] == last
+                   for line in (run_dir / "events.csv").read_text().splitlines())
+        assert all((run_dir / f"histogram_{d}.csv").exists() for d in ("src2tgt", "tgt2src"))
+
 
 class TestBadInputExits2:
     """A bad input file or metadata value is a data error, not a traceback."""
@@ -580,6 +607,23 @@ class TestBadInputExits2:
         code = main(["report", "--config", str(cue_run_config), "--events", str(run_dir),
                      "--out", str(tmp_path / "rep")])
         assert code == 0, capsys.readouterr().err
+
+    def test_event_starting_before_an_epoch_stamped_trial(self, cue_run_config, tmp_path,
+                                                          capsys):
+        """An event that starts one sample before its trial's first instant
+        lies outside the trial, also on a Unix-epoch clock."""
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.csv").write_text("trial,scenario,t0,duration_s\n"
+                                              "t1,s,1700144159.613,143.055\n")
+        (run_dir / "events.csv").write_text("trial,direction,start_t,end_t,peak_te\n"
+                                            "t1,src2tgt,1700144159.608,1700144159.618,1.0\n")
+        code = main(["report", "--config", str(cue_run_config), "--events", str(run_dir),
+                     "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert (code, "Traceback" in err) == (2, False), err
+        assert (f"{run_dir / 'events.csv'}: row 1: event [1700144159.608, 1700144159.618] "
+                "is outside trial 't1'") in err
 
 
 class TestMissingFilesExit2:

@@ -14,7 +14,7 @@ from cueflow.storage import (_WRITE_BLOCK_ROWS, load_trial_dir, read_events_csv,
                              read_te_csv, write_events_csv, write_grid_csv,
                              write_histogram_csv, write_report_csv,
                              write_te_csv, write_trial_dir)
-from cueflow.timeseries import TimeSeries, Trial, TrialSet, grid_times
+from cueflow.timeseries import Recording, TimeSeries, Trial, TrialSet, grid_times
 
 
 BLOCK = _WRITE_BLOCK_ROWS
@@ -314,6 +314,19 @@ class TestTrialDir:
         (d / "truth.csv").write_text("trial,start_t,end_t\nwalk01,2.0,2.35\n")
         back = load_trial_dir(d)
         assert [t.trial_id for t in back] == ["walk01"]
+
+    def test_loaded_trials_keep_their_stamps(self, tmp_path):
+        """A loaded trial is a recording of the file's own clock, jittered
+        and from a Unix-epoch start, each stamp read bitwise."""
+        d = tmp_path / "trials"
+        d.mkdir()
+        stamps = ["1700085649.167", "1700085649.1718", "1700085649.177", "1700085649.1821"]
+        (d / "s__t1.csv").write_text("t,x\n" + "".join(f"{t},{i}\n"
+                                                       for i, t in enumerate(stamps)))
+        series = load_trial_dir(d).trials[0].series
+        assert isinstance(series, Recording)
+        assert series.times.tobytes() == np.array([float(t) for t in stamps]).tobytes()
+        np.testing.assert_array_equal(series.data[:, 0], [0.0, 1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("files, message", [
         ({"x__t1.csv": "t,a\n0,1\n1,2\n", "y__t1.csv": "t,a\n0,1\n1,2\n"},

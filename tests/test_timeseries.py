@@ -1,5 +1,6 @@
 """Time-series container, CSV trial format, resampling and trimming."""
 import csv
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -56,7 +57,6 @@ class TestTimeSeries:
         ts = make_series(np.zeros(5), dt=0.5, t0=2.0)
         np.testing.assert_allclose(ts.times, [2.0, 2.5, 3.0, 3.5, 4.0])
         assert ts.duration == 2.0
-        assert make_series(np.zeros(5), dt=0.1).duration == 0.1 * 4
 
     def test_values_and_select_preserve_order(self):
         data = np.arange(6.0).reshape(3, 2)
@@ -76,6 +76,11 @@ class TestTimeSeries:
         with pytest.raises(DataFormatError):
             ts = make_series([1.0, 2.0])
             ts.channel_index("missing")
+
+    def test_fields_are_the_grid_form(self):
+        """A series has one clock, its grid: no field holds recorded times."""
+        assert [f.name for f in dataclasses.fields(TimeSeries)] == ["channels", "data",
+                                                                    "dt", "t0"]
 
     def test_recorded_series_starts_at_its_first_timestamp(self):
         """A recording has one clock: resampled, it starts at its first
@@ -100,6 +105,15 @@ class TestLoadCsv:
         assert ts.channels == ("x", "y")
         assert same_bits(ts.times, [0.0, 0.1, 0.2])  # the written t column
         np.testing.assert_array_equal(ts.data[:, 0], [1.0, 2.0, 3.0])
+
+    def test_duration_is_the_recorded_span(self, tmp_path):
+        """With one sample dropped the recording, resampled, spans 0.6 s,
+        not the 0.4 s that the step times the sample count gives; a grid
+        series keeps dt * (n - 1)."""
+        rows = "\n".join(f"{t},{i}" for i, t in enumerate((0.0, 0.1, 0.2, 0.3, 0.6)))
+        rec = load_csv(self.write(tmp_path, "t,x\n" + rows + "\n"))
+        assert resample(rec, 10.0).duration == 0.6
+        assert make_series(np.zeros(5), dt=0.1).duration == 0.1 * 4
 
     def test_non_increasing_timestamps_name_the_row(self, tmp_path):
         p = self.write(tmp_path, "t,x\n0.0,1\n0.2,2\n0.1,3\n")
@@ -355,6 +369,18 @@ class TestResample:
         out = resample(rec, 200.0)
         assert out.n_samples == 2323
         assert same_bits(out.times, times) and same_bits(out.data, rec.data)
+
+    @pytest.mark.parametrize("t0", [0.0, 3.2, 1700383368.881])
+    def test_a_recording_on_its_grid_resamples_as_its_grid_series(self, t0):
+        """resample reads only channels, data and times: a recording
+        stamped on the grid instants of a series gives that series' output,
+        bitwise, at its own rate and at twice it."""
+        ts = make_series(np.random.default_rng(9).standard_normal((401, 2)), dt=0.005, t0=t0)
+        rec = Recording(channels=ts.channels, data=ts.data, times=ts.times)
+        for rate_hz in (200.0, 400.0):
+            a, b = resample(rec, rate_hz), resample(ts, rate_hz)
+            assert (a.channels, a.dt, a.t0) == (b.channels, b.dt, b.t0)
+            assert same_bits(a.data, b.data)
 
     def test_no_extrapolation_past_last_sample(self):
         ts = make_series([0.0, 1.0], dt=1.0)
