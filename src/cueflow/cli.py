@@ -10,8 +10,7 @@ Subcommands::
                                                  regenerate aggregates from saved outputs
 
 Exit codes: 0 success, 1 usage error, 2 data/config error or an allocation
-that fails.  Diagnostics and progress go to stderr (``--verbose`` raises
-verbosity); results to stdout.
+that fails.  Diagnostics and progress go to stderr; results to stdout.
 Every ``--set section.key=value`` overrides one config key.
 """
 
@@ -60,8 +59,6 @@ def _build_parser() -> _Parser:
                        help="pipeline config file (INI sections)")
         p.add_argument("--set", action="append", default=[], metavar="SEC.KEY=VAL",
                        help="override one config key (repeatable)")
-        p.add_argument("--verbose", action="store_true",
-                       help="debug-level logging on stderr")
 
     p_run = sub.add_parser("run", help="analyze a directory of trial CSVs")
     common(p_run)
@@ -227,7 +224,7 @@ def main(argv=None) -> int:
         return 1
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )

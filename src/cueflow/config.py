@@ -75,8 +75,6 @@ class ModelConfig:
     te_mode: str = LOGLIK_RATIO
     hidden: tuple[int, ...] = (64, 64)
     epochs: int = 200
-    learning_rate: float = 1e-3
-    batch_size: int = 256
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
@@ -87,12 +85,6 @@ class ModelConfig:
             )
         if not self.epochs >= 1:
             raise ConfigError(f"[model] epochs must be at least 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"[model] learning_rate must be positive and finite, got {self.learning_rate}"
-            )
-        if not self.batch_size >= 1:
-            raise ConfigError(f"[model] batch_size must be at least 1, got {self.batch_size}")
         if not self.hidden or min(self.hidden) < 1:
             raise ConfigError(
                 f"[model] hidden needs at least one layer width, each at least 1, "

@@ -28,6 +28,10 @@ from .errors import DataFormatError, TrainingDivergedError
 VARIANCE_FLOOR = 1e-8
 RIDGE_SCALE = 1e-6
 _SCALE_FLOOR = 1e-12
+# The network's Adam step size and rows per minibatch.  fit_mlp reads them
+# when it runs, so a test may set them.
+LEARNING_RATE = 1e-3
+BATCH_SIZE = 256
 
 BASELINE = "baseline"
 AUGMENTED = "augmented"
@@ -249,15 +253,12 @@ def _column_sums(a, out):
     return np.einsum("ij->j", a, out=out)
 
 
-def _nll_and_grads(layers, x, y, output_dim, grads=None, work=None):
+def _nll_and_grads(layers, x, y, output_dim, grads, work):
     """Mean Gaussian NLL over the batch and its gradient w.r.t. every layer,
-    written into ``grads`` (new arrays when None).  Every intermediate goes
-    into ``work``, a :class:`_Work` for the batch's row count (new arrays
-    when None), so ``x``, ``y`` and ``layers``, which share one dtype, are left
-    as they are."""
+    written into ``grads``.  Every intermediate goes into ``work``, a
+    :class:`_Work` for the batch's row count, so ``x``, ``y`` and ``layers``,
+    which share one dtype, are left as they are."""
     b = x.shape[0]
-    if work is None:
-        work = _Work(layers, b, output_dim, np.result_type(x, *layers))
     out, acts = _forward(layers, x, work)
     mu, lv = out[:, :output_dim], out[:, output_dim:]
     inv_var = np.exp(np.negative(lv, out=work.inv_var), out=work.inv_var)
@@ -272,8 +273,6 @@ def _nll_and_grads(layers, x, y, output_dim, grads=None, work=None):
     resid *= inv_var
     np.divide(resid, -b, out=mu)
     np.divide(np.subtract(1.0, r2_iv, out=r2_iv), 2 * b, out=lv)
-    if grads is None:
-        grads = [np.empty_like(q) for q in layers]
     for i in range(len(layers) // 2 - 1, -1, -1):
         np.matmul(acts[i].T, d_z, out=grads[2 * i])
         _column_sums(d_z, grads[2 * i + 1])
@@ -289,13 +288,14 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str, model, seed: int) -> FittedM
 
     ``model`` is the ``[model]`` section, a :class:`cueflow.config.ModelConfig`
     (not imported here: ``config`` imports this module).  Its ``hidden``
-    layer widths shape the network; ``epochs``, ``learning_rate`` and
-    ``batch_size`` set the minibatch descent, whose initial weights and row
-    order follow from ``seed``.  Inputs and targets are standardized
-    internally (the stored scalers map predictions back to original units),
-    which keeps the default learning rate usable across data scales.  The
-    reported ``final_nll`` is the returned model's mean NLL on ``ds`` as
-    :func:`predict_dataset` scores it, variance floor included.  Raises
+    layer widths shape the network and its ``epochs`` set the length of the
+    minibatch descent, in batches of ``BATCH_SIZE`` rows and Adam steps of
+    ``LEARNING_RATE``; its initial weights and row order follow from
+    ``seed``.  Inputs and targets are standardized internally (the stored
+    scalers map predictions back to original units), which keeps the one
+    learning rate usable across data scales.  The reported ``final_nll`` is
+    the returned model's mean NLL on ``ds`` as :func:`predict_dataset`
+    scores it, variance floor included.  Raises
     :class:`~cueflow.errors.TrainingDivergedError` on a non-finite batch
     objective.
     """
@@ -332,7 +332,7 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str, model, seed: int) -> FittedM
     m_hat, v_hat = np.empty_like(flat), np.empty_like(flat)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-    batch = max(1, min(model.batch_size, n))
+    batch = min(BATCH_SIZE, n)
     # Each epoch's shuffled rows, and the work arrays of the full and the
     # short last batch, are allocated once; rng.shuffle of a fresh arange is
     # rng.permutation, so the order of the rows is unchanged.  np.take buffers
@@ -370,7 +370,7 @@ def fit_mlp(ds: EmbeddedDataset, conditioning: str, model, seed: int) -> FittedM
                 np.divide(v, 1 - beta2**step, out=v_hat)
                 np.sqrt(v_hat, out=v_hat)
                 v_hat += eps
-                m_hat *= model.learning_rate
+                m_hat *= LEARNING_RATE
                 m_hat /= v_hat
                 flat -= m_hat
 

@@ -16,8 +16,8 @@ from cueflow import pipeline, storage
 from cueflow.config import AggregateConfig, IoConfig, ModelConfig, PipelineConfig
 from cueflow.detector import DetectorConfig, detect_trace
 from cueflow.embedding import EmbeddingSpec, embed
-from cueflow.models import (AUGMENTED, BASELINE, _init_layers, _nll_and_grads, fit_var,
-                            predict_dataset)
+from cueflow.models import (AUGMENTED, BASELINE, _init_layers, _nll_and_grads, _Work,
+                            fit_var, predict_dataset)
 from cueflow.synth import CueScenario, Var1Spec, gen_cue_scenario, gen_var1
 from cueflow.te import ENTROPY_DIFF, local_te
 from cueflow.timeseries import TimeSeries, Trial, TrialSet
@@ -185,10 +185,18 @@ def var1_sweep(var1_mean_te, coupling_spec):
 
 def mlp_model(hidden: tuple[int, ...], **train) -> SimpleNamespace:
     """What ``fit_mlp`` reads of a ``[model]`` section: the ``hidden`` layer
-    widths and a :class:`ModelConfig`'s training keys, its defaults where
-    ``train`` names none.  ``hidden`` may be ``()``, a network without hidden
+    widths and a :class:`ModelConfig`'s ``epochs``, its default unless
+    ``train`` names it.  ``hidden`` may be ``()``, a network without hidden
     layers (linear-Gaussian), which the section itself refuses."""
     return SimpleNamespace(**{**asdict(ModelConfig(**train)), "hidden": hidden})
+
+
+def nll_and_grads64(layers, x, y, output_dim):
+    """``_nll_and_grads`` on float64 rows and layers, into a new gradient list
+    and a new float64 :class:`_Work`."""
+    work = _Work(layers, x.shape[0], output_dim, np.float64)
+    return _nll_and_grads(layers, x, y, output_dim, [np.empty_like(q) for q in layers],
+                          work)
 
 
 def gradient_check(hidden: tuple[int, ...] = (8,), input_dim: int = 3,
@@ -200,16 +208,16 @@ def gradient_check(hidden: tuple[int, ...] = (8,), input_dim: int = 3,
     x = rng.normal(size=(n_rows, input_dim))
     y = rng.normal(size=(n_rows, output_dim))
     layers = _init_layers(input_dim, output_dim, hidden, rng)
-    _, grads = _nll_and_grads(layers, x, y, output_dim)
+    _, grads = nll_and_grads64(layers, x, y, output_dim)
     worst = 0.0
     for j, layer in enumerate(layers):
         flat = layer.ravel()
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + step
-            hi, _ = _nll_and_grads(layers, x, y, output_dim)
+            hi, _ = nll_and_grads64(layers, x, y, output_dim)
             flat[k] = orig - step
-            lo, _ = _nll_and_grads(layers, x, y, output_dim)
+            lo, _ = nll_and_grads64(layers, x, y, output_dim)
             flat[k] = orig
             numeric = (hi - lo) / (2.0 * step)
             analytic = grads[j].ravel()[k]

@@ -404,20 +404,25 @@ class TestBadInputExits2:
 
     def test_diverging_fit_is_one_clean_error(self, cue_run_config,
                                               two_scenario_trials, tmp_path):
-        """A learning rate that makes training diverge ends the run with exit
-        code 2 and one message naming the fit stage; numpy's overflow and
-        invalid-value warnings do not reach stderr (checked in a fresh
-        interpreter, where warnings are printed, not raised)."""
+        """A learning rate that makes training diverge (the trainer's
+        constant, set to 1e3) ends the run with exit code 2 and one message
+        naming the fit stage; numpy's overflow and invalid-value warnings do
+        not reach stderr (checked in a fresh interpreter, where warnings are
+        printed, not raised)."""
         env = dict(os.environ,
                    PYTHONPATH=str(Path(cueflow.__file__).resolve().parents[1]))
+        code = ("import sys\n"
+                "from cueflow import cli, models\n"
+                "models.LEARNING_RATE = 1e3\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
         out = subprocess.run(
-            [sys.executable, "-m", "cueflow.cli", "run", "--config", str(cue_run_config),
+            [sys.executable, "-c", code, "run", "--config", str(cue_run_config),
              "--trials", str(two_scenario_trials), "--out", str(tmp_path / "run"),
-             "--set", "model.kind=mlp_gaussian", "--set", "model.learning_rate=1e3"],
+             "--set", "model.kind=mlp_gaussian"],
             env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 2
-        assert re.search(r"stage fit .*: non-finite NLL at epoch \d+, step \d+",
-                         out.stderr)
+        assert len(re.findall(r"stage fit .*: non-finite NLL at epoch \d+, step \d+",
+                              out.stderr)) == 1
         assert "Warning" not in out.stderr
         assert "Traceback" not in out.stderr
 
@@ -956,6 +961,28 @@ class TestValidateCommand:
         assert "Traceback" not in captured.err
         assert named in captured.out + captured.err
 
+    @pytest.mark.parametrize("key", ["learning_rate", "batch_size"])
+    @pytest.mark.parametrize("where", ["section", "--set"])
+    def test_run_refuses_a_trainer_constant_as_a_key(
+            self, cue_run_config, two_scenario_trials, tmp_path, capsys, key, where):
+        """The network's Adam step and batch rows are constants of the
+        trainer, not ``[model]`` keys: naming either, in the file or in
+        ``--set``, exits 2 naming the key before ``--out`` is made."""
+        overrides = []
+        if where == "section":
+            cue_run_config.write_text(
+                CUE_RUN_INI.replace("[model]\n", f"[model]\n{key} = 1\n"))
+        else:
+            overrides = ["--set", f"model.{key}=1"]
+        capsys.readouterr()
+        assert main(["run", "--config", str(cue_run_config), *overrides,
+                     "--trials", str(two_scenario_trials),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_run_rejects_a_bad_detector_before_fitting(
             self, cue_run_config, two_scenario_trials, tmp_path, capsys,
             monkeypatch):
@@ -1173,8 +1200,7 @@ class TestStartUp:
                 if line.startswith("[")]
 
     @pytest.mark.parametrize("override", [
-        "model.epochs=0", "model.learning_rate=-1", "model.batch_size=0",
-        "model.hidden=0",
+        "model.epochs=0", "model.hidden=0",
     ])
     def test_bad_model_number_exits_2(self, var1_config, override, capsys):
         assert main(["validate", "--config", str(var1_config),
@@ -1192,6 +1218,23 @@ class TestUsageErrors:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "absent.ini")]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--trials", "trials", "--out", "run"],
+        ["synth", "--out", "synth"],
+        ["oracle"],
+        ["validate"],
+        ["report", "--events", "run", "--out", "report"],
+    ], ids=lambda argv: argv[0])
+    def test_verbose_is_not_a_flag(self, var1_config, tmp_path, capsys, argv):
+        """Nothing logs below INFO, so no flag raises the verbosity: given
+        every other argument its command needs, ``--verbose`` is a usage
+        error, and nothing is written."""
+        command, *rest = argv
+        args = [a if a.startswith("--") else str(tmp_path / a) for a in rest]
+        assert main([command, "--config", str(var1_config), *args, "--verbose"]) == 1
+        assert "usage error: unrecognized arguments: --verbose" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [var1_config]
 
     def test_malformed_override(self, var1_config):
         assert main(["validate", "--config", str(var1_config),

@@ -103,8 +103,6 @@ kind = mlp_gaussian
 te_mode = loglik_ratio
 hidden = 32, 16
 epochs = 50
-learning_rate = 0.01
-batch_size = 64
 
 [detector]
 alpha = 0.01
@@ -124,8 +122,6 @@ position_channels = px, py
         assert cfg.model.te_mode == "loglik_ratio"
         assert cfg.model.hidden == (32, 16)
         assert cfg.model.epochs == 50
-        assert cfg.model.learning_rate == 0.01
-        assert cfg.model.batch_size == 64
         assert cfg.detector.gamma == 2.5
         assert cfg.aggregate.bin_dt == 0.5
         assert cfg.aggregate.cell_size_m == 0.25
@@ -350,10 +346,8 @@ class TestDerivedSettings:
         import cueflow.pipeline as pipeline_module
 
         cfg, _ = parse_config_text(VAR1_INI, overrides=[
-            "io.seed=9", "model.kind=mlp_gaussian", "model.epochs=7",
-            "model.learning_rate=0.5", "model.batch_size=32"])
-        assert (cfg.model.epochs, cfg.model.learning_rate,
-                cfg.model.batch_size) == (7, 0.5, 32)
+            "io.seed=9", "model.kind=mlp_gaussian", "model.epochs=7"])
+        assert cfg.model.epochs == 7
         calls = []
 
         def recording(ds, conditioning, model, seed):
@@ -378,10 +372,6 @@ class TestDerivedSettings:
 
     @pytest.mark.parametrize("key, bad", [
         ("epochs", "0"),
-        ("learning_rate", "-1"),
-        ("learning_rate", "nan"),
-        ("learning_rate", "inf"),
-        ("batch_size", "0"),
         ("hidden", "0"),
         ("hidden", "32, 0"),
     ])

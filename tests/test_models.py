@@ -7,13 +7,13 @@ import pytest
 
 from cueflow.embedding import EmbeddedDataset, EmbeddingSpec, embed
 from cueflow.errors import DataFormatError, TrainingDivergedError
-from cueflow.models import (AUGMENTED, BASELINE, VARIANCE_FLOOR, FittedModel,
-                            GaussianPredictions, _forward,
+from cueflow.models import (AUGMENTED, BASELINE, BATCH_SIZE, LEARNING_RATE, VARIANCE_FLOOR,
+                            FittedModel, GaussianPredictions, _forward,
                             _gaussian_nll, _init_layers, _nll_and_grads, _Work,
                             fit_mlp, fit_var, predict, predict_dataset)
 from cueflow.timeseries import TimeSeries
 
-from conftest import gradient_check, mlp_model
+from conftest import gradient_check, mlp_model, nll_and_grads64
 
 
 def ar1_series(phi, n, seed, sigma=1.0):
@@ -147,7 +147,7 @@ def per_layer_adam(x_raw, y_raw, train, seed):
     v = [np.zeros_like(q) for q in layers]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
-    batch = max(1, min(train.batch_size, n))
+    batch = min(BATCH_SIZE, n)
     for _ in range(train.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, batch):
@@ -159,7 +159,7 @@ def per_layer_adam(x_raw, y_raw, train, seed):
                 v[j] = beta2 * v[j] + (1 - beta2) * g * g
                 m_hat = m[j] / (1 - beta1**step)
                 v_hat = v[j] / (1 - beta2**step)
-                layers[j] = layers[j] - train.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                layers[j] = layers[j] - LEARNING_RATE * m_hat / (np.sqrt(v_hat) + eps)
     return [q.astype(np.float64) for q in layers], step
 
 
@@ -238,15 +238,17 @@ class TestFitMlp:
             np.testing.assert_array_equal(p, q)
         assert a.train_report == b.train_report
 
-    @pytest.mark.parametrize("hidden, batch_size", [((16, 8), 64), ((), 256)])
-    def test_flat_buffer_adam_matches_per_layer_loop(self, hidden, batch_size):
+    @pytest.mark.parametrize("hidden, n", [((16, 8), 300), ((), 100)])
+    def test_flat_buffer_adam_matches_per_layer_loop(self, hidden, n):
         """The whole-buffer Adam update trains the same weights, bit for bit,
-        as the update applied one layer array at a time."""
+        as the update applied one layer array at a time: on 300 rows, a full
+        batch and a short last one of 44 rows per epoch, and on 100 rows, one
+        batch of them all."""
         rng = np.random.default_rng(9)
-        ds = history_dataset(rng.standard_normal((300, 2)),
-                             np.hstack([rng.standard_normal((300, 3)),
-                                        rng.standard_normal((300, 3))]), 3)
-        train = mlp_model(hidden, epochs=15, batch_size=batch_size)
+        ds = history_dataset(rng.standard_normal((n, 2)),
+                             np.hstack([rng.standard_normal((n, 3)),
+                                        rng.standard_normal((n, 3))]), 3)
+        train = mlp_model(hidden, epochs=15)
         model = fit_mlp(ds, AUGMENTED, train, 4)
         layers, n_iter = per_layer_adam(ds.joint_hist, ds.targets, train, 4)
         assert model.train_report.n_iter == n_iter
@@ -280,7 +282,7 @@ class TestFitMlp:
         p = model.params
         x = (ds.joint_hist - p["x_mean"]) / p["x_scale"]
         y = (ds.targets - p["y_mean"]) / p["y_scale"]
-        nll, _ = _nll_and_grads(layers, x, y, 2)
+        nll, _ = nll_and_grads64(layers, x, y, 2)
         assert model.train_report.final_nll == float(nll + np.sum(np.log(p["y_scale"])))
 
     def test_final_nll_needs_no_backward_pass(self, monkeypatch):
@@ -316,16 +318,18 @@ class TestFitMlp:
         lv = out[:, 1:]
         assert lv.min() > -0.5 * np.log(np.finfo(np.float32).max)
 
-    def test_divergence_raises_naming_epoch_and_step(self):
+    def test_divergence_raises_naming_epoch_and_step(self, monkeypatch):
         """A learning rate far too large drives the NLL to inf or NaN within
         a few steps; fit_mlp raises, with no RuntimeWarning on the way (the
         test run turns one into an error)."""
+        import cueflow.models as models_module
+
+        monkeypatch.setattr(models_module, "LEARNING_RATE", 1e3)
         rng = np.random.default_rng(5)
         ds = history_dataset(rng.standard_normal((300, 2)),
                              rng.standard_normal((300, 4)), 4)
         with pytest.raises(TrainingDivergedError) as err:
-            fit_mlp(ds, BASELINE,
-                    mlp_model((16, 16), epochs=20, batch_size=64, learning_rate=1e3), 0)
+            fit_mlp(ds, BASELINE, mlp_model((16, 16), epochs=20), 0)
         assert re.fullmatch(r"non-finite NLL at epoch \d+, step \d+", str(err.value))
 
     def test_epochs_after_the_first_allocate_no_batch_sized_block(self, monkeypatch):
@@ -337,7 +341,7 @@ class TestFitMlp:
         import cueflow.models as models_module
 
         rng = np.random.default_rng(8)
-        n, batch, width = 712, 256, 64  # batches of 256, 256 and 200 rows
+        n, width = 712, 64  # batches of 256, 256 and 200 rows
         # 24 inputs, so that an epoch's reshuffled rows are a larger block too.
         ds = history_dataset(rng.standard_normal((n, 2)),
                              rng.standard_normal((n, 24)), 12)
@@ -357,7 +361,7 @@ class TestFitMlp:
         tracemalloc.start()
         try:
             model = fit_mlp(ds, AUGMENTED,
-                            mlp_model((width, width), epochs=4, batch_size=batch), 0)
+                            mlp_model((width, width), epochs=4), 0)
         finally:
             tracemalloc.stop()
         assert model.train_report.n_iter == 12
@@ -409,8 +413,8 @@ class TestGradients:
         rng = np.random.default_rng(2)
         layers = [np.zeros_like(q)
                   for q in _init_layers(3, 2, (8,), rng)]
-        nll, grads = _nll_and_grads(layers, rng.normal(size=(16, 3)),
-                                    rng.normal(size=(16, 2)), 2)
+        nll, grads = nll_and_grads64(layers, rng.normal(size=(16, 3)),
+                                     rng.normal(size=(16, 2)), 2)
         assert np.isfinite(nll)
         assert all(np.isfinite(g).all() for g in grads)
 
@@ -432,15 +436,16 @@ class TestGradients:
             return [(rng.normal(size=(rows, 4)).astype(dtype),
                      rng.normal(size=(rows, 2)).astype(dtype)) for _ in range(2)]
 
-        def into():
-            return [np.full(q.shape, np.nan, np.float32) for q in layers]
+        def into(dtype):
+            return [np.full(q.shape, np.nan, dtype) for q in layers]
 
         short = [(block[lo:lo + 8, 2:], rng.normal(size=(8, 2)).astype(np.float32))
                  for lo in (32, 40)]
-        cases = [(layers, batches(32, np.float64), None, None),
-                 (layers32, batches(32, np.float32), into(),
+        cases = [(layers, batches(32, np.float64), into(np.float64),
+                  _Work(layers, 32, 2, np.float64)),
+                 (layers32, batches(32, np.float32), into(np.float32),
                   _Work(layers32, 32, 2, np.float32)),
-                 (layers32, short, into(), _Work(layers32, 8, 2, np.float32))]
+                 (layers32, short, into(np.float32), _Work(layers32, 8, 2, np.float32))]
         for layers, data, into, work in cases:
             for x, y in data:
                 before = [q.tobytes() for q in (x, y, *layers)]
@@ -452,8 +457,7 @@ class TestGradients:
                 for g, ref in zip(grads, ref_grads):
                     assert g.dtype == ref.dtype
                     assert g.tobytes() == ref.tobytes()
-                if into is not None:
-                    assert all(g is q for g, q in zip(grads, into))
+                assert all(g is q for g, q in zip(grads, into))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("d", [1, 2, 3, 9])
