@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
                        help="directory produced by a previous run")
     p_rep.add_argument("--out", required=True, help="output directory")
     p_rep.add_argument("--trials", default=None,
-                       help="original trial directory (enables spatial grids)")
+                       help="original trial directory (needed for a configured spatial grid)")
     p_rep.set_defaults(func=_cmd_report)
     return parser
 
@@ -205,11 +205,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_report(args) -> int:
     cfg, _ = load_config(args.config, args.set)
+    if cfg.aggregate.cell_size_m is not None and args.trials is None:
+        raise ConfigError("[aggregate] cell_size_m sets a spatial grid: report needs --trials")
     out = _out_dir(args.out)
-    positions = None
-    if args.trials is not None:
-        positions = {trial.trial_id: trial.series
-                     for trial in _prepared_trials(args.trials, cfg)}
+    positions = None if args.trials is None else {
+        trial.trial_id: trial.series for trial in _prepared_trials(args.trials, cfg)}
     written = pipeline.build_reports(args.events, out, cfg, positions)
     print(f"wrote {len(written)} aggregate file(s) -> {args.out}")
     return 0

@@ -3,10 +3,10 @@
 Files use ``configparser`` sections ``[io]``, ``[embedding]``, ``[model]``,
 ``[detector]``, ``[aggregate]``, and optionally ``[synth]``.  Every key maps
 one-to-one onto a field of its section's dataclass, which holds the key's
-type, default and checks; unknown sections or keys are hard errors so typos
-never silently fall back to defaults.  The ``[embedding]`` and
-``[detector]`` sections are the stage types themselves,
-:class:`~cueflow.embedding.EmbeddingSpec` and
+type, default and checks; unknown sections or keys, and a ``[synth]`` key
+its ``kind`` does not read, are hard errors so no setting is silently
+ignored.  The ``[embedding]`` and ``[detector]`` sections are the stage
+types themselves, :class:`~cueflow.embedding.EmbeddingSpec` and
 :class:`~cueflow.detector.DetectorConfig`, and ``fit_mlp`` reads the
 ``[model]`` section's :class:`ModelConfig`.  Command-line overrides take the
 form ``section.key=value``.  Every rule is checked when the config is
@@ -30,7 +30,11 @@ from .te import LOGLIK_RATIO, SRC2TGT, TE_MODES, TGT2SRC
 
 DIRECTION_CHOICES = ("both", SRC2TGT, TGT2SRC)
 MODEL_KINDS = (VAR_LINEAR, MLP_GAUSSIAN)
-SYNTH_KINDS = ("cue_scenario", "var1")
+# The [synth] kinds and the keys that one kind reads; the other refuses them.
+_SYNTH_KIND_KEYS = {"cue_scenario": ("duration_s", "cue_times", "response_delay_s",
+                                     "amplitude", "noise_sigma", "rate_hz"),
+                    "var1": ("a", "q", "n", "dt")}
+SYNTH_KINDS = tuple(_SYNTH_KIND_KEYS)
 # How far, relative to the larger of the two, delta_s may lie from a whole
 # number of sample steps.
 _LAG_RTOL = 1e-9
@@ -291,6 +295,10 @@ def parse_config_text(text: str, origin: str = "<config>",
     cfg = PipelineConfig(**{f.name: _build(f.name, sections.get(f.name, {}))
                             for f in fields(PipelineConfig)})
     synth = _build("synth", sections["synth"]) if "synth" in sections else None
+    foreign = synth and [k for kind, keys in _SYNTH_KIND_KEYS.items() if kind != synth.kind
+                         for k in keys if sections["synth"].get(k, "").strip()]
+    if foreign:
+        raise ConfigError(f"[synth] kind {synth.kind} does not read keys {foreign}")
     return cfg, synth
 
 

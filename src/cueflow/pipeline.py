@@ -336,19 +336,21 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
     """Build the aggregate products of a run directory from its saved files.
 
     :func:`run` calls this on its own directory, with its prepared series
-    as ``positions``; ``cueflow report`` calls it on a saved one.  Reads
-    ``manifest.csv`` and ``events.csv`` under ``events_dir`` and, when
-    the manifest lists two scenarios of at least two trials each, their
-    TE traces for the peak-TE report; then writes histogram/grid/peak-TE
-    products into ``out_dir``.  A non-finite number in a table or trace,
-    or a table row that disagrees with the others (see
-    :func:`_read_run_dir`), is an error naming its file and row.  Every
-    input is read and checked before the first file is written, so a
-    call that raises writes nothing.  The trace formats round-trip
-    losslessly, so this reproduces a run directory's own aggregates byte
-    for byte.  Returns the names of the files written."""
+    as ``positions``; ``cueflow report`` calls it on a saved one.  A
+    configured grid needs ``positions``.  Reads ``manifest.csv`` and
+    ``events.csv`` under ``events_dir`` and, when the manifest lists two
+    scenarios of at least two trials each, their TE traces for the peak-TE
+    report; then writes histogram/grid/peak-TE products into ``out_dir``.
+    A non-finite number in a table or trace, or a table row that disagrees
+    with the others (see :func:`_read_run_dir`), is an error naming its
+    file and row.  Every input is read and checked before the first file
+    is written, so a call that raises writes nothing.  The trace formats
+    round-trip losslessly, so this reproduces a run directory's own
+    aggregates byte for byte.  Returns the names of the files written."""
     events_dir = Path(events_dir)
     manifest, by_key = _read_run_dir(events_dir)
+    if cfg.aggregate.cell_size_m is not None and positions is None:
+        raise PipelineError("[aggregate] cell_size_m sets a spatial grid: no positions given")
 
     products = []
     for direction in cfg.io.direction_list:
@@ -368,7 +370,7 @@ def build_reports(events_dir, out_dir, cfg: PipelineConfig,
             raise DataFormatError(
                 f"{path}: row {storage.file_row(path, row)}: {exc}") from None
         products.append((f"histogram_{direction}.csv", storage.write_histogram_csv, hist))
-        if cfg.aggregate.cell_size_m is not None and positions is not None:
+        if cfg.aggregate.cell_size_m is not None:
             grid_in = []
             for trial_id, _, _, _ in manifest:
                 if trial_id not in positions:

@@ -23,7 +23,7 @@ floats written with shortest-round-trip ``repr`` so read-back is lossless):
 Every number read from a file is checked once, by the reader that parses
 it: a field that is not a number, or a float that is not finite, is a
 :class:`DataFormatError` naming the file, the column and the row, rows
-counted from 1 after the header with blank lines included.
+counted as :func:`_parsed_rows` counts them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import math
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -133,11 +132,11 @@ def read_numeric_csv(path, check_header) -> tuple[object, np.ndarray]:
 
     ``check_header`` receives the header's fields and raises
     :class:`DataFormatError` if they are wrong.  Returns what it returns and
-    the body as a float array of shape ``(rows, len(header))``.  Blank lines are
-    skipped, ``#`` is not a comment and quoted numbers are accepted.  Every
-    failure is a :class:`DataFormatError` naming the file.  A bad row is
-    named by its number, counting from 1 after the header, blank lines
-    included; the first value that is not finite by its column and row.
+    the body as a float array of shape ``(rows, len(header))``.  ``#`` is not
+    a comment and quoted numbers are accepted.  Every failure is a
+    :class:`DataFormatError` naming the file.  A bad row is named as
+    :func:`_parsed_rows` names it; the first value that is not finite by its
+    column and row.
     """
     path = Path(path)
     with text_errors(path), open(path, newline="") as fh:
@@ -153,10 +152,12 @@ def read_numeric_csv(path, check_header) -> tuple[object, np.ndarray]:
                               quotechar='"', ndmin=2)
         except ValueError:
             data = None
-        if data is None or data.shape[1] != len(header):
-            # loadtxt numbers rows its own way, so find the bad row again.
-            fh.seek(body)
-            _raise_bad_row(path, csv.reader(iter(fh.readline, "")), len(header))
+    if data is None or data.shape[1] != len(header):
+        # loadtxt numbers rows its own way, so find the bad row again.
+        for _ in _parsed_rows(path, [h.strip() for h in header], [float] * len(header)):
+            pass
+        # float() takes a few spellings numpy's parser does not, such as "1_0".
+        raise DataFormatError(f"{path}: a number is not in plain decimal notation")
     if not np.isfinite(data).all():
         row, col = np.argwhere(~np.isfinite(data))[0]
         raise DataFormatError(f"{path}: {header[col].strip()} value {data[row, col]} at row "
@@ -164,28 +165,9 @@ def read_numeric_csv(path, check_header) -> tuple[object, np.ndarray]:
     return checked, data
 
 
-def _raise_bad_row(path: Path, rows, n_fields: int) -> NoReturn:
-    """Raise for the first of ``rows`` that has the wrong width or a non-number."""
-    for i, row in enumerate(rows, start=1):
-        if not row:
-            continue
-        if len(row) != n_fields:
-            raise DataFormatError(
-                f"{path}: row {i} has {len(row)} fields, expected {n_fields}"
-            )
-        try:
-            for v in row:
-                float(v)
-        except ValueError:
-            raise DataFormatError(f"{path}: numeric parse error at row {i}") from None
-    # float() takes a few spellings numpy's parser does not, such as "1_0".
-    raise DataFormatError(f"{path}: a number is not in plain decimal notation")
-
-
 def file_row(path: Path, index: int) -> int:
     """The row of ``path`` that :func:`read_numeric_csv` parsed as body row
-    ``index`` (from 0), numbered as it names rows: from 1 after the header,
-    blank lines included."""
+    ``index`` (from 0), numbered as :func:`_parsed_rows` numbers rows."""
     with text_errors(path), open(path, newline="") as fh:
         rows = csv.reader(fh)
         next(rows)
@@ -223,29 +205,36 @@ def write_rows(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def read_rows(path, expected_header: list[str], types) -> list[tuple]:
-    """Data rows of a CSV, each field converted by its column's entry in ``types``.
-
-    A field that does not convert, or a float that is not finite, is an
-    error naming the row, counted as :func:`read_numeric_csv` counts: from
-    1 after the header, blank lines included.
-    """
+def _parsed_rows(path, header: list[str], types):
+    """``(row, fields)`` for each data row of a CSV whose stripped header is
+    ``header``, each field converted by its column's entry in ``types``.  The
+    row rule of every table: blank lines are skipped, rows are counted from 1
+    after the header, blank lines included, and a row of the wrong width or a
+    field that does not convert is an error naming the file and the row."""
     with text_errors(path), open(path, newline="") as fh:
-        _check_header(path, _read_header(path, fh), expected_header)
-        out = []
+        _check_header(path, _read_header(path, fh), header)
         for i, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            if len(row) != len(expected_header):
-                raise DataFormatError(f"{path}: row {i} has {len(row)} fields")
+            if len(row) != len(header):
+                raise DataFormatError(
+                    f"{path}: row {i} has {len(row)} fields, expected {len(header)}")
             try:
-                values = tuple(convert(v) for convert, v in zip(types, row))
+                fields = tuple(convert(v) for convert, v in zip(types, row))
             except ValueError:
                 raise DataFormatError(f"{path}: numeric parse error at row {i}") from None
-            for name, v in zip(expected_header, values):
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise DataFormatError(f"{path}: {name} value {v} at row {i} is not finite")
-            out.append(values)
+            yield i, fields
+
+
+def read_rows(path, expected_header: list[str], types) -> list[tuple]:
+    """The converted fields of each data row of a CSV (see :func:`_parsed_rows`),
+    with a float that is not finite an error naming its column and row."""
+    out = []
+    for i, values in _parsed_rows(path, expected_header, types):
+        for name, v in zip(expected_header, values):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DataFormatError(f"{path}: {name} value {v} at row {i} is not finite")
+        out.append(values)
     return out
 
 

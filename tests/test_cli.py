@@ -497,7 +497,7 @@ class TestBadInputExits2:
 
     @pytest.mark.parametrize("row, message", [
         ("t000,driven,abc,20.0", "numeric parse error at row 1"),
-        ("t000,driven", "row 1 has 2 fields"),
+        ("t000,driven", "row 1 has 2 fields, expected 4"),
     ])
     def test_bad_manifest_row_under_report(self, cue_config, tmp_path, capsys,
                                            row, message):
@@ -713,6 +713,35 @@ class TestReportReadsBeforeWriting:
         assert list((tmp_path / "rep").iterdir()) == []
 
 
+class TestReportOfAGrid:
+    GRID = ["--set", "aggregate.cell_size_m=0.25",
+            "--set", "aggregate.position_channels=follower_px, follower_py"]
+
+    def test_a_grid_needs_trials(self, cue_run_config, two_scenario_trials, tmp_path,
+                                 capsys):
+        """Without ``--trials`` a configured grid is refused before ``--out``
+        is made, not skipped; with both grid keys unset, the report rebuilds
+        the run's other aggregates alone."""
+        run_dir, out = tmp_path / "run", tmp_path / "rep"
+        assert main(["run", "--config", str(cue_run_config), *self.GRID, "--trials",
+                     str(two_scenario_trials), "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        report = ["report", "--config", str(cue_run_config), *self.GRID,
+                  "--events", str(run_dir), "--out", str(out)]
+        assert main(report) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "[aggregate] cell_size_m sets a spatial grid: report needs --trials" in err
+        assert not out.exists()
+        assert main([*report, "--set", "aggregate.cell_size_m=",
+                     "--set", "aggregate.position_channels="]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "histogram_src2tgt.csv", "histogram_src2tgt.csv.meta",
+            "histogram_tgt2src.csv", "histogram_tgt2src.csv.meta", "peak_te_report.csv"]
+        for rebuilt in out.iterdir():
+            assert rebuilt.read_bytes() == (run_dir / rebuilt.name).read_bytes()
+
+
 class TestPartialRun:
     def test_a_failed_run_leaves_no_manifest(self, cue_run_config, two_scenario_trials,
                                              tmp_path, capsys):
@@ -845,6 +874,23 @@ class TestSynthInputsExit2:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "A and Q must be finite" in err
+
+
+class TestOtherKindsSynthKeysExit2:
+    @pytest.mark.parametrize("command", ["synth", "oracle", "validate", "run", "report"])
+    def test_every_command_refuses_them(self, cue_config, tmp_path, capsys, command):
+        """A ``[synth]`` key the chosen kind does not read is refused when
+        the config is parsed, before any command reads or writes a file."""
+        out = tmp_path / "out"
+        args = {"synth": ["--out", str(out)], "oracle": [], "validate": [],
+                "run": ["--trials", str(tmp_path), "--out", str(out)],
+                "report": ["--events", str(tmp_path), "--out", str(out)]}[command]
+        assert main([command, "--config", str(cue_config), "--set", "synth.a=0.9,0.9,0.9,0.9",
+                     "--set", "synth.n=5", *args]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "ERROR cueflow.cli: [synth] kind cue_scenario does not read keys ['a', 'n']" in err
+        assert not out.exists()
 
 
 class TestSynthCommand:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cueflow.config import (
     _SECTIONS,
+    _SYNTH_KIND_KEYS,
     AggregateConfig,
     IoConfig,
     ModelConfig,
@@ -299,6 +300,37 @@ dt = 0.02
         text = BASE + "\n[synth]\nkind = var1\nn_trials = 0\n"
         with pytest.raises(ConfigError, match="n_trials"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("kind, given, refused", [
+        ("cue_scenario", "a = 0.9, 0.9, 0.9, 0.9\nn = 5\n", ["a", "n"]),
+        ("var1", "duration_s = 30\nrate_hz = 20\n", ["duration_s", "rate_hz"]),
+    ])
+    def test_the_other_kinds_keys_are_refused(self, kind, given, refused):
+        """A key the chosen kind does not read would be ignored, so it is
+        refused, whether it comes from the file or from an override."""
+        message = re.escape(f"[synth] kind {kind} does not read keys {refused}")
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(BASE + f"\n[synth]\nkind = {kind}\n{given}")
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(BASE + f"\n[synth]\nkind = {kind}\n", overrides=[
+                f"synth.{line.replace(' ', '')}" for line in given.splitlines()])
+
+    def test_flipping_the_kind_refuses_the_keys_of_the_file(self):
+        text = BASE + "\n[synth]\nkind = cue_scenario\nduration_s = 30\n"
+        with pytest.raises(ConfigError, match=re.escape(
+                "[synth] kind var1 does not read keys ['duration_s']")):
+            parse_config_text(text, overrides=["synth.kind=var1"])
+
+    def test_an_empty_value_of_the_other_kind_counts_as_absent(self):
+        text = BASE + "\n[synth]\nkind = cue_scenario\na =\n"
+        _, synth = parse_config_text(text, overrides=["synth.n="])
+        assert (synth.kind, synth.a, synth.n) == ("cue_scenario", (0.5, 0.5, 0.0, 0.0), 10000)
+
+    def test_every_synth_key_is_shared_or_read_by_one_kind(self):
+        by_kind = [set(keys) for keys in _SYNTH_KIND_KEYS.values()]
+        assert not set.intersection(*by_kind)
+        assert ({f.name for f in fields(SynthSettings)}
+                == set.union({"kind", "n_trials", "seed"}, *by_kind))
 
     def test_bad_cue_times_rejected(self):
         text = BASE + "\n[synth]\nkind = cue_scenario\ncue_times = 2.0, soon\n"

@@ -5,7 +5,7 @@ Every top-level function and class in ``src/cueflow`` is referenced by code
 other than its own definition, and every field and property of its classes
 is read there.  A helper only the tests call lives in the tests.  Every
 name a module imports is read in that module.  Only ``storage`` and
-``config`` touch files.
+``config`` touch files, and only ``storage`` imports ``csv``.
 """
 import ast
 from pathlib import Path
@@ -129,6 +129,19 @@ def test_only_storage_and_config_touch_files():
     ``write_text``, ``read_bytes``, ``write_bytes`` or ``np.loadtxt``."""
     calls = _calls_outside(FILE_MODULES, FILE_CALLS)
     assert not calls, calls
+
+
+def test_only_storage_imports_csv():
+    """Every CSV row is parsed in ``storage``: no other package module
+    imports ``csv``, so no second row parser grows elsewhere."""
+    importers = []
+    for path in sorted((ROOT / "src/cueflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if path.name != "storage.py" and "csv" in modules:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert not importers, importers
 
 
 def test_only_storage_builds_a_recording():

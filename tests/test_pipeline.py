@@ -558,8 +558,9 @@ def study(tmp_path_factory):
 
 class TestRunDirProducts:
     def test_two_scenarios_produce_a_report(self, study, tmp_path):
-        _, cfg, _, run_dir = study
-        assert "peak_te_report.csv" in build_reports(run_dir, tmp_path, cfg)
+        trials, cfg, _, run_dir = study
+        assert "peak_te_report.csv" in build_reports(run_dir, tmp_path, cfg,
+                                                     positions=positions(trials, cfg))
         report = storage.read_report_csv(tmp_path / "peak_te_report.csv")
         assert [d for d, _ in report.rows] == ["src2tgt"]
 
@@ -593,6 +594,16 @@ class TestRunDirProducts:
         with pytest.raises(PipelineError, match="no position series for trial 'a1'"):
             build_reports(run_dir, tmp_path / "rep", cfg,
                           positions=partial)
+
+    def test_a_configured_grid_needs_positions(self, study, tmp_path):
+        """A grid is never skipped in silence: with ``cell_size_m`` set and
+        no positions, the rebuild raises, after reading its inputs and
+        before writing any file."""
+        _, cfg, _, run_dir = study
+        with pytest.raises(PipelineError, match=re.escape(
+                "[aggregate] cell_size_m sets a spatial grid: no positions given")):
+            build_reports(run_dir, tmp_path / "rep", cfg)
+        assert not (tmp_path / "rep").exists()
 
     def test_rebuild_requires_a_manifest(self, study, tmp_path):
         from cueflow.errors import DataFormatError

@@ -189,6 +189,14 @@ class TestEventsCsv:
         back = read_events_csv(path)
         assert back == events
 
+    def test_a_row_of_the_wrong_width_names_the_expected_count(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("trial,direction,start_t,end_t,peak_te\n"
+                        "t000,src2tgt,1.25,1.5,0.75\n\nt001,src2tgt,1.0\n")
+        with pytest.raises(DataFormatError) as info:
+            read_events_csv(path)
+        assert str(info.value) == f"{path}: row 3 has 3 fields, expected 5"
+
     def test_empty_file_keeps_header(self, tmp_path):
         path = tmp_path / "events.csv"
         write_events_csv([], path)

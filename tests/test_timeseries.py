@@ -230,6 +230,19 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=match):
             load_csv(self.write(tmp_path, "t,x\n" + body))
 
+    @pytest.mark.parametrize("row, message", [
+        ("0.1,2,3", "row 3 has 3 fields, expected 2"),
+        ("0.1,abc", "numeric parse error at row 3"),
+    ])
+    def test_malformed_row_after_a_nan_row_is_named(self, tmp_path, row, message):
+        """The malformed row is named, not the earlier value that is not
+        finite: a row that does not parse is found before any value is
+        checked for finiteness."""
+        path = self.write(tmp_path, f"t,x\n0.0,1\n0.05,nan\n{row}\n")
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_duplicate_channels_name_the_file(self, tmp_path):
         with pytest.raises(DataFormatError,
                            match=r"trial\.csv: duplicate channel names: \('x', 'x'\)"):
